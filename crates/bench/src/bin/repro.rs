@@ -384,32 +384,37 @@ fn table_timestep() {
 }
 
 /// Machine-readable record of the shared Newton layer
-/// (`crates/newtonkit` + pattern-reusing `SparseLu` refactorisation):
+/// (`crates/newtonkit` + pattern-reusing KLU refactorisation):
 ///
 /// * **kernel** — on the `ring_loaded_vco(128)` bordered step Jacobian
-///   (dim 1431), times a fresh sparse-LU factorisation (symbolic DFS +
-///   numeric) against the numeric-only refactorisation that every Newton
-///   iteration after the first performs, asserts the reuse path is
-///   faster *and* bitwise-identical, and records the speedup;
+///   (dim 1431), times a fresh KLU factorisation (BTF + AMD ordering,
+///   symbolic DFS and numeric elimination) against the numeric-only
+///   refactorisation that every Newton iteration after the first
+///   performs, asserts the reuse path is faster *and* bitwise-identical,
+///   and records the speedup;
 /// * **per-solver rows** — deck-driven runs (using the per-directive
-///   `solver=sparselu` key) of transim/mpde/wampde with symbolic reuse
-///   on and off: Newton iterations, factorisations, reuse counts, wall.
+///   `solver=klu` key) of transim/mpde/wampde with symbolic reuse on and
+///   off: Newton iterations, factorisations, reuse counts, wall.
 ///
 /// Emits `target/repro/BENCH_newton.json`.
 fn table_newton() {
-    use sparsekit::SparseLu;
-    println!("=== table `newton`: pattern-reusing sparse refactorisation ===");
+    use sparsekit::{OrderingPlan, SparseLu};
+    println!("=== table `newton`: pattern-reusing KLU refactorisation ===");
     let mut records: Vec<String> = Vec::new();
 
     // --- Kernel: fresh vs numeric-only refactorisation. ---
     let jac = StepJacobian::build(128, 5);
     let csc = jac.parts().assemble_triplets().to_csc();
+    let fresh = || {
+        let plan = OrderingPlan::for_matrix(&csc).expect("step jacobian orders");
+        SparseLu::factor_ordered(&csc, &plan).expect("step jacobian factors")
+    };
     let reps = 7;
     let mut fresh_ns = u128::MAX;
-    let mut lu = SparseLu::factor(&csc).expect("step jacobian factors");
+    let mut lu = fresh();
     for _ in 0..reps {
         let t0 = std::time::Instant::now();
-        lu = SparseLu::factor(&csc).expect("step jacobian factors");
+        lu = fresh();
         fresh_ns = fresh_ns.min(t0.elapsed().as_nanos());
     }
     let mut reuse_ns = u128::MAX;
@@ -420,10 +425,7 @@ fn table_newton() {
     }
     // The refactorisation replays the fresh elimination bit for bit.
     let b = jac.rhs();
-    let x_fresh = SparseLu::factor(&csc)
-        .expect("step jacobian factors")
-        .solve(&b[..csc.nrows()])
-        .expect("solves");
+    let x_fresh = fresh().solve(&b[..csc.nrows()]).expect("solves");
     let x_reuse = lu.solve(&b[..csc.nrows()]).expect("solves");
     assert_eq!(
         x_fresh, x_reuse,
@@ -431,7 +433,7 @@ fn table_newton() {
     );
     let speedup = fresh_ns as f64 / reuse_ns as f64;
     // The acceptance bar of the Newton-layer extraction: numeric-only
-    // refactorisation beats fresh symbolic+numeric per iteration.
+    // refactorisation beats fresh ordering+symbolic+numeric per iteration.
     assert!(
         speedup > 1.0,
         "symbolic reuse must beat fresh factorisation ({fresh_ns} ns vs {reuse_ns} ns)"
@@ -443,7 +445,8 @@ fn table_newton() {
         reuse_ns as f64 / 1e6
     );
     records.push(format!(
-        "    {{\"row\": \"kernel\", \"workload\": \"ring_loaded_vco(128) step jacobian\", \
+        "    {{\"row\": \"kernel\", \"backend\": \"klu\", \
+         \"workload\": \"ring_loaded_vco(128) step jacobian\", \
          \"dim\": {}, \"fresh_ns\": {fresh_ns}, \"reuse_ns\": {reuse_ns}, \
          \"speedup\": {speedup:.3}}}",
         csc.nrows()
@@ -468,11 +471,11 @@ fn table_newton() {
         ));
     };
 
-    // transim: deck-driven (per-directive `solver=sparselu` key) pulse
+    // transim: deck-driven (per-directive `solver=klu` key) pulse
     // transient on the ladder.
     {
         let cards = ring_ladder_cards(16);
-        let deck = circuitdae::parse_deck(&format!("{cards}.tran 2u dt=10n solver=sparselu\n"))
+        let deck = circuitdae::parse_deck(&format!("{cards}.tran 2u dt=10n solver=klu\n"))
             .expect("newton deck parses");
         let dae = deck.base_circuit().expect("newton deck instantiates");
         let circuitdae::AnalysisSpec::Tran(t) = &deck.analyses[0] else {
@@ -480,7 +483,7 @@ fn table_newton() {
         };
         assert_eq!(
             t.solver,
-            wampde::LinearSolverKind::SparseLu,
+            wampde::LinearSolverKind::Klu,
             "per-directive solver= key must reach the spec"
         );
         for reuse in [true, false] {
@@ -530,7 +533,7 @@ fn table_newton() {
         let deck = circuitdae::parse_deck(
             "R1 out 0 1k\n\
              C1 out 0 1n\n\
-             .mpde 1meg 2m amp=1m depth=0.5 fmod=1k dt=20u solver=sparselu\n",
+             .mpde 1meg 2m amp=1m depth=0.5 fmod=1k dt=20u solver=klu\n",
         )
         .expect("mpde newton deck parses");
         let dae = deck.base_circuit().expect("deck instantiates");
@@ -589,7 +592,7 @@ fn table_newton() {
             &dae,
             &shooting::ShootingOptions {
                 steps_per_period: 256,
-                linear_solver: wampde::LinearSolverKind::SparseLu,
+                linear_solver: wampde::LinearSolverKind::Klu,
                 ..Default::default()
             },
         )
@@ -598,7 +601,7 @@ fn table_newton() {
             let opts = wampde::WampdeOptions {
                 harmonics: 5,
                 step: wampde::T2StepControl::Fixed(2.0e-7),
-                linear_solver: wampde::LinearSolverKind::SparseLu,
+                linear_solver: wampde::LinearSolverKind::Klu,
                 newton: transim::NewtonOptions {
                     reuse_symbolic: reuse,
                     ..Default::default()
@@ -631,7 +634,7 @@ fn table_newton() {
 
     let json = format!(
         "{{\n  \"bench\": \"newton\",\n  \"workload\": \"pattern-reusing symbolic \
-         refactorisation (newtonkit + SparseLu::refactor): kernel fresh-vs-reuse on \
+         KLU refactorisation (newtonkit + SparseLu::refactor): kernel fresh-vs-reuse on \
          ring_loaded_vco(128), per-solver Newton counters with reuse on/off\",\n  \
          \"results\": [\n{}\n  ]\n}}\n",
         records.join(",\n")
@@ -984,7 +987,6 @@ fn table_linsolve() {
     println!("=== table `linsolve`: backend scaling on ring_loaded_vco ===");
     let solvers = [
         ("dense", wampde::LinearSolverKind::Dense),
-        ("sparselu", wampde::LinearSolverKind::SparseLu),
         ("klu", wampde::LinearSolverKind::Klu),
         ("gmres", wampde::LinearSolverKind::gmres_default()),
     ];
@@ -994,12 +996,11 @@ fn table_linsolve() {
     for stages in [4usize, 32, 128, 1000] {
         let jac = StepJacobian::build(stages, 5);
         // The 1000-stage rung only runs the backend that stays feasible
-        // at dim 11k: dense is O(dim³), *natural-order* sparse LU fills
-        // toward dense on the bordered collocation structure, and
-        // GMRES+ILU(0) stagnates short of its 1e-10 target (residual
-        // ~8e-6 after 1000 iterations). All three collapses are already
-        // measured on the 128-stage rung — they are exactly what the
-        // ordered kernel exists to fix. The reference switches to KLU.
+        // at dim 11k: dense is O(dim³), and GMRES+ILU(0) stagnates short
+        // of its 1e-10 target (residual ~8e-6 after 1000 iterations).
+        // Both collapses are already measured on the 128-stage rung —
+        // they are exactly what the ordered kernel exists to fix. The
+        // reference switches to KLU.
         let big = stages >= 1000;
         let reference = if big {
             jac.factor_solve(wampde::LinearSolverKind::Klu)

@@ -57,7 +57,7 @@
 //! the counter summary after the run. Neither changes a result bit —
 //! see `docs/OBSERVABILITY.md`.
 //!
-//! `--solver dense|sparselu|klu|gmres|gmres-circulant` overrides the
+//! `--solver dense|klu|gmres|gmres-circulant` overrides the
 //! linear-solver backend for every analysis — beating both the
 //! deck-wide `.options` choice and
 //! any per-directive `solver=` key (the command line is the outermost
@@ -83,7 +83,7 @@ fn usage() -> ! {
          [--cache-max-bytes BYTES] [--no-warm-start] [--trace DIR] [--metrics]"
     );
     eprintln!("       wampde-cli merge <shard_manifest.json>... [--out DIR]");
-    eprintln!("  KIND: dense | sparselu | klu | gmres | gmres-circulant");
+    eprintln!("  KIND: {}", LinearSolverKind::NAMES.join(" | "));
     eprintln!("  SCHEME: be | trap | bdf2");
     eprintln!("  --jobs 0 / --solver-threads 0 auto-size to the machine's cores");
     std::process::exit(2);
@@ -135,8 +135,8 @@ fn parse_args(argv: &[String]) -> Args {
                         .and_then(|v| LinearSolverKind::parse(v))
                         .unwrap_or_else(|| {
                             eprintln!(
-                                "--solver requires one of: dense, sparselu, klu, gmres, \
-                                 gmres-circulant"
+                                "--solver requires one of: {}",
+                                LinearSolverKind::NAMES.join(", ")
                             );
                             std::process::exit(2);
                         }),

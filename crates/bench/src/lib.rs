@@ -240,10 +240,11 @@ impl StepJacobian {
     ///
     /// Panics when the backend fails (the workload is well-conditioned).
     pub fn factor_solve(&self, kind: wampde::LinearSolverKind) -> Vec<f64> {
-        let f = wampde::linsolve::FactoredJacobian::factor(&self.parts(), kind)
+        let mut lu = wampde::linsolve::FactorCache::new(kind);
+        lu.factor(&wampde::linsolve::NewtonMatrix::Parts(&self.parts()))
             .expect("step jacobian factors");
         let mut x = self.rhs();
-        f.solve_in_place(&mut x).expect("step jacobian solves");
+        lu.solve_in_place(&mut x).expect("step jacobian solves");
         x
     }
 }
@@ -398,7 +399,7 @@ mod tests {
         let j = StepJacobian::build(8, 4);
         assert_eq!(j.dim(), 10 * 9 + 1);
         let dense = j.factor_solve(wampde::LinearSolverKind::Dense);
-        let sparse = j.factor_solve(wampde::LinearSolverKind::SparseLu);
+        let sparse = j.factor_solve(wampde::LinearSolverKind::Klu);
         let gm = j.factor_solve(wampde::LinearSolverKind::gmres_default());
         let scale = dense.iter().fold(1.0_f64, |m, v| m.max(v.abs()));
         for i in 0..dense.len() {
@@ -410,21 +411,18 @@ mod tests {
     #[test]
     fn cli_solver_override_beats_per_directive_and_options_keys() {
         // The deck pins three different layers: a per-directive
-        // `solver=sparselu`, a deck-wide `.options solver=gmres`, and a
+        // `solver=klu`, a deck-wide `.options solver=gmres`, and a
         // directive with no key at all. The CLI override (outermost
         // layer) must win everywhere; without it, the parser's
         // per-directive > .options precedence must hold.
         const DECK: &str = "C1 tank 0 4.503n\n\
                             L1 tank 0 10u\n\
                             GN1 tank 0 5m 1.667m\n\
-                            .wampde 6u harmonics=5 solver=sparselu\n\
+                            .wampde 6u harmonics=5 solver=klu\n\
                             .shooting steps=128\n\
                             .options solver=gmres\n";
         let mut deck = circuitdae::parse_deck(DECK).unwrap();
-        assert_eq!(
-            deck.analyses[0].solver(),
-            circuitdae::LinearSolverKind::SparseLu
-        );
+        assert_eq!(deck.analyses[0].solver(), circuitdae::LinearSolverKind::Klu);
         assert!(matches!(
             deck.analyses[1].solver(),
             circuitdae::LinearSolverKind::GmresIlu0 { .. }

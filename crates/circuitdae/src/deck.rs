@@ -510,7 +510,7 @@ mod tests {
         c.rtol = 2e-6;
         assert_ne!(a.fingerprint(), AnalysisSpec::Tran(c).fingerprint());
         let mut d = TranSpec::new(1e-3);
-        d.solver = LinearSolverKind::SparseLu;
+        d.solver = LinearSolverKind::Klu;
         assert_ne!(a.fingerprint(), AnalysisSpec::Tran(d).fingerprint());
         let mut e = TranSpec::new(1e-3);
         e.integrator = Scheme::BackwardEuler;

@@ -29,7 +29,7 @@
 //! .mpde     <f1> <tstop> [harmonics=<n>] [node=<k>] [amp=<v>] [depth=<v>] [fmod=<v>] [dt=<v>] [solver=<s>] [STEP KEYS]
 //! .wampde   <tstop> [harmonics=<n>] [phase_var=<k>] [steps=<n>] [dt=<v>] [solver=<s>] [STEP KEYS]
 //! .sweep    <param> <from> <to> <points> [log]
-//! .options  solver=dense|sparselu|klu|gmres|gmres-circulant [gmres_tol=<v>] [gmres_restart=<n>]
+//! .options  solver=dense|klu|gmres|gmres-circulant [gmres_tol=<v>] [gmres_restart=<n>]
 //! ```
 //!
 //! The time-stepping analyses share one set of `STEP KEYS` plumbed into
@@ -41,7 +41,7 @@
 //!
 //! `.options` selects the linear-solver backend for *every* analysis in
 //! the deck (position-independent; a later `.options` line wins). The
-//! default is dense LU; `sparselu`, `klu` (BTF + AMD ordered sparse LU),
+//! default is dense LU; `klu` (BTF + AMD ordered sparse LU),
 //! `gmres`, and `gmres-circulant` (block-circulant preconditioning for
 //! the quasiperiodic cyclic system) route each solver's inner
 //! factorisations through the shared `linsolve` layer's sparse backends.
@@ -471,7 +471,10 @@ enum Directive {
 /// error message.
 fn parse_solver_key(v: &str, directive: &str) -> Result<LinearSolverKind, String> {
     LinearSolverKind::parse(v).ok_or_else(|| {
-        format!("{directive}: unknown solver '{v}' (dense, sparselu, klu, gmres, gmres-circulant)")
+        format!(
+            "{directive}: unknown solver '{v}' ({})",
+            LinearSolverKind::NAMES.join(", ")
+        )
     })
 }
 
@@ -821,11 +824,10 @@ fn parse_directive(tokens: &[&str]) -> Result<Directive, String> {
         ".options" => {
             let (pos, opts) = split_args(args)?;
             if !pos.is_empty() {
-                return Err(
-                    "usage: .options solver=dense|sparselu|klu|gmres|gmres-circulant \
-                     [gmres_tol=<v>] [gmres_restart=<n>]"
-                        .into(),
-                );
+                return Err(format!(
+                    "usage: .options solver={} [gmres_tol=<v>] [gmres_restart=<n>]",
+                    LinearSolverKind::NAMES.join("|")
+                ));
             }
             let mut solver_tok: Option<&str> = None;
             let mut gmres_tol: Option<f64> = None;
@@ -845,16 +847,12 @@ fn parse_directive(tokens: &[&str]) -> Result<Directive, String> {
                 }
             }
             let Some(tok) = solver_tok else {
-                return Err(
-                    ".options requires solver=<dense|sparselu|klu|gmres|gmres-circulant>".into(),
-                );
+                return Err(format!(
+                    ".options requires solver=<{}>",
+                    LinearSolverKind::NAMES.join("|")
+                ));
             };
-            let mut kind = LinearSolverKind::parse(tok).ok_or_else(|| {
-                format!(
-                    ".options: unknown solver '{tok}' (dense, sparselu, klu, gmres, \
-                     gmres-circulant)"
-                )
-            })?;
+            let mut kind = parse_solver_key(tok, ".options")?;
             // Both GMRES flavours share the iteration knobs.
             if let LinearSolverKind::GmresIlu0 { restart, rtol, .. }
             | LinearSolverKind::GmresCirculant { restart, rtol, .. } = &mut kind
@@ -1354,18 +1352,18 @@ mod tests {
     #[test]
     fn per_directive_solver_key_parses_on_every_analysis() {
         let deck = parse_deck(&format!(
-            "{VCO_CARDS}.tran 1m dt=2u solver=sparselu\n\
+            "{VCO_CARDS}.tran 1m dt=2u solver=klu\n\
              .shooting steps=128 solver=gmres\n\
-             .mpde 1meg 2m solver=sparselu\n\
+             .mpde 1meg 2m solver=klu\n\
              .wampde 6u harmonics=5 solver=dense\n"
         ))
         .unwrap();
-        assert_eq!(deck.analyses[0].solver(), LinearSolverKind::SparseLu);
+        assert_eq!(deck.analyses[0].solver(), LinearSolverKind::Klu);
         assert!(matches!(
             deck.analyses[1].solver(),
             LinearSolverKind::GmresIlu0 { .. }
         ));
-        assert_eq!(deck.analyses[2].solver(), LinearSolverKind::SparseLu);
+        assert_eq!(deck.analyses[2].solver(), LinearSolverKind::Klu);
         assert_eq!(deck.analyses[3].solver(), LinearSolverKind::Dense);
     }
 
@@ -1405,12 +1403,12 @@ mod tests {
         // `.options` after the directive must not clobber the explicit
         // per-analysis key...
         let deck = parse_deck(&format!(
-            "{VCO_CARDS}.wampde 6u harmonics=5 solver=sparselu\n\
+            "{VCO_CARDS}.wampde 6u harmonics=5 solver=klu\n\
              .shooting steps=128\n\
              .options solver=gmres\n"
         ))
         .unwrap();
-        assert_eq!(deck.analyses[0].solver(), LinearSolverKind::SparseLu);
+        assert_eq!(deck.analyses[0].solver(), LinearSolverKind::Klu);
         assert!(matches!(
             deck.analyses[1].solver(),
             LinearSolverKind::GmresIlu0 { .. }
@@ -1452,6 +1450,13 @@ mod tests {
                 3,
                 ".wampde: unknown solver 'qr'",
             ),
+            // The natural-order kernel is no longer a backend; the error
+            // names the ones that are.
+            (
+                "R1 a 0 1k\nC1 a 0 1n\n.tran 1m solver=sparselu\n",
+                3,
+                ".tran: unknown solver 'sparselu' (dense, klu, gmres, gmres-circulant)",
+            ),
         ];
         for (text, want_line, want_msg) in cases {
             let err = parse_deck(text).unwrap_err();
@@ -1475,10 +1480,10 @@ mod tests {
         let deck = parse_deck(&format!(
             "{VCO_CARDS}.options solver=gmres\n\
              .shooting\n\
-             .options solver=sparselu\n"
+             .options solver=klu\n"
         ))
         .unwrap();
-        assert_eq!(deck.analyses[0].solver(), LinearSolverKind::SparseLu);
+        assert_eq!(deck.analyses[0].solver(), LinearSolverKind::Klu);
     }
 
     #[test]

@@ -490,7 +490,7 @@ mod tests {
         let dae = ckt.build().unwrap();
         let dense = solve_forced(&dae, f, None, &HbOptions::default()).unwrap();
         for kind in [
-            circuitdae::LinearSolverKind::SparseLu,
+            circuitdae::LinearSolverKind::Klu,
             circuitdae::LinearSolverKind::gmres_default(),
         ] {
             let opts = HbOptions {
@@ -521,7 +521,7 @@ mod tests {
         let dense = solve_autonomous(&vdp, &init, orbit.frequency(), &base).unwrap();
         let sparse_opts = HbOptions {
             newton: transim::NewtonOptions {
-                linear_solver: circuitdae::LinearSolverKind::SparseLu,
+                linear_solver: circuitdae::LinearSolverKind::Klu,
                 ..Default::default()
             },
             ..base

@@ -3,19 +3,20 @@
 //! Every solver crate in the workspace (transient Newton, shooting,
 //! harmonic balance, MPDE, WaMPDE) faces the same inner problem: factor a
 //! Jacobian, then back-substitute one or more right-hand sides. This crate
-//! owns that step behind one backend switch, [`LinearSolverKind`], so the
-//! paper's "iterative linear techniques enable large systems" route
-//! (GMRES+ILU(0)) is available to *all* of them, not just the WaMPDE.
+//! owns that step behind one backend switch, [`LinearSolverKind`], and one
+//! factor entry point, [`FactorCache::factor`], so the paper's "iterative
+//! linear techniques enable large systems" route (GMRES+ILU(0)) is
+//! available to *all* of them, not just the WaMPDE.
 //!
-//! Two matrix descriptions are supported:
+//! A [`NewtonMatrix`] describes the Jacobian in one of three forms:
 //!
+//! * a dense matrix or a triplet-assembled sparse matrix — used by
+//!   `transim`'s damped Newton, shooting's monodromy chain and bordered
+//!   boundary system, and the WaMPDE quasiperiodic cyclic system;
 //! * [`JacobianParts`] — the block-structured collocation Jacobian
 //!   `J[s,s'] = δ_{ss'}·(inv_h·C_s + θ·G_s) + θ·ω·D[s,s']·C_{s'}`,
-//!   optionally bordered by a phase row and an `∂r/∂ω` column. Used by the
-//!   WaMPDE envelope, the MPDE, and harmonic balance.
-//! * [`NewtonMatrix`] — a plain square Jacobian, dense or in triplet form.
-//!   Used by `transim`'s damped Newton, shooting's monodromy chain and
-//!   bordered boundary system, and the WaMPDE quasiperiodic cyclic system.
+//!   optionally bordered by a phase row and an `∂r/∂ω` column, assembled
+//!   in whichever form the backend needs.
 //!
 //! Errors are solver-agnostic ([`LinSolveError`]); each consumer maps them
 //! into its own error enum (`TransimError::SingularJacobian`,
@@ -28,11 +29,10 @@
 //! # Example
 //!
 //! Factor a triplet-assembled matrix with the backend of your choice and
-//! back-substitute — the same two calls work for `Dense`, `SparseLu`, and
-//! `GmresIlu0`:
+//! back-substitute — the same two calls work for every backend:
 //!
 //! ```
-//! use linsolve::{FactoredJacobian, LinearSolverKind, NewtonMatrix};
+//! use linsolve::{FactorCache, LinearSolverKind, NewtonMatrix};
 //! use sparsekit::Triplets;
 //!
 //! # fn main() -> Result<(), linsolve::LinSolveError> {
@@ -41,8 +41,8 @@
 //! t.push(0, 0, 4.0);
 //! t.push(0, 1, 1.0);
 //! t.push(1, 1, 2.0);
-//! let matrix = NewtonMatrix::Triplets(&t);
-//! let lu = FactoredJacobian::factor_matrix(&matrix, LinearSolverKind::SparseLu)?;
+//! let mut lu = FactorCache::new(LinearSolverKind::Klu);
+//! lu.factor(&NewtonMatrix::Triplets(&t))?;
 //! let mut x = vec![10.0, 4.0];
 //! lu.solve_in_place(&mut x)?;
 //! assert!((x[0] - 2.0).abs() < 1e-12 && (x[1] - 2.0).abs() < 1e-12);
@@ -52,6 +52,7 @@
 
 use numkit::{DMat, DenseLu};
 use sparsekit::{gmres, Csr, CsrOp, GmresOptions, Ilu0, OrderingPlan, SparseLu, Triplets};
+use std::borrow::Cow;
 use std::fmt;
 
 pub mod budget;
@@ -89,8 +90,6 @@ pub enum LinearSolverKind {
     /// Dense LU — simplest, right for small circuits.
     #[default]
     Dense,
-    /// Sparse LU (Gilbert–Peierls) on the assembled sparse Jacobian.
-    SparseLu,
     /// KLU-class sparse LU: BTF decomposition + per-block AMD ordering +
     /// row equilibration on top of the Gilbert–Peierls kernel (Davis &
     /// Palamadai Natarajan, ACM TOMS 2010) — the right direct solver for
@@ -143,14 +142,16 @@ impl LinearSolverKind {
         }
     }
 
-    /// Parses a backend name (`dense`, `sparselu`, `klu`, `gmres`,
+    /// Every name [`LinearSolverKind::parse`] accepts, in display order.
+    pub const NAMES: [&'static str; 4] = ["dense", "klu", "gmres", "gmres-circulant"];
+
+    /// Parses a backend name (`dense`, `klu`, `gmres`,
     /// `gmres-circulant`), as used by the `.options solver=` deck
     /// directive and `wampde-cli --solver`. The GMRES names select their
     /// recommended defaults.
     pub fn parse(token: &str) -> Option<Self> {
         match token.to_ascii_lowercase().as_str() {
             "dense" => Some(LinearSolverKind::Dense),
-            "sparselu" => Some(LinearSolverKind::SparseLu),
             "klu" => Some(LinearSolverKind::Klu),
             "gmres" => Some(LinearSolverKind::gmres_default()),
             "gmres-circulant" => Some(LinearSolverKind::gmres_circulant_default()),
@@ -162,7 +163,6 @@ impl LinearSolverKind {
     pub fn label(&self) -> &'static str {
         match self {
             LinearSolverKind::Dense => "dense",
-            LinearSolverKind::SparseLu => "sparselu",
             LinearSolverKind::Klu => "klu",
             LinearSolverKind::GmresIlu0 { .. } => "gmres",
             LinearSolverKind::GmresCirculant { .. } => "gmres-circulant",
@@ -176,7 +176,6 @@ impl LinearSolverKind {
     pub fn fingerprint(&self) -> String {
         match self {
             LinearSolverKind::Dense => "dense".into(),
-            LinearSolverKind::SparseLu => "sparselu".into(),
             LinearSolverKind::Klu => "klu".into(),
             LinearSolverKind::GmresIlu0 {
                 restart,
@@ -309,47 +308,9 @@ impl JacobianParts<'_> {
     /// Pushes the nonzero entries into a triplet buffer (duplicates sum on
     /// conversion; the caller provides a `dim() × dim()` buffer).
     pub fn push_triplets(&self, t: &mut Triplets) {
-        let len = self.len();
-        let n = self.n;
-        for s in 0..self.n0 {
-            let g = &self.gblocks[s];
-            let c = &self.cblocks[s];
-            for i in 0..n {
-                for j in 0..n {
-                    let v = self.inv_h * c[(i, j)] + self.theta * g[(i, j)];
-                    if v != 0.0 {
-                        t.push(self.idx(s, i), self.idx(s, j), v);
-                    }
-                }
-            }
-        }
-        for s in 0..self.n0 {
-            for sp in 0..self.n0 {
-                let d = self.theta * self.omega * self.dmat[(s, sp)];
-                if d == 0.0 {
-                    continue;
-                }
-                let c = &self.cblocks[sp];
-                for i in 0..n {
-                    for j in 0..n {
-                        let v = d * c[(i, j)];
-                        if v != 0.0 {
-                            t.push(self.idx(s, i), self.idx(sp, j), v);
-                        }
-                    }
-                }
-            }
-        }
-        if let Some((row, col)) = self.border {
-            for k in 0..len {
-                if row[k] != 0.0 {
-                    t.push(len, k, row[k]);
-                }
-                if col[k] != 0.0 {
-                    t.push(k, len, col[k]);
-                }
-            }
-        }
+        self.push_diag(0..self.n0, t);
+        self.push_cross(0..self.n0, t);
+        self.push_border(t);
     }
 
     /// Like [`Self::push_triplets`], with the per-sample stamp loops
@@ -369,13 +330,11 @@ impl JacobianParts<'_> {
         if workers <= 1 {
             return self.push_triplets(t);
         }
-        let len = self.len();
-        let n = self.n;
         let dim = self.dim();
         let chunk = self.n0.div_ceil(workers);
-        let ranges: Vec<(usize, usize)> = (0..workers)
-            .map(|w| (w * chunk, ((w + 1) * chunk).min(self.n0)))
-            .filter(|(lo, hi)| lo < hi)
+        let ranges: Vec<std::ops::Range<usize>> = (0..workers)
+            .map(|w| w * chunk..((w + 1) * chunk).min(self.n0))
+            .filter(|r| !r.is_empty())
             .collect();
         let mut arenas: Vec<(Triplets, Triplets)> = ranges
             .iter()
@@ -383,40 +342,12 @@ impl JacobianParts<'_> {
             .collect();
         std::thread::scope(|scope| {
             let obs = obskit::current();
-            for (&(lo, hi), arena) in ranges.iter().zip(arenas.iter_mut()) {
+            for (range, (diag, cross)) in ranges.iter().zip(arenas.iter_mut()) {
                 let obs = obs.clone();
                 scope.spawn(move || {
                     let _obs = obs.map(obskit::install_handle);
-                    let (diag, cross) = arena;
-                    for s in lo..hi {
-                        let g = &self.gblocks[s];
-                        let c = &self.cblocks[s];
-                        for i in 0..n {
-                            for j in 0..n {
-                                let v = self.inv_h * c[(i, j)] + self.theta * g[(i, j)];
-                                if v != 0.0 {
-                                    diag.push(self.idx(s, i), self.idx(s, j), v);
-                                }
-                            }
-                        }
-                    }
-                    for s in lo..hi {
-                        for sp in 0..self.n0 {
-                            let d = self.theta * self.omega * self.dmat[(s, sp)];
-                            if d == 0.0 {
-                                continue;
-                            }
-                            let c = &self.cblocks[sp];
-                            for i in 0..n {
-                                for j in 0..n {
-                                    let v = d * c[(i, j)];
-                                    if v != 0.0 {
-                                        cross.push(self.idx(s, i), self.idx(sp, j), v);
-                                    }
-                                }
-                            }
-                        }
-                    }
+                    self.push_diag(range.clone(), diag);
+                    self.push_cross(range.clone(), cross);
                 });
             }
         });
@@ -427,6 +358,51 @@ impl JacobianParts<'_> {
         for (_, cross) in &arenas {
             t.append(cross);
         }
+        self.push_border(t);
+    }
+
+    /// Diagonal blocks `inv_h·C_s + θ·G_s` of the samples in `samples`.
+    fn push_diag(&self, samples: std::ops::Range<usize>, t: &mut Triplets) {
+        let n = self.n;
+        for s in samples {
+            let g = &self.gblocks[s];
+            let c = &self.cblocks[s];
+            for i in 0..n {
+                for j in 0..n {
+                    let v = self.inv_h * c[(i, j)] + self.theta * g[(i, j)];
+                    if v != 0.0 {
+                        t.push(self.idx(s, i), self.idx(s, j), v);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Cross terms `θ·ω·D[s,s']·C_{s'}` of the block rows in `samples`.
+    fn push_cross(&self, samples: std::ops::Range<usize>, t: &mut Triplets) {
+        let n = self.n;
+        for s in samples {
+            for sp in 0..self.n0 {
+                let d = self.theta * self.omega * self.dmat[(s, sp)];
+                if d == 0.0 {
+                    continue;
+                }
+                let c = &self.cblocks[sp];
+                for i in 0..n {
+                    for j in 0..n {
+                        let v = d * c[(i, j)];
+                        if v != 0.0 {
+                            t.push(self.idx(s, i), self.idx(sp, j), v);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The phase row and `∂r/∂ω` column, when bordered.
+    fn push_border(&self, t: &mut Triplets) {
+        let len = self.len();
         if let Some((row, col)) = self.border {
             for k in 0..len {
                 if row[k] != 0.0 {
@@ -458,11 +434,8 @@ impl JacobianParts<'_> {
     }
 }
 
-/// A plain square Newton-style Jacobian in either description.
-///
-/// The non-collocation consumers (`transim::newton_solve`, shooting's
-/// monodromy and bordered boundary systems, the WaMPDE quasiperiodic
-/// cyclic matrix) hand their matrix to the backend switch through this.
+/// A Jacobian handed to [`FactorCache::factor`], in whichever form its
+/// producer builds it; the cache converts to the form the backend needs.
 pub enum NewtonMatrix<'a> {
     /// A dense matrix (converted to sparse form when a sparse backend is
     /// selected; exact zeros define the pattern).
@@ -470,6 +443,9 @@ pub enum NewtonMatrix<'a> {
     /// A triplet-assembled sparse matrix (converted to dense when the
     /// dense backend is selected).
     Triplets(&'a Triplets),
+    /// A block collocation Jacobian, assembled dense or (under a core
+    /// lease, see [`JacobianParts::push_triplets_threads`]) as triplets.
+    Parts(&'a JacobianParts<'a>),
 }
 
 impl NewtonMatrix<'_> {
@@ -478,10 +454,19 @@ impl NewtonMatrix<'_> {
         match self {
             NewtonMatrix::Dense(m) => m.nrows(),
             NewtonMatrix::Triplets(t) => t.nrows(),
+            NewtonMatrix::Parts(p) => p.dim(),
         }
     }
 
-    fn to_triplets(&self) -> Triplets {
+    fn to_dense(&self) -> Cow<'_, DMat> {
+        match self {
+            NewtonMatrix::Dense(m) => Cow::Borrowed(*m),
+            NewtonMatrix::Triplets(t) => Cow::Owned(t.to_dense()),
+            NewtonMatrix::Parts(p) => Cow::Owned(p.assemble_dense()),
+        }
+    }
+
+    fn to_triplets(&self) -> Cow<'_, Triplets> {
         match self {
             NewtonMatrix::Dense(m) => {
                 let n = m.nrows();
@@ -494,19 +479,23 @@ impl NewtonMatrix<'_> {
                         }
                     }
                 }
-                t
+                Cow::Owned(t)
             }
-            NewtonMatrix::Triplets(t) => (*t).clone(),
+            NewtonMatrix::Triplets(t) => Cow::Borrowed(*t),
+            NewtonMatrix::Parts(p) => {
+                let lease = CoreBudget::lease_ambient();
+                Cow::Owned(p.assemble_triplets_threads(lease.threads()))
+            }
         }
     }
 }
 
 /// A factored (or preconditioned) Jacobian ready for repeated solves.
 #[derive(Debug)]
-pub enum FactoredJacobian {
+enum Factored {
     /// Dense LU factors.
     Dense(DenseLu),
-    /// Sparse LU factors.
+    /// KLU-ordered sparse LU factors.
     Sparse(SparseLu),
     /// Equilibrated CSR operator + ILU(0) preconditioner for GMRES.
     Gmres {
@@ -547,14 +536,14 @@ fn factor_gmres_cyclic(
     restart: usize,
     max_iters: usize,
     rtol: f64,
-) -> Result<FactoredJacobian, LinSolveError> {
+) -> Result<Factored, LinSolveError> {
     let a = trip.to_csr();
     if let Some(s) = shape {
         let lease = CoreBudget::lease_ambient();
         let precond = BlockCirculantPrecond::from_csr_threads(&a, s, lease.threads());
         drop(lease);
         if let Some(precond) = precond {
-            return Ok(FactoredJacobian::GmresCyclic {
+            return Ok(Factored::GmresCyclic {
                 a,
                 precond,
                 opts: GmresOptions {
@@ -615,7 +604,7 @@ fn factor_gmres(
     restart: usize,
     max_iters: usize,
     rtol: f64,
-) -> Result<FactoredJacobian, LinSolveError> {
+) -> Result<Factored, LinSolveError> {
     let mut a = trip.to_csr();
     let n = a.nrows();
 
@@ -670,7 +659,7 @@ fn factor_gmres(
     };
     let precond =
         Ilu0::factor(&precond_csr).map_err(|e| LinSolveError::new(format!("ilu0: {e}")))?;
-    Ok(FactoredJacobian::Gmres {
+    Ok(Factored::Gmres {
         a,
         row_scale,
         col_scale,
@@ -684,115 +673,12 @@ fn factor_gmres(
     })
 }
 
-impl FactoredJacobian {
-    /// Factors the described collocation Jacobian with the requested
-    /// backend.
-    ///
-    /// # Errors
-    ///
-    /// [`LinSolveError`] when the factorisation fails.
-    pub fn factor(
-        parts: &JacobianParts<'_>,
-        kind: LinearSolverKind,
-    ) -> Result<Self, LinSolveError> {
-        match kind {
-            LinearSolverKind::Dense => {
-                let jac = parts.assemble_dense();
-                let lu = DenseLu::factor(&jac).map_err(LinSolveError::new)?;
-                Ok(FactoredJacobian::Dense(lu))
-            }
-            LinearSolverKind::SparseLu => {
-                let csc = parts.assemble_triplets().to_csc();
-                let lu = SparseLu::factor(&csc).map_err(LinSolveError::new)?;
-                Ok(FactoredJacobian::Sparse(lu))
-            }
-            LinearSolverKind::Klu => {
-                // One lease spans stamping and factorisation so the two
-                // parallel sections do not double-claim cores.
-                let lease = CoreBudget::lease_ambient();
-                let csc = parts.assemble_triplets_threads(lease.threads()).to_csc();
-                Ok(FactoredJacobian::Sparse(factor_klu(&csc, lease.threads())?))
-            }
-            LinearSolverKind::GmresIlu0 {
-                restart,
-                max_iters,
-                rtol,
-            } => factor_gmres(&parts.assemble_triplets(), restart, max_iters, rtol),
-            // The collocation Jacobian is not block cyclic; the circulant
-            // backend degrades to ILU(0) here (no shape available).
-            LinearSolverKind::GmresCirculant {
-                restart,
-                max_iters,
-                rtol,
-            } => factor_gmres(&parts.assemble_triplets(), restart, max_iters, rtol),
-        }
-    }
-
-    /// Factors a plain square Jacobian with the requested backend,
-    /// converting between the dense and triplet descriptions as needed.
-    ///
-    /// # Errors
-    ///
-    /// [`LinSolveError`] when the factorisation fails.
-    pub fn factor_matrix(
-        matrix: &NewtonMatrix<'_>,
-        kind: LinearSolverKind,
-    ) -> Result<Self, LinSolveError> {
-        match kind {
-            LinearSolverKind::Dense => {
-                let lu = match matrix {
-                    NewtonMatrix::Dense(m) => DenseLu::factor(m),
-                    NewtonMatrix::Triplets(t) => DenseLu::factor(&t.to_dense()),
-                }
-                .map_err(LinSolveError::new)?;
-                Ok(FactoredJacobian::Dense(lu))
-            }
-            LinearSolverKind::SparseLu => {
-                let csc = matrix.to_triplets().to_csc();
-                let lu = SparseLu::factor(&csc).map_err(LinSolveError::new)?;
-                Ok(FactoredJacobian::Sparse(lu))
-            }
-            LinearSolverKind::Klu => {
-                let csc = matrix.to_triplets().to_csc();
-                let lease = CoreBudget::lease_ambient();
-                Ok(FactoredJacobian::Sparse(factor_klu(&csc, lease.threads())?))
-            }
-            LinearSolverKind::GmresIlu0 {
-                restart,
-                max_iters,
-                rtol,
-            } => factor_gmres(&matrix.to_triplets(), restart, max_iters, rtol),
-            // No cyclic shape travels with a bare matrix; use
-            // [`FactorCache::set_cyclic_shape`] to engage the circulant
-            // preconditioner. Stateless calls degrade to ILU(0).
-            LinearSolverKind::GmresCirculant {
-                restart,
-                max_iters,
-                rtol,
-            } => factor_gmres(&matrix.to_triplets(), restart, max_iters, rtol),
-        }
-    }
-
-    /// System dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
+impl Factored {
+    fn solve_in_place(&self, rhs: &mut [f64]) -> Result<(), LinSolveError> {
         match self {
-            FactoredJacobian::Dense(lu) => lu.dim(),
-            FactoredJacobian::Sparse(lu) => lu.dim(),
-            FactoredJacobian::Gmres { a, .. } => a.nrows(),
-            FactoredJacobian::GmresCyclic { a, .. } => a.nrows(),
-        }
-    }
-
-    /// Solves `J·x = rhs` in place.
-    ///
-    /// # Errors
-    ///
-    /// [`LinSolveError`] when the backend fails (e.g. GMRES stagnates).
-    pub fn solve_in_place(&self, rhs: &mut [f64]) -> Result<(), LinSolveError> {
-        match self {
-            FactoredJacobian::Dense(lu) => lu.solve_in_place(rhs).map_err(LinSolveError::new),
-            FactoredJacobian::Sparse(lu) => lu.solve_in_place(rhs).map_err(LinSolveError::new),
-            FactoredJacobian::Gmres {
+            Factored::Dense(lu) => lu.solve_in_place(rhs).map_err(LinSolveError::new),
+            Factored::Sparse(lu) => lu.solve_in_place(rhs).map_err(LinSolveError::new),
+            Factored::Gmres {
                 a,
                 row_scale,
                 col_scale,
@@ -812,7 +698,7 @@ impl FactoredJacobian {
                 }
                 Ok(())
             }
-            FactoredJacobian::GmresCyclic { a, precond, opts } => {
+            Factored::GmresCyclic { a, precond, opts } => {
                 let lease = CoreBudget::lease_ambient();
                 let op = CsrOp::with_threads(a, lease.threads());
                 let result = gmres(&op, precond, rhs, None, opts).map_err(LinSolveError::new)?;
@@ -947,7 +833,7 @@ pub struct FactorStats {
     /// Total factorisations performed (any backend).
     pub factorisations: usize,
     /// Factorisations that reused the cached symbolic analysis
-    /// (sparse-LU numeric-only refactorisation).
+    /// (KLU numeric-only refactorisation).
     pub symbolic_reuses: usize,
     /// Sparse factorisations that had to redo symbolic analysis because
     /// the sparsity pattern changed or the cached pivots went stale.
@@ -956,13 +842,15 @@ pub struct FactorStats {
 
 /// A stateful factor-then-solve cache for Newton-style iterations.
 ///
-/// Newton re-factors the same sparsity pattern every iteration (and, in
-/// time-stepping solvers, every step), so on the [`LinearSolverKind::SparseLu`]
-/// backend the cache keeps the previous [`SparseLu`] and performs a
-/// numeric-only [`SparseLu::refactor`] whenever the incoming pattern
-/// matches — skipping the symbolic reachability analysis. A pattern
-/// change (or a stale-pivot failure) transparently falls back to a fresh
-/// factorisation and is counted in [`FactorStats::pattern_rebuilds`].
+/// This is the one factor entry point of the crate: [`FactorCache::factor`]
+/// dispatches every backend. Newton re-factors the same sparsity pattern
+/// every iteration (and, in time-stepping solvers, every step), so on the
+/// [`LinearSolverKind::Klu`] backend the cache keeps the previous
+/// [`SparseLu`] and performs a numeric-only [`SparseLu::refactor`]
+/// whenever the incoming pattern matches — skipping the BTF/AMD ordering
+/// and the symbolic reachability analysis. A pattern change (or a
+/// stale-pivot failure) transparently falls back to a fresh factorisation
+/// and is counted in [`FactorStats::pattern_rebuilds`].
 ///
 /// Dense LU and GMRES+ILU(0) have no symbolic phase worth caching; they
 /// factor fresh each call (still counted in
@@ -971,7 +859,7 @@ pub struct FactorStats {
 pub struct FactorCache {
     kind: LinearSolverKind,
     reuse: bool,
-    factored: Option<FactoredJacobian>,
+    factored: Option<Factored>,
     cyclic: Option<CyclicShape>,
     shared: Option<SharedSymbolic>,
     stats: FactorStats,
@@ -1035,104 +923,83 @@ impl FactorCache {
         self.stats
     }
 
-    /// Factors the described matrix, reusing cached symbolic analysis on
-    /// the sparse-LU backend when the pattern is unchanged.
+    /// Factors the described matrix with the configured backend, reusing
+    /// cached symbolic analysis on the KLU backend when the pattern is
+    /// unchanged.
     ///
     /// # Errors
     ///
     /// [`LinSolveError`] when the factorisation fails.
-    pub fn factor_matrix(&mut self, matrix: &NewtonMatrix<'_>) -> Result<(), LinSolveError> {
+    pub fn factor(&mut self, matrix: &NewtonMatrix<'_>) -> Result<(), LinSolveError> {
         let sp = obskit::span("factor");
         self.stats.factorisations += 1;
-        if matches!(
-            self.kind,
-            LinearSolverKind::SparseLu | LinearSolverKind::Klu
-        ) {
-            // Convert without cloning the triplet buffer: this runs once
-            // per Newton iteration on the hot path.
-            let csc = match matrix {
-                NewtonMatrix::Triplets(t) => t.to_csc(),
-                NewtonMatrix::Dense(_) => matrix.to_triplets().to_csc(),
-            };
-            if self.reuse {
-                if let Some(FactoredJacobian::Sparse(lu)) = &mut self.factored {
-                    // The ordering plan lives inside the cached factors,
-                    // so numeric-only refactorisation is identical for
-                    // the plain and KLU-ordered paths.
-                    if lu.refactor(&csc).is_ok() {
-                        self.stats.symbolic_reuses += 1;
-                        sp.attr("mode", "reused");
-                        obskit::counter_add("factor.reused", 1);
-                        return Ok(());
-                    }
-                    self.stats.pattern_rebuilds += 1;
-                    obskit::counter_add("factor.rebuilds", 1);
-                }
-                // First factorisation in this cache: a batch pool may
-                // already hold the symbolic analysis for this pattern.
-                // `refactor` re-validates the pattern and is bitwise-
-                // identical to a fresh factor, so this is a pure skip of
-                // the symbolic phase; a mismatch falls through to fresh.
-                if self.factored.is_none() {
-                    if let Some(shared) = &self.shared {
-                        if let Some(mut lu) = shared.checkout(&csc) {
-                            if lu.refactor(&csc).is_ok() {
-                                self.stats.symbolic_reuses += 1;
-                                self.factored = Some(FactoredJacobian::Sparse(lu));
-                                sp.attr("mode", "shared");
-                                obskit::counter_add("batch.symbolic_reuses", 1);
-                                return Ok(());
-                            }
-                        }
-                    }
-                }
+        let factored = match self.kind {
+            LinearSolverKind::Dense => {
+                Factored::Dense(DenseLu::factor(&matrix.to_dense()).map_err(LinSolveError::new)?)
             }
-            let lu = match self.kind {
-                LinearSolverKind::Klu => {
+            LinearSolverKind::Klu => {
+                let csc = matrix.to_triplets().to_csc();
+                if let Some(mode) = self.refactor(&csc) {
+                    sp.attr("mode", mode);
+                    return Ok(());
+                }
+                let lu = {
                     let lease = CoreBudget::lease_ambient();
                     factor_klu(&csc, lease.threads())?
+                };
+                if self.reuse {
+                    if let Some(shared) = &self.shared {
+                        shared.publish(&csc, &lu);
+                    }
                 }
-                _ => SparseLu::factor(&csc).map_err(LinSolveError::new)?,
-            };
-            if self.reuse {
-                if let Some(shared) = &self.shared {
-                    shared.publish(&csc, &lu);
-                }
+                Factored::Sparse(lu)
             }
-            self.factored = Some(FactoredJacobian::Sparse(lu));
-            sp.attr("mode", "fresh");
-            obskit::counter_add("factor.fresh", 1);
-            return Ok(());
-        }
-        if let LinearSolverKind::GmresCirculant {
-            restart,
-            max_iters,
-            rtol,
-        } = self.kind
-        {
-            let trip;
-            let t = match matrix {
-                NewtonMatrix::Triplets(t) => *t,
-                NewtonMatrix::Dense(_) => {
-                    trip = matrix.to_triplets();
-                    &trip
-                }
-            };
-            self.factored = Some(factor_gmres_cyclic(
-                t,
-                self.cyclic,
+            LinearSolverKind::GmresIlu0 {
                 restart,
                 max_iters,
                 rtol,
-            )?);
-            sp.attr("mode", "fresh");
-            obskit::counter_add("factor.fresh", 1);
-            return Ok(());
-        }
-        self.factored = Some(FactoredJacobian::factor_matrix(matrix, self.kind)?);
+            } => factor_gmres(&matrix.to_triplets(), restart, max_iters, rtol)?,
+            LinearSolverKind::GmresCirculant {
+                restart,
+                max_iters,
+                rtol,
+            } => factor_gmres_cyclic(&matrix.to_triplets(), self.cyclic, restart, max_iters, rtol)?,
+        };
+        self.factored = Some(factored);
         sp.attr("mode", "fresh");
         obskit::counter_add("factor.fresh", 1);
         Ok(())
+    }
+
+    /// Numeric-only refactorisation of `csc` along a known symbolic
+    /// analysis: this cache's previous factors, or — on its first
+    /// factorisation — a batch pool's template. `refactor` re-validates
+    /// the pattern and is bitwise identical to a fresh factor, so this is
+    /// a pure skip of the symbolic phase. Returns the span mode
+    /// (`reused`/`shared`), or `None` when a fresh factor is needed.
+    fn refactor(&mut self, csc: &sparsekit::Csc) -> Option<&'static str> {
+        if !self.reuse {
+            return None;
+        }
+        if let Some(Factored::Sparse(lu)) = &mut self.factored {
+            if lu.refactor(csc).is_ok() {
+                self.stats.symbolic_reuses += 1;
+                obskit::counter_add("factor.reused", 1);
+                return Some("reused");
+            }
+            self.stats.pattern_rebuilds += 1;
+            obskit::counter_add("factor.rebuilds", 1);
+            return None;
+        }
+        if self.factored.is_some() {
+            return None;
+        }
+        let mut lu = self.shared.as_ref()?.checkout(csc)?;
+        lu.refactor(csc).ok()?;
+        self.stats.symbolic_reuses += 1;
+        self.factored = Some(Factored::Sparse(lu));
+        obskit::counter_add("batch.symbolic_reuses", 1);
+        Some("shared")
     }
 
     /// Solves `J·x = rhs` in place against the most recent factorisation.
@@ -1201,6 +1068,33 @@ mod tests {
         (dmat, cblocks, gblocks)
     }
 
+    /// Factors `matrix` with a fresh cache and solves `rhs` once.
+    fn solve_once(kind: LinearSolverKind, matrix: &NewtonMatrix<'_>, rhs: &[f64]) -> Vec<f64> {
+        let mut cache = FactorCache::new(kind);
+        cache.factor(matrix).unwrap();
+        let mut x = rhs.to_vec();
+        cache.solve_in_place(&mut x).unwrap();
+        x
+    }
+
+    /// A 3×3 matrix with a fixed pattern whose diagonal shifts by `shift`.
+    fn shifted(shift: f64) -> Triplets {
+        let mut t = Triplets::new(3, 3);
+        t.push(0, 0, 4.0 + shift);
+        t.push(1, 1, 3.0 + shift);
+        t.push(2, 2, 5.0 + shift);
+        t.push(0, 1, 1.0);
+        t.push(2, 0, 0.5);
+        t
+    }
+
+    fn diag2() -> Triplets {
+        let mut t = Triplets::new(2, 2);
+        t.push(0, 0, 2.0);
+        t.push(1, 1, 3.0);
+        t
+    }
+
     #[test]
     fn backends_agree_unbordered() {
         let (dmat, cblocks, gblocks) = synthetic_blocks();
@@ -1208,27 +1102,12 @@ mod tests {
         let rhs: Vec<f64> = (0..parts.dim())
             .map(|i| ((i * 3 % 7) as f64) - 3.0)
             .collect();
-
-        let mut dense = rhs.clone();
-        FactoredJacobian::factor(&parts, LinearSolverKind::Dense)
-            .unwrap()
-            .solve_in_place(&mut dense)
-            .unwrap();
-        let mut sparse = rhs.clone();
-        FactoredJacobian::factor(&parts, LinearSolverKind::SparseLu)
-            .unwrap()
-            .solve_in_place(&mut sparse)
-            .unwrap();
-        let mut gm = rhs.clone();
-        FactoredJacobian::factor(&parts, LinearSolverKind::gmres_default())
-            .unwrap()
-            .solve_in_place(&mut gm)
-            .unwrap();
+        let matrix = NewtonMatrix::Parts(&parts);
+        let dense = solve_once(LinearSolverKind::Dense, &matrix, &rhs);
+        let klu = solve_once(LinearSolverKind::Klu, &matrix, &rhs);
+        let gm = solve_once(LinearSolverKind::gmres_default(), &matrix, &rhs);
         for i in 0..rhs.len() {
-            assert!(
-                (dense[i] - sparse[i]).abs() < 1e-9,
-                "sparse mismatch at {i}"
-            );
+            assert!((dense[i] - klu[i]).abs() < 1e-9, "klu mismatch at {i}");
             assert!((dense[i] - gm[i]).abs() < 1e-7, "gmres mismatch at {i}");
         }
     }
@@ -1247,29 +1126,15 @@ mod tests {
         let rhs: Vec<f64> = (0..parts.dim())
             .map(|i| 1.0 + (i as f64 * 0.3).sin())
             .collect();
-
-        let mut dense = rhs.clone();
-        FactoredJacobian::factor(&parts, LinearSolverKind::Dense)
-            .unwrap()
-            .solve_in_place(&mut dense)
-            .unwrap();
-        let mut sparse = rhs.clone();
-        FactoredJacobian::factor(&parts, LinearSolverKind::SparseLu)
-            .unwrap()
-            .solve_in_place(&mut sparse)
-            .unwrap();
+        let matrix = NewtonMatrix::Parts(&parts);
+        assert_eq!(matrix.dim(), len + 1);
+        let dense = solve_once(LinearSolverKind::Dense, &matrix, &rhs);
+        let klu = solve_once(LinearSolverKind::Klu, &matrix, &rhs);
         // The bordered corner is structurally zero: the GMRES path must
         // regularise the preconditioner diagonal on its own.
-        let mut gm = rhs.clone();
-        FactoredJacobian::factor(&parts, LinearSolverKind::gmres_default())
-            .unwrap()
-            .solve_in_place(&mut gm)
-            .unwrap();
+        let gm = solve_once(LinearSolverKind::gmres_default(), &matrix, &rhs);
         for i in 0..rhs.len() {
-            assert!(
-                (dense[i] - sparse[i]).abs() < 1e-9,
-                "sparse mismatch at {i}"
-            );
+            assert!((dense[i] - klu[i]).abs() < 1e-9, "klu mismatch at {i}");
             assert!((dense[i] - gm[i]).abs() < 1e-6, "gmres mismatch at {i}");
         }
     }
@@ -1308,20 +1173,40 @@ mod tests {
         let rhs: Vec<f64> = (0..parts.dim())
             .map(|i| ((i * 5 % 11) as f64) - 4.0)
             .collect();
-        let mut serial = rhs.clone();
-        FactoredJacobian::factor(&parts, LinearSolverKind::Klu)
-            .unwrap()
-            .solve_in_place(&mut serial)
-            .unwrap();
+        let matrix = NewtonMatrix::Parts(&parts);
+        let serial = solve_once(LinearSolverKind::Klu, &matrix, &rhs);
         let budget = CoreBudget::new(4, 4);
         let _guard = budget.install();
-        let mut leased = rhs.clone();
-        FactoredJacobian::factor(&parts, LinearSolverKind::Klu)
-            .unwrap()
-            .solve_in_place(&mut leased)
-            .unwrap();
+        let leased = solve_once(LinearSolverKind::Klu, &matrix, &rhs);
         for (s, p) in serial.iter().zip(leased.iter()) {
             assert_eq!(s.to_bits(), p.to_bits(), "budgeted KLU must match serial");
+        }
+    }
+
+    #[test]
+    fn parts_factor_exactly_like_their_assembled_forms() {
+        // Handing the cache the block description is the same solve, bit
+        // for bit, as handing it the matrix the caller would assemble.
+        let (dmat, cblocks, gblocks) = synthetic_blocks();
+        let len = 10;
+        let row: Vec<f64> = (0..len).map(|k| (k as f64 * 0.4).sin()).collect();
+        let col: Vec<f64> = (0..len).map(|k| 0.1 + (k as f64 * 0.11).cos()).collect();
+        let mut parts = synthetic_parts(&dmat, &cblocks, &gblocks);
+        parts.border = Some((&row, &col));
+        let rhs: Vec<f64> = (0..parts.dim()).map(|i| (0.7 * i as f64).cos()).collect();
+        let dense = parts.assemble_dense();
+        let trip = parts.assemble_triplets();
+        for (kind, assembled) in [
+            (LinearSolverKind::Dense, NewtonMatrix::Dense(&dense)),
+            (LinearSolverKind::Klu, NewtonMatrix::Triplets(&trip)),
+            (
+                LinearSolverKind::gmres_default(),
+                NewtonMatrix::Triplets(&trip),
+            ),
+        ] {
+            let a = solve_once(kind, &NewtonMatrix::Parts(&parts), &rhs);
+            let b = solve_once(kind, &assembled, &rhs);
+            assert_eq!(a, b, "{}", kind.label());
         }
     }
 
@@ -1339,7 +1224,7 @@ mod tests {
     }
 
     #[test]
-    fn factor_matrix_backends_agree() {
+    fn matrix_forms_and_backends_agree() {
         let m = DMat::from_rows(&[
             &[4.0, 1.0, 0.0, 0.5],
             &[1.0, 3.0, 0.2, 0.0],
@@ -1347,13 +1232,10 @@ mod tests {
             &[0.5, 0.0, 1.0, 2.0],
         ]);
         let rhs = vec![1.0, -2.0, 0.5, 3.0];
-        let mut dense = rhs.clone();
-        FactoredJacobian::factor_matrix(&NewtonMatrix::Dense(&m), LinearSolverKind::Dense)
-            .unwrap()
-            .solve_in_place(&mut dense)
-            .unwrap();
+        let dense = solve_once(LinearSolverKind::Dense, &NewtonMatrix::Dense(&m), &rhs);
 
-        // Same matrix assembled as triplets, solved with every backend.
+        // The same matrix as triplets and as a dense matrix, solved with
+        // every backend.
         let mut t = Triplets::new(4, 4);
         for i in 0..4 {
             for j in 0..4 {
@@ -1362,29 +1244,16 @@ mod tests {
                 }
             }
         }
-        for kind in [
-            LinearSolverKind::Dense,
-            LinearSolverKind::SparseLu,
-            LinearSolverKind::gmres_default(),
-        ] {
-            let f = FactoredJacobian::factor_matrix(&NewtonMatrix::Triplets(&t), kind).unwrap();
-            assert_eq!(f.dim(), 4);
-            let mut x = rhs.clone();
-            f.solve_in_place(&mut x).unwrap();
-            for i in 0..4 {
-                assert!((x[i] - dense[i]).abs() < 1e-8, "{}: {i}", kind.label());
-            }
-        }
-        // Dense matrix through the sparse backends too.
-        for kind in [
-            LinearSolverKind::SparseLu,
-            LinearSolverKind::gmres_default(),
-        ] {
-            let f = FactoredJacobian::factor_matrix(&NewtonMatrix::Dense(&m), kind).unwrap();
-            let mut x = rhs.clone();
-            f.solve_in_place(&mut x).unwrap();
-            for i in 0..4 {
-                assert!((x[i] - dense[i]).abs() < 1e-8, "{}: {i}", kind.label());
+        for matrix in [NewtonMatrix::Triplets(&t), NewtonMatrix::Dense(&m)] {
+            for kind in [
+                LinearSolverKind::Dense,
+                LinearSolverKind::Klu,
+                LinearSolverKind::gmres_default(),
+            ] {
+                let x = solve_once(kind, &matrix, &rhs);
+                for i in 0..4 {
+                    assert!((x[i] - dense[i]).abs() < 1e-8, "{}: {i}", kind.label());
+                }
             }
         }
     }
@@ -1400,19 +1269,9 @@ mod tests {
         t.push(1, 2, 0.5);
         t.push(2, 1, 0.5);
         let rhs = vec![1.0, 2.0, 3.0];
-        let mut dense = rhs.clone();
-        FactoredJacobian::factor_matrix(&NewtonMatrix::Triplets(&t), LinearSolverKind::Dense)
-            .unwrap()
-            .solve_in_place(&mut dense)
-            .unwrap();
-        let mut gm = rhs.clone();
-        FactoredJacobian::factor_matrix(
-            &NewtonMatrix::Triplets(&t),
-            LinearSolverKind::gmres_default(),
-        )
-        .unwrap()
-        .solve_in_place(&mut gm)
-        .unwrap();
+        let matrix = NewtonMatrix::Triplets(&t);
+        let dense = solve_once(LinearSolverKind::Dense, &matrix, &rhs);
+        let gm = solve_once(LinearSolverKind::gmres_default(), &matrix, &rhs);
         for i in 0..3 {
             assert!((dense[i] - gm[i]).abs() < 1e-8, "{dense:?} vs {gm:?}");
         }
@@ -1421,9 +1280,9 @@ mod tests {
     #[test]
     fn singular_matrix_reported() {
         let m = DMat::zeros(2, 2);
-        let err =
-            FactoredJacobian::factor_matrix(&NewtonMatrix::Dense(&m), LinearSolverKind::Dense)
-                .unwrap_err();
+        let err = FactorCache::new(LinearSolverKind::Dense)
+            .factor(&NewtonMatrix::Dense(&m))
+            .unwrap_err();
         assert!(!err.cause.is_empty());
         assert!(err.to_string().contains("linear solve failed"));
     }
@@ -1431,28 +1290,20 @@ mod tests {
     #[test]
     fn factor_cache_reuses_symbolic_on_same_pattern() {
         // Same pattern, shifting values: one symbolic analysis, then
-        // numeric-only refactorisations — each solving correctly.
-        let mut cache = FactorCache::new(LinearSolverKind::SparseLu);
+        // numeric-only refactorisations — each bitwise identical to a
+        // fresh factorisation.
+        let mut cache = FactorCache::new(LinearSolverKind::Klu);
         for iter in 0..4 {
-            let shift = iter as f64;
-            let mut t = Triplets::new(3, 3);
-            t.push(0, 0, 4.0 + shift);
-            t.push(1, 1, 3.0 + shift);
-            t.push(2, 2, 5.0 + shift);
-            t.push(0, 1, 1.0);
-            t.push(2, 0, 0.5);
-            cache.factor_matrix(&NewtonMatrix::Triplets(&t)).unwrap();
+            let t = shifted(iter as f64);
+            cache.factor(&NewtonMatrix::Triplets(&t)).unwrap();
             let mut x = vec![1.0, 2.0, 3.0];
             cache.solve_in_place(&mut x).unwrap();
-            let mut reference = vec![1.0, 2.0, 3.0];
-            FactoredJacobian::factor_matrix(
+            let fresh = solve_once(
+                LinearSolverKind::Klu,
                 &NewtonMatrix::Triplets(&t),
-                LinearSolverKind::SparseLu,
-            )
-            .unwrap()
-            .solve_in_place(&mut reference)
-            .unwrap();
-            assert_eq!(x, reference, "iteration {iter}");
+                &[1.0, 2.0, 3.0],
+            );
+            assert_eq!(x, fresh, "iteration {iter}");
         }
         let stats = cache.stats();
         assert_eq!(stats.factorisations, 4);
@@ -1462,17 +1313,12 @@ mod tests {
 
     #[test]
     fn factor_cache_rebuilds_on_pattern_change() {
-        let mut cache = FactorCache::new(LinearSolverKind::SparseLu);
-        let mut t = Triplets::new(2, 2);
-        t.push(0, 0, 2.0);
-        t.push(1, 1, 3.0);
-        cache.factor_matrix(&NewtonMatrix::Triplets(&t)).unwrap();
+        let mut cache = FactorCache::new(LinearSolverKind::Klu);
+        cache.factor(&NewtonMatrix::Triplets(&diag2())).unwrap();
         // New pattern: off-diagonal appears.
-        let mut t2 = Triplets::new(2, 2);
-        t2.push(0, 0, 2.0);
-        t2.push(1, 1, 3.0);
+        let mut t2 = diag2();
         t2.push(0, 1, 1.0);
-        cache.factor_matrix(&NewtonMatrix::Triplets(&t2)).unwrap();
+        cache.factor(&NewtonMatrix::Triplets(&t2)).unwrap();
         let mut x = vec![3.0, 3.0];
         cache.solve_in_place(&mut x).unwrap();
         assert!((x[1] - 1.0).abs() < 1e-12 && (x[0] - 1.0).abs() < 1e-12);
@@ -1489,36 +1335,28 @@ mod tests {
         // a numeric-only refactor of the shared template — with a
         // solution identical to factoring from scratch.
         let shared = SharedSymbolic::new();
-        let mk = |shift: f64| {
-            let mut t = Triplets::new(3, 3);
-            t.push(0, 0, 4.0 + shift);
-            t.push(1, 1, 3.0 + shift);
-            t.push(2, 2, 5.0);
-            t.push(0, 1, 1.0);
-            t.push(2, 0, 0.5);
-            t
-        };
-        let t0 = mk(0.0);
         let mut first = FactorCache::new(LinearSolverKind::Klu);
         first.set_shared_symbolic(Some(shared.clone()));
-        first.factor_matrix(&NewtonMatrix::Triplets(&t0)).unwrap();
+        first
+            .factor(&NewtonMatrix::Triplets(&shifted(0.0)))
+            .unwrap();
         assert_eq!(first.stats().symbolic_reuses, 0);
         assert_eq!(shared.len(), 1);
 
-        let t1 = mk(2.5);
+        let t1 = shifted(2.5);
         let mut second = FactorCache::new(LinearSolverKind::Klu);
         second.set_shared_symbolic(Some(shared.clone()));
-        second.factor_matrix(&NewtonMatrix::Triplets(&t1)).unwrap();
+        second.factor(&NewtonMatrix::Triplets(&t1)).unwrap();
         assert_eq!(second.stats().factorisations, 1);
         assert_eq!(second.stats().symbolic_reuses, 1, "template not reused");
         let mut x = vec![1.0, 2.0, 3.0];
         second.solve_in_place(&mut x).unwrap();
-        let mut reference = vec![1.0, 2.0, 3.0];
-        FactoredJacobian::factor_matrix(&NewtonMatrix::Triplets(&t1), LinearSolverKind::Klu)
-            .unwrap()
-            .solve_in_place(&mut reference)
-            .unwrap();
-        assert_eq!(x, reference, "shared-symbolic solve differs from fresh");
+        let fresh = solve_once(
+            LinearSolverKind::Klu,
+            &NewtonMatrix::Triplets(&t1),
+            &[1.0, 2.0, 3.0],
+        );
+        assert_eq!(x, fresh, "shared-symbolic solve differs from fresh");
     }
 
     #[test]
@@ -1526,20 +1364,15 @@ mod tests {
         // A different pattern must not borrow the template; it factors
         // fresh and is published as a second template.
         let shared = SharedSymbolic::new();
-        let mut a = Triplets::new(2, 2);
-        a.push(0, 0, 2.0);
-        a.push(1, 1, 3.0);
-        let mut cache = FactorCache::new(LinearSolverKind::SparseLu);
+        let mut cache = FactorCache::new(LinearSolverKind::Klu);
         cache.set_shared_symbolic(Some(shared.clone()));
-        cache.factor_matrix(&NewtonMatrix::Triplets(&a)).unwrap();
+        cache.factor(&NewtonMatrix::Triplets(&diag2())).unwrap();
 
-        let mut b = Triplets::new(2, 2);
-        b.push(0, 0, 2.0);
-        b.push(1, 1, 3.0);
+        let mut b = diag2();
         b.push(0, 1, 1.0);
-        let mut other = FactorCache::new(LinearSolverKind::SparseLu);
+        let mut other = FactorCache::new(LinearSolverKind::Klu);
         other.set_shared_symbolic(Some(shared.clone()));
-        other.factor_matrix(&NewtonMatrix::Triplets(&b)).unwrap();
+        other.factor(&NewtonMatrix::Triplets(&b)).unwrap();
         assert_eq!(other.stats().symbolic_reuses, 0);
         assert_eq!(shared.len(), 2);
         let mut x = vec![3.0, 3.0];
@@ -1550,34 +1383,30 @@ mod tests {
     #[test]
     fn ambient_install_seeds_new_caches_until_guard_drops() {
         let shared = SharedSymbolic::new();
-        let mut t = Triplets::new(2, 2);
-        t.push(0, 0, 2.0);
-        t.push(1, 1, 3.0);
+        let t = diag2();
         {
             let _guard = shared.install();
-            let mut cache = FactorCache::new(LinearSolverKind::SparseLu);
-            cache.factor_matrix(&NewtonMatrix::Triplets(&t)).unwrap();
+            let mut cache = FactorCache::new(LinearSolverKind::Klu);
+            cache.factor(&NewtonMatrix::Triplets(&t)).unwrap();
             assert_eq!(shared.len(), 1, "ambient cache did not publish");
-            let mut warm = FactorCache::new(LinearSolverKind::SparseLu);
-            warm.factor_matrix(&NewtonMatrix::Triplets(&t)).unwrap();
+            let mut warm = FactorCache::new(LinearSolverKind::Klu);
+            warm.factor(&NewtonMatrix::Triplets(&t)).unwrap();
             assert_eq!(warm.stats().symbolic_reuses, 1);
         }
         // Guard dropped: new caches are unpooled again.
-        let mut cold = FactorCache::new(LinearSolverKind::SparseLu);
-        cold.factor_matrix(&NewtonMatrix::Triplets(&t)).unwrap();
+        let mut cold = FactorCache::new(LinearSolverKind::Klu);
+        cold.factor(&NewtonMatrix::Triplets(&t)).unwrap();
         assert_eq!(cold.stats().symbolic_reuses, 0);
         assert_eq!(shared.len(), 1);
     }
 
     #[test]
     fn factor_cache_reuse_can_be_disabled() {
-        let mut cache = FactorCache::new(LinearSolverKind::SparseLu);
+        let mut cache = FactorCache::new(LinearSolverKind::Klu);
         cache.set_reuse(false);
-        let mut t = Triplets::new(2, 2);
-        t.push(0, 0, 2.0);
-        t.push(1, 1, 3.0);
-        cache.factor_matrix(&NewtonMatrix::Triplets(&t)).unwrap();
-        cache.factor_matrix(&NewtonMatrix::Triplets(&t)).unwrap();
+        let t = diag2();
+        cache.factor(&NewtonMatrix::Triplets(&t)).unwrap();
+        cache.factor(&NewtonMatrix::Triplets(&t)).unwrap();
         assert_eq!(cache.stats().symbolic_reuses, 0);
         assert_eq!(cache.stats().factorisations, 2);
     }
@@ -1588,7 +1417,7 @@ mod tests {
         for kind in [LinearSolverKind::Dense, LinearSolverKind::gmres_default()] {
             let mut cache = FactorCache::new(kind);
             assert!(cache.solve_in_place(&mut [1.0, 1.0]).is_err(), "unfactored");
-            cache.factor_matrix(&NewtonMatrix::Dense(&m)).unwrap();
+            cache.factor(&NewtonMatrix::Dense(&m)).unwrap();
             let mut x = vec![5.0, 4.0];
             cache.solve_in_place(&mut x).unwrap();
             assert!((x[0] - 1.0).abs() < 1e-8, "{}", kind.label());
@@ -1599,11 +1428,8 @@ mod tests {
 
     #[test]
     fn factor_cache_set_kind_resets_state() {
-        let mut cache = FactorCache::new(LinearSolverKind::SparseLu);
-        let mut t = Triplets::new(2, 2);
-        t.push(0, 0, 2.0);
-        t.push(1, 1, 3.0);
-        cache.factor_matrix(&NewtonMatrix::Triplets(&t)).unwrap();
+        let mut cache = FactorCache::new(LinearSolverKind::Klu);
+        cache.factor(&NewtonMatrix::Triplets(&diag2())).unwrap();
         cache.set_kind(LinearSolverKind::Dense);
         assert!(cache.solve_in_place(&mut [1.0, 1.0]).is_err());
         assert_eq!(cache.kind(), LinearSolverKind::Dense);
@@ -1629,11 +1455,7 @@ mod tests {
             LinearSolverKind::parse("dense"),
             Some(LinearSolverKind::Dense)
         );
-        assert_eq!(
-            LinearSolverKind::parse("SPARSELU"),
-            Some(LinearSolverKind::SparseLu)
-        );
-        assert_eq!(LinearSolverKind::parse("klu"), Some(LinearSolverKind::Klu));
+        assert_eq!(LinearSolverKind::parse("KLU"), Some(LinearSolverKind::Klu));
         assert!(matches!(
             LinearSolverKind::parse("gmres"),
             Some(LinearSolverKind::GmresIlu0 { .. })
@@ -1643,9 +1465,14 @@ mod tests {
             Some(LinearSolverKind::GmresCirculant { .. })
         ));
         assert_eq!(LinearSolverKind::parse("bogus"), None);
+        // The natural-order kernel is not a backend.
+        assert_eq!(LinearSolverKind::parse("sparselu"), None);
+        // The advertised names are exactly the parseable ones.
+        for name in LinearSolverKind::NAMES {
+            assert_eq!(LinearSolverKind::parse(name).map(|k| k.label()), Some(name));
+        }
         assert_eq!(LinearSolverKind::gmres_default().label(), "gmres");
         assert_eq!(LinearSolverKind::default().label(), "dense");
-        assert_eq!(LinearSolverKind::SparseLu.label(), "sparselu");
         assert_eq!(LinearSolverKind::Klu.label(), "klu");
         assert_eq!(
             LinearSolverKind::gmres_circulant_default().label(),
@@ -1654,64 +1481,6 @@ mod tests {
         assert!(LinearSolverKind::gmres_circulant_default()
             .fingerprint()
             .starts_with("gmres-circulant("));
-    }
-
-    #[test]
-    fn klu_backend_agrees_with_dense() {
-        // Bordered collocation Jacobian — the shape KLU is for.
-        let (dmat, cblocks, gblocks) = synthetic_blocks();
-        let len = 10;
-        let row: Vec<f64> = (0..len)
-            .map(|k| if k % 2 == 0 { 1.0 } else { 0.0 })
-            .collect();
-        let col: Vec<f64> = (0..len).map(|k| 0.1 + (k as f64 * 0.11).cos()).collect();
-        let mut parts = synthetic_parts(&dmat, &cblocks, &gblocks);
-        parts.border = Some((&row, &col));
-        let rhs: Vec<f64> = (0..parts.dim())
-            .map(|i| 1.0 + (i as f64 * 0.3).sin())
-            .collect();
-        let mut dense = rhs.clone();
-        FactoredJacobian::factor(&parts, LinearSolverKind::Dense)
-            .unwrap()
-            .solve_in_place(&mut dense)
-            .unwrap();
-        let mut klu = rhs.clone();
-        FactoredJacobian::factor(&parts, LinearSolverKind::Klu)
-            .unwrap()
-            .solve_in_place(&mut klu)
-            .unwrap();
-        for i in 0..rhs.len() {
-            assert!((dense[i] - klu[i]).abs() < 1e-9, "klu mismatch at {i}");
-        }
-    }
-
-    #[test]
-    fn factor_cache_klu_reuses_symbolic_on_same_pattern() {
-        let mut cache = FactorCache::new(LinearSolverKind::Klu);
-        for iter in 0..4 {
-            let shift = iter as f64;
-            let mut t = Triplets::new(3, 3);
-            t.push(0, 0, 4.0 + shift);
-            t.push(1, 1, 3.0 + shift);
-            t.push(2, 2, 5.0 + shift);
-            t.push(0, 1, 1.0);
-            t.push(2, 0, 0.5);
-            cache.factor_matrix(&NewtonMatrix::Triplets(&t)).unwrap();
-            let mut x = vec![1.0, 2.0, 3.0];
-            cache.solve_in_place(&mut x).unwrap();
-            let mut reference = vec![1.0, 2.0, 3.0];
-            FactoredJacobian::factor_matrix(&NewtonMatrix::Triplets(&t), LinearSolverKind::Dense)
-                .unwrap()
-                .solve_in_place(&mut reference)
-                .unwrap();
-            for i in 0..3 {
-                assert!((x[i] - reference[i]).abs() < 1e-12, "iteration {iter}, {i}");
-            }
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.factorisations, 4);
-        assert_eq!(stats.symbolic_reuses, 3);
-        assert_eq!(stats.pattern_rebuilds, 0);
     }
 
     #[test]
@@ -1728,18 +1497,14 @@ mod tests {
             }
         }
         let rhs: Vec<f64> = (0..n1 * bw).map(|i| (0.3 * i as f64).cos()).collect();
-        let mut dense = rhs.clone();
-        FactoredJacobian::factor_matrix(&NewtonMatrix::Triplets(&t), LinearSolverKind::Dense)
-            .unwrap()
-            .solve_in_place(&mut dense)
-            .unwrap();
+        let dense = solve_once(LinearSolverKind::Dense, &NewtonMatrix::Triplets(&t), &rhs);
 
         let mut cache = FactorCache::new(LinearSolverKind::gmres_circulant_default());
         cache.set_cyclic_shape(Some(CyclicShape {
             blocks: n1,
             block_dim: bw,
         }));
-        cache.factor_matrix(&NewtonMatrix::Triplets(&t)).unwrap();
+        cache.factor(&NewtonMatrix::Triplets(&t)).unwrap();
         let mut x = rhs.clone();
         cache.solve_in_place(&mut x).unwrap();
         for i in 0..rhs.len() {
@@ -1748,7 +1513,7 @@ mod tests {
 
         // Without a shape hint the backend still solves (ILU0 fallback).
         cache.set_cyclic_shape(None);
-        cache.factor_matrix(&NewtonMatrix::Triplets(&t)).unwrap();
+        cache.factor(&NewtonMatrix::Triplets(&t)).unwrap();
         let mut y = rhs.clone();
         cache.solve_in_place(&mut y).unwrap();
         for i in 0..rhs.len() {

@@ -174,8 +174,7 @@ impl Default for MpdeOptions {
 /// This is the workspace-wide [`obskit::RunStats`] summary (shared with
 /// `transim::TransientStats` and `wampde::EnvelopeStats`); `steps`
 /// counts accepted `t2` steps and `newton_iters` includes the `t2 = 0`
-/// steady solve. The former `newton_iterations` field survives as a
-/// deprecated accessor method.
+/// steady solve.
 pub type MpdeStats = obskit::RunStats;
 
 /// An MPDE envelope solution.
@@ -327,7 +326,7 @@ pub fn solve_envelope_mpde_from<D: Dae + ?Sized, F: BivariateForcing + ?Sized>(
     };
 
     // One Newton engine for the whole envelope: the step Jacobian's
-    // sparsity pattern is stable along t2, so the sparse-LU backend pays
+    // sparsity pattern is stable along t2, so the KLU backend pays
     // for symbolic analysis once and refactors numerically thereafter.
     let mut engine = NewtonEngine::new();
     let mut stats = MpdeStats::default();
@@ -905,10 +904,7 @@ mod tests {
             ..Default::default()
         };
         let dense = solve_envelope_mpde(&dae, &forcing, 1.0e6, 5.0e-4, &base).unwrap();
-        for kind in [
-            LinearSolverKind::SparseLu,
-            LinearSolverKind::gmres_default(),
-        ] {
+        for kind in [LinearSolverKind::Klu, LinearSolverKind::gmres_default()] {
             let opts = MpdeOptions {
                 linear_solver: kind,
                 ..base

@@ -19,7 +19,7 @@
 //!   ablation knob.
 //! * [`NewtonEngine`] — the loop. Holding one engine across time steps
 //!   (or gmin-continuation stages, or shooting restarts) carries the
-//!   [`linsolve::FactorCache`] along, so on the sparse-LU backend every
+//!   [`linsolve::FactorCache`] along, so on the KLU backend every
 //!   factorisation after the first reuses the cached symbolic analysis
 //!   (elimination ordering and factor patterns) and performs numeric-only
 //!   refactorisation — the hot-path win for Newton, which re-factors the
@@ -206,7 +206,7 @@ pub struct NewtonPolicy {
     pub residual_tol: Option<f64>,
     /// Linear-solver backend for the per-iteration factorisation.
     pub linear_solver: LinearSolverKind,
-    /// Reuse cached symbolic analysis across sparse-LU factorisations
+    /// Reuse cached symbolic analysis across KLU factorisations
     /// (on by default; the ablation knob for `repro --table newton`).
     pub reuse_symbolic: bool,
 }
@@ -445,11 +445,11 @@ impl NewtonEngine {
                     sys.jacobian_triplets(x, &mut self.trip)
                 };
                 let factored = if use_triplets {
-                    cache.factor_matrix(&NewtonMatrix::Triplets(&self.trip))
+                    cache.factor(&NewtonMatrix::Triplets(&self.trip))
                 } else {
                     let jac = self.jac.get_or_insert_with(|| DMat::zeros(n, n));
                     sys.jacobian(x, jac);
-                    cache.factor_matrix(&NewtonMatrix::Dense(jac))
+                    cache.factor(&NewtonMatrix::Dense(jac))
                 };
                 if let Err(e) = factored {
                     break 'solve Err(NewtonError::Singular { cause: e.cause });
@@ -682,10 +682,7 @@ mod tests {
 
     #[test]
     fn sparse_backends_reach_the_same_root() {
-        for kind in [
-            LinearSolverKind::SparseLu,
-            LinearSolverKind::gmres_default(),
-        ] {
+        for kind in [LinearSolverKind::Klu, LinearSolverKind::gmres_default()] {
             let mut x = vec![2.0, 0.5];
             let policy = NewtonPolicy {
                 linear_solver: kind,
@@ -729,7 +726,7 @@ mod tests {
         };
         let mut x = vec![2.0, 0.5];
         let policy = NewtonPolicy {
-            linear_solver: LinearSolverKind::SparseLu,
+            linear_solver: LinearSolverKind::Klu,
             ..Default::default()
         };
         let rep = newton_solve(&sys, &mut x, &policy).unwrap();
@@ -968,7 +965,7 @@ mod tests {
             rhs: Cell::new(1.0),
         };
         let policy = NewtonPolicy {
-            linear_solver: LinearSolverKind::SparseLu,
+            linear_solver: LinearSolverKind::Klu,
             ..Default::default()
         };
         let mut engine = NewtonEngine::new();
@@ -986,7 +983,7 @@ mod tests {
     #[test]
     fn reuse_can_be_disabled() {
         let policy = NewtonPolicy {
-            linear_solver: LinearSolverKind::SparseLu,
+            linear_solver: LinearSolverKind::Klu,
             reuse_symbolic: false,
             ..Default::default()
         };

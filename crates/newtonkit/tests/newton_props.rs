@@ -165,7 +165,7 @@ proptest! {
         let sys = PolySys::build(4, &off, &c, &b);
         let policy = NewtonPolicy {
             linear_solver: if sparse == 1 {
-                linsolve::LinearSolverKind::SparseLu
+                linsolve::LinearSolverKind::Klu
             } else {
                 linsolve::LinearSolverKind::Dense
             },

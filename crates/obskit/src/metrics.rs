@@ -146,13 +146,6 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// Former spelling of the [`RunStats::newton_iters`] field, kept as
-    /// an accessor for source compatibility.
-    #[deprecated(since = "0.1.0", note = "use the `newton_iters` field")]
-    pub fn newton_iterations(&self) -> usize {
-        self.newton_iters
-    }
-
     /// Accumulate another run's stats into this one.
     pub fn merge(&mut self, other: &RunStats) {
         self.steps += other.steps;
@@ -214,17 +207,6 @@ mod tests {
         assert_eq!(reg.counter("tran.steps"), 10);
         assert_eq!(reg.counter("tran.newton_iters"), 30);
         assert_eq!(reg.counter("tran.symbolic_reuses"), 25);
-    }
-
-    #[test]
-    fn deprecated_accessor_matches_field() {
-        let s = RunStats {
-            newton_iters: 7,
-            ..RunStats::default()
-        };
-        #[allow(deprecated)]
-        let v = s.newton_iterations();
-        assert_eq!(v, 7);
     }
 
     #[test]

@@ -30,10 +30,10 @@
 //! ```
 
 use circuitdae::Dae;
-use linsolve::{FactorCache, FactoredJacobian, LinearSolverKind, NewtonMatrix};
+use linsolve::{FactorCache, LinearSolverKind, NewtonMatrix};
 use newtonkit::{Damping, NewtonEngine, NewtonError, NewtonPolicy, NewtonSystem};
 use numkit::vecops::norm2;
-use numkit::DMat;
+use numkit::{DMat, DenseLu};
 use sparsekit::Triplets;
 use std::cell::RefCell;
 use std::fmt;
@@ -247,13 +247,11 @@ fn flow_with_monodromy<D: Dae + ?Sized>(
         if theta < 1.0 {
             bmat.axpy(-(1.0 - theta), &g_prev);
         }
-        factors
-            .factor_matrix(&NewtonMatrix::Dense(&a))
-            .map_err(|_| {
-                ShootingError::Transient(transim::TransimError::SingularJacobian {
-                    at_time: i as f64 * h,
-                })
-            })?;
+        factors.factor(&NewtonMatrix::Dense(&a)).map_err(|_| {
+            ShootingError::Transient(transim::TransimError::SingularJacobian {
+                at_time: i as f64 * h,
+            })
+        })?;
         // M ← A⁻¹ B M, column by column.
         let bm = bmat.matmul(&m).expect("dimension-consistent product");
         let mut m_new = DMat::zeros(n, n);
@@ -288,12 +286,9 @@ fn state_derivative<D: Dae + ?Sized>(dae: &D, x: &[f64]) -> Result<Vec<f64>, Sho
     for i in 0..n {
         rhs[i] = b[i] - rhs[i];
     }
-    let lu = FactoredJacobian::factor_matrix(&NewtonMatrix::Dense(&c), LinearSolverKind::Dense)
-        .map_err(|_| {
-            ShootingError::BadInput(
-                "mass matrix C is singular: shooting needs ODE-like DAEs".into(),
-            )
-        })?;
+    let lu = DenseLu::factor(&c).map_err(|_| {
+        ShootingError::BadInput("mass matrix C is singular: shooting needs ODE-like DAEs".into())
+    })?;
     lu.solve_in_place(&mut rhs)
         .map_err(|_| ShootingError::BadInput("mass matrix solve failed".into()))?;
     Ok(rhs)
@@ -896,7 +891,7 @@ mod tests {
         let sparse = oscillator_steady_state(
             &dae,
             &ShootingOptions {
-                linear_solver: LinearSolverKind::SparseLu,
+                linear_solver: LinearSolverKind::Klu,
                 ..Default::default()
             },
         )

@@ -383,7 +383,7 @@ mod tests {
 
     #[test]
     fn options_solver_is_honored_end_to_end() {
-        // The `.options solver=sparselu` deck line must reach the solver:
+        // The `.options solver=klu` deck line must reach the solver:
         // the run succeeds and matches the dense-deck result exactly for
         // this linear circuit (identical step sequences).
         const CARDS: &str = "V1 in 0 SIN(0 5 1k)\n\
@@ -391,10 +391,10 @@ mod tests {
                              C1 out 0 1u\n\
                              .tran 1m dt=20u\n";
         let dense_deck = parse_deck(CARDS).unwrap();
-        let sparse_deck = parse_deck(&format!("{CARDS}.options solver=sparselu\n")).unwrap();
+        let sparse_deck = parse_deck(&format!("{CARDS}.options solver=klu\n")).unwrap();
         assert_eq!(
             sparse_deck.analyses[0].solver(),
-            circuitdae::LinearSolverKind::SparseLu
+            circuitdae::LinearSolverKind::Klu
         );
         let dae = dense_deck.base_circuit().unwrap();
         let dense = analysis_for(&dense_deck.analyses[0]).run(&dae).unwrap();
@@ -409,7 +409,7 @@ mod tests {
 
     #[test]
     fn newton_reuse_metrics_reported() {
-        // The per-directive `solver=sparselu` key routes the transient
+        // The per-directive `solver=klu` key routes the transient
         // through the sparse backend; the shared Newton engine then
         // reuses the symbolic analysis on every factorisation after the
         // first, and the counters surface as sweep metrics.
@@ -417,7 +417,7 @@ mod tests {
             "V1 in 0 SIN(0 5 1k)\n\
              R1 in out 1k\n\
              C1 out 0 1u\n\
-             .tran 1m dt=20u solver=sparselu\n\
+             .tran 1m dt=20u solver=klu\n\
              .tran 1m dt=20u solver=dense\n",
         )
         .unwrap();

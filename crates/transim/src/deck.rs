@@ -113,7 +113,7 @@ mod tests {
 
     #[test]
     fn tran_spec_sparse_backend_matches_dense() {
-        // Same fixed-step run through the sparse-LU backend must land on
+        // Same fixed-step run through the KLU backend must land on
         // bitwise-comparable trajectories (identical step sequence, same
         // solutions to solver tolerance).
         let dae = parse_netlist(
@@ -130,7 +130,7 @@ mod tests {
             ..TranSpec::new(1e-3)
         };
         let dense = run_tran_spec(&dae, &mk(Default::default())).unwrap();
-        let sparse = run_tran_spec(&dae, &mk(circuitdae::LinearSolverKind::SparseLu)).unwrap();
+        let sparse = run_tran_spec(&dae, &mk(circuitdae::LinearSolverKind::Klu)).unwrap();
         assert_eq!(dense.times.len(), sparse.times.len());
         for (a, b) in dense.states.iter().zip(sparse.states.iter()) {
             for (x, y) in a.iter().zip(b.iter()) {

@@ -50,8 +50,7 @@ pub struct TransientOptions {
 ///
 /// This is the workspace-wide [`obskit::RunStats`] summary (shared with
 /// `mpde::MpdeStats` and `wampde::EnvelopeStats`): `steps`, `rejected`,
-/// `newton_iters`, `factorisations`, `symbolic_reuses`. The former
-/// `newton_iterations` field survives as a deprecated accessor method.
+/// `newton_iters`, `factorisations`, `symbolic_reuses`.
 pub type TransientStats = obskit::RunStats;
 
 /// A transient waveform: accepted time points and states.
@@ -232,7 +231,7 @@ pub fn run_transient<D: Dae + ?Sized>(
     let mut fbuf = vec![0.0; n];
     let mut qlin = vec![0.0; n];
     // One Newton engine for the whole run: its factorisation cache spans
-    // every step, so on the sparse-LU backend only the very first
+    // every step, so on the KLU backend only the very first
     // iteration pays for symbolic analysis — the step Jacobian's pattern
     // never changes along a transient.
     let mut newton = NewtonEngine::new();

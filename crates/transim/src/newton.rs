@@ -22,7 +22,7 @@
 //!
 //! [`newton_solve`] remains the one-shot entry point. Loop-heavy callers
 //! (`run_transient`, `dc_operating_point`) hold a
-//! [`newtonkit::NewtonEngine`] across steps instead, so sparse-LU
+//! [`newtonkit::NewtonEngine`] across steps instead, so KLU
 //! factorisations reuse the cached symbolic analysis across the whole
 //! run, not just within one solve.
 

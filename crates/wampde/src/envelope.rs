@@ -173,7 +173,7 @@ pub fn solve_envelope<D: Dae + ?Sized>(
     eval_g(dae, &colloc, &x, omega, 0.0, &mut work, &mut g_prev);
 
     // One Newton engine for the whole envelope: the bordered step
-    // Jacobian keeps its sparsity pattern along t2, so sparse-LU pays
+    // Jacobian keeps its sparsity pattern along t2, so KLU pays
     // for symbolic analysis once and refactors numerically thereafter.
     let mut newton_engine = NewtonEngine::new();
 
@@ -598,7 +598,7 @@ mod tests {
         let init = WampdeInit::from_orbit(&orbit, &base);
         let dense = solve_envelope(&dae, &init, 1.0e-5, &base).unwrap();
         let sparse_opts = WampdeOptions {
-            linear_solver: LinearSolverKind::SparseLu,
+            linear_solver: LinearSolverKind::Klu,
             ..base
         };
         let sparse = solve_envelope(&dae, &init, 1.0e-5, &sparse_opts).unwrap();
@@ -609,7 +609,7 @@ mod tests {
 
     #[test]
     fn all_backends_agree_on_lc_vco_envelope() {
-        // The paper's basic LC VCO: dense, sparse-LU, and GMRES+ILU(0)
+        // The paper's basic LC VCO: dense, KLU, and GMRES+ILU(0)
         // envelopes must agree on ω(t2) to tight tolerance.
         let dae = circuits::lc_vco();
         let orbit = oscillator_steady_state(&dae, &ShootingOptions::default()).unwrap();
@@ -620,10 +620,7 @@ mod tests {
         };
         let init = WampdeInit::from_orbit(&orbit, &base);
         let dense = solve_envelope(&dae, &init, 1.0e-5, &base).unwrap();
-        for kind in [
-            LinearSolverKind::SparseLu,
-            LinearSolverKind::gmres_default(),
-        ] {
+        for kind in [LinearSolverKind::Klu, LinearSolverKind::gmres_default()] {
             let opts = WampdeOptions {
                 linear_solver: kind,
                 ..base

@@ -1,16 +1,13 @@
 //! Thin adapter over the workspace-wide `linsolve` crate.
 //!
 //! The bordered collocation solver layer (block Jacobian description,
-//! dense/sparse-LU/GMRES+ILU(0) backends) used to live here; it now
-//! serves *all* solver crates from `crates/linsolve`. This module
-//! re-exports the shared types and provides the error-mapping helpers the
-//! WaMPDE envelope uses ([`WampdeError::LinearSolve`] carries the slow
-//! time of the failure).
+//! dense/KLU/GMRES backends) used to live here; it now serves *all*
+//! solver crates from `crates/linsolve`. This module re-exports the shared
+//! types and builds the [`JacobianParts`] of a WaMPDE collocation core.
 
-use crate::error::WampdeError;
 pub use ::linsolve::{
     resolve_thread_count, BlockCirculantPrecond, CoreBudget, CoreBudgetGuard, CoreLease,
-    CyclicShape, FactoredJacobian, JacobianParts, LinSolveError, LinearSolverKind, NewtonMatrix,
+    CyclicShape, FactorCache, JacobianParts, LinSolveError, LinearSolverKind, NewtonMatrix,
 };
 use hb::Colloc;
 
@@ -41,42 +38,6 @@ pub fn colloc_parts<'a>(
     }
 }
 
-/// Factors the described Jacobian, mapping failures into
-/// [`WampdeError::LinearSolve`] tagged with the slow time `at_t2`.
-///
-/// # Errors
-///
-/// [`WampdeError::LinearSolve`] when the factorisation fails.
-pub fn factor(
-    parts: &JacobianParts<'_>,
-    kind: LinearSolverKind,
-    at_t2: f64,
-) -> Result<FactoredJacobian, WampdeError> {
-    FactoredJacobian::factor(parts, kind).map_err(|e| WampdeError::LinearSolve {
-        at_t2,
-        cause: e.cause,
-    })
-}
-
-/// Solves `J·x = rhs` in place with the same error mapping as [`factor`].
-///
-/// # Errors
-///
-/// [`WampdeError::LinearSolve`] when the backend fails (e.g. GMRES
-/// stagnates).
-pub fn solve_in_place(
-    factored: &FactoredJacobian,
-    rhs: &mut [f64],
-    at_t2: f64,
-) -> Result<(), WampdeError> {
-    factored
-        .solve_in_place(rhs)
-        .map_err(|e| WampdeError::LinearSolve {
-            at_t2,
-            cause: e.cause,
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,8 +51,16 @@ mod tests {
         circuitdae::jac_blocks(dae, &x)
     }
 
+    fn solve(parts: &JacobianParts<'_>, kind: LinearSolverKind, rhs: &[f64]) -> Vec<f64> {
+        let mut cache = FactorCache::new(kind);
+        cache.factor(&NewtonMatrix::Parts(parts)).unwrap();
+        let mut x = rhs.to_vec();
+        cache.solve_in_place(&mut x).unwrap();
+        x
+    }
+
     /// Builds bordered vdP JacobianParts and checks all three backends
-    /// produce the same solution through the wampde error adapter.
+    /// produce the same solution.
     #[test]
     fn backends_agree() {
         let vdp = VanDerPol::unforced(0.8);
@@ -112,61 +81,37 @@ mod tests {
         let rhs: Vec<f64> = (0..parts.dim())
             .map(|i| ((i * 3 % 7) as f64) - 3.0)
             .collect();
-
-        let mut dense_sol = rhs.clone();
-        solve_in_place(
-            &factor(&parts, LinearSolverKind::Dense, 0.0).unwrap(),
-            &mut dense_sol,
-            0.0,
-        )
-        .unwrap();
-
-        let mut sparse_sol = rhs.clone();
-        solve_in_place(
-            &factor(&parts, LinearSolverKind::SparseLu, 0.0).unwrap(),
-            &mut sparse_sol,
-            0.0,
-        )
-        .unwrap();
-
-        let mut gmres_sol = rhs.clone();
-        solve_in_place(
-            &factor(
-                &parts,
-                LinearSolverKind::GmresIlu0 {
-                    restart: 60,
-                    max_iters: 500,
-                    rtol: 1e-12,
-                },
-                0.0,
-            )
-            .unwrap(),
-            &mut gmres_sol,
-            0.0,
-        )
-        .unwrap();
-
+        let dense = solve(&parts, LinearSolverKind::Dense, &rhs);
+        let klu = solve(&parts, LinearSolverKind::Klu, &rhs);
+        let gmres = solve(
+            &parts,
+            LinearSolverKind::GmresIlu0 {
+                restart: 60,
+                max_iters: 500,
+                rtol: 1e-12,
+            },
+            &rhs,
+        );
         for i in 0..rhs.len() {
             assert!(
-                (dense_sol[i] - sparse_sol[i]).abs() < 1e-8,
-                "sparse mismatch at {i}: {} vs {}",
-                dense_sol[i],
-                sparse_sol[i]
+                (dense[i] - klu[i]).abs() < 1e-8,
+                "klu mismatch at {i}: {} vs {}",
+                dense[i],
+                klu[i]
             );
             assert!(
-                (dense_sol[i] - gmres_sol[i]).abs() < 1e-6,
+                (dense[i] - gmres[i]).abs() < 1e-6,
                 "gmres mismatch at {i}: {} vs {}",
-                dense_sol[i],
-                gmres_sol[i]
+                dense[i],
+                gmres[i]
             );
         }
     }
 
-    /// The acceptance target of the solver-layer refactor: on the paper's
-    /// LC VCO, dense and sparse-LU step solutions agree to 1e-9 (and
-    /// GMRES at its default tolerance tracks them).
+    /// On the paper's LC VCO, dense and KLU step solutions agree to 1e-9
+    /// (and GMRES at its default tolerance tracks them).
     #[test]
-    fn lc_vco_dense_vs_sparse_agree_to_1e9() {
+    fn lc_vco_dense_vs_klu_agree_to_1e9() {
         let dae = circuits::lc_vco();
         let colloc = Colloc::new(dae.dim(), 5);
         let len = colloc.len();
@@ -183,34 +128,16 @@ mod tests {
             Some((&row, &col)),
         );
         let rhs: Vec<f64> = (0..parts.dim()).map(|i| (0.3 * i as f64).sin()).collect();
-        let mut dense = rhs.clone();
-        solve_in_place(
-            &factor(&parts, LinearSolverKind::Dense, 0.0).unwrap(),
-            &mut dense,
-            0.0,
-        )
-        .unwrap();
+        let dense = solve(&parts, LinearSolverKind::Dense, &rhs);
         let scale = dense.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-        let mut sparse = rhs.clone();
-        solve_in_place(
-            &factor(&parts, LinearSolverKind::SparseLu, 0.0).unwrap(),
-            &mut sparse,
-            0.0,
-        )
-        .unwrap();
-        let mut gm = rhs.clone();
-        solve_in_place(
-            &factor(&parts, LinearSolverKind::gmres_default(), 0.0).unwrap(),
-            &mut gm,
-            0.0,
-        )
-        .unwrap();
+        let klu = solve(&parts, LinearSolverKind::Klu, &rhs);
+        let gm = solve(&parts, LinearSolverKind::gmres_default(), &rhs);
         for i in 0..rhs.len() {
             assert!(
-                (dense[i] - sparse[i]).abs() <= 1e-9 * scale.max(1.0),
-                "sparse at {i}: {} vs {}",
+                (dense[i] - klu[i]).abs() <= 1e-9 * scale.max(1.0),
+                "klu at {i}: {} vs {}",
                 dense[i],
-                sparse[i]
+                klu[i]
             );
             assert!(
                 (dense[i] - gm[i]).abs() <= 1e-7 * scale.max(1.0),
@@ -230,37 +157,10 @@ mod tests {
         let parts = colloc_parts(&colloc, &cblocks, &gblocks, 5.0, 1.0, 0.7, None);
         assert_eq!(parts.dim(), len);
         let rhs = vec![1.0; len];
-        let mut a = rhs.clone();
-        solve_in_place(
-            &factor(&parts, LinearSolverKind::Dense, 0.0).unwrap(),
-            &mut a,
-            0.0,
-        )
-        .unwrap();
-        let mut b = rhs;
-        solve_in_place(
-            &factor(&parts, LinearSolverKind::SparseLu, 0.0).unwrap(),
-            &mut b,
-            0.0,
-        )
-        .unwrap();
+        let a = solve(&parts, LinearSolverKind::Dense, &rhs);
+        let b = solve(&parts, LinearSolverKind::Klu, &rhs);
         for i in 0..a.len() {
             assert!((a[i] - b[i]).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn errors_carry_the_slow_time() {
-        // A singular system must surface as LinearSolve tagged with t2.
-        let colloc = Colloc::new(1, 1);
-        let zeros = vec![DMat::zeros(1, 1); colloc.n0];
-        let parts = colloc_parts(&colloc, &zeros, &zeros, 0.0, 1.0, 0.0, None);
-        match factor(&parts, LinearSolverKind::Dense, 3.5) {
-            Err(WampdeError::LinearSolve { at_t2, cause }) => {
-                assert_eq!(at_t2, 3.5);
-                assert!(!cause.is_empty());
-            }
-            other => panic!("unexpected {other:?}"),
         }
     }
 }

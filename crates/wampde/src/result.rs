@@ -5,8 +5,7 @@
 ///
 /// This is the workspace-wide [`obskit::RunStats`] summary (shared with
 /// `transim::TransientStats` and `mpde::MpdeStats`); `steps`/`rejected`
-/// count `t2` steps. The former `newton_iterations` field survives as a
-/// deprecated accessor method.
+/// count `t2` steps.
 pub type EnvelopeStats = obskit::RunStats;
 
 /// Result of [`crate::solve_envelope`]: the bivariate solution

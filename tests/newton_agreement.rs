@@ -25,10 +25,7 @@ use wampde::{solve_envelope, T2StepControl, WampdeError, WampdeInit, WampdeOptio
 fn dc_backends_agree_on_ring_vco() {
     let dae = circuits::ring_loaded_vco(6);
     let dense = dc_operating_point(&dae, &NewtonOptions::default()).unwrap();
-    for kind in [
-        LinearSolverKind::SparseLu,
-        LinearSolverKind::gmres_default(),
-    ] {
+    for kind in [LinearSolverKind::Klu, LinearSolverKind::gmres_default()] {
         let opts = NewtonOptions {
             linear_solver: kind,
             ..Default::default()
@@ -54,7 +51,7 @@ fn symbolic_reuse_is_bitwise_invisible_on_ring_vco_transient() {
             integrator: Integrator::Trapezoidal,
             step: StepControl::Fixed(2.0e-8),
             newton: NewtonOptions {
-                linear_solver: LinearSolverKind::SparseLu,
+                linear_solver: LinearSolverKind::Klu,
                 reuse_symbolic: reuse,
                 ..Default::default()
             },
@@ -86,7 +83,7 @@ fn wampde_envelope_backends_agree_and_reuse_on_ring_vco() {
     let init = WampdeInit::from_orbit(&orbit, &base);
     let dense = solve_envelope(&dae, &init, 1.0e-5, &base).unwrap();
     let sparse_opts = WampdeOptions {
-        linear_solver: LinearSolverKind::SparseLu,
+        linear_solver: LinearSolverKind::Klu,
         ..base
     };
     let sparse = solve_envelope(&dae, &init, 1.0e-5, &sparse_opts).unwrap();
@@ -217,7 +214,7 @@ fn hb_runs_on_the_shared_engine_with_reuse() {
     let dense = hb::solve_autonomous(&dae, &init, orbit.frequency(), &opts).unwrap();
     let sparse_opts = hb::HbOptions {
         newton: NewtonOptions {
-            linear_solver: LinearSolverKind::SparseLu,
+            linear_solver: LinearSolverKind::Klu,
             ..Default::default()
         },
         ..opts
