@@ -602,8 +602,11 @@ fn table_newton() {
                 harmonics: 5,
                 step: wampde::T2StepControl::Fixed(2.0e-7),
                 linear_solver: wampde::LinearSolverKind::Klu,
+                // Every iteration factors, so the rows compare symbolic
+                // reuse alone (Jacobian reuse would skip factorisations).
                 newton: transim::NewtonOptions {
                     reuse_symbolic: reuse,
+                    reuse_jacobian: false,
                     ..Default::default()
                 },
                 ..Default::default()
@@ -1484,8 +1487,38 @@ fn figures_10_to_12() {
         "1.0x"
     );
     println!("  -> {}", p.display());
+    let wampde_s = run.wall.as_secs_f64();
+    let reference_s = fine_wall.as_secs_f64();
+    let speedup = reference_s / wampde_s;
     println!(
-        "\nheadline: WaMPDE is {:.0}x faster than the comparable-accuracy transient (paper: 'two orders of magnitude')",
-        fine_wall.as_secs_f64() / run.wall.as_secs_f64()
+        "\nheadline: WaMPDE is {speedup:.0}x faster than the comparable-accuracy transient (paper: 'two orders of magnitude')"
     );
+
+    // Machine-independent checks: the envelope keeps its factored step
+    // Jacobian for most Newton iterations, and stays within a tenth of a
+    // cycle of the reference over the ~2900 cycles simulated.
+    let stats = run.env.stats;
+    assert!(
+        2 * stats.factorisations <= stats.newton_iters,
+        "WaMPDE factored on more than half its Newton iterations: {stats:?}"
+    );
+    assert!(
+        wam_final.abs() <= SPEEDUP_PHASE_ERR_BOUND,
+        "WaMPDE final phase error {wam_final} cycles exceeds {SPEEDUP_PHASE_ERR_BOUND}"
+    );
+    let json = format!(
+        "{{\n  \"bench\": \"speedup\",\n  \"workload\": \"air-damped MEMS VCO over 3 ms \
+         (figs 10-12): WaMPDE envelope, {} harmonics, vs the 1000 pts/cycle \
+         trapezoidal transient\",\n  \
+         \"wampde_wall_s\": {wampde_s:.6},\n  \"reference_wall_s\": {reference_s:.6},\n  \
+         \"speedup\": {speedup:.3},\n  \"final_phase_err_cycles\": {wam_final:e},\n  \
+         \"newton_iters\": {},\n  \"factorisations\": {}\n}}\n",
+        run.opts.harmonics, stats.newton_iters, stats.factorisations
+    );
+    let p = write_text_in(&repro_dir(), "BENCH_speedup.json", &json).expect("write json");
+    println!("  -> {}", p.display());
 }
+
+/// Largest accepted |final phase error| of the WaMPDE envelope against the
+/// 1000 pts/cycle reference in `--table speedup`, in cycles.
+const SPEEDUP_PHASE_ERR_BOUND: f64 = 0.1;

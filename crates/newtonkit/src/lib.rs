@@ -41,6 +41,29 @@
 //!   factoring (shooting's law, where each residual costs a full flow
 //!   integration and the Jacobian rides along with it).
 //!
+//! # Jacobian reuse
+//!
+//! With [`NewtonPolicy::reuse_jacobian`] the engine runs modified Newton
+//! in the style of DASSL: it keeps its factorisation across iterations
+//! and across [`NewtonEngine::solve`] calls, and assembles and factors a
+//! new iteration matrix only when
+//!
+//! * it holds no factor yet, or the caller called
+//!   [`NewtonEngine::invalidate_jacobian`];
+//! * the system dimension or the linear-solver backend changed;
+//! * the contraction rate `ρ = ‖Δₖ‖/‖Δₖ₋₁‖` measured on the kept matrix
+//!   exceeded 1/2, or the line search damped (`λ < 1`);
+//! * four iterations have already been solved against it.
+//!
+//! Iterations on a kept matrix converge only linearly, so one of them
+//! converges only when `update ≤ 1` **and** `ρ/(1−ρ)·update ≤ 1` (the
+//! distance to the root a rate-`ρ` iteration still has to go), with `ρ`
+//! measured in the same solve, so a solve that starts on a kept matrix
+//! takes at least two iterations. A solve that fails after using a kept
+//! matrix restarts once from its starting iterate as full Newton, so
+//! reuse never fails a solve full Newton converges;
+//! [`NewtonStats::iterations`] then counts both attempts.
+//!
 //! # Example
 //!
 //! Implement [`NewtonSystem`] for your residual and hand it to an engine
@@ -209,6 +232,11 @@ pub struct NewtonPolicy {
     /// Reuse cached symbolic analysis across KLU factorisations
     /// (on by default; the ablation knob for `repro --table newton`).
     pub reuse_symbolic: bool,
+    /// Modified Newton: keep the factored iteration matrix across
+    /// iterations and across [`NewtonEngine::solve`] calls instead of
+    /// assembling and factoring one per iteration (off by default; see
+    /// "Jacobian reuse" in the crate docs for the refresh rules).
+    pub reuse_jacobian: bool,
 }
 
 impl Default for NewtonPolicy {
@@ -221,6 +249,7 @@ impl Default for NewtonPolicy {
             residual_tol: None,
             linear_solver: LinearSolverKind::default(),
             reuse_symbolic: true,
+            reuse_jacobian: false,
         }
     }
 }
@@ -228,7 +257,8 @@ impl Default for NewtonPolicy {
 /// Per-solve report of [`NewtonEngine::solve`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct NewtonStats {
-    /// Newton steps applied.
+    /// Newton steps applied (both attempts of a solve restarted as full
+    /// Newton under [`NewtonPolicy::reuse_jacobian`]).
     pub iterations: usize,
     /// Final residual 2-norm.
     pub residual_norm: f64,
@@ -238,6 +268,9 @@ pub struct NewtonStats {
     pub factorisations: usize,
     /// Factorisations that reused cached symbolic analysis.
     pub symbolic_reuses: usize,
+    /// Iterations solved against a kept factorisation instead of a new
+    /// one ([`NewtonPolicy::reuse_jacobian`]).
+    pub jacobian_reuses: usize,
     /// Steps applied with `λ < 1`.
     pub damped_steps: usize,
     /// Line-search floor hits: steps accepted at `min_lambda` despite a
@@ -284,6 +317,31 @@ impl fmt::Display for NewtonError {
 
 impl std::error::Error for NewtonError {}
 
+/// Largest contraction rate an iteration may measure on a kept matrix
+/// before the next iteration refactors.
+const MAX_KEPT_RATE: f64 = 0.5;
+
+/// Iterations solved against one factorisation, across solves, before
+/// the next iteration refactors whatever the measured rate.
+const MAX_KEPT_USES: usize = 4;
+
+/// The factorisation an engine keeps for modified Newton.
+#[derive(Debug, Clone, Copy)]
+struct KeptMatrix {
+    dim: usize,
+    kind: LinearSolverKind,
+    /// Iterations solved against it after the one that factored it.
+    uses: usize,
+    /// The last iteration on it damped or contracted too slowly.
+    stale: bool,
+}
+
+impl KeptMatrix {
+    fn needs_refresh(&self) -> bool {
+        self.stale || self.uses >= MAX_KEPT_USES
+    }
+}
+
 /// The shared damped-Newton loop with a persistent factorisation cache.
 ///
 /// Create one engine per solver run (transient, envelope, continuation
@@ -309,6 +367,11 @@ pub struct NewtonEngine {
     r_trial: Vec<f64>,
     jac: Option<DMat>,
     trip: Triplets,
+    // Modified Newton (`NewtonPolicy::reuse_jacobian`): the matrix the
+    // cache's factorisation belongs to, and the solve's starting iterate
+    // for the full-Newton restart.
+    kept: Option<KeptMatrix>,
+    x_start: Vec<f64>,
 }
 
 impl NewtonEngine {
@@ -343,6 +406,15 @@ impl NewtonEngine {
     /// bitwise identical to its serial form.
     pub fn set_core_budget(&mut self, budget: Option<linsolve::CoreBudget>) {
         self.budget = budget;
+    }
+
+    /// Drops the kept iteration matrix, so the next iteration under
+    /// [`NewtonPolicy::reuse_jacobian`] assembles and factors a new one.
+    /// Call it when the system changes in a way the contraction rate
+    /// would only catch after wasted iterations (a new step size or
+    /// integration scheme).
+    pub fn invalidate_jacobian(&mut self) {
+        self.kept = None;
     }
 
     /// Cumulative factorisation counters across the engine's lifetime.
@@ -410,178 +482,238 @@ impl NewtonEngine {
             self.jac = None;
         }
 
+        if self
+            .kept
+            .is_some_and(|k| k.dim != n || k.kind != policy.linear_solver)
+        {
+            self.kept = None;
+        }
+        if policy.reuse_jacobian {
+            self.x_start.clear();
+            self.x_start.extend_from_slice(x);
+        }
+
         sys.residual(x, &mut self.r);
         stats.residual_evals += 1;
         let mut rnorm = norm2(&self.r);
         let scale = sys.residual_scale();
 
-        let outcome: Result<(), NewtonError> = 'solve: {
-            for iter in 1..=policy.max_iter {
-                // Relative-residual law: check before paying for a
-                // factorisation (shooting's flow already ran).
-                if let Some(tol) = policy.residual_tol {
-                    if rnorm.is_finite() && rnorm / scale < tol {
-                        break 'solve Ok(());
-                    }
-                }
-                if !rnorm.is_finite() {
-                    break 'solve Err(NewtonError::NoConvergence {
-                        iterations: stats.iterations,
-                        residual: rnorm,
-                    });
-                }
-
-                let ispan = obskit::span("newton-iter");
-                ispan.attr("iter", iter);
-                let factor_pre = cache.stats();
-
-                // Factor the Jacobian: sparse backends prefer a
-                // triplet-assembled stamp; dense (or systems without
-                // sparse assembly) stamp the full matrix. The dense
-                // buffer is allocated lazily so the sparse path of a
-                // large system never touches the O(n²) matrix.
-                let use_triplets = !matches!(policy.linear_solver, LinearSolverKind::Dense) && {
-                    self.trip.clear();
-                    sys.jacobian_triplets(x, &mut self.trip)
-                };
-                let factored = if use_triplets {
-                    cache.factor(&NewtonMatrix::Triplets(&self.trip))
-                } else {
-                    let jac = self.jac.get_or_insert_with(|| DMat::zeros(n, n));
-                    sys.jacobian(x, jac);
-                    cache.factor(&NewtonMatrix::Dense(jac))
-                };
-                if let Err(e) = factored {
-                    break 'solve Err(NewtonError::Singular { cause: e.cause });
-                }
-                let factor_reused = cache.stats().symbolic_reuses > factor_pre.symbolic_reuses;
-
-                // dx = -J⁻¹ r.
-                self.dx.copy_from_slice(&self.r);
-                if let Err(e) = cache.solve_in_place(&mut self.dx) {
-                    break 'solve Err(NewtonError::Singular { cause: e.cause });
-                }
-                for v in self.dx.iter_mut() {
-                    *v = -*v;
-                }
-
-                // Damp and apply the step, leaving `r`/`rnorm` evaluated
-                // at the updated iterate.
-                let lambda = match policy.damping {
-                    Damping::Full => {
-                        for (xi, di) in x.iter_mut().zip(self.dx.iter()) {
-                            *xi += di;
+        // Under `reuse_jacobian` the first attempt may solve against kept
+        // factorisations; if it fails after doing so, the solve restarts
+        // from `x_start` as full Newton.
+        let mut full_newton = !policy.reuse_jacobian;
+        let outcome: Result<(), NewtonError> = loop {
+            let attempt: Result<(), NewtonError> = 'solve: {
+                // Update norm of the previous iteration while it used the
+                // current matrix: the base of the contraction rate.
+                let mut prev_update: Option<f64> = None;
+                for iter in 1..=policy.max_iter {
+                    // Relative-residual law: check before paying for a
+                    // factorisation (shooting's flow already ran).
+                    if let Some(tol) = policy.residual_tol {
+                        if rnorm.is_finite() && rnorm / scale < tol {
+                            break 'solve Ok(());
                         }
-                        sys.residual(x, &mut self.r);
-                        stats.residual_evals += 1;
-                        rnorm = norm2(&self.r);
-                        1.0
                     }
-                    Damping::LineSearch { min_lambda } => {
-                        let mut lambda = 1.0_f64;
-                        loop {
-                            for ((ti, &xi), &di) in
-                                self.trial.iter_mut().zip(x.iter()).zip(self.dx.iter())
-                            {
-                                *ti = xi + lambda * di;
+                    if !rnorm.is_finite() {
+                        break 'solve Err(NewtonError::NoConvergence {
+                            iterations: stats.iterations,
+                            residual: rnorm,
+                        });
+                    }
+
+                    let ispan = obskit::span("newton-iter");
+                    ispan.attr("iter", iter);
+
+                    let refresh = full_newton || self.kept.is_none_or(|k| k.needs_refresh());
+                    let factor_mode = if refresh {
+                        let factor_pre = cache.stats();
+                        // Factor the Jacobian: sparse backends prefer a
+                        // triplet-assembled stamp; dense (or systems without
+                        // sparse assembly) stamp the full matrix. The dense
+                        // buffer is allocated lazily so the sparse path of a
+                        // large system never touches the O(n²) matrix.
+                        let use_triplets = !matches!(policy.linear_solver, LinearSolverKind::Dense)
+                            && {
+                                self.trip.clear();
+                                sys.jacobian_triplets(x, &mut self.trip)
+                            };
+                        let factored = if use_triplets {
+                            cache.factor(&NewtonMatrix::Triplets(&self.trip))
+                        } else {
+                            let jac = self.jac.get_or_insert_with(|| DMat::zeros(n, n));
+                            sys.jacobian(x, jac);
+                            cache.factor(&NewtonMatrix::Dense(jac))
+                        };
+                        if let Err(e) = factored {
+                            self.kept = None;
+                            break 'solve Err(NewtonError::Singular { cause: e.cause });
+                        }
+                        self.kept = policy.reuse_jacobian.then_some(KeptMatrix {
+                            dim: n,
+                            kind: policy.linear_solver,
+                            uses: 0,
+                            stale: false,
+                        });
+                        prev_update = None;
+                        if cache.stats().symbolic_reuses > factor_pre.symbolic_reuses {
+                            "reused"
+                        } else {
+                            "fresh"
+                        }
+                    } else {
+                        stats.jacobian_reuses += 1;
+                        "kept"
+                    };
+
+                    // dx = -J⁻¹ r.
+                    self.dx.copy_from_slice(&self.r);
+                    if let Err(e) = cache.solve_in_place(&mut self.dx) {
+                        break 'solve Err(NewtonError::Singular { cause: e.cause });
+                    }
+                    for v in self.dx.iter_mut() {
+                        *v = -*v;
+                    }
+
+                    // Damp and apply the step, leaving `r`/`rnorm` evaluated
+                    // at the updated iterate.
+                    let lambda = match policy.damping {
+                        Damping::Full => {
+                            for (xi, di) in x.iter_mut().zip(self.dx.iter()) {
+                                *xi += di;
                             }
-                            sys.residual(&self.trial, &mut self.r_trial);
+                            sys.residual(x, &mut self.r);
                             stats.residual_evals += 1;
-                            let rt = norm2(&self.r_trial);
-                            if rt.is_finite() && (rt <= rnorm || lambda <= min_lambda) {
-                                if rt > rnorm {
-                                    stats.min_lambda_hits += 1;
+                            rnorm = norm2(&self.r);
+                            1.0
+                        }
+                        Damping::LineSearch { min_lambda } => {
+                            let mut lambda = 1.0_f64;
+                            loop {
+                                for ((ti, &xi), &di) in
+                                    self.trial.iter_mut().zip(x.iter()).zip(self.dx.iter())
+                                {
+                                    *ti = xi + lambda * di;
                                 }
-                                x.copy_from_slice(&self.trial);
-                                self.r.copy_from_slice(&self.r_trial);
-                                rnorm = rt;
-                                break lambda;
-                            }
-                            lambda *= 0.5;
-                            // A residual that never evaluates finite can
-                            // not be line-searched; bail instead of
-                            // halving forever.
-                            if lambda < min_lambda * 1e-18 {
-                                break 'solve Err(NewtonError::NoConvergence {
-                                    iterations: stats.iterations,
-                                    residual: rt,
-                                });
+                                sys.residual(&self.trial, &mut self.r_trial);
+                                stats.residual_evals += 1;
+                                let rt = norm2(&self.r_trial);
+                                if rt.is_finite() && (rt <= rnorm || lambda <= min_lambda) {
+                                    if rt > rnorm {
+                                        stats.min_lambda_hits += 1;
+                                    }
+                                    x.copy_from_slice(&self.trial);
+                                    self.r.copy_from_slice(&self.r_trial);
+                                    rnorm = rt;
+                                    break lambda;
+                                }
+                                lambda *= 0.5;
+                                // A residual that never evaluates finite can
+                                // not be line-searched; bail instead of
+                                // halving forever.
+                                if lambda < min_lambda * 1e-18 {
+                                    break 'solve Err(NewtonError::NoConvergence {
+                                        iterations: stats.iterations,
+                                        residual: rt,
+                                    });
+                                }
                             }
                         }
-                    }
-                    Damping::TrustRegion { min_lambda } => {
-                        let mut lambda = sys.damp_limit(x, &self.dx).min(1.0);
-                        // `partial_cmp` keeps the NaN-rejecting behavior
-                        // of `!(lambda > 0.0)`.
-                        if lambda.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-                            break 'solve Err(NewtonError::NoConvergence {
-                                iterations: stats.iterations,
-                                residual: rnorm,
-                            });
-                        }
-                        loop {
-                            if sys.step_allowed(x, &self.dx, lambda) {
-                                break;
-                            }
-                            lambda *= 0.5;
-                            if lambda < min_lambda {
-                                stats.min_lambda_hits += 1;
+                        Damping::TrustRegion { min_lambda } => {
+                            let mut lambda = sys.damp_limit(x, &self.dx).min(1.0);
+                            // `partial_cmp` keeps the NaN-rejecting behavior
+                            // of `!(lambda > 0.0)`.
+                            if lambda.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
                                 break 'solve Err(NewtonError::NoConvergence {
                                     iterations: stats.iterations,
                                     residual: rnorm,
                                 });
                             }
+                            loop {
+                                if sys.step_allowed(x, &self.dx, lambda) {
+                                    break;
+                                }
+                                lambda *= 0.5;
+                                if lambda < min_lambda {
+                                    stats.min_lambda_hits += 1;
+                                    break 'solve Err(NewtonError::NoConvergence {
+                                        iterations: stats.iterations,
+                                        residual: rnorm,
+                                    });
+                                }
+                            }
+                            for (xi, di) in x.iter_mut().zip(self.dx.iter()) {
+                                *xi += lambda * di;
+                            }
+                            sys.residual(x, &mut self.r);
+                            stats.residual_evals += 1;
+                            rnorm = norm2(&self.r);
+                            lambda
                         }
-                        for (xi, di) in x.iter_mut().zip(self.dx.iter()) {
-                            *xi += lambda * di;
-                        }
-                        sys.residual(x, &mut self.r);
-                        stats.residual_evals += 1;
-                        rnorm = norm2(&self.r);
-                        lambda
+                    };
+                    stats.iterations += 1;
+                    if lambda < 1.0 {
+                        stats.damped_steps += 1;
                     }
-                };
-                stats.iterations = iter;
-                if lambda < 1.0 {
-                    stats.damped_steps += 1;
-                }
-                if obskit::enabled() {
-                    ispan.attr("residual", rnorm);
-                    ispan.attr("lambda", lambda);
-                    obskit::point(
-                        "newton.iter",
-                        &[
-                            ("iter", obskit::AttrValue::U64(iter as u64)),
-                            ("residual", obskit::AttrValue::F64(rnorm)),
-                            ("lambda", obskit::AttrValue::F64(lambda)),
-                            (
-                                "factor",
-                                obskit::AttrValue::Str(if factor_reused {
-                                    "reused"
-                                } else {
-                                    "fresh"
-                                }),
-                            ),
-                        ],
-                    );
-                }
+                    if obskit::enabled() {
+                        ispan.attr("residual", rnorm);
+                        ispan.attr("lambda", lambda);
+                        obskit::point(
+                            "newton.iter",
+                            &[
+                                ("iter", obskit::AttrValue::U64(iter as u64)),
+                                ("residual", obskit::AttrValue::F64(rnorm)),
+                                ("lambda", obskit::AttrValue::F64(lambda)),
+                                ("factor", obskit::AttrValue::Str(factor_mode)),
+                            ],
+                        );
+                    }
 
-                // Step-norm law: converged when the weighted damped
-                // update drops below 1 (and the residual is finite).
-                if policy.residual_tol.is_none() {
-                    for i in 0..n {
-                        self.dx_scaled[i] = lambda * self.dx[i];
-                    }
-                    let update = sys.update_norm(&self.dx_scaled, x, policy.abstol, policy.reltol);
-                    if update <= 1.0 && rnorm.is_finite() {
-                        break 'solve Ok(());
+                    // Step-norm law: converged when the weighted damped
+                    // update drops below 1 (and the residual is finite). The
+                    // same norm measures the contraction on a kept matrix.
+                    let step_norm_law = policy.residual_tol.is_none();
+                    if step_norm_law || policy.reuse_jacobian {
+                        for i in 0..n {
+                            self.dx_scaled[i] = lambda * self.dx[i];
+                        }
+                        let update =
+                            sys.update_norm(&self.dx_scaled, x, policy.abstol, policy.reltol);
+                        // A fresh matrix converges quadratically; on a kept
+                        // one the root is still about ρ/(1−ρ)·update away,
+                        // with ρ measured in this solve.
+                        let close = !policy.reuse_jacobian || {
+                            let kept = self.kept.as_mut().expect("an iteration matrix is kept");
+                            if !refresh {
+                                kept.uses += 1;
+                            }
+                            let rate = prev_update.map(|prev| update / prev);
+                            kept.stale = lambda < 1.0
+                                || rate.is_some_and(|r| r.is_nan() || r > MAX_KEPT_RATE);
+                            prev_update = Some(update);
+                            refresh
+                                || update == 0.0
+                                || rate.is_some_and(|r| r < 1.0 && r / (1.0 - r) * update <= 1.0)
+                        };
+                        if step_norm_law && update <= 1.0 && close && rnorm.is_finite() {
+                            break 'solve Ok(());
+                        }
                     }
                 }
+                Err(NewtonError::NoConvergence {
+                    iterations: policy.max_iter,
+                    residual: rnorm,
+                })
+            };
+            if attempt.is_err() && !full_newton && stats.jacobian_reuses > 0 {
+                full_newton = true;
+                x.copy_from_slice(&self.x_start);
+                sys.residual(x, &mut self.r);
+                stats.residual_evals += 1;
+                rnorm = norm2(&self.r);
+                continue;
             }
-            Err(NewtonError::NoConvergence {
-                iterations: policy.max_iter,
-                residual: rnorm,
-            })
+            break attempt;
         };
 
         stats.residual_norm = rnorm;
@@ -594,6 +726,9 @@ impl NewtonEngine {
             nspan.attr("converged", outcome.is_ok());
             obskit::counter_add("newton.solves", 1);
             obskit::counter_add("newton.iters", stats.iterations as u64);
+            if stats.jacobian_reuses > 0 {
+                obskit::counter_add("newton.jacobian_reuses", stats.jacobian_reuses as u64);
+            }
             if outcome.is_err() {
                 obskit::counter_add("newton.failures", 1);
             }
@@ -1010,6 +1145,82 @@ mod tests {
         let rep = newton_solve(&SparseTwo, &mut x, &policy).unwrap();
         assert_eq!(rep.symbolic_reuses, 0, "{rep:?}");
         assert!(rep.factorisations > 1);
+    }
+
+    #[test]
+    fn failed_kept_attempt_restarts_as_full_newton() {
+        /// r(x) = a·(x − 2): the Jacobian is the constant `a`.
+        struct Lin(f64);
+        impl NewtonSystem for Lin {
+            fn dim(&self) -> usize {
+                1
+            }
+            fn residual(&self, x: &[f64], out: &mut [f64]) {
+                out[0] = self.0 * (x[0] - 2.0);
+            }
+            fn jacobian(&self, _x: &[f64], out: &mut DMat) {
+                out[(0, 0)] = self.0;
+            }
+        }
+        let reuse = NewtonPolicy {
+            reuse_jacobian: true,
+            ..Default::default()
+        };
+        let mut engine = NewtonEngine::new();
+        let mut x = vec![0.0];
+        let rep = engine.solve(&Lin(4.0), &mut x, &reuse).unwrap();
+        assert_eq!((rep.factorisations, rep.jacobian_reuses), (1, 1), "{rep:?}");
+
+        // The kept J = 4 points the wrong way for J = −4: the damped
+        // kept step and the refreshed one spend the two-iteration budget,
+        // so the solve restarts from x = 0 as full Newton and converges.
+        let mut x = vec![0.0];
+        let tight = NewtonPolicy {
+            max_iter: 2,
+            ..reuse
+        };
+        let rep = engine.solve(&Lin(-4.0), &mut x, &tight).unwrap();
+        assert_eq!(x[0], 2.0);
+        assert_eq!(rep.iterations, 4, "{rep:?}");
+        assert_eq!((rep.factorisations, rep.jacobian_reuses), (3, 1), "{rep:?}");
+        let mut x_full = vec![0.0];
+        let full = newton_solve(
+            &Lin(-4.0),
+            &mut x_full,
+            &NewtonPolicy {
+                max_iter: 2,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(x_full, x);
+        assert_eq!(full.iterations, 2);
+    }
+
+    #[test]
+    fn invalidate_forces_a_fresh_factorisation() {
+        let reuse = NewtonPolicy {
+            reuse_jacobian: true,
+            ..Default::default()
+        };
+        let mut engine = NewtonEngine::new();
+        engine.solve(&Quadratic, &mut [3.0], &reuse).unwrap();
+        // The traced `factor` mode of the first iteration from x = 2.1.
+        let first_mode = |engine: &mut NewtonEngine| {
+            use std::sync::Arc;
+            let rec = Arc::new(obskit::CollectingRecorder::new());
+            let _g = obskit::install(rec.clone() as Arc<dyn obskit::Recorder>);
+            let mut x = [2.1];
+            engine.solve(&Quadratic, &mut x, &reuse).unwrap();
+            assert!((x[0] - 2.0).abs() < 1e-9);
+            let first = rec.points().into_iter().find(|p| p.name == "newton.iter");
+            first.and_then(|p| p.attrs.into_iter().find(|(k, _)| *k == "factor"))
+        };
+        let kept = ("factor", obskit::AttrValue::Str("kept"));
+        let fresh = ("factor", obskit::AttrValue::Str("fresh"));
+        assert_eq!(first_mode(&mut engine), Some(kept));
+        engine.invalidate_jacobian();
+        assert_eq!(first_mode(&mut engine), Some(fresh));
     }
 
     #[test]

@@ -35,7 +35,7 @@ impl DenseLu {
     ///
     /// * [`NumError::DimensionMismatch`] if `a` is not square.
     /// * [`NumError::Singular`] if a pivot underflows the singularity
-    ///   threshold (`~1e-300` scaled by the matrix magnitude).
+    ///   threshold (`~1e-300` scaled by the matrix magnitude) or is NaN.
     pub fn factor(a: &DMat) -> Result<Self, NumError> {
         if a.nrows() != a.ncols() {
             return Err(NumError::DimensionMismatch {
@@ -61,7 +61,9 @@ impl DenseLu {
                     p = i;
                 }
             }
-            if pmax <= tiny {
+            // `partial_cmp` so a NaN pivot column fails too (`pmax <= tiny`
+            // is false for NaN): a non-finite matrix must not factor.
+            if pmax.partial_cmp(&tiny) != Some(std::cmp::Ordering::Greater) {
                 return Err(NumError::Singular { pivot: k });
             }
             if p != k {
@@ -212,6 +214,22 @@ mod tests {
     #[test]
     fn detects_singular() {
         let a = DMat::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
+        assert!(matches!(
+            DenseLu::factor(&a),
+            Err(NumError::Singular { .. })
+        ));
+    }
+
+    #[test]
+    fn non_finite_entry_is_singular() {
+        // The NaN sits below the first pivot, so it is eliminated into
+        // the trailing block rather than compared as a pivot candidate.
+        let a = DMat::from_rows(&[&[1.0, 2.0], &[f64::NAN, 4.0]]);
+        assert!(matches!(
+            DenseLu::factor(&a),
+            Err(NumError::Singular { .. })
+        ));
+        let a = DMat::from_rows(&[&[f64::NAN, 2.0], &[1.0, 4.0]]);
         assert!(matches!(
             DenseLu::factor(&a),
             Err(NumError::Singular { .. })

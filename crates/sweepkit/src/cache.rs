@@ -41,7 +41,9 @@ use std::path::{Path, PathBuf};
 // [`job_hash_mode`] (the plain [`job_hash`] key now *means* "computed
 // cold"), and continuation seeding changes the Newton iterate sequence,
 // so fmt3 entries must not satisfy fmt4 lookups in either direction.
-pub const CACHE_SALT: &str = concat!("sweepkit-", env!("CARGO_PKG_VERSION"), "-fmt4");
+// fmt5: the WaMPDE envelope keeps its factored step Jacobian across
+// Newton iterations and t2 steps, which changes `.wampde` results.
+pub const CACHE_SALT: &str = concat!("sweepkit-", env!("CARGO_PKG_VERSION"), "-fmt5");
 
 /// FNV-1a, 128-bit: tiny, dependency-free, and plenty for cache keys
 /// (collision odds are negligible below ~2^60 distinct jobs).

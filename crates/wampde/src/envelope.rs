@@ -21,6 +21,10 @@ use numkit::DMat;
 use std::cell::RefCell;
 use timekit::{History, StepVerdict};
 
+/// Band of `a0h / a0h_at_last_factor` within which a kept step Jacobian
+/// stays valid (DASSL's `[0.6, 1.67]` on its leading coefficient).
+const A0H_BAND: (f64, f64) = (0.6, 1.67);
+
 /// Weighted update norm with *block* scaling: collocation samples are
 /// weighted by the block's maximum magnitude (a per-entry weight would
 /// demand machine-exact solves at zero crossings), the frequency unknown
@@ -166,16 +170,29 @@ pub fn solve_envelope<D: Dae + ?Sized>(
         .resolve(t2_end, opts.integrator.order())
         .map_err(WampdeError::BadInput)?;
 
-    let mut work = Work::new(len, n);
+    // Scratch shared by `eval_g` and every step system of the run.
+    let work = RefCell::new(Work::new(len, n));
+    let jac_work = RefCell::new(JacWork::default());
     let mut q_cur = vec![0.0; len];
     colloc.eval_q_all(dae, &x, &mut q_cur);
     let mut g_prev = vec![0.0; len];
-    eval_g(dae, &colloc, &x, omega, 0.0, &mut work, &mut g_prev);
+    eval_g(
+        dae,
+        &colloc,
+        &x,
+        omega,
+        0.0,
+        &mut work.borrow_mut(),
+        &mut g_prev,
+    );
 
     // One Newton engine for the whole envelope: the bordered step
     // Jacobian keeps its sparsity pattern along t2, so KLU pays
-    // for symbolic analysis once and refactors numerically thereafter.
+    // for symbolic analysis once and refactors numerically thereafter;
+    // with `reuse_jacobian` the factored matrix itself is kept across
+    // steps until `a0h` or θ moves (`factored_at`).
     let mut newton_engine = NewtonEngine::new();
+    let mut factored_at: Option<(f64, f64)> = None;
 
     // Result records.
     let mut t2s = vec![0.0];
@@ -223,23 +240,35 @@ pub fn solve_envelope<D: Dae + ?Sized>(
         //   r = a0h·q(X) + qlin + θ·g(X,ω,t_new) + (1−θ)·g_prev.
         let coeffs = opts.integrator.step_coeffs(h_try, &history, &mut qlin);
 
-        let newton = newton_step(
-            &mut newton_engine,
+        // The iteration matrix is a0h·C + θ·(ω·D·C + G): a kept factor
+        // goes once a0h leaves a DASSL-style band around the value it was
+        // factored at, or the scheme's θ changes.
+        if let Some((a0h_f, theta_f)) = factored_at {
+            let ratio = coeffs.a0h / a0h_f;
+            if coeffs.theta != theta_f || !(A0H_BAND.0..=A0H_BAND.1).contains(&ratio) {
+                newton_engine.invalidate_jacobian();
+            }
+        }
+        let sys = EnvelopeStepSystem {
             dae,
-            &colloc,
-            opts,
-            coeffs.a0h,
-            coeffs.theta,
-            &qlin,
+            colloc: &colloc,
+            a0h: coeffs.a0h,
+            theta: coeffs.theta,
+            qlin: &qlin,
             t_new,
-            &g_prev,
-            phase_row.as_deref(),
-            &mut x_new,
-            &mut omega_new,
-        );
+            g_prev: &g_prev,
+            phase_row: phase_row.as_deref(),
+            frozen_omega: omega,
+            work: &work,
+            jac_work: &jac_work,
+        };
+        let newton = newton_step(&mut newton_engine, &sys, opts, &mut x_new, &mut omega_new);
         let nstats = newton_engine.stats();
         stats.factorisations += nstats.factorisations;
         stats.symbolic_reuses += nstats.symbolic_reuses;
+        if nstats.factorisations > 0 {
+            factored_at = Some((coeffs.a0h, coeffs.theta));
+        }
 
         let newton_ok = newton.is_ok();
         let accept = match newton {
@@ -272,7 +301,15 @@ pub fn solve_envelope<D: Dae + ?Sized>(
             x = x_new;
             omega = omega_new;
             colloc.eval_q_all(dae, &x, &mut q_cur);
-            eval_g(dae, &colloc, &x, omega, t2, &mut work, &mut g_prev);
+            eval_g(
+                dae,
+                &colloc,
+                &x,
+                omega,
+                t2,
+                &mut work.borrow_mut(),
+                &mut g_prev,
+            );
             t2s.push(t2);
             omegas.push(omega);
             phis.push(phi_acc.value());
@@ -329,9 +366,17 @@ struct EnvelopeStepSystem<'a, D: Dae + ?Sized> {
     /// ω when the frequency is frozen (ignored in Free mode, where ω is
     /// the last unknown of `z`).
     frozen_omega: f64,
-    work: RefCell<Work>,
-    /// (cblocks, gblocks, omega_col) Jacobian scratch.
-    jac_work: RefCell<(Vec<DMat>, Vec<DMat>, Vec<f64>)>,
+    work: &'a RefCell<Work>,
+    jac_work: &'a RefCell<JacWork>,
+}
+
+/// Jacobian scratch of the step systems: per-sample C/G blocks and the
+/// θ·D·q frequency column.
+#[derive(Default)]
+struct JacWork {
+    cblocks: Vec<DMat>,
+    gblocks: Vec<DMat>,
+    omega_col: Vec<f64>,
 }
 
 impl<D: Dae + ?Sized> EnvelopeStepSystem<'_, D> {
@@ -346,7 +391,11 @@ impl<D: Dae + ?Sized> EnvelopeStepSystem<'_, D> {
     /// frequency column) at the iterate.
     fn fill_jac_work(&self, z: &[f64]) {
         let n = self.colloc.n;
-        let (cblocks, gblocks, omega_col) = &mut *self.jac_work.borrow_mut();
+        let JacWork {
+            cblocks,
+            gblocks,
+            omega_col,
+        } = &mut *self.jac_work.borrow_mut();
         if cblocks.len() != self.colloc.n0 {
             *cblocks = (0..self.colloc.n0).map(|_| DMat::zeros(n, n)).collect();
             *gblocks = (0..self.colloc.n0).map(|_| DMat::zeros(n, n)).collect();
@@ -398,15 +447,14 @@ impl<D: Dae + ?Sized> NewtonSystem for EnvelopeStepSystem<'_, D> {
     fn jacobian(&self, z: &[f64], out: &mut DMat) {
         self.fill_jac_work(z);
         let jw = self.jac_work.borrow();
-        let (cblocks, gblocks, omega_col) = &*jw;
         colloc_parts(
             self.colloc,
-            cblocks,
-            gblocks,
+            &jw.cblocks,
+            &jw.gblocks,
             self.a0h,
             self.theta,
             self.omega_of(z),
-            self.phase_row.map(|row| (row, omega_col.as_slice())),
+            self.phase_row.map(|row| (row, jw.omega_col.as_slice())),
         )
         .assemble_dense_into(out);
     }
@@ -414,15 +462,14 @@ impl<D: Dae + ?Sized> NewtonSystem for EnvelopeStepSystem<'_, D> {
     fn jacobian_triplets(&self, z: &[f64], out: &mut sparsekit::Triplets) -> bool {
         self.fill_jac_work(z);
         let jw = self.jac_work.borrow();
-        let (cblocks, gblocks, omega_col) = &*jw;
         colloc_parts(
             self.colloc,
-            cblocks,
-            gblocks,
+            &jw.cblocks,
+            &jw.gblocks,
             self.a0h,
             self.theta,
             self.omega_of(z),
-            self.phase_row.map(|row| (row, omega_col.as_slice())),
+            self.phase_row.map(|row| (row, jw.omega_col.as_slice())),
         )
         .push_triplets(out);
         true
@@ -441,37 +488,18 @@ impl<D: Dae + ?Sized> NewtonSystem for EnvelopeStepSystem<'_, D> {
 }
 
 /// Newton iteration for one implicit `t2` step through the shared
-/// engine. Returns the per-solve stats on success.
-#[allow(clippy::too_many_arguments)]
+/// engine, from the predictor `(x, ω)`. Returns the per-solve stats on
+/// success.
 fn newton_step<D: Dae + ?Sized>(
     engine: &mut NewtonEngine,
-    dae: &D,
-    colloc: &Colloc,
+    sys: &EnvelopeStepSystem<'_, D>,
     opts: &WampdeOptions,
-    a0h: f64,
-    theta: f64,
-    qlin: &[f64],
-    t_new: f64,
-    g_prev: &[f64],
-    phase_row: Option<&[f64]>,
     x: &mut [f64],
     omega: &mut f64,
 ) -> Result<NewtonStats, WampdeError> {
-    let len = colloc.len();
-    let free_omega = phase_row.is_some();
-    let sys = EnvelopeStepSystem {
-        dae,
-        colloc,
-        a0h,
-        theta,
-        qlin,
-        t_new,
-        g_prev,
-        phase_row,
-        frozen_omega: *omega,
-        work: RefCell::new(Work::new(len, colloc.n)),
-        jac_work: RefCell::new((Vec::new(), Vec::new(), Vec::new())),
-    };
+    let len = sys.colloc.len();
+    let free_omega = sys.phase_row.is_some();
+    let t_new = sys.t_new;
     let mut z = Vec::with_capacity(len + 1);
     z.extend_from_slice(x);
     if free_omega {
@@ -481,7 +509,7 @@ fn newton_step<D: Dae + ?Sized>(
         linear_solver: opts.linear_solver,
         ..opts.newton
     };
-    let result = engine.solve(&sys, &mut z, &policy);
+    let result = engine.solve(sys, &mut z, &policy);
     x.copy_from_slice(&z[..len]);
     if free_omega {
         *omega = z[len];

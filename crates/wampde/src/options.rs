@@ -61,7 +61,9 @@ pub struct WampdeOptions {
     pub integrator: T2Integrator,
     /// Slow-time step policy.
     pub step: T2StepControl,
-    /// Inner Newton options.
+    /// Inner Newton options. The default turns on
+    /// [`newtonkit::NewtonPolicy::reuse_jacobian`] for the envelope;
+    /// [`crate::solve_quasiperiodic`] always factors every iteration.
     pub newton: NewtonOptions,
     /// Phase-condition variable `k` (an unknown that actually oscillates —
     /// typically the tank voltage).
@@ -82,7 +84,13 @@ impl Default for WampdeOptions {
             // ringing (see the T2Integrator re-export docs).
             integrator: T2Integrator::Bdf2,
             step: T2StepControl::adaptive(1e-4, 1e-9),
-            newton: NewtonOptions::default(),
+            // Modified Newton: the step Jacobian barely moves between
+            // neighbouring t2 steps (the envelope invalidates it when the
+            // step size or scheme changes).
+            newton: NewtonOptions {
+                reuse_jacobian: true,
+                ..NewtonOptions::default()
+            },
             phase_var: 0,
             phase_harmonic: 1,
             omega_mode: OmegaMode::default(),
@@ -110,6 +118,7 @@ mod tests {
         assert!(matches!(o.omega_mode, OmegaMode::Free));
         assert!(matches!(o.linear_solver, LinearSolverKind::Dense));
         assert_eq!(o.integrator, T2Integrator::Bdf2);
+        assert!(o.newton.reuse_jacobian);
         match o.step {
             T2StepControl::Adaptive { rtol, atol, .. } => {
                 assert_eq!(rtol, 1e-4);

@@ -284,8 +284,11 @@ pub fn solve_quasiperiodic<D: Dae + ?Sized>(
         LinearSolverKind::Dense => LinearSolverKind::gmres_circulant_default(),
         explicit => explicit,
     };
+    // One global solve: every iteration factors (reuse is an envelope
+    // setting).
     let policy = NewtonPolicy {
         linear_solver: kind,
+        reuse_jacobian: false,
         ..opts.newton
     };
     let mut engine = NewtonEngine::new();

@@ -86,18 +86,29 @@ fn wampde_envelope_backends_agree_and_reuse_on_ring_vco() {
         linear_solver: LinearSolverKind::Klu,
         ..base
     };
-    let sparse = solve_envelope(&dae, &init, 1.0e-5, &sparse_opts).unwrap();
+    let rec = std::sync::Arc::new(obskit::CollectingRecorder::new());
+    let sparse = {
+        let _g = obskit::install(rec.clone() as std::sync::Arc<dyn obskit::Recorder>);
+        solve_envelope(&dae, &init, 1.0e-5, &sparse_opts).unwrap()
+    };
     assert_eq!(dense.omega_hz.len(), sparse.omega_hz.len());
     for (a, b) in dense.omega_hz.iter().zip(sparse.omega_hz.iter()) {
         assert!((a - b).abs() / a < 1e-9, "{a} vs {b}");
     }
-    // The envelope's bordered Jacobian keeps its pattern along t2, so
-    // the sparse run reuses symbolic analysis across (nearly) every
-    // factorisation; dense has nothing to reuse.
-    assert!(sparse.stats.factorisations > 0);
+    // Every envelope iteration either solves against the kept step
+    // Jacobian or factors one; the bordered Jacobian keeps its pattern
+    // along t2, so at least half of all iterations skip the KLU ordering
+    // and symbolic analysis (kept matrix or numeric-only refactor).
+    // Dense has no symbolic phase to reuse.
+    let kept = rec.counter("newton.jacobian_reuses") as usize;
+    assert!(sparse.stats.factorisations > 0 && kept > 0);
+    assert_eq!(
+        kept + sparse.stats.factorisations,
+        sparse.stats.newton_iters
+    );
     assert!(
-        sparse.stats.symbolic_reuses >= sparse.stats.factorisations / 2,
-        "expected widespread reuse: {:?}",
+        kept + sparse.stats.symbolic_reuses >= sparse.stats.newton_iters / 2,
+        "expected widespread reuse: {kept} kept, {:?}",
         sparse.stats
     );
     assert_eq!(dense.stats.symbolic_reuses, 0);
