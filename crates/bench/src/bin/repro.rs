@@ -986,6 +986,9 @@ fn table_obs() {
 /// is timed at 1 vs 4 threads; the resulting `parallel_speedup` (>= 2x)
 /// and `circulant_setup_speedup` (>= 1.5x) are asserted when the
 /// machine has at least 4 hardware threads, and emitted either way.
+/// A separate key (`mems_envelope_dense`) records the dense factor and solve
+/// times of the air-damped MEMS VCO's dim-77 envelope step matrix, with
+/// the elimination kernel the CPU ran and the core count.
 fn table_linsolve() {
     println!("=== table `linsolve`: backend scaling on ring_loaded_vco ===");
     let solvers = [
@@ -1097,6 +1100,48 @@ fn table_linsolve() {
         }
     }
 
+    // The envelope's own iteration matrix: the air-damped MEMS VCO's
+    // dim-77 step Jacobian at its orbit, factored in place by the dense
+    // kernel (the path every envelope Newton refresh takes) and solved.
+    // Recorded, not asserted.
+    let mems = StepJacobian::mems_air(9);
+    let a = mems.parts().assemble_dense();
+    let rhs = mems.rhs();
+    let mut cache = wampde::linsolve::FactorCache::new(wampde::LinearSolverKind::Dense);
+    let matrix = wampde::linsolve::NewtonMatrix::Dense(&a);
+    let best_us = |op: &mut dyn FnMut()| {
+        const REPS: u32 = 1000;
+        let mut best = f64::INFINITY;
+        for _ in 0..5 {
+            let t0 = std::time::Instant::now();
+            for _ in 0..REPS {
+                op();
+            }
+            best = best.min(t0.elapsed().as_secs_f64() * 1e6 / f64::from(REPS));
+        }
+        best
+    };
+    let factor_us = best_us(&mut || cache.factor(&matrix).expect("mems step matrix factors"));
+    let mut x = rhs.clone();
+    let solve_us = best_us(&mut || {
+        x.copy_from_slice(&rhs);
+        cache
+            .solve_in_place(std::hint::black_box(&mut x))
+            .expect("mems step matrix solves");
+    });
+    let kernel = numkit::DenseLu::kernel();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!(
+        "  --- MEMS envelope matrix (dim {}), dense: factor {factor_us:.2} us, \
+         solve {solve_us:.2} us, kernel {kernel}, {cores} cores ---",
+        a.nrows()
+    );
+    let mems_row = format!(
+        "{{\"dim\": {}, \"factor_us\": {factor_us:.3}, \"solve_us\": {solve_us:.3}, \
+         \"kernel\": \"{kernel}\", \"cores\": {cores}}}",
+        a.nrows()
+    );
+
     // GMRES iteration counts on the quasiperiodic cyclic system: the
     // block-circulant preconditioner must hold iterations flat as the
     // slice count n1 grows, where structure-blind ILU(0) degrades.
@@ -1157,7 +1202,6 @@ fn table_linsolve() {
     // The wall-clock targets only hold where 4 hardware threads exist;
     // on smaller machines the parallel rungs time-slice one core and the
     // ratios hover near 1.0, so the numbers are emitted but not enforced.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let speedup = parallel_speedup.expect("1000-stage rung always runs");
     let assertions = if cores >= 4 {
         assert!(
@@ -1185,7 +1229,8 @@ fn table_linsolve() {
          preconditioner ablation\",\n  \"cores\": {cores},\n  \
          \"parallel_speedup\": {speedup:.4},\n  \
          \"circulant_setup_speedup\": {circulant_setup_speedup:.4},\n  \
-         \"speedup_assertions\": \"{assertions}\",\n  \"results\": [\n{}\n  ]\n}}\n",
+         \"speedup_assertions\": \"{assertions}\",\n  \
+         \"mems_envelope_dense\": {mems_row},\n  \"results\": [\n{}\n  ]\n}}\n",
         records.join(",\n")
     );
     let p = write_text_in(&repro_dir(), "BENCH_linsolve.json", &json).expect("write json");

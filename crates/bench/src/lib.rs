@@ -183,19 +183,47 @@ impl StepJacobian {
         let dae = circuits::ring_loaded_vco(stages);
         let n = dae.dim();
         let colloc = hb::Colloc::new(n, harmonics);
-        let len = colloc.len();
         // Tank swings ±2 V; load nodes follow at decaying amplitude.
-        let x: Vec<f64> = (0..len)
+        let x: Vec<f64> = (0..colloc.len())
             .map(|k| {
                 let (s, i) = (k / n, k % n);
                 let phase = 2.0 * std::f64::consts::PI * s as f64 / colloc.n0 as f64;
                 2.0 * (phase + 0.3 * i as f64).sin() / (1.0 + 0.2 * i as f64)
             })
             .collect();
-        let (cblocks, gblocks) = circuitdae::jac_blocks(&dae, &x);
+        Self::at_state(&dae, colloc, &x, 1.0 / 2.0e-6, 0.75e6)
+    }
+
+    /// The air-damped MEMS VCO's step Jacobian at its unforced orbit —
+    /// the iteration matrix of the paper's Figures 10–12 envelope
+    /// (dimension 77 at 9 harmonics). The orbit is resampled and
+    /// phase-aligned exactly as [`solve_envelope`] starts, and the BDF2
+    /// coefficient `a0/h = 1.5/h` uses a typical accepted step of the
+    /// 3 ms run, `h = 8 µs` (about 370 steps).
+    ///
+    /// # Panics
+    ///
+    /// Panics when shooting fails (it never does for the calibrated preset).
+    pub fn mems_air(harmonics: usize) -> Self {
+        let dae = circuits::mems_vco(MemsVcoConfig::paper_air());
+        let opts = WampdeOptions {
+            harmonics,
+            ..Default::default()
+        };
+        let init = WampdeInit::from_orbit(&unforced_orbit(), &opts);
+        let colloc = hb::Colloc::new(dae.dim(), harmonics);
+        Self::at_state(&dae, colloc, &init.stacked(), 1.5 / 8e-6, init.freq_hz)
+    }
+
+    /// The backward-difference (`θ = 1`) step Jacobian of `dae` at the
+    /// stacked collocation state `x`, bordered by the default phase
+    /// condition (variable 0, harmonic 1).
+    fn at_state(dae: &impl Dae, colloc: hb::Colloc, x: &[f64], inv_h: f64, omega: f64) -> Self {
+        let len = colloc.len();
+        let (cblocks, gblocks) = circuitdae::jac_blocks(dae, x);
         // ∂r/∂ω column = θ·(D·q): evaluate q and differentiate.
         let mut q = vec![0.0; len];
-        colloc.eval_q_all(&dae, &x, &mut q);
+        colloc.eval_q_all(dae, x, &mut q);
         let mut omega_col = vec![0.0; len];
         colloc.apply_diff(&q, &mut omega_col);
         StepJacobian {
@@ -204,8 +232,8 @@ impl StepJacobian {
             cblocks,
             gblocks,
             omega_col,
-            inv_h: 1.0 / 2.0e-6,
-            omega: 0.75e6,
+            inv_h,
+            omega,
         }
     }
 

@@ -264,43 +264,49 @@ impl JacobianParts<'_> {
     /// first) — the allocation-free path for Newton engines that stamp
     /// the same system every iteration.
     ///
+    /// Streams the buffer row by row. Each entry still sees the same
+    /// operations in the same order as a block-by-block assembly: the
+    /// zero fill, `+=` the diagonal `inv_h·C + θ·G`, `+=` the
+    /// `θω·D[s,s']·C` cross term (skipped where that coefficient is
+    /// zero), and the border written last.
+    ///
     /// # Panics
     ///
     /// Panics when `jac` has the wrong shape.
     pub fn assemble_dense_into(&self, jac: &mut DMat) {
-        assert_eq!(jac.nrows(), self.dim(), "assemble_dense_into: shape");
-        assert_eq!(jac.ncols(), self.dim(), "assemble_dense_into: shape");
-        jac.fill_zero();
-        let len = self.len();
-        let n = self.n;
-        for s in 0..self.n0 {
-            let g = &self.gblocks[s];
-            let c = &self.cblocks[s];
-            for i in 0..n {
-                for j in 0..n {
-                    jac[(self.idx(s, i), self.idx(s, j))] +=
-                        self.inv_h * c[(i, j)] + self.theta * g[(i, j)];
+        let dim = self.dim();
+        assert_eq!(jac.nrows(), dim, "assemble_dense_into: shape");
+        assert_eq!(jac.ncols(), dim, "assemble_dense_into: shape");
+        let (len, n) = (self.len(), self.n);
+        let theta_omega = self.theta * self.omega;
+        for (r, row) in jac.as_mut_slice().chunks_exact_mut(dim).enumerate() {
+            // `+=` onto the zero fill rather than `=`: a `-0.0` term
+            // must land as `+0.0`.
+            row.fill(0.0);
+            if r == len {
+                if let Some((phase_row, _)) = self.border {
+                    row[..len].copy_from_slice(&phase_row[..len]);
                 }
+                continue;
             }
-        }
-        for s in 0..self.n0 {
-            for sp in 0..self.n0 {
-                let d = self.theta * self.omega * self.dmat[(s, sp)];
-                if d == 0.0 {
-                    continue;
+            let (s, i) = (r / n, r % n);
+            let drow = self.dmat.row(s);
+            for (sp, block) in row[..len].chunks_exact_mut(n).enumerate() {
+                if sp == s {
+                    let (c, g) = (self.cblocks[s].row(i), self.gblocks[s].row(i));
+                    for ((slot, cv), gv) in block.iter_mut().zip(c).zip(g) {
+                        *slot += self.inv_h * cv + self.theta * gv;
+                    }
                 }
-                let c = &self.cblocks[sp];
-                for i in 0..n {
-                    for j in 0..n {
-                        jac[(self.idx(s, i), self.idx(sp, j))] += d * c[(i, j)];
+                let d = theta_omega * drow[sp];
+                if d != 0.0 {
+                    for (slot, cv) in block.iter_mut().zip(self.cblocks[sp].row(i)) {
+                        *slot += d * cv;
                     }
                 }
             }
-        }
-        if let Some((row, col)) = self.border {
-            for k in 0..len {
-                jac[(len, k)] = row[k];
-                jac[(k, len)] = col[k];
+            if let Some((_, omega_col)) = self.border {
+                row[len] = omega_col[r];
             }
         }
     }
@@ -852,9 +858,14 @@ pub struct FactorStats {
 /// stale-pivot failure) transparently falls back to a fresh factorisation
 /// and is counted in [`FactorStats::pattern_rebuilds`].
 ///
-/// Dense LU and GMRES+ILU(0) have no symbolic phase worth caching; they
-/// factor fresh each call (still counted in
-/// [`FactorStats::factorisations`]).
+/// Dense LU refactors the cached factors' storage in place
+/// ([`DenseLu::refactor`]); GMRES+ILU(0) has no symbolic phase worth
+/// caching and factors fresh each call. Both count as fresh
+/// factorisations in [`FactorStats::factorisations`].
+///
+/// A failed factorisation clears the cache: [`FactorCache::solve_in_place`]
+/// then reports that nothing is factored rather than solving against
+/// stale or half-overwritten factors.
 #[derive(Debug)]
 pub struct FactorCache {
     kind: LinearSolverKind,
@@ -933,9 +944,29 @@ impl FactorCache {
     pub fn factor(&mut self, matrix: &NewtonMatrix<'_>) -> Result<(), LinSolveError> {
         let sp = obskit::span("factor");
         self.stats.factorisations += 1;
+        let result = self.factor_into_cache(matrix, &sp);
+        if result.is_err() {
+            // A failed (re)factorisation may have overwritten the cached
+            // factors in place: never solve against them.
+            self.factored = None;
+        }
+        result
+    }
+
+    /// The body of [`FactorCache::factor`].
+    fn factor_into_cache(
+        &mut self,
+        matrix: &NewtonMatrix<'_>,
+        sp: &obskit::Span,
+    ) -> Result<(), LinSolveError> {
         let factored = match self.kind {
             LinearSolverKind::Dense => {
-                Factored::Dense(DenseLu::factor(&matrix.to_dense()).map_err(LinSolveError::new)?)
+                let a = matrix.to_dense();
+                let lu = match self.factored.take() {
+                    Some(Factored::Dense(mut lu)) => lu.refactor(&a).map(|()| lu),
+                    _ => DenseLu::factor(&a),
+                };
+                Factored::Dense(lu.map_err(LinSolveError::new)?)
             }
             LinearSolverKind::Klu => {
                 let csc = matrix.to_triplets().to_csc();
@@ -1285,6 +1316,31 @@ mod tests {
             .unwrap_err();
         assert!(!err.cause.is_empty());
         assert!(err.to_string().contains("linear solve failed"));
+    }
+
+    /// A good matrix, then a singular one with the same pattern (so KLU
+    /// tries an in-place numeric refactor first): the failed factor must
+    /// not leave the old or half-overwritten factors behind.
+    #[test]
+    fn failed_factor_clears_the_cached_factors() {
+        let good = DMat::from_rows(&[&[4.0, 1.0], &[2.0, 3.0]]);
+        let singular = DMat::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
+        for kind in [LinearSolverKind::Dense, LinearSolverKind::Klu] {
+            let mut cache = FactorCache::new(kind);
+            cache.factor(&NewtonMatrix::Dense(&good)).unwrap();
+            let mut x = [1.0, 2.0];
+            cache.solve_in_place(&mut x).unwrap();
+            assert!(cache.factor(&NewtonMatrix::Dense(&singular)).is_err());
+            let err = cache.solve_in_place(&mut [1.0, 2.0]).unwrap_err();
+            assert!(
+                err.cause.contains("no factorisation cached"),
+                "{kind:?}: {err}"
+            );
+            cache.factor(&NewtonMatrix::Dense(&good)).unwrap();
+            let mut y = [1.0, 2.0];
+            cache.solve_in_place(&mut y).unwrap();
+            assert_eq!(y, x, "{kind:?}: recovers after the failure");
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::ops::{Index, IndexMut};
 /// let y = a.matvec(&[3.0, 4.0]);
 /// assert_eq!(y, vec![3.0, 8.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct DMat {
     nrows: usize,
     ncols: usize,
@@ -224,9 +224,24 @@ impl DMat {
         self.data.iter_mut().for_each(|v| *v *= alpha);
     }
 
-    /// Maximum absolute element (∞-norm of the flattened data).
+    /// Maximum absolute element (∞-norm of the flattened data); NaN
+    /// entries are ignored.
     pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
+        // Four independent running maxima let the compiler vectorise. The
+        // maximum of non-negative values is exact and ignores NaN however
+        // it is grouped, so this equals the one-at-a-time fold bit for bit.
+        let mut lanes = [0.0_f64; 4];
+        let mut chunks = self.data.chunks_exact(4);
+        for chunk in &mut chunks {
+            for (m, v) in lanes.iter_mut().zip(chunk) {
+                let v = v.abs();
+                if v > *m {
+                    *m = v;
+                }
+            }
+        }
+        let m = lanes[0].max(lanes[1]).max(lanes[2].max(lanes[3]));
+        chunks.remainder().iter().fold(m, |m, v| m.max(v.abs()))
     }
 
     /// Induced ∞-norm (maximum absolute row sum).
@@ -239,6 +254,23 @@ impl DMat {
     /// Frobenius norm.
     pub fn norm_fro(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
+    }
+}
+
+impl Clone for DMat {
+    fn clone(&self) -> Self {
+        DMat {
+            nrows: self.nrows,
+            ncols: self.ncols,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Reuses `self`'s allocation when it is large enough.
+    fn clone_from(&mut self, source: &Self) {
+        self.nrows = source.nrows;
+        self.ncols = source.ncols;
+        self.data.clone_from(&source.data);
     }
 }
 
@@ -349,6 +381,27 @@ mod tests {
         assert_eq!(m.max_abs(), 4.0);
         assert_eq!(m.norm_inf(), 7.0);
         assert!((m.norm_fro() - (27.0f64).sqrt()).abs() < 1e-14);
+    }
+
+    #[test]
+    fn max_abs_equals_the_sequential_fold() {
+        let vals = [
+            0.5,
+            -3.0,
+            f64::NAN,
+            -0.0,
+            2.0,
+            7.5,
+            f64::NAN,
+            -7.5,
+            1.0,
+            -8.0,
+        ];
+        for len in 0..=vals.len() {
+            let m = DMat::from_fn(1, len, |_, j| vals[j]);
+            let fold = vals[..len].iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+            assert_eq!(m.max_abs().to_bits(), fold.to_bits(), "len {len}");
+        }
     }
 
     #[test]
