@@ -53,7 +53,9 @@ pub enum ShootingError {
         /// Final residual norm.
         residual: f64,
     },
-    /// Could not detect an oscillation to initialise from.
+    /// No oscillation: the warm-up transient never crossed its mean, or
+    /// the orbit Newton converged onto a stable equilibrium (a
+    /// phase-variable swing at the level of the Newton tolerance).
     NoOscillation,
     /// Invalid configuration.
     BadInput(String),
@@ -71,7 +73,10 @@ impl fmt::Display for ShootingError {
                 "shooting newton did not converge after {iterations} iterations (residual {residual:.3e})"
             ),
             ShootingError::NoOscillation => {
-                write!(f, "no oscillation detected during warm-up transient")
+                write!(
+                    f,
+                    "no oscillation: the warm-up never oscillated or the orbit collapsed onto the equilibrium"
+                )
             }
             ShootingError::BadInput(msg) => write!(f, "bad input: {msg}"),
         }
@@ -108,10 +113,16 @@ pub struct ShootingOptions {
     /// Index of the variable used for the phase anchor and for period
     /// detection (typically the oscillating node voltage).
     pub phase_var: usize,
-    /// Number of warm-up periods simulated before period detection in
-    /// [`oscillator_steady_state`].
+    /// Length, in detected periods, of the settle transient in
+    /// [`oscillator_steady_state`]'s tight *fallback* attempt, which runs
+    /// only when the first, loose attempt (a settle of a few periods)
+    /// fails. Both attempts' warm-ups also scale with it: each warm-up
+    /// window spans `warmup_periods / 10` estimates of the oscillation
+    /// horizon.
     pub warmup_periods: f64,
-    /// Relative kick applied to the DC solution to start the oscillation.
+    /// Relative kick applied to the phase variable of the DC solution to
+    /// start the oscillation in [`oscillator_steady_state`] (both the
+    /// loose attempt and the fallback; at least 1e-3).
     pub kick: f64,
     /// Linear-solver backend for the flow-step Newton solves, the
     /// monodromy propagation, and the bordered boundary system.
@@ -460,6 +471,10 @@ impl<D: Dae + ?Sized> NewtonSystem for CycleSystem<'_, D> {
     }
 }
 
+/// A converged orbit whose phase-variable swing is at most this many
+/// Newton tolerances (relative to the state scale) is the equilibrium.
+const COLLAPSE_FACTOR: f64 = 100.0;
+
 /// Solves for a periodic orbit from an initial guess `(x0, period)`.
 ///
 /// The iteration runs on the shared `newtonkit` engine with trust-region
@@ -472,12 +487,33 @@ impl<D: Dae + ?Sized> NewtonSystem for CycleSystem<'_, D> {
 /// # Errors
 ///
 /// See [`ShootingError`]. In particular the Newton iteration fails cleanly
-/// when the guess is not in the basin of a periodic orbit.
+/// when the guess is not in the basin of a periodic orbit, and a solve
+/// that converges onto an equilibrium (phase-variable swing within 100
+/// Newton tolerances of the state scale) reports
+/// [`ShootingError::NoOscillation`].
 pub fn find_periodic_orbit<D: Dae + ?Sized>(
     dae: &D,
     x0_guess: &[f64],
     period_guess: f64,
     opts: &ShootingOptions,
+) -> Result<PeriodicOrbit, ShootingError> {
+    metered_orbit(
+        dae,
+        x0_guess,
+        period_guess,
+        opts,
+        &mut obskit::RunStats::default(),
+    )
+}
+
+/// [`find_periodic_orbit`] adding its outer iterations (flow
+/// evaluations) to `stats.newton_iters`, also when it fails.
+fn metered_orbit<D: Dae + ?Sized>(
+    dae: &D,
+    x0_guess: &[f64],
+    period_guess: f64,
+    opts: &ShootingOptions,
+    stats: &mut obskit::RunStats,
 ) -> Result<PeriodicOrbit, ShootingError> {
     let _sp = obskit::span_with("shooting", &[("phase", obskit::AttrValue::Str("orbit"))]);
     let n = dae.dim();
@@ -521,12 +557,29 @@ pub fn find_periodic_orbit<D: Dae + ?Sized>(
         ..Default::default()
     };
     let mut engine = NewtonEngine::new();
-    match engine.solve(&sys, &mut z, &policy) {
-        Ok(stats) => {
+    let solved = engine.solve(&sys, &mut z, &policy);
+    // Historical meaning: flow evaluations until convergence (= Newton
+    // steps + the converged evaluation).
+    let iterations = engine.stats().residual_evals;
+    stats.newton_iters += iterations;
+    match solved {
+        Ok(_) => {
             let memo = sys
                 .flow
                 .into_inner()
                 .expect("converged solve memoises its final flow");
+            // A phase-variable swing at the level of the Newton tolerance
+            // is the equilibrium, not an orbit: the boundary residual
+            // vanishes there for any period.
+            let (lo, hi) = memo
+                .samples
+                .iter()
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), x| {
+                    (lo.min(x[sys.k]), hi.max(x[sys.k]))
+                });
+            if hi - lo <= COLLAPSE_FACTOR * opts.tol * sys.scale {
+                return Err(ShootingError::NoOscillation);
+            }
             let period = z[n];
             z.truncate(n);
             Ok(PeriodicOrbit {
@@ -534,9 +587,7 @@ pub fn find_periodic_orbit<D: Dae + ?Sized>(
                 period,
                 samples: memo.samples,
                 monodromy: memo.monodromy,
-                // Historical meaning: flow evaluations until convergence
-                // (= Newton steps + the converged evaluation).
-                iterations: stats.residual_evals,
+                iterations,
             })
         }
         Err(engine_err) => {
@@ -587,49 +638,121 @@ pub fn estimate_period_from_transient(res: &TransientResult, var: usize) -> Opti
     Some((period, *crossings.last().expect("nonempty")))
 }
 
+/// Transient accuracy of one cold-start attempt: the kicked warm-up and
+/// the settle run adaptive trapezoidal steps at `rtol`, and the settle
+/// lasts `settle_periods` detected periods (`None`: the caller's
+/// [`ShootingOptions::warmup_periods`]).
+#[derive(Debug, Clone, Copy)]
+struct ColdStart {
+    rtol: f64,
+    settle_periods: Option<f64>,
+}
+
+/// The first attempt. The transients only have to land the orbit
+/// Newton in its basin; the orbit's accuracy comes from that Newton
+/// (`tol`, fixed `steps_per_period`), so a loose warm-up and a settle of
+/// a few periods suffice.
+const LOOSE_START: ColdStart = ColdStart {
+    rtol: 1e-3,
+    settle_periods: Some(4.0),
+};
+
+/// The fallback when the loose attempt fails for any reason: an
+/// accurate warm-up and a settle of `warmup_periods` periods.
+const TIGHT_START: ColdStart = ColdStart {
+    rtol: 1e-6,
+    settle_periods: None,
+};
+
 /// Full pipeline for an autonomous oscillator: DC operating point →
-/// kicked warm-up transient → period detection → shooting.
+/// kicked warm-up transient → period detection → settle → shooting.
+///
+/// The warm-up and settle first run loosely (rtol 1e-3, a settle of a
+/// few periods); only if that attempt fails — no oscillation detected, a
+/// transient error, orbit Newton non-convergence, or an orbit collapsed
+/// onto the equilibrium — does the pipeline run once more with accurate
+/// transients and a settle of [`ShootingOptions::warmup_periods`]
+/// periods, counting `shooting.cold_fallbacks`. The fallback changes
+/// cost, never which orbits can be reached.
 ///
 /// # Errors
 ///
-/// [`ShootingError::NoOscillation`] when the warm-up never oscillates;
-/// otherwise the shooting errors.
+/// [`ShootingError::NoOscillation`] when the circuit does not oscillate
+/// (the warm-up never crosses its mean, or the orbit collapses onto a
+/// stable equilibrium); otherwise the shooting errors of the fallback.
 pub fn oscillator_steady_state<D: Dae + ?Sized>(
     dae: &D,
     opts: &ShootingOptions,
 ) -> Result<PeriodicOrbit, ShootingError> {
-    oscillator_steady_state_with_stats(dae, opts).map(|(orbit, _)| orbit)
+    oscillator_steady_state_with_stats(dae, opts, None).map(|(orbit, _)| orbit)
 }
 
-/// [`oscillator_steady_state`] additionally reporting the work done by
-/// the warm-up/settle transients plus the orbit Newton as one
-/// [`obskit::RunStats`] — the cost a continuation warm start avoids, so
-/// batched sweeps can meter what they saved.
+/// [`oscillator_steady_state`] with an optional continuation warm start,
+/// additionally reporting the work done as one [`obskit::RunStats`]:
+/// every warm-up/settle transient plus every orbit Newton's outer
+/// iterations, failed attempts included — the cost a point actually
+/// paid, so batched sweeps can meter what a warm start saved.
+///
+/// When `warm` holds a neighbouring grid point's converged orbit,
+/// shooting starts directly from it, skipping the DC solve, the
+/// transients and period detection. A warm solve that fails (the
+/// neighbour was too far away, or the orbit collapsed) falls back to the
+/// cold pipeline, so warm starting changes cost, never reachability.
 ///
 /// # Errors
 ///
-/// As [`oscillator_steady_state`].
+/// [`ShootingError::BadInput`] when `phase_var` is out of range,
+/// otherwise as [`oscillator_steady_state`].
 pub fn oscillator_steady_state_with_stats<D: Dae + ?Sized>(
     dae: &D,
     opts: &ShootingOptions,
+    warm: Option<&ShootingWarmStart>,
 ) -> Result<(PeriodicOrbit, obskit::RunStats), ShootingError> {
+    if opts.phase_var >= dae.dim() {
+        return Err(ShootingError::BadInput(format!(
+            "phase_var {} out of range (dim = {})",
+            opts.phase_var,
+            dae.dim()
+        )));
+    }
+    let mut stats = obskit::RunStats::default();
+    if let Some(seed) = warm.filter(|seed| seed.x0.len() == dae.dim() && seed.period > 0.0) {
+        if let Ok(orbit) = metered_orbit(dae, &seed.x0, seed.period, opts, &mut stats) {
+            return Ok((orbit, stats));
+        }
+    }
     let _sp = obskit::span_with(
         "shooting",
         &[("phase", obskit::AttrValue::Str("steady-state"))],
     );
-    let mut pipeline = obskit::RunStats::default();
     let dc = transim::dc_operating_point(dae, &NewtonOptions::default())?;
+    let orbit = cold_start(dae, opts, &dc, LOOSE_START, &mut stats).or_else(|_| {
+        obskit::counter_add("shooting.cold_fallbacks", 1);
+        cold_start(dae, opts, &dc, TIGHT_START, &mut stats)
+    })?;
+    Ok((orbit, stats))
+}
 
+/// One cold-start attempt from the DC point `dc`: kick, warm up until an
+/// oscillation period is detected, settle at `start`'s accuracy, then
+/// run the orbit Newton. Accumulates the work done into `stats`, also
+/// when the attempt fails.
+fn cold_start<D: Dae + ?Sized>(
+    dae: &D,
+    opts: &ShootingOptions,
+    dc: &[f64],
+    start: ColdStart,
+    stats: &mut obskit::RunStats,
+) -> Result<PeriodicOrbit, ShootingError> {
     // Kick the phase variable off the (typically unstable) equilibrium.
-    let mut x = dc.clone();
+    let mut x = dc.to_vec();
     let kick = opts.kick.abs().max(1e-3);
     x[opts.phase_var] += kick * (1.0 + x[opts.phase_var].abs());
 
-    // Rough period guess for the warm-up horizon: use the linearised
-    // dynamics? Simpler and robust: simulate an adaptive transient over a
-    // generous horizon and look for crossings, doubling until found.
+    // Warm-up horizon from the state derivative magnitude, then an
+    // adaptive transient over it, growing the horizon until the phase
+    // variable crosses its mean often enough to estimate a period.
     let mut horizon_guess = 1.0_f64;
-    // Start from a horizon estimated via the state derivative magnitude.
     if let Ok(xdot) = state_derivative(dae, &x) {
         let rate = norm2(&xdot) / norm2(&x).max(1e-12);
         if rate.is_finite() && rate > 0.0 {
@@ -641,7 +764,7 @@ pub fn oscillator_steady_state_with_stats<D: Dae + ?Sized>(
         let opts_tr = TransientOptions {
             integrator: Integrator::Trapezoidal,
             step: StepControl::Adaptive {
-                rtol: 1e-6,
+                rtol: start.rtol,
                 atol: 1e-12,
                 dt_init: horizon_guess / 2000.0,
                 dt_min: 0.0,
@@ -659,25 +782,18 @@ pub fn oscillator_steady_state_with_stats<D: Dae + ?Sized>(
             horizon_guess * opts.warmup_periods / 10.0,
             &opts_tr,
         )?;
-        pipeline.merge(&warm.stats);
+        stats.merge(&warm.stats);
         if let Some((period, _t_cross)) = estimate_period_from_transient(&warm, opts.phase_var) {
             // Settle onto the limit cycle, then pick the state at the last
             // *peak* of the phase variable: there q̇_k ≈ 0 already, so the
             // Newton iteration starts essentially on its phase anchor and
             // converges locally instead of wandering around the cycle.
-            let settle = run_transient(
-                dae,
-                warm.last(),
-                0.0,
-                period * opts.warmup_periods,
-                &opts_tr,
-            )?;
-            pipeline.merge(&settle.stats);
+            let settle_periods = start.settle_periods.unwrap_or(opts.warmup_periods);
+            let settle = run_transient(dae, warm.last(), 0.0, period * settle_periods, &opts_tr)?;
+            stats.merge(&settle.stats);
             let x0_guess = state_at_last_peak(&settle, opts.phase_var)
                 .unwrap_or_else(|| settle.last().to_vec());
-            let orbit = find_periodic_orbit(dae, &x0_guess, period, opts)?;
-            pipeline.newton_iters += orbit.iterations;
-            return Ok((orbit, pipeline));
+            return metered_orbit(dae, &x0_guess, period, opts, stats);
         }
         horizon_guess *= 8.0;
     }
@@ -719,52 +835,30 @@ pub fn run_shooting_spec<D: Dae + ?Sized>(
     run_shooting_spec_warm(dae, spec, None).map(|(orbit, _)| orbit)
 }
 
-/// [`run_shooting_spec`] with a continuation warm start: when `warm`
-/// holds a neighbouring grid point's converged orbit, shooting starts
-/// directly from it — skipping the DC solve, kicked warm-up transients,
-/// period detection and settle phase entirely. A warm solve that fails
-/// (the neighbour was too far away) transparently falls back to the
-/// full cold pipeline, so warm starting changes cost, never
-/// reachability.
+/// [`run_shooting_spec`] with a continuation warm start, through
+/// [`oscillator_steady_state_with_stats`]: when `warm` holds a
+/// neighbouring grid point's converged orbit, shooting starts directly
+/// from it, and a warm solve that fails falls back to the cold pipeline.
 ///
-/// Also returns the [`obskit::RunStats`] of the whole pipeline (cold
-/// path) or of just the orbit Newton (warm path): the per-point cost a
-/// sweep actually paid.
+/// Also returns the [`obskit::RunStats`] of everything the point ran —
+/// the cold pipeline, the warm orbit Newton, or both when the warm start
+/// failed: the per-point cost a sweep actually paid.
 ///
 /// # Errors
 ///
-/// [`ShootingError::BadInput`] when `phase_var` is out of range,
-/// otherwise see [`oscillator_steady_state`].
+/// As [`oscillator_steady_state_with_stats`].
 pub fn run_shooting_spec_warm<D: Dae + ?Sized>(
     dae: &D,
     spec: &circuitdae::ShootingSpec,
     warm: Option<&ShootingWarmStart>,
 ) -> Result<(PeriodicOrbit, obskit::RunStats), ShootingError> {
-    if spec.phase_var >= dae.dim() {
-        return Err(ShootingError::BadInput(format!(
-            "phase_var {} out of range (dim = {})",
-            spec.phase_var,
-            dae.dim()
-        )));
-    }
     let opts = ShootingOptions {
         steps_per_period: spec.steps_per_period,
         phase_var: spec.phase_var,
         linear_solver: spec.solver,
         ..Default::default()
     };
-    if let Some(seed) = warm {
-        if seed.x0.len() == dae.dim() && seed.period > 0.0 {
-            if let Ok(orbit) = find_periodic_orbit(dae, &seed.x0, seed.period, &opts) {
-                let stats = obskit::RunStats {
-                    newton_iters: orbit.iterations,
-                    ..Default::default()
-                };
-                return Ok((orbit, stats));
-            }
-        }
-    }
-    oscillator_steady_state_with_stats(dae, &opts)
+    oscillator_steady_state_with_stats(dae, &opts, warm)
 }
 
 /// State at the last interior local maximum of variable `var`.
@@ -901,6 +995,93 @@ mod tests {
     }
 
     #[test]
+    fn loose_cold_start_matches_the_tight_pipeline() {
+        use circuitdae::circuits::MemsVcoConfig;
+        use std::sync::Arc;
+        let vdp: Vec<VanDerPol> = [0.1, 1.0, 6.0].map(VanDerPol::unforced).into();
+        let lc = circuits::lc_vco();
+        let ring = circuits::ring_loaded_vco(6);
+        let mems = circuits::mems_vco(MemsVcoConfig::paper_air()).frozen_at(0.0);
+        let mut cases: Vec<&dyn Dae> = vdp.iter().map(|d| d as &dyn Dae).collect();
+        cases.extend([&lc as &dyn Dae, &ring, &mems]);
+        let opts = ShootingOptions::default();
+        for (i, dae) in cases.into_iter().enumerate() {
+            let rec = Arc::new(obskit::CollectingRecorder::new());
+            let _g = obskit::install(rec.clone() as Arc<dyn obskit::Recorder>);
+            let (loose, loose_stats) =
+                oscillator_steady_state_with_stats(dae, &opts, None).unwrap();
+            assert_eq!(rec.counter("shooting.cold_fallbacks"), 0, "case {i}");
+            let dc = transim::dc_operating_point(dae, &NewtonOptions::default()).unwrap();
+            let mut tight_stats = obskit::RunStats::default();
+            let tight = cold_start(dae, &opts, &dc, TIGHT_START, &mut tight_stats).unwrap();
+            let rel = (loose.period - tight.period).abs() / tight.period;
+            assert!(
+                rel <= 1e-7,
+                "case {i}: period {} vs {}",
+                loose.period,
+                tight.period
+            );
+            assert!(
+                loose_stats.newton_iters < tight_stats.newton_iters,
+                "case {i}: {} vs {} Newton iterations",
+                loose_stats.newton_iters,
+                tight_stats.newton_iters
+            );
+        }
+    }
+
+    #[test]
+    fn stable_equilibrium_reports_no_oscillation() {
+        use std::sync::Arc;
+        // A damped Van der Pol and a parallel RLC ring down to their DC
+        // point: the decaying transient has zero crossings, but there is
+        // no orbit to find.
+        let damped = VanDerPol::unforced(-0.5);
+        let rlc = circuitdae::parse_netlist("R1 n 0 1k\nC1 n 0 1u\nL1 n 0 1m\n").unwrap();
+        let cases: [&dyn Dae; 2] = [&damped, &rlc];
+        for dae in cases {
+            let rec = Arc::new(obskit::CollectingRecorder::new());
+            let _g = obskit::install(rec.clone() as Arc<dyn obskit::Recorder>);
+            let res = oscillator_steady_state(dae, &ShootingOptions::default());
+            assert!(
+                matches!(res, Err(ShootingError::NoOscillation)),
+                "expected NoOscillation, got period {:?}",
+                res.map(|o| o.period)
+            );
+            assert_eq!(rec.counter("shooting.cold_fallbacks"), 1);
+        }
+    }
+
+    #[test]
+    fn failed_warm_start_falls_back_cold_and_is_metered() {
+        // A seed on the equilibrium "converges" at once onto a collapsed
+        // orbit, and a non-finite seed fails outright: either way the
+        // point falls back to the cold pipeline, lands on the cold orbit,
+        // and still pays for the failed attempt.
+        let vdp = VanDerPol::unforced(1.0);
+        let spec = circuitdae::ShootingSpec {
+            steps_per_period: 128,
+            phase_var: 0,
+            solver: LinearSolverKind::default(),
+        };
+        let (cold, cold_stats) = run_shooting_spec_warm(&vdp, &spec, None).unwrap();
+        for x0 in [vec![0.0, 0.0], vec![f64::NAN, 0.0]] {
+            let seed = ShootingWarmStart {
+                x0,
+                period: cold.period,
+            };
+            let (orbit, stats) = run_shooting_spec_warm(&vdp, &spec, Some(&seed)).unwrap();
+            assert_eq!(orbit.period.to_bits(), cold.period.to_bits());
+            assert!(
+                stats.newton_iters > cold_stats.newton_iters,
+                "{} vs cold {}",
+                stats.newton_iters,
+                cold_stats.newton_iters
+            );
+        }
+    }
+
+    #[test]
     fn bad_inputs() {
         let vdp = VanDerPol::unforced(0.5);
         let opts = ShootingOptions::default();
@@ -911,5 +1092,9 @@ mod tests {
             ..Default::default()
         };
         assert!(find_periodic_orbit(&vdp, &[1.0, 0.0], 6.0, &bad_phase).is_err());
+        assert!(matches!(
+            oscillator_steady_state(&vdp, &bad_phase),
+            Err(ShootingError::BadInput(_))
+        ));
     }
 }

@@ -184,8 +184,9 @@ impl Analysis for ShootingAnalysis {
             .collect();
         // `newton_iters` covers the whole pipeline this point actually
         // paid for (warm-up/settle transients + orbit Newton on a cold
-        // start; the orbit Newton alone on a warm one), so chained and
-        // cold costs are directly comparable.
+        // start; the orbit Newton alone on a warm one; both when a failed
+        // warm start fell back to cold), so chained and cold costs are
+        // directly comparable.
         let warm_state = WarmState::Orbit(shooting::ShootingWarmStart::from_orbit(&orbit));
         Ok((
             ScenarioResult {
@@ -277,7 +278,7 @@ impl Analysis for WampdeAnalysis {
             Some(WarmState::Orbit(w)) => Some(w),
             _ => None,
         };
-        let (env, orbit) = wampde::run_wampde_spec_warm(dae, &self.0, seed)?;
+        let (env, orbit, init) = wampde::run_wampde_spec_warm(dae, &self.0, seed)?;
         let names = dae.var_names();
         let mut columns = vec![
             "t2".to_string(),
@@ -301,6 +302,9 @@ impl Analysis for WampdeAnalysis {
             })
             .collect();
         let (lo, hi) = env.frequency_range();
+        // As for `.shooting`, `newton_iters` covers everything the point
+        // paid for: the envelope plus its unforced-orbit initialisation.
+        let newton_iters = env.stats.newton_iters + init.newton_iters;
         let warm_state = WarmState::Orbit(shooting::ShootingWarmStart::from_orbit(&orbit));
         Ok((
             ScenarioResult {
@@ -312,7 +316,7 @@ impl Analysis for WampdeAnalysis {
                     ("omega_max_hz".into(), hi),
                     ("steps".into(), env.stats.steps as f64),
                     ("rejected".into(), env.stats.rejected as f64),
-                    ("newton_iters".into(), env.stats.newton_iters as f64),
+                    ("newton_iters".into(), newton_iters as f64),
                     ("factorisations".into(), env.stats.factorisations as f64),
                     ("symbolic_reuses".into(), env.stats.symbolic_reuses as f64),
                 ],

@@ -43,7 +43,10 @@ use std::path::{Path, PathBuf};
 // so fmt3 entries must not satisfy fmt4 lookups in either direction.
 // fmt5: the WaMPDE envelope keeps its factored step Jacobian across
 // Newton iterations and t2 steps, which changes `.wampde` results.
-pub const CACHE_SALT: &str = concat!("sweepkit-", env!("CARGO_PKG_VERSION"), "-fmt5");
+// fmt6: the cold oscillator start settles loosely before the orbit
+// Newton, which moves cold `.shooting`/`.wampde` orbits within the Newton
+// tolerance, and `.wampde` `newton_iters` now includes the initialisation.
+pub const CACHE_SALT: &str = concat!("sweepkit-", env!("CARGO_PKG_VERSION"), "-fmt6");
 
 /// FNV-1a, 128-bit: tiny, dependency-free, and plenty for cache keys
 /// (collision odds are negligible below ~2^60 distinct jobs).

@@ -7,7 +7,7 @@ use crate::options::{T2StepControl, WampdeOptions};
 use crate::result::EnvelopeResult;
 use circuitdae::{CircuitDae, Dae, WampdeSpec};
 use shooting::{
-    find_periodic_orbit, oscillator_steady_state, PeriodicOrbit, ShootingOptions, ShootingWarmStart,
+    oscillator_steady_state_with_stats, PeriodicOrbit, ShootingOptions, ShootingWarmStart,
 };
 
 /// Runs a `.wampde` directive end to end: freezes the circuit's waveforms
@@ -25,16 +25,18 @@ use shooting::{
 /// shooting initialisation fails (reporting the underlying cause),
 /// otherwise see [`solve_envelope`].
 pub fn run_wampde_spec(dae: &CircuitDae, spec: &WampdeSpec) -> Result<EnvelopeResult, WampdeError> {
-    run_wampde_spec_warm(dae, spec, None).map(|(env, _)| env)
+    run_wampde_spec_warm(dae, spec, None).map(|(env, ..)| env)
 }
 
 /// [`run_wampde_spec`] with a continuation warm start: when `warm`
 /// holds the unforced orbit of a neighbouring grid point, the shooting
 /// initialisation starts directly from it instead of running the full
 /// DC → kick → warm-up → settle pipeline, falling back to the cold
-/// pipeline if the neighbour is too far away to converge. Also returns
-/// this point's converged unforced orbit so the caller can chain it
-/// into the next point.
+/// pipeline if the neighbour is too far away to converge (see
+/// [`shooting::oscillator_steady_state_with_stats`]). Also returns this
+/// point's converged unforced orbit, so the caller can chain it into the
+/// next point, and the work the initialisation did — failed warm
+/// attempt included.
 ///
 /// # Errors
 ///
@@ -43,7 +45,7 @@ pub fn run_wampde_spec_warm(
     dae: &CircuitDae,
     spec: &WampdeSpec,
     warm: Option<&ShootingWarmStart>,
-) -> Result<(EnvelopeResult, PeriodicOrbit), WampdeError> {
+) -> Result<(EnvelopeResult, PeriodicOrbit, obskit::RunStats), WampdeError> {
     if spec.phase_var >= dae.dim() {
         return Err(WampdeError::BadInput(format!(
             "phase_var {} out of range (dim = {})",
@@ -58,14 +60,8 @@ pub fn run_wampde_spec_warm(
         linear_solver: spec.solver,
         ..Default::default()
     };
-    let warm_orbit = warm
-        .filter(|seed| seed.x0.len() == dae.dim() && seed.period > 0.0)
-        .and_then(|seed| find_periodic_orbit(&unforced, &seed.x0, seed.period, &shoot_opts).ok());
-    let orbit = match warm_orbit {
-        Some(orbit) => orbit,
-        None => oscillator_steady_state(&unforced, &shoot_opts)
-            .map_err(|e| WampdeError::BadInput(format!("shooting initialisation failed: {e}")))?,
-    };
+    let (orbit, init_stats) = oscillator_steady_state_with_stats(&unforced, &shoot_opts, warm)
+        .map_err(|e| WampdeError::BadInput(format!("shooting initialisation failed: {e}")))?;
     // The spec's step keys select fixed (`dt=`) or LTE-adaptive `t2`
     // stepping; the scheme rides along from `integrator=`.
     let step = if spec.dt > 0.0 {
@@ -89,7 +85,7 @@ pub fn run_wampde_spec_warm(
     };
     let init = WampdeInit::from_orbit(&orbit, &opts);
     let env = solve_envelope(dae, &init, spec.t_stop, &opts)?;
-    Ok((env, orbit))
+    Ok((env, orbit, init_stats))
 }
 
 #[cfg(test)]
@@ -127,5 +123,29 @@ mod tests {
             run_wampde_spec(&dae, &spec),
             Err(WampdeError::BadInput(_))
         ));
+    }
+
+    #[test]
+    fn failed_warm_seed_is_metered_in_the_initialisation_stats() {
+        let dae = circuits::mems_vco(MemsVcoConfig::constant(1.5));
+        let spec = WampdeSpec {
+            harmonics: 4,
+            shooting_steps: 128,
+            ..WampdeSpec::new(0.2e-6)
+        };
+        let (cold_env, cold, cold_init) = run_wampde_spec_warm(&dae, &spec, None).unwrap();
+        let seed = ShootingWarmStart {
+            x0: vec![f64::NAN; dae.dim()],
+            period: cold.period,
+        };
+        let (env, orbit, init) = run_wampde_spec_warm(&dae, &spec, Some(&seed)).unwrap();
+        assert_eq!(orbit.period.to_bits(), cold.period.to_bits());
+        assert_eq!(env.omega_hz, cold_env.omega_hz);
+        assert!(
+            init.newton_iters > cold_init.newton_iters,
+            "{} vs cold {}",
+            init.newton_iters,
+            cold_init.newton_iters
+        );
     }
 }
