@@ -659,13 +659,14 @@ fn table_newton() {
 /// changes *when*, never *what*) and that the warm rerun is at least
 /// 5× faster than the cold run.
 ///
-/// Part 2 — batched continuation chains vs independent cold jobs on a
-/// 32-point control-voltage grid of the RC-ladder-loaded VCO (KLU, so
-/// chains also share one sparse symbolic analysis). Both runs use one
-/// worker and no cache, so the ratio is pure solver work. Asserts the
-/// batched run is at least 1.5× faster, that the mean Newton iteration
-/// count per warm-started point is strictly below the cold-start mean,
-/// and that every point's oscillation frequency agrees to 1e-6.
+/// Part 2 — batched continuation chains vs independent cold jobs on the
+/// committed `ladder_chain` deck, a 32-point control-voltage grid of the
+/// RC-ladder-loaded VCO (KLU, so chains also share one sparse symbolic
+/// analysis). Both runs use one worker and no cache, so the ratio is
+/// pure solver work. Asserts the batched run is at least 1.5× faster,
+/// that the mean Newton iteration count per warm-started point is
+/// strictly below the cold-start mean, and that every point's
+/// oscillation frequency agrees to 1e-6.
 /// Emits `target/repro/BENCH_sweep.json`.
 fn table_sweep() {
     use sweepkit::{run_deck_with, ResultCache, SweepConfig};
@@ -727,17 +728,12 @@ fn table_sweep() {
          ({cold_ns} ns vs {warm_ns} ns = {speedup:.1}x)"
     );
 
-    // --- Part 2: batched chains vs independent cold jobs. The varactor
-    // card replaces the fixed tank capacitor so the ladder VCO gains a
-    // control voltage to sweep; KLU exercises the shared-symbolic path.
-    let chain_cards = ring_ladder_cards(16).replace(
-        "C1  tank 0 4.503n",
-        "M1  tank 0 5n 1 1e-12 3e-7 2.47 0.121 DC(1.5)",
-    );
-    let chain_deck = circuitdae::parse_deck(&format!(
-        "{chain_cards}.options solver=klu\n.shooting steps=64\n.sweep M1.control 1.2 1.8 32\n"
-    ))
-    .expect("chain bench deck parses");
+    // --- Part 2: batched chains vs independent cold jobs on the ladder
+    // VCO whose varactor control voltage sweeps over 32 points; KLU
+    // exercises the shared-symbolic path.
+    let chain_deck =
+        circuitdae::parse_deck(include_str!("../../../../examples/decks/ladder_chain.ckt"))
+            .expect("ladder_chain deck parses");
     let run_mode = |warm_start: bool| {
         let config = SweepConfig {
             jobs: 1,
@@ -981,11 +977,9 @@ fn table_obs() {
 /// KLU headline claims (ordered sparse LU beats dense AND GMRES at 128
 /// stages; circulant-preconditioned iterations stay flat in the slice
 /// count) and emits `target/repro/BENCH_linsolve.json`. The 1000-stage
-/// KLU row re-runs under per-solve core budgets of 1/2/4 threads (a
-/// `threads` column), and the 128-slice circulant preconditioner setup
-/// is timed at 1 vs 4 threads; the resulting `parallel_speedup` (>= 2x)
-/// and `circulant_setup_speedup` (>= 1.5x) are asserted when the
-/// machine has at least 4 hardware threads, and emitted either way.
+/// KLU row is also split into its triplet assembly and its factor and
+/// solve (`klu_1000_phases`), and assembly must cost less than the
+/// factorisation.
 /// A separate key (`mems_envelope_dense`) records the dense factor and solve
 /// times of the air-damped MEMS VCO's dim-77 envelope step matrix, with
 /// the elimination kernel the CPU ran and the core count.
@@ -998,7 +992,7 @@ fn table_linsolve() {
     ];
     println!("  stages    dim   backend     wall (ns/solve)");
     let mut records: Vec<String> = Vec::new();
-    let mut parallel_speedup: Option<f64> = None;
+    let mut klu_phases: Option<String> = None;
     for stages in [4usize, 32, 128, 1000] {
         let jac = StepJacobian::build(stages, 5);
         // The 1000-stage rung only runs the backend that stays feasible
@@ -1046,45 +1040,47 @@ fn table_linsolve() {
             ));
         }
         if big {
-            // The parallel rung: the same 1000-stage KLU solve under an
-            // explicit per-solve core budget of 1/2/4 threads. Installing
-            // `CoreBudget::new(t, t)` on this (otherwise idle) thread makes
-            // the ambient lease grant exactly `t` threads to the stamping
-            // and BTF-block phases, independent of the machine's core
-            // count, so the thread ladder is reproducible anywhere. Each
-            // rung must stay bitwise identical to the serial reference.
-            println!("  --- 1000-stage klu row under --solver-threads 1/2/4 ---");
-            println!("  stages    dim   backend    threads  wall (ns/solve)");
-            let mut wall_t: std::collections::BTreeMap<usize, u128> =
-                std::collections::BTreeMap::new();
-            for t in [1usize, 2, 4] {
-                let budget = wampde::linsolve::CoreBudget::new(t, t);
-                let _guard = budget.install();
-                let mut best = u128::MAX;
-                for _ in 0..3 {
-                    let t0 = std::time::Instant::now();
-                    let x = jac.factor_solve(wampde::LinearSolverKind::Klu);
-                    best = best.min(t0.elapsed().as_nanos());
-                    assert!(
-                        x.iter()
-                            .zip(reference.iter())
-                            .all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "klu at {t} solver threads is not bitwise identical to serial"
-                    );
-                }
-                wall_t.insert(t, best);
-                println!(
-                    "  {stages:>6} {:>6}   {:<10} {t:>7} {best:>16}",
-                    jac.dim(),
-                    "klu"
+            // The same 1000-stage KLU solve split into its phases, all
+            // serial: collocation triplet assembly, then factor, then
+            // solve. Assembly visits only C's nonzeros, so it must cost
+            // less than the factorisation it feeds. The split path must
+            // stay bitwise identical to the one-call reference.
+            let parts = jac.parts();
+            let (mut assembly_ns, mut factor_ns, mut solve_ns) = (u128::MAX, u128::MAX, u128::MAX);
+            for _ in 0..3 {
+                let t0 = std::time::Instant::now();
+                let trip = parts.assemble_triplets();
+                assembly_ns = assembly_ns.min(t0.elapsed().as_nanos());
+                let mut lu = wampde::linsolve::FactorCache::new(wampde::LinearSolverKind::Klu);
+                let t0 = std::time::Instant::now();
+                lu.factor(&wampde::linsolve::NewtonMatrix::Triplets(&trip))
+                    .expect("step jacobian factors");
+                factor_ns = factor_ns.min(t0.elapsed().as_nanos());
+                let mut x = jac.rhs();
+                let t0 = std::time::Instant::now();
+                lu.solve_in_place(&mut x).expect("step jacobian solves");
+                solve_ns = solve_ns.min(t0.elapsed().as_nanos());
+                assert!(
+                    x.iter()
+                        .zip(reference.iter())
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "phase-split klu solve is not bitwise identical to the reference"
                 );
-                records.push(format!(
-                    "    {{\"backend\": \"klu\", \"stages\": {stages}, \"dim\": {}, \
-                     \"threads\": {t}, \"wall_ns\": {best}}}",
-                    jac.dim()
-                ));
             }
-            parallel_speedup = Some(wall_t[&1] as f64 / wall_t[&4] as f64);
+            println!(
+                "  --- 1000-stage klu row by phase: assembly {assembly_ns} ns, \
+                 factor {factor_ns} ns, solve {solve_ns} ns ---"
+            );
+            assert!(
+                assembly_ns < factor_ns,
+                "1000-stage triplet assembly ({assembly_ns} ns) must cost less than \
+                 its klu factorisation ({factor_ns} ns)"
+            );
+            klu_phases = Some(format!(
+                "{{\"stages\": {stages}, \"dim\": {}, \"assembly_ns\": {assembly_ns}, \
+                 \"factor_ns\": {factor_ns}, \"solve_ns\": {solve_ns}}}",
+                jac.dim()
+            ));
         }
         if stages == 128 {
             // The tentpole claim: the ordered, equilibrated sparse
@@ -1172,64 +1168,12 @@ fn table_linsolve() {
         circ_iters[&16]
     );
 
-    // Parallel circulant setup: the per-DFT-mode dense LUs of the
-    // block-circulant preconditioner factor independently, so building
-    // the 128-slice preconditioner with 4 threads should cut setup wall
-    // time. Timed directly (not via GMRES) to isolate the setup phase.
-    println!("  --- circulant preconditioner setup: 128 slices, threads 1 vs 4 ---");
-    let cyc = CyclicJacobian::build(128);
-    let a = cyc.triplets().to_csr();
-    let time_setup = |threads: usize| {
-        let mut best = u128::MAX;
-        for _ in 0..3 {
-            let t0 = std::time::Instant::now();
-            let p =
-                wampde::linsolve::BlockCirculantPrecond::from_csr_threads(&a, cyc.shape(), threads)
-                    .expect("cyclic jacobian matches its declared shape");
-            best = best.min(t0.elapsed().as_nanos());
-            std::hint::black_box(&p);
-        }
-        best
-    };
-    let setup_1 = time_setup(1);
-    let setup_4 = time_setup(4);
-    let circulant_setup_speedup = setup_1 as f64 / setup_4 as f64;
-    println!(
-        "  setup wall: {setup_1} ns at 1 thread, {setup_4} ns at 4 \
-         -> {circulant_setup_speedup:.2}x"
-    );
-
-    // The wall-clock targets only hold where 4 hardware threads exist;
-    // on smaller machines the parallel rungs time-slice one core and the
-    // ratios hover near 1.0, so the numbers are emitted but not enforced.
-    let speedup = parallel_speedup.expect("1000-stage rung always runs");
-    let assertions = if cores >= 4 {
-        assert!(
-            speedup >= 2.0,
-            "1000-stage klu row at 4 threads must be >= 2x over serial, got {speedup:.2}x"
-        );
-        assert!(
-            circulant_setup_speedup >= 1.5,
-            "circulant setup at 4 threads must be >= 1.5x over serial, \
-             got {circulant_setup_speedup:.2}x"
-        );
-        println!("  speedup assertions enforced ({cores} cores): klu {speedup:.2}x, circulant setup {circulant_setup_speedup:.2}x");
-        "enforced"
-    } else {
-        println!(
-            "  speedup assertions skipped: {cores} hardware thread(s) < 4 \
-             (klu {speedup:.2}x, circulant setup {circulant_setup_speedup:.2}x measured)"
-        );
-        "skipped (<4 cores)"
-    };
-
+    let klu_phases = klu_phases.expect("1000-stage rung always runs");
     let json = format!(
         "{{\n  \"bench\": \"linsolve\",\n  \"workload\": \"bordered WaMPDE step \
          Jacobian, harmonics=5, factor+solve; cyclic QP system, GMRES \
          preconditioner ablation\",\n  \"cores\": {cores},\n  \
-         \"parallel_speedup\": {speedup:.4},\n  \
-         \"circulant_setup_speedup\": {circulant_setup_speedup:.4},\n  \
-         \"speedup_assertions\": \"{assertions}\",\n  \
+         \"klu_1000_phases\": {klu_phases},\n  \
          \"mems_envelope_dense\": {mems_row},\n  \"results\": [\n{}\n  ]\n}}\n",
         records.join(",\n")
     );

@@ -39,12 +39,13 @@
 //! operator guide.
 //!
 //! `--jobs 0` auto-sizes the worker pool to the machine's available
-//! cores. `--solver-threads M` caps *intra-solve* parallelism (parallel
-//! BTF block factorisation, circulant-mode LUs, partitioned stamping
-//! and SpMV) at `M` threads per solve; `--solver-threads 0` (default)
-//! leases leftover cores dynamically under the shared
-//! `linsolve::CoreBudget`, so jobs × solver threads never exceeds the
-//! machine. See BUILDING.md ("Choosing thread counts").
+//! cores. `--solver-threads M` caps the one *intra-solve* parallel
+//! kernel, klu's concurrent factorisation of two or more BTF blocks,
+//! at `M` threads per solve; everything else inside a solve is serial.
+//! `--solver-threads 0` (default) leases leftover cores dynamically
+//! under the shared `linsolve::CoreBudget`, so jobs × solver threads
+//! never exceeds the machine. See BUILDING.md ("Choosing thread
+//! counts").
 //!
 //! Determinism invariant: aggregate artifacts are byte-identical for
 //! any `--jobs` value, any `--solver-threads` value, any shard layout

@@ -228,52 +228,16 @@ impl CircuitDae {
         }
     }
 
-    /// Stamps one per-device triplet pass with the device list split
-    /// into contiguous chunks across up to `threads` scoped threads.
-    ///
-    /// Each chunk stamps into its own arena; arenas are merged into
-    /// `out` in chunk (= device insertion) order, so the entry sequence
-    /// is identical to the serial loop and downstream CSR/CSC
-    /// conversions stay bitwise identical at every thread count. Each
-    /// device's stamp values depend only on `x`, never on other
-    /// devices, so the values themselves are unchanged too.
-    fn stamp_jac_partitioned(
+    /// Stamps one per-device triplet pass in device insertion order.
+    fn stamp_jac_triplets(
         &self,
         x: &[f64],
         out: &mut Triplets,
-        threads: usize,
         stamp: fn(&Device, &Stamper<'_>, usize, &mut Triplets),
     ) {
-        let workers = threads.min(self.devices.len());
-        if workers <= 1 {
-            let st = Stamper { x };
-            for (d, off) in &self.devices {
-                stamp(d, &st, *off, out);
-            }
-            return;
-        }
-        let chunk = self.devices.len().div_ceil(workers);
-        let mut arenas: Vec<Triplets> = self
-            .devices
-            .chunks(chunk)
-            .map(|_| Triplets::new(out.nrows(), out.ncols()))
-            .collect();
-        std::thread::scope(|scope| {
-            let obs = obskit::current();
-            for (devs, arena) in self.devices.chunks(chunk).zip(arenas.iter_mut()) {
-                let obs = obs.clone();
-                scope.spawn(move || {
-                    let _obs = obs.map(obskit::install_handle);
-                    let st = Stamper { x };
-                    for (d, off) in devs {
-                        stamp(d, &st, *off, arena);
-                    }
-                });
-            }
-        });
-        obskit::counter_add("stamp.parallel_partitions", arenas.len() as u64);
-        for arena in &arenas {
-            out.append(arena);
+        let st = Stamper { x };
+        for (d, off) in &self.devices {
+            stamp(d, &st, *off, out);
         }
     }
 }
@@ -337,19 +301,11 @@ impl Dae for CircuitDae {
     }
 
     fn jac_q_triplets(&self, x: &[f64], out: &mut Triplets) {
-        self.stamp_jac_partitioned(x, out, 1, Device::stamp_jac_q_trip);
+        self.stamp_jac_triplets(x, out, Device::stamp_jac_q_trip);
     }
 
     fn jac_f_triplets(&self, x: &[f64], out: &mut Triplets) {
-        self.stamp_jac_partitioned(x, out, 1, Device::stamp_jac_f_trip);
-    }
-
-    fn jac_q_triplets_threads(&self, x: &[f64], out: &mut Triplets, threads: usize) {
-        self.stamp_jac_partitioned(x, out, threads, Device::stamp_jac_q_trip);
-    }
-
-    fn jac_f_triplets_threads(&self, x: &[f64], out: &mut Triplets, threads: usize) {
-        self.stamp_jac_partitioned(x, out, threads, Device::stamp_jac_f_trip);
+        self.stamp_jac_triplets(x, out, Device::stamp_jac_f_trip);
     }
 }
 
@@ -682,30 +638,6 @@ mod tests {
         assert!(p.density() < 0.25, "density {}", p.density());
         let x: Vec<f64> = (0..dae.dim()).map(|i| (0.3 * i as f64).sin()).collect();
         assert_sparse_matches_dense(&dae, &x);
-    }
-
-    #[test]
-    fn partitioned_stamping_is_bitwise_identical() {
-        let dae = crate::circuits::ring_loaded_vco(12);
-        let x: Vec<f64> = (0..dae.dim()).map(|i| (0.3 * i as f64).sin()).collect();
-        let n = dae.dim();
-        let mut serial_q = Triplets::new(n, n);
-        let mut serial_f = Triplets::new(n, n);
-        dae.jac_q_triplets(&x, &mut serial_q);
-        dae.jac_f_triplets(&x, &mut serial_f);
-        for threads in [1, 2, 3, 7, 64] {
-            let mut par_q = Triplets::new(n, n);
-            let mut par_f = Triplets::new(n, n);
-            dae.jac_q_triplets_threads(&x, &mut par_q, threads);
-            dae.jac_f_triplets_threads(&x, &mut par_f, threads);
-            for (serial, parallel) in [(&serial_q, &par_q), (&serial_f, &par_f)] {
-                assert_eq!(serial.len(), parallel.len(), "threads={threads}");
-                for ((sr, sc, sv), (pr, pc, pv)) in serial.iter().zip(parallel.iter()) {
-                    assert_eq!((sr, sc), (pr, pc), "entry order, threads={threads}");
-                    assert_eq!(sv.to_bits(), pv.to_bits(), "value bits, threads={threads}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -156,18 +156,18 @@ pub trait Dae {
         }
     }
 
-    /// [`Dae::jac_q_triplets`] with a thread-count hint, for
-    /// implementations whose stamps partition across threads (notably
-    /// [`crate::CircuitDae`]). The entry sequence pushed into `out`
-    /// must be identical to the serial method at every thread count —
-    /// callers rely on bitwise-identical downstream factorisations.
-    /// The default ignores the hint and stamps serially.
+    /// [`Dae::jac_q_triplets`] with a thread-count hint. No solver in
+    /// the workspace calls it: stamping is serial everywhere. It stays
+    /// only so that external wrappers that forward it (perfbench's
+    /// timing `Dae`) keep compiling. The default ignores the hint;
+    /// an override must push the same entry sequence as the serial
+    /// method.
     fn jac_q_triplets_threads(&self, x: &[f64], out: &mut Triplets, _threads: usize) {
         self.jac_q_triplets(x, out);
     }
 
-    /// [`Dae::jac_f_triplets`] with a thread-count hint; same contract
-    /// as [`Dae::jac_q_triplets_threads`].
+    /// [`Dae::jac_f_triplets`] with a thread-count hint; kept for the
+    /// same reason as [`Dae::jac_q_triplets_threads`].
     fn jac_f_triplets_threads(&self, x: &[f64], out: &mut Triplets, _threads: usize) {
         self.jac_f_triplets(x, out);
     }

@@ -1,11 +1,14 @@
 //! A shared core budget for nested parallelism.
 //!
 //! Two layers of the workspace want threads at once: the sweep service
-//! runs `--jobs N` worker threads, and *inside* each job the linear
-//! solver can fan out again — parallel BTF block factorisation
-//! ([`sparsekit::SparseLu::factor_ordered_threads`]), parallel
-//! circulant-mode LUs ([`crate::BlockCirculantPrecond`]), partitioned
-//! SpMV, and partitioned stamping. Letting every layer size itself
+//! runs `--jobs N` worker threads, and *inside* each job the KLU
+//! backend can fan out again. It has one parallel kernel: factoring the
+//! independent BTF diagonal blocks concurrently
+//! ([`sparsekit::SparseLu::factor_ordered_threads`]), which only runs
+//! when the matrix has at least two blocks. Stamping, collocation
+//! assembly, SpMV and the circulant preconditioner setup are serial: at
+//! the sizes the committed decks reach, a thread spawn costs more than
+//! the work it would split. Letting every layer size itself
 //! independently oversubscribes the machine (`N × M` threads on `P`
 //! cores); serialising the inner layer wastes the cores a narrow sweep
 //! leaves idle.
@@ -22,15 +25,15 @@
 //!
 //! Leases are intentionally *dynamic*: the thread count an individual
 //! factorisation sees depends on what else runs at that instant. This
-//! is safe because every parallel kernel behind a lease is bitwise
-//! identical to its serial form at every thread count (enforced by
-//! proptests and the `par-smoke` CI job), so artifacts stay
-//! byte-identical for any `--jobs`/`--solver-threads` combination.
+//! is safe because the BTF kernel is bitwise identical to its serial
+//! form at every thread count (enforced by proptests and the
+//! `par-smoke` CI job), so artifacts stay byte-identical for any
+//! `--jobs`/`--solver-threads` combination.
 //!
 //! The handle travels two ways, mirroring [`crate::SharedSymbolic`]:
 //! explicitly by value, or ambiently via [`CoreBudget::install`] — the
-//! factor paths in this crate pick the ambient handle up through
-//! [`CoreBudget::lease_ambient`] at each parallel section.
+//! KLU factor path in this crate picks the ambient handle up through
+//! [`CoreBudget::lease_ambient`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

@@ -133,23 +133,6 @@ impl BlockCirculantPrecond {
     /// shape (the caller should fall back to a structure-agnostic
     /// preconditioner).
     pub fn from_csr(a: &Csr, shape: CyclicShape) -> Option<Self> {
-        Self::build(a, shape, 1)
-    }
-
-    /// Builds the preconditioner like
-    /// [`BlockCirculantPrecond::from_csr`], distributing the mutually
-    /// independent per-DFT-mode assemblies and dense complex
-    /// factorisations across up to `threads` scoped threads.
-    ///
-    /// Every mode `k` is assembled and factored by exactly one thread
-    /// with the serial loop's operation sequence, into its own
-    /// preallocated `modes[k]` slot, so the result is bitwise identical
-    /// to [`BlockCirculantPrecond::from_csr`] at every thread count.
-    pub fn from_csr_threads(a: &Csr, shape: CyclicShape, threads: usize) -> Option<Self> {
-        Self::build(a, shape, threads)
-    }
-
-    fn build(a: &Csr, shape: CyclicShape, threads: usize) -> Option<Self> {
         let n1 = shape.blocks;
         let bw = shape.block_dim;
         if n1 == 0 || bw == 0 || a.nrows() != shape.dim() || a.ncols() != shape.dim() {
@@ -175,28 +158,9 @@ impl BlockCirculantPrecond {
             .filter(|&d| bd[d * bw * bw..(d + 1) * bw * bw].iter().any(|&v| v != 0.0))
             .collect();
         let tau = 2.0 * std::f64::consts::PI / n1 as f64;
-        let mut modes: Vec<Option<ComplexLu>> = vec![None; n1];
-        let workers = threads.min(n1);
-        if workers <= 1 {
-            for (k, slot) in modes.iter_mut().enumerate() {
-                *slot = Self::factor_mode(bw, tau, k, &bd, &live);
-            }
-        } else {
-            // Contiguous mode ranges, one per thread: each `modes[k]`
-            // slot is written by exactly one worker.
-            let chunk = n1.div_ceil(workers);
-            std::thread::scope(|scope| {
-                for (c, slots) in modes.chunks_mut(chunk).enumerate() {
-                    let base = c * chunk;
-                    let (bd, live) = (&bd, &live);
-                    scope.spawn(move || {
-                        for (i, slot) in slots.iter_mut().enumerate() {
-                            *slot = Self::factor_mode(bw, tau, base + i, bd, live);
-                        }
-                    });
-                }
-            });
-        }
+        let modes = (0..n1)
+            .map(|k| Self::factor_mode(bw, tau, k, &bd, &live))
+            .collect();
         Some(BlockCirculantPrecond { n1, bw, modes })
     }
 

@@ -312,65 +312,19 @@ impl JacobianParts<'_> {
     }
 
     /// Pushes the nonzero entries into a triplet buffer (duplicates sum on
-    /// conversion; the caller provides a `dim() × dim()` buffer).
+    /// conversion; the caller provides a `dim() × dim()` buffer): all
+    /// diagonal blocks in ascending `s`, then all cross terms in
+    /// ascending `s`, then the border.
     pub fn push_triplets(&self, t: &mut Triplets) {
-        self.push_diag(0..self.n0, t);
-        self.push_cross(0..self.n0, t);
+        self.push_diag(t);
+        self.push_cross(t);
         self.push_border(t);
     }
 
-    /// Like [`Self::push_triplets`], with the per-sample stamp loops
-    /// partitioned across up to `threads` scoped threads.
-    ///
-    /// Each thread stamps a contiguous range of samples into its own
-    /// index-disjoint arenas (one for the diagonal blocks, one for the
-    /// `D ⊗ C` cross terms); the arenas are then merged in canonical
-    /// serial order — all diagonal stamps in ascending `s`, then all
-    /// cross stamps in ascending `s`, then the border — so the entry
-    /// sequence, and therefore the [`Triplets::to_csr`]/`to_csc`
-    /// results, are bitwise identical to the serial path at every
-    /// thread count. Entry *values* are computed by the identical
-    /// expressions, just on a different thread.
-    pub fn push_triplets_threads(&self, t: &mut Triplets, threads: usize) {
-        let workers = threads.min(self.n0);
-        if workers <= 1 {
-            return self.push_triplets(t);
-        }
-        let dim = self.dim();
-        let chunk = self.n0.div_ceil(workers);
-        let ranges: Vec<std::ops::Range<usize>> = (0..workers)
-            .map(|w| w * chunk..((w + 1) * chunk).min(self.n0))
-            .filter(|r| !r.is_empty())
-            .collect();
-        let mut arenas: Vec<(Triplets, Triplets)> = ranges
-            .iter()
-            .map(|_| (Triplets::new(dim, dim), Triplets::new(dim, dim)))
-            .collect();
-        std::thread::scope(|scope| {
-            let obs = obskit::current();
-            for (range, (diag, cross)) in ranges.iter().zip(arenas.iter_mut()) {
-                let obs = obs.clone();
-                scope.spawn(move || {
-                    let _obs = obs.map(obskit::install_handle);
-                    self.push_diag(range.clone(), diag);
-                    self.push_cross(range.clone(), cross);
-                });
-            }
-        });
-        obskit::counter_add("stamp.parallel_partitions", arenas.len() as u64);
-        for (diag, _) in &arenas {
-            t.append(diag);
-        }
-        for (_, cross) in &arenas {
-            t.append(cross);
-        }
-        self.push_border(t);
-    }
-
-    /// Diagonal blocks `inv_h·C_s + θ·G_s` of the samples in `samples`.
-    fn push_diag(&self, samples: std::ops::Range<usize>, t: &mut Triplets) {
+    /// Diagonal blocks `inv_h·C_s + θ·G_s`.
+    fn push_diag(&self, t: &mut Triplets) {
         let n = self.n;
-        for s in samples {
+        for s in 0..self.n0 {
             let g = &self.gblocks[s];
             let c = &self.cblocks[s];
             for i in 0..n {
@@ -384,21 +338,47 @@ impl JacobianParts<'_> {
         }
     }
 
-    /// Cross terms `θ·ω·D[s,s']·C_{s'}` of the block rows in `samples`.
-    fn push_cross(&self, samples: std::ops::Range<usize>, t: &mut Triplets) {
+    /// Cross terms `θ·ω·D[s,s']·C_{s'}`, block row by block row.
+    ///
+    /// Emits exactly what a dense scan of every `C_{s'}` entry would
+    /// (same entries, same order, same value bits), but visits only the
+    /// entries that can be nonzero. Each block's nonzero `(i, j)` are
+    /// listed once, in row-major order. A finite `d` times a zero is a
+    /// zero, which the scan never pushes; a NaN entry compares nonzero,
+    /// so it stays in the list. A non-finite `d` turns zeros into NaN,
+    /// so that block falls back to the full scan.
+    fn push_cross(&self, t: &mut Triplets) {
         let n = self.n;
-        for s in samples {
-            for sp in 0..self.n0 {
+        let nonzeros: Vec<Vec<(usize, usize, f64)>> = self.cblocks[..self.n0]
+            .iter()
+            .map(|c| {
+                (0..n)
+                    .flat_map(|i| c.row(i).iter().enumerate().map(move |(j, &v)| (i, j, v)))
+                    .filter(|&(_, _, v)| v != 0.0)
+                    .collect()
+            })
+            .collect();
+        for s in 0..self.n0 {
+            for (sp, nz) in nonzeros.iter().enumerate() {
                 let d = self.theta * self.omega * self.dmat[(s, sp)];
                 if d == 0.0 {
                     continue;
                 }
-                let c = &self.cblocks[sp];
-                for i in 0..n {
-                    for j in 0..n {
-                        let v = d * c[(i, j)];
+                if d.is_finite() {
+                    for &(i, j, c) in nz {
+                        let v = d * c;
                         if v != 0.0 {
                             t.push(self.idx(s, i), self.idx(sp, j), v);
+                        }
+                    }
+                } else {
+                    let c = &self.cblocks[sp];
+                    for i in 0..n {
+                        for j in 0..n {
+                            let v = d * c[(i, j)];
+                            if v != 0.0 {
+                                t.push(self.idx(s, i), self.idx(sp, j), v);
+                            }
                         }
                     }
                 }
@@ -423,19 +403,12 @@ impl JacobianParts<'_> {
 
     /// The triplet form (allocating convenience over [`Self::push_triplets`]).
     pub fn assemble_triplets(&self) -> Triplets {
-        self.assemble_triplets_threads(1)
-    }
-
-    /// The triplet form, assembled by [`Self::push_triplets_threads`]
-    /// under the given thread count (bitwise identical to
-    /// [`Self::assemble_triplets`]).
-    pub fn assemble_triplets_threads(&self, threads: usize) -> Triplets {
         let mut t = Triplets::with_capacity(
             self.dim(),
             self.dim(),
             self.n0 * self.n0 * self.n + 4 * self.len(),
         );
-        self.push_triplets_threads(&mut t, threads);
+        self.push_triplets(&mut t);
         t
     }
 }
@@ -449,8 +422,7 @@ pub enum NewtonMatrix<'a> {
     /// A triplet-assembled sparse matrix (converted to dense when the
     /// dense backend is selected).
     Triplets(&'a Triplets),
-    /// A block collocation Jacobian, assembled dense or (under a core
-    /// lease, see [`JacobianParts::push_triplets_threads`]) as triplets.
+    /// A block collocation Jacobian, assembled dense or as triplets.
     Parts(&'a JacobianParts<'a>),
 }
 
@@ -488,10 +460,7 @@ impl NewtonMatrix<'_> {
                 Cow::Owned(t)
             }
             NewtonMatrix::Triplets(t) => Cow::Borrowed(*t),
-            NewtonMatrix::Parts(p) => {
-                let lease = CoreBudget::lease_ambient();
-                Cow::Owned(p.assemble_triplets_threads(lease.threads()))
-            }
+            NewtonMatrix::Parts(p) => Cow::Owned(p.assemble_triplets()),
         }
     }
 }
@@ -545,10 +514,7 @@ fn factor_gmres_cyclic(
 ) -> Result<Factored, LinSolveError> {
     let a = trip.to_csr();
     if let Some(s) = shape {
-        let lease = CoreBudget::lease_ambient();
-        let precond = BlockCirculantPrecond::from_csr_threads(&a, s, lease.threads());
-        drop(lease);
-        if let Some(precond) = precond {
+        if let Some(precond) = BlockCirculantPrecond::from_csr(&a, s) {
             return Ok(Factored::GmresCyclic {
                 a,
                 precond,
@@ -568,10 +534,12 @@ fn factor_gmres_cyclic(
 /// `factor.btf` / `factor.order` spans, then factors through the
 /// equilibrated matched-pivot path.
 ///
-/// With `threads > 1` the independent BTF diagonal blocks are factored
-/// concurrently ([`SparseLu::factor_ordered_threads`] — bitwise
-/// identical to serial), and the `factor.parallel_blocks` counter
-/// records how many blocks the parallel-capable path dispatched.
+/// With `threads > 1` and at least two BTF blocks, the independent
+/// diagonal blocks are factored concurrently
+/// ([`SparseLu::factor_ordered_threads`] — bitwise identical to
+/// serial), and the `factor.parallel_blocks` counter records how many
+/// blocks that dispatch spread across threads. A one-block plan runs
+/// serially and counts nothing.
 fn factor_klu(csc: &sparsekit::Csc, threads: usize) -> Result<SparseLu, LinSolveError> {
     let form = {
         let _sp = obskit::span("factor.btf");
@@ -581,7 +549,7 @@ fn factor_klu(csc: &sparsekit::Csc, threads: usize) -> Result<SparseLu, LinSolve
         let _sp = obskit::span("factor.order");
         OrderingPlan::from_btf(csc, &form)
     };
-    let lu = if threads > 1 {
+    let lu = if threads > 1 && plan.nblocks() > 1 {
         obskit::counter_add("factor.parallel_blocks", plan.nblocks() as u64);
         SparseLu::factor_ordered_threads(csc, &plan, threads)
     } else {
@@ -696,8 +664,7 @@ impl Factored {
                     .zip(row_scale.iter())
                     .map(|(v, s)| v * s)
                     .collect();
-                let lease = CoreBudget::lease_ambient();
-                let op = CsrOp::with_threads(a, lease.threads());
+                let op = CsrOp::new(a);
                 let result = gmres(&op, precond, &b, None, opts).map_err(LinSolveError::new)?;
                 for (slot, (y, s)) in rhs.iter_mut().zip(result.x.iter().zip(col_scale.iter())) {
                     *slot = y * s;
@@ -705,8 +672,7 @@ impl Factored {
                 Ok(())
             }
             Factored::GmresCyclic { a, precond, opts } => {
-                let lease = CoreBudget::lease_ambient();
-                let op = CsrOp::with_threads(a, lease.threads());
+                let op = CsrOp::new(a);
                 let result = gmres(&op, precond, rhs, None, opts).map_err(LinSolveError::new)?;
                 rhs.copy_from_slice(&result.x);
                 Ok(())
@@ -1170,9 +1136,66 @@ mod tests {
         }
     }
 
+    /// The triplet assembly as a plain dense scan of every block entry:
+    /// the reference [`JacobianParts::push_triplets`] must reproduce
+    /// entry by entry.
+    fn dense_scan_triplets(p: &JacobianParts<'_>) -> Triplets {
+        let (n, n0, len) = (p.n, p.n0, p.len());
+        let mut t = Triplets::new(p.dim(), p.dim());
+        for s in 0..n0 {
+            for i in 0..n {
+                for j in 0..n {
+                    let v = p.inv_h * p.cblocks[s][(i, j)] + p.theta * p.gblocks[s][(i, j)];
+                    if v != 0.0 {
+                        t.push(s * n + i, s * n + j, v);
+                    }
+                }
+            }
+        }
+        for s in 0..n0 {
+            for sp in 0..n0 {
+                let d = p.theta * p.omega * p.dmat[(s, sp)];
+                if d == 0.0 {
+                    continue;
+                }
+                for i in 0..n {
+                    for j in 0..n {
+                        let v = d * p.cblocks[sp][(i, j)];
+                        if v != 0.0 {
+                            t.push(s * n + i, sp * n + j, v);
+                        }
+                    }
+                }
+            }
+        }
+        if let Some((row, col)) = p.border {
+            for k in 0..len {
+                if row[k] != 0.0 {
+                    t.push(len, k, row[k]);
+                }
+                if col[k] != 0.0 {
+                    t.push(k, len, col[k]);
+                }
+            }
+        }
+        t
+    }
+
+    fn assert_same_entries(a: &Triplets, b: &Triplets, what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: entry count");
+        for (k, ((ar, ac, av), (br, bc, bv))) in a.iter().zip(b.iter()).enumerate() {
+            assert_eq!((ar, ac), (br, bc), "{what}: coordinates of entry {k}");
+            assert_eq!(
+                av.to_bits(),
+                bv.to_bits(),
+                "{what}: value bits at ({ar},{ac})"
+            );
+        }
+    }
+
     #[test]
-    fn parallel_assembly_is_bitwise_identical() {
-        let (dmat, cblocks, gblocks) = synthetic_blocks();
+    fn triplet_assembly_matches_dense_scan_entry_by_entry() {
+        let (mut dmat, mut cblocks, gblocks) = synthetic_blocks();
         let len = 10;
         let row: Vec<f64> = (0..len).map(|k| (k as f64 * 0.4).sin()).collect();
         let col: Vec<f64> = (0..len).map(|k| 0.1 + (k as f64 * 0.11).cos()).collect();
@@ -1181,20 +1204,40 @@ mod tests {
             if bordered {
                 parts.border = Some((&row, &col));
             }
-            let serial = parts.assemble_triplets();
-            for threads in [2, 3, 7] {
-                let parallel = parts.assemble_triplets_threads(threads);
-                assert_eq!(parallel.len(), serial.len(), "threads={threads}");
-                for ((sr, sc, sv), (pr, pc, pv)) in serial.iter().zip(parallel.iter()) {
-                    assert_eq!((sr, sc), (pr, pc), "coordinate order, threads={threads}");
-                    assert_eq!(
-                        sv.to_bits(),
-                        pv.to_bits(),
-                        "value bits at ({sr},{sc}), threads={threads}"
-                    );
-                }
-            }
+            let what = format!("synthetic, bordered={bordered}");
+            assert_same_entries(
+                &parts.assemble_triplets(),
+                &dense_scan_triplets(&parts),
+                &what,
+            );
         }
+        // Explicit zeros in C (a whole zero block, a signed zero and a
+        // lone zero entry), a NaN entry, and a zero in D off its
+        // diagonal.
+        cblocks[1] = DMat::zeros(2, 2);
+        cblocks[2][(0, 1)] = -0.0;
+        cblocks[3][(1, 0)] = 0.0;
+        cblocks[4][(0, 0)] = f64::NAN;
+        dmat[(0, 3)] = 0.0;
+        for bordered in [false, true] {
+            let mut parts = synthetic_parts(&dmat, &cblocks, &gblocks);
+            if bordered {
+                parts.border = Some((&row, &col));
+            }
+            let what = format!("zeros, bordered={bordered}");
+            let trip = parts.assemble_triplets();
+            assert!(trip.iter().any(|(_, _, v)| v.is_nan()), "{what}: NaN kept");
+            assert_same_entries(&trip, &dense_scan_triplets(&parts), &what);
+        }
+        // A non-finite coefficient turns C's zeros into NaN: every entry
+        // of the affected block rows is pushed, as in the dense scan.
+        let mut parts = synthetic_parts(&dmat, &cblocks, &gblocks);
+        parts.omega = f64::INFINITY;
+        assert_same_entries(
+            &parts.assemble_triplets(),
+            &dense_scan_triplets(&parts),
+            "infinite omega",
+        );
     }
 
     #[test]

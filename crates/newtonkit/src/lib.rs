@@ -398,12 +398,11 @@ impl NewtonEngine {
 
     /// Pins a [`linsolve::CoreBudget`] on this engine: every
     /// [`NewtonEngine::solve`] call installs it as the thread-ambient
-    /// budget for its duration, so the stamping, factorisation, and
-    /// GMRES SpMV paths underneath lease their intra-solve threads from
-    /// it. Pass `None` to detach and inherit whatever budget the
-    /// calling thread has installed (the sweep executor's, usually).
-    /// Thread counts never change results: every leased kernel is
-    /// bitwise identical to its serial form.
+    /// budget for its duration, so a klu factorisation underneath
+    /// leases its BTF-block threads from it. Pass `None` to detach and
+    /// inherit whatever budget the calling thread has installed (the
+    /// sweep executor's, usually). Thread counts never change results:
+    /// the parallel BTF kernel is bitwise identical to its serial form.
     pub fn set_core_budget(&mut self, budget: Option<linsolve::CoreBudget>) {
         self.budget = budget;
     }
@@ -447,8 +446,8 @@ impl NewtonEngine {
         let n = sys.dim();
         assert_eq!(x.len(), n, "newton: x length mismatch");
 
-        // A pinned budget scopes over the whole solve: stamping,
-        // factorisation, and back-solve all lease from it.
+        // A pinned budget scopes over the whole solve, so every klu
+        // factorisation in it leases from the budget.
         let _budget_guard = self.budget.as_ref().map(linsolve::CoreBudget::install);
         let cache = match &mut self.cache {
             Some(c) => {

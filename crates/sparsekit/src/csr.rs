@@ -147,42 +147,6 @@ impl Csr {
         }
     }
 
-    /// Matrix–vector product into a caller buffer, rows partitioned
-    /// across up to `threads` scoped threads.
-    ///
-    /// Each row is owned by exactly one thread and its dot product runs
-    /// the same left-to-right accumulation as [`Csr::matvec_into`], so
-    /// the result is bitwise identical to the serial product at every
-    /// thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn matvec_into_threads(&self, x: &[f64], y: &mut [f64], threads: usize) {
-        assert_eq!(x.len(), self.ncols, "matvec: x length mismatch");
-        assert_eq!(y.len(), self.nrows, "matvec: y length mismatch");
-        let workers = threads.min(self.nrows);
-        if workers <= 1 {
-            return self.matvec_into(x, y);
-        }
-        let chunk = self.nrows.div_ceil(workers);
-        std::thread::scope(|scope| {
-            for (c, y_rows) in y.chunks_mut(chunk).enumerate() {
-                let base = c * chunk;
-                scope.spawn(move || {
-                    for (i, yi) in y_rows.iter_mut().enumerate() {
-                        let (cols, vals) = self.row(base + i);
-                        let mut acc = 0.0;
-                        for (col, v) in cols.iter().zip(vals.iter()) {
-                            acc += v * x[*col];
-                        }
-                        *yi = acc;
-                    }
-                });
-            }
-        });
-    }
-
     /// Converts to CSC.
     pub fn to_csc(&self) -> Csc {
         let mut counts = vec![0usize; self.ncols + 1];

@@ -67,20 +67,12 @@ impl Precond for JacobiPrecond {
 #[derive(Debug, Clone)]
 pub struct CsrOp<'a> {
     a: &'a Csr,
-    threads: usize,
 }
 
 impl<'a> CsrOp<'a> {
-    /// Wraps a borrowed CSR matrix (serial matvec).
+    /// Wraps a borrowed CSR matrix.
     pub fn new(a: &'a Csr) -> Self {
-        CsrOp { a, threads: 1 }
-    }
-
-    /// Wraps a borrowed CSR matrix whose products are row-partitioned
-    /// across up to `threads` threads
-    /// ([`Csr::matvec_into_threads`] — bitwise identical to serial).
-    pub fn with_threads(a: &'a Csr, threads: usize) -> Self {
-        CsrOp { a, threads }
+        CsrOp { a }
     }
 }
 
@@ -90,11 +82,7 @@ impl LinOp for CsrOp<'_> {
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        if self.threads > 1 {
-            self.a.matvec_into_threads(x, y, self.threads);
-        } else {
-            self.a.matvec_into(x, y);
-        }
+        self.a.matvec_into(x, y);
     }
 }
 

@@ -37,6 +37,11 @@
 //! * an optional JSON-lines sink receiving one [`JobRecord`] per
 //!   completed job in completion order, making long sweeps observable
 //!   in flight without perturbing the index-ordered aggregate.
+//!
+//! Workers share one `linsolve::CoreBudget` ([`SweepConfig::solver_threads`]).
+//! Inside a job, the only kernel that leases extra cores from it is
+//! klu's concurrent factorisation of independent BTF blocks; it is
+//! bitwise identical to serial, so the budget changes wall time only.
 
 use crate::analysis::{analysis_for, Analysis, ScenarioResult, WarmState};
 use crate::batch::BatchPlan;
@@ -152,9 +157,10 @@ pub struct SweepConfig {
     /// predecessor and sharing sparse symbolic analysis per chain.
     /// `false` (the default) runs every job independently and cold.
     pub warm_start: bool,
-    /// Per-solve thread ceiling for intra-solve parallelism (parallel
-    /// BTF block factorisation, circulant-mode LUs, partitioned
-    /// stamping and SpMV). `0` (the default) auto-sizes against the
+    /// Per-solve thread ceiling for the one intra-solve parallel
+    /// kernel: klu's concurrent factorisation of two or more BTF
+    /// blocks. Everything else inside a solve is serial. `0` (the
+    /// default) auto-sizes against the
     /// machine: every worker claims one core as its baseline and each
     /// solve dynamically leases whatever is left, so a single chain
     /// gets the whole machine while a sweep wide enough to fill every
@@ -283,8 +289,8 @@ pub fn run_deck_with(
         .collect();
     let workers = config.jobs.max(1).min(dispatch.len().max(1));
 
-    // Shared core budget for intra-solve parallelism: `jobs × solver
-    // threads` never exceeds the machine. Workers claim one baseline
+    // Shared core budget for the parallel BTF factorisation: `jobs ×
+    // solver threads` never exceeds the machine. Workers claim one baseline
     // core each; solves lease the rest dynamically (auto) or exactly
     // `solver_threads` (explicit). Thread counts never change results.
     let cores = linsolve::resolve_thread_count(0);

@@ -106,22 +106,29 @@ fn parallel_factor_traces_cross_threads_and_change_no_bytes() {
         "expected one factor.block span per BTF block"
     );
 
-    // The same contract end to end: a bordered step Jacobian solved via
-    // KLU under a 4-thread core budget (parallel stamping + assembly)
-    // returns bit-identical solutions traced or not, and the parallel
-    // counters land in the installed recorder.
-    let jac = wampde_bench::StepJacobian::build(8, 2);
-    let reference = jac.factor_solve(wampde::LinearSolverKind::Klu);
+    // The same contract through the solver layer: the two-block matrix
+    // factored by a KLU `FactorCache` under a 4-thread core budget
+    // solves bit-identically traced or not, and the dispatched block
+    // count lands in the installed recorder.
+    let matrix = linsolve::NewtonMatrix::Triplets(&t);
+    let solve = || {
+        let mut cache = linsolve::FactorCache::new(linsolve::LinearSolverKind::Klu);
+        cache.factor(&matrix).unwrap();
+        let mut x: Vec<f64> = (0..6).map(|i| 1.0 - 0.3 * i as f64).collect();
+        cache.solve_in_place(&mut x).unwrap();
+        x
+    };
+    let reference = solve();
     let budget = linsolve::CoreBudget::new(4, 4);
     let plain = {
         let _b = budget.install();
-        jac.factor_solve(wampde::LinearSolverKind::Klu)
+        solve()
     };
     let rec2 = Arc::new(obskit::CollectingRecorder::new());
     let traced = {
         let _g = obskit::install(rec2.clone() as Arc<dyn obskit::Recorder>);
         let _b = budget.install();
-        jac.factor_solve(wampde::LinearSolverKind::Klu)
+        solve()
     };
     for (label, x) in [("untraced", &plain), ("traced", &traced)] {
         assert!(
@@ -131,13 +138,38 @@ fn parallel_factor_traces_cross_threads_and_change_no_bytes() {
             "{label} parallel klu solve differs from serial"
         );
     }
+    assert_eq!(
+        rec2.counter("factor.parallel_blocks"),
+        plan.nblocks() as u64,
+        "a parallel factorisation must report its block count"
+    );
+
+    // A bordered step Jacobian is one BTF block: under the same budget
+    // it factors serially, bit-identically, and counts no parallel
+    // blocks.
+    let jac = wampde_bench::StepJacobian::build(8, 2);
+    let serial = jac.factor_solve(wampde::LinearSolverKind::Klu);
+    let rec3 = Arc::new(obskit::CollectingRecorder::new());
+    let budgeted = {
+        let _g = obskit::install(rec3.clone() as Arc<dyn obskit::Recorder>);
+        let _b = budget.install();
+        jac.factor_solve(wampde::LinearSolverKind::Klu)
+    };
     assert!(
-        rec2.counter("factor.parallel_blocks") > 0,
-        "parallel factorisation must report its block count"
+        budgeted
+            .iter()
+            .zip(serial.iter())
+            .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "budgeted one-block klu solve differs from serial"
     );
     assert!(
-        rec2.counter("stamp.parallel_partitions") > 0,
-        "parallel stamping must report its partition count"
+        rec3.counter("factor.fresh") > 0,
+        "the step jacobian was factored"
+    );
+    assert_eq!(
+        rec3.counter("factor.parallel_blocks"),
+        0,
+        "a one-block factorisation runs serially and must count no parallel blocks"
     );
 }
 

@@ -349,55 +349,6 @@ proptest! {
         }
     }
 
-    /// Parallel per-mode LU construction of the block-circulant
-    /// preconditioner is bitwise identical to the serial build over
-    /// random cyclic shapes and block values, at every thread count.
-    #[test]
-    fn parallel_circulant_precond_bitwise_identical(
-        blocks in 1usize..6,
-        block_dim in 1usize..8,
-        seed in prop::collection::vec(-1.0f64..1.0, 200),
-    ) {
-        let shape = linsolve::CyclicShape { blocks, block_dim };
-        let n = shape.dim();
-        let mut t = Triplets::new(n, n);
-        let mut k = 0;
-        for bi in 0..blocks {
-            for r in 0..block_dim {
-                let i = bi * block_dim + r;
-                t.push(i, i, 3.0 + seed[k % seed.len()].abs());
-                k += 1;
-                // In-block fill plus a cyclic neighbour coupling.
-                let j = bi * block_dim
-                    + ((seed[k % seed.len()].abs() * block_dim as f64) as usize) % block_dim;
-                t.push(i, j, seed[(k + 5) % seed.len()]);
-                let jn = ((bi + 1) % blocks) * block_dim + r;
-                t.push(i, jn, 0.25 * seed[(k + 11) % seed.len()]);
-                k += 2;
-            }
-        }
-        let a = t.to_csr();
-        let serial = linsolve::BlockCirculantPrecond::from_csr(&a, shape).unwrap();
-        let x: Vec<f64> = (0..n).map(|i| seed[i % seed.len()]).collect();
-        let mut ys = vec![0.0; n];
-        sparsekit::Precond::apply(&serial, &x, &mut ys);
-        for threads in [1usize, 2, 7] {
-            let par = linsolve::BlockCirculantPrecond::from_csr_threads(&a, shape, threads)
-                .unwrap();
-            prop_assert_eq!(
-                format!("{:?}", par),
-                format!("{:?}", serial),
-                "mode LUs differ at {} threads",
-                threads
-            );
-            let mut yp = vec![0.0; n];
-            sparsekit::Precond::apply(&par, &x, &mut yp);
-            for (a2, c) in yp.iter().zip(ys.iter()) {
-                prop_assert_eq!(a2.to_bits(), c.to_bits(), "{} threads: {} vs {}", threads, a2, c);
-            }
-        }
-    }
-
     /// Spectral differentiation of a random band-limited signal matches
     /// the analytic derivative at the grid points.
     #[test]
