@@ -157,17 +157,16 @@ pub trait Dae {
     }
 
     /// [`Dae::jac_q_triplets`] with a thread-count hint. No solver in
-    /// the workspace calls it: stamping is serial everywhere. It stays
-    /// only so that external wrappers that forward it (perfbench's
-    /// timing `Dae`) keep compiling. The default ignores the hint;
-    /// an override must push the same entry sequence as the serial
-    /// method.
+    /// the workspace calls it: stamping is serial everywhere. Kept for
+    /// perfbench, whose timing `Dae` wrapper forwards it. The default
+    /// ignores the hint; an override must push the same entry sequence
+    /// as the serial method.
     fn jac_q_triplets_threads(&self, x: &[f64], out: &mut Triplets, _threads: usize) {
         self.jac_q_triplets(x, out);
     }
 
-    /// [`Dae::jac_f_triplets`] with a thread-count hint; kept for the
-    /// same reason as [`Dae::jac_q_triplets_threads`].
+    /// [`Dae::jac_f_triplets`] with a thread-count hint. Kept for
+    /// perfbench, like [`Dae::jac_q_triplets_threads`].
     fn jac_f_triplets_threads(&self, x: &[f64], out: &mut Triplets, _threads: usize) {
         self.jac_f_triplets(x, out);
     }

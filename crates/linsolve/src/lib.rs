@@ -58,7 +58,7 @@ use std::fmt;
 pub mod budget;
 pub mod circulant;
 
-pub use budget::{resolve_thread_count, CoreBudget, CoreBudgetGuard, CoreLease, CoreOccupation};
+pub use budget::{resolve_thread_count, CoreBudget, CoreBudgetGuard, CoreOccupation};
 pub use circulant::{BlockCirculantPrecond, CyclicShape};
 
 /// Solver-agnostic linear-solve failure (factorisation or back-solve).
@@ -533,14 +533,7 @@ fn factor_gmres_cyclic(
 /// Runs the KLU symbolic pipeline (BTF + per-block AMD) under the
 /// `factor.btf` / `factor.order` spans, then factors through the
 /// equilibrated matched-pivot path.
-///
-/// With `threads > 1` and at least two BTF blocks, the independent
-/// diagonal blocks are factored concurrently
-/// ([`SparseLu::factor_ordered_threads`] — bitwise identical to
-/// serial), and the `factor.parallel_blocks` counter records how many
-/// blocks that dispatch spread across threads. A one-block plan runs
-/// serially and counts nothing.
-fn factor_klu(csc: &sparsekit::Csc, threads: usize) -> Result<SparseLu, LinSolveError> {
+fn factor_klu(csc: &sparsekit::Csc) -> Result<SparseLu, LinSolveError> {
     let form = {
         let _sp = obskit::span("factor.btf");
         sparsekit::btf(csc).map_err(LinSolveError::new)?
@@ -549,13 +542,7 @@ fn factor_klu(csc: &sparsekit::Csc, threads: usize) -> Result<SparseLu, LinSolve
         let _sp = obskit::span("factor.order");
         OrderingPlan::from_btf(csc, &form)
     };
-    let lu = if threads > 1 && plan.nblocks() > 1 {
-        obskit::counter_add("factor.parallel_blocks", plan.nblocks() as u64);
-        SparseLu::factor_ordered_threads(csc, &plan, threads)
-    } else {
-        SparseLu::factor_ordered(csc, &plan)
-    }
-    .map_err(LinSolveError::new)?;
+    let lu = SparseLu::factor_ordered(csc, &plan).map_err(LinSolveError::new)?;
     if csc.nnz() > 0 {
         obskit::observe("lu.fill_ratio", lu.factor_nnz() as f64 / csc.nnz() as f64);
     }
@@ -699,16 +686,11 @@ impl Factored {
 /// so a signature collision merely falls through to a fresh
 /// factorisation.
 ///
-/// Two ways to wire it in:
-///
-/// * explicitly, via [`FactorCache::set_shared_symbolic`] /
-///   `newtonkit::NewtonEngine::set_shared_symbolic`;
-/// * ambiently, via [`SharedSymbolic::install`]: every `FactorCache`
-///   created on the thread while the guard lives picks the handle up.
-///   Solver entry points build their engines internally (their options
-///   structs are `Copy` and cannot carry an `Arc`), so the ambient route
-///   is how the sweep executor threads one handle through a whole
-///   chain of jobs.
+/// It is wired in one way, [`SharedSymbolic::install`]: every
+/// `FactorCache` created on the thread while the guard lives picks the
+/// handle up. Solver entry points build their engines internally (their
+/// options structs are `Copy` and cannot carry an `Arc`), so this is how
+/// the sweep executor threads one handle through a whole chain of jobs.
 #[derive(Debug, Clone, Default)]
 pub struct SharedSymbolic {
     inner: std::sync::Arc<std::sync::Mutex<Vec<SymbolicTemplate>>>,
@@ -858,12 +840,6 @@ impl FactorCache {
         }
     }
 
-    /// Attaches (or detaches) a batch-shared symbolic pool, overriding
-    /// whatever ambient handle [`FactorCache::new`] adopted.
-    pub fn set_shared_symbolic(&mut self, shared: Option<SharedSymbolic>) {
-        self.shared = shared;
-    }
-
     /// Enables/disables symbolic reuse (ablation knob; on by default).
     pub fn set_reuse(&mut self, reuse: bool) {
         self.reuse = reuse;
@@ -940,10 +916,7 @@ impl FactorCache {
                     sp.attr("mode", mode);
                     return Ok(());
                 }
-                let lu = {
-                    let lease = CoreBudget::lease_ambient();
-                    factor_klu(&csc, lease.threads())?
-                };
+                let lu = factor_klu(&csc)?;
                 if self.reuse {
                     if let Some(shared) = &self.shared {
                         shared.publish(&csc, &lu);
@@ -1241,23 +1214,6 @@ mod tests {
     }
 
     #[test]
-    fn klu_under_installed_budget_matches_serial_bitwise() {
-        let (dmat, cblocks, gblocks) = synthetic_blocks();
-        let parts = synthetic_parts(&dmat, &cblocks, &gblocks);
-        let rhs: Vec<f64> = (0..parts.dim())
-            .map(|i| ((i * 5 % 11) as f64) - 4.0)
-            .collect();
-        let matrix = NewtonMatrix::Parts(&parts);
-        let serial = solve_once(LinearSolverKind::Klu, &matrix, &rhs);
-        let budget = CoreBudget::new(4, 4);
-        let _guard = budget.install();
-        let leased = solve_once(LinearSolverKind::Klu, &matrix, &rhs);
-        for (s, p) in serial.iter().zip(leased.iter()) {
-            assert_eq!(s.to_bits(), p.to_bits(), "budgeted KLU must match serial");
-        }
-    }
-
-    #[test]
     fn parts_factor_exactly_like_their_assembled_forms() {
         // Handing the cache the block description is the same solve, bit
         // for bit, as handing it the matrix the caller would assemble.
@@ -1434,8 +1390,8 @@ mod tests {
         // a numeric-only refactor of the shared template — with a
         // solution identical to factoring from scratch.
         let shared = SharedSymbolic::new();
+        let guard = shared.install();
         let mut first = FactorCache::new(LinearSolverKind::Klu);
-        first.set_shared_symbolic(Some(shared.clone()));
         first
             .factor(&NewtonMatrix::Triplets(&shifted(0.0)))
             .unwrap();
@@ -1444,12 +1400,12 @@ mod tests {
 
         let t1 = shifted(2.5);
         let mut second = FactorCache::new(LinearSolverKind::Klu);
-        second.set_shared_symbolic(Some(shared.clone()));
         second.factor(&NewtonMatrix::Triplets(&t1)).unwrap();
         assert_eq!(second.stats().factorisations, 1);
         assert_eq!(second.stats().symbolic_reuses, 1, "template not reused");
         let mut x = vec![1.0, 2.0, 3.0];
         second.solve_in_place(&mut x).unwrap();
+        drop(guard);
         let fresh = solve_once(
             LinearSolverKind::Klu,
             &NewtonMatrix::Triplets(&t1),
@@ -1463,14 +1419,13 @@ mod tests {
         // A different pattern must not borrow the template; it factors
         // fresh and is published as a second template.
         let shared = SharedSymbolic::new();
+        let _guard = shared.install();
         let mut cache = FactorCache::new(LinearSolverKind::Klu);
-        cache.set_shared_symbolic(Some(shared.clone()));
         cache.factor(&NewtonMatrix::Triplets(&diag2())).unwrap();
 
         let mut b = diag2();
         b.push(0, 1, 1.0);
         let mut other = FactorCache::new(LinearSolverKind::Klu);
-        other.set_shared_symbolic(Some(shared.clone()));
         other.factor(&NewtonMatrix::Triplets(&b)).unwrap();
         assert_eq!(other.stats().symbolic_reuses, 0);
         assert_eq!(shared.len(), 2);

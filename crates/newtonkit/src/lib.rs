@@ -352,12 +352,6 @@ impl KeptMatrix {
 #[derive(Debug, Default)]
 pub struct NewtonEngine {
     cache: Option<FactorCache>,
-    // `None` = inherit the thread-ambient pool (see
-    // [`linsolve::SharedSymbolic::install`]); `Some(ov)` = pin `ov`.
-    shared_override: Option<Option<linsolve::SharedSymbolic>>,
-    // Pinned core budget installed around each solve; `None` = inherit
-    // the thread-ambient [`linsolve::CoreBudget`], if any.
-    budget: Option<linsolve::CoreBudget>,
     stats: NewtonStats,
     // Scratch buffers reused across solves (resized on dimension change).
     r: Vec<f64>,
@@ -384,27 +378,6 @@ impl NewtonEngine {
     /// populated on the error paths too, unlike the success return value.
     pub fn stats(&self) -> NewtonStats {
         self.stats
-    }
-
-    /// Pins a batch-shared symbolic pool on this engine's factor cache
-    /// (overriding any thread-ambient [`linsolve::SharedSymbolic`]);
-    /// `Some(None)`-style detaching is expressed by passing `None`.
-    pub fn set_shared_symbolic(&mut self, shared: Option<linsolve::SharedSymbolic>) {
-        if let Some(cache) = &mut self.cache {
-            cache.set_shared_symbolic(shared.clone());
-        }
-        self.shared_override = Some(shared);
-    }
-
-    /// Pins a [`linsolve::CoreBudget`] on this engine: every
-    /// [`NewtonEngine::solve`] call installs it as the thread-ambient
-    /// budget for its duration, so a klu factorisation underneath
-    /// leases its BTF-block threads from it. Pass `None` to detach and
-    /// inherit whatever budget the calling thread has installed (the
-    /// sweep executor's, usually). Thread counts never change results:
-    /// the parallel BTF kernel is bitwise identical to its serial form.
-    pub fn set_core_budget(&mut self, budget: Option<linsolve::CoreBudget>) {
-        self.budget = budget;
     }
 
     /// Drops the kept iteration matrix, so the next iteration under
@@ -446,21 +419,12 @@ impl NewtonEngine {
         let n = sys.dim();
         assert_eq!(x.len(), n, "newton: x length mismatch");
 
-        // A pinned budget scopes over the whole solve, so every klu
-        // factorisation in it leases from the budget.
-        let _budget_guard = self.budget.as_ref().map(linsolve::CoreBudget::install);
         let cache = match &mut self.cache {
             Some(c) => {
                 c.set_kind(policy.linear_solver);
                 c
             }
-            slot => {
-                let c = slot.insert(FactorCache::new(policy.linear_solver));
-                if let Some(ov) = &self.shared_override {
-                    c.set_shared_symbolic(ov.clone());
-                }
-                c
-            }
+            slot => slot.insert(FactorCache::new(policy.linear_solver)),
         };
         cache.set_reuse(policy.reuse_symbolic);
         cache.set_cyclic_shape(sys.cyclic_shape());
@@ -869,29 +833,6 @@ mod tests {
         // Constant pattern: every factorisation after the first reused
         // the symbolic analysis.
         assert_eq!(rep.symbolic_reuses, rep.factorisations - 1);
-    }
-
-    #[test]
-    fn pinned_core_budget_does_not_change_results() {
-        let policy = NewtonPolicy {
-            linear_solver: LinearSolverKind::Klu,
-            ..Default::default()
-        };
-        let mut serial = vec![2.0, 0.5];
-        let mut engine = NewtonEngine::new();
-        engine.solve(&TwoDim, &mut serial, &policy).unwrap();
-
-        let mut budgeted = vec![2.0, 0.5];
-        let mut engine = NewtonEngine::new();
-        engine.set_core_budget(Some(linsolve::CoreBudget::new(4, 4)));
-        engine.solve(&TwoDim, &mut budgeted, &policy).unwrap();
-        assert!(
-            linsolve::CoreBudget::ambient().is_none(),
-            "budget install must not leak past solve()"
-        );
-        for (s, b) in serial.iter().zip(budgeted.iter()) {
-            assert_eq!(s.to_bits(), b.to_bits());
-        }
     }
 
     #[test]

@@ -38,10 +38,8 @@
 //!   completed job in completion order, making long sweeps observable
 //!   in flight without perturbing the index-ordered aggregate.
 //!
-//! Workers share one `linsolve::CoreBudget` ([`SweepConfig::solver_threads`]).
-//! Inside a job, the only kernel that leases extra cores from it is
-//! klu's concurrent factorisation of independent BTF blocks; it is
-//! bitwise identical to serial, so the budget changes wall time only.
+//! The worker pool is the one parallelism in a run (`--jobs`). Every
+//! solve inside a job is serial.
 
 use crate::analysis::{analysis_for, Analysis, ScenarioResult, WarmState};
 use crate::batch::BatchPlan;
@@ -157,16 +155,8 @@ pub struct SweepConfig {
     /// predecessor and sharing sparse symbolic analysis per chain.
     /// `false` (the default) runs every job independently and cold.
     pub warm_start: bool,
-    /// Per-solve thread ceiling for the one intra-solve parallel
-    /// kernel: klu's concurrent factorisation of two or more BTF
-    /// blocks. Everything else inside a solve is serial. `0` (the
-    /// default) auto-sizes against the
-    /// machine: every worker claims one core as its baseline and each
-    /// solve dynamically leases whatever is left, so a single chain
-    /// gets the whole machine while a sweep wide enough to fill every
-    /// core degrades to serial solves. A nonzero value is honored
-    /// exactly for every solve. Either way results are bitwise
-    /// identical to serial — this knob trades wall-clock only.
+    /// Ignored: every solve is serial. Kept for perfbench, which still
+    /// sets it.
     pub solver_threads: usize,
 }
 
@@ -289,20 +279,6 @@ pub fn run_deck_with(
         .collect();
     let workers = config.jobs.max(1).min(dispatch.len().max(1));
 
-    // Shared core budget for the parallel BTF factorisation: `jobs ×
-    // solver threads` never exceeds the machine. Workers claim one baseline
-    // core each; solves lease the rest dynamically (auto) or exactly
-    // `solver_threads` (explicit). Thread counts never change results.
-    let cores = linsolve::resolve_thread_count(0);
-    let core_budget = if config.solver_threads == 0 {
-        linsolve::CoreBudget::new(cores, cores)
-    } else {
-        linsolve::CoreBudget::new(
-            cores.max(workers * config.solver_threads),
-            config.solver_threads,
-        )
-    };
-
     // The hash inputs are computed once; workers only concatenate.
     let deck_fp = deck.fingerprint();
     let spec_fps: Vec<String> = deck.analyses.iter().map(|a| a.fingerprint()).collect();
@@ -343,7 +319,6 @@ pub fn run_deck_with(
     sweep_span.attr("workers", workers);
     sweep_span.attr("shards", shards);
     sweep_span.attr("chains", dispatch.len());
-    sweep_span.attr("solver_cap", core_budget.solver_cap());
     let obs_handle = obskit::current();
 
     thread::scope(|scope| {
@@ -357,14 +332,8 @@ pub fn run_deck_with(
             let deck_fp = &deck_fp;
             let spec_fps = &spec_fps;
             let obs_handle = obs_handle.clone();
-            let core_budget = &core_budget;
             scope.spawn(move || {
                 let _obs = obs_handle.map(obskit::install_handle);
-                // Baseline claim + ambient install: solver layers under
-                // this worker lease their extra threads from the shared
-                // budget (see `linsolve::CoreBudget`).
-                let _core = core_budget.occupy(1);
-                let _budget = core_budget.install();
                 let is_owned = |id: usize| shard_owns(id, shards, shard_index);
                 'chains: loop {
                     let ci = match job_rx.lock().expect("job queue lock").recv() {
@@ -732,39 +701,6 @@ mod tests {
         // And both equal the cache-free path.
         assert_eq!(cold.outcome, run_deck(&deck, 1).unwrap());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn solver_threads_do_not_change_results() {
-        // Intra-solve parallelism (explicit and auto) must leave the
-        // outcome byte-identical to serial solves.
-        let deck = parse_deck(RC_DECK).unwrap();
-        let serial = run_deck_with(
-            &deck,
-            &SweepConfig {
-                jobs: 1,
-                solver_threads: 1,
-                ..SweepConfig::default()
-            },
-            None,
-        )
-        .unwrap();
-        for (jobs, solver_threads) in [(1, 4), (2, 4), (2, 0)] {
-            let parallel = run_deck_with(
-                &deck,
-                &SweepConfig {
-                    jobs,
-                    solver_threads,
-                    ..SweepConfig::default()
-                },
-                None,
-            )
-            .unwrap();
-            assert_eq!(
-                serial.outcome, parallel.outcome,
-                "jobs={jobs} solver_threads={solver_threads}"
-            );
-        }
     }
 
     #[test]

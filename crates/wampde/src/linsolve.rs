@@ -6,8 +6,8 @@
 //! types and builds the [`JacobianParts`] of a WaMPDE collocation core.
 
 pub use ::linsolve::{
-    resolve_thread_count, BlockCirculantPrecond, CoreBudget, CoreBudgetGuard, CoreLease,
-    CyclicShape, FactorCache, JacobianParts, LinSolveError, LinearSolverKind, NewtonMatrix,
+    BlockCirculantPrecond, CyclicShape, FactorCache, JacobianParts, LinSolveError,
+    LinearSolverKind, NewtonMatrix,
 };
 use hb::Colloc;
 

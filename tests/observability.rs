@@ -60,9 +60,9 @@ fn traced_sweep_artifacts_are_byte_identical_to_untraced() {
 }
 
 #[test]
-fn parallel_factor_traces_cross_threads_and_change_no_bytes() {
-    // A two-block BTF-rich matrix, so the parallel kernel actually fans
-    // the diagonal blocks out to scoped worker threads.
+fn klu_factor_traces_change_no_bytes() {
+    // A two-block BTF matrix factored by a KLU `FactorCache` solves
+    // bit-identically traced or not.
     let mut t = sparsekit::Triplets::new(6, 6);
     for b in 0..2usize {
         for r in 0..3usize {
@@ -72,44 +72,8 @@ fn parallel_factor_traces_cross_threads_and_change_no_bytes() {
         }
     }
     t.push(0, 4, 0.25); // upper off-block coupling keeps two blocks
-    let csc = t.to_csc();
-    let plan = sparsekit::OrderingPlan::for_matrix(&csc).unwrap();
-    let serial = sparsekit::SparseLu::factor_ordered(&csc, &plan).unwrap();
-    let untraced = sparsekit::SparseLu::factor_ordered_threads(&csc, &plan, 7).unwrap();
-
-    let rec = Arc::new(obskit::CollectingRecorder::new());
-    let traced = {
-        let _g = obskit::install(rec.clone() as Arc<dyn obskit::Recorder>);
-        let _sp = obskit::span("factor");
-        sparsekit::SparseLu::factor_ordered_threads(&csc, &plan, 7).unwrap()
-    };
-    // Observation only: the traced and untraced parallel factors are
-    // byte-identical to the serial one.
-    assert_eq!(format!("{untraced:?}"), format!("{serial:?}"));
-    assert_eq!(format!("{traced:?}"), format!("{serial:?}"));
-
-    // The recorder handle crossed into the scoped workers: every BTF
-    // block factored on a worker thread shows up as a `factor.block`
-    // span with a valid id in the exported trace.
-    let doc = parse_json(&rec.to_chrome_trace()).expect("trace must be valid JSON");
-    let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
-    let blocks = events
-        .iter()
-        .filter(|ev| {
-            ev.get("ph").and_then(Json::as_str) == Some("X")
-                && ev.get("name").and_then(Json::as_str) == Some("factor.block")
-        })
-        .count();
-    assert_eq!(
-        blocks,
-        plan.nblocks(),
-        "expected one factor.block span per BTF block"
-    );
-
-    // The same contract through the solver layer: the two-block matrix
-    // factored by a KLU `FactorCache` under a 4-thread core budget
-    // solves bit-identically traced or not, and the dispatched block
-    // count lands in the installed recorder.
+    let plan = sparsekit::OrderingPlan::for_matrix(&t.to_csc()).unwrap();
+    assert_eq!(plan.nblocks(), 2);
     let matrix = linsolve::NewtonMatrix::Triplets(&t);
     let solve = || {
         let mut cache = linsolve::FactorCache::new(linsolve::LinearSolverKind::Klu);
@@ -118,59 +82,70 @@ fn parallel_factor_traces_cross_threads_and_change_no_bytes() {
         cache.solve_in_place(&mut x).unwrap();
         x
     };
-    let reference = solve();
-    let budget = linsolve::CoreBudget::new(4, 4);
-    let plain = {
-        let _b = budget.install();
-        solve()
-    };
-    let rec2 = Arc::new(obskit::CollectingRecorder::new());
+    let plain = solve();
+    let rec = Arc::new(obskit::CollectingRecorder::new());
     let traced = {
-        let _g = obskit::install(rec2.clone() as Arc<dyn obskit::Recorder>);
-        let _b = budget.install();
+        let _g = obskit::install(rec.clone() as Arc<dyn obskit::Recorder>);
         solve()
     };
-    for (label, x) in [("untraced", &plain), ("traced", &traced)] {
-        assert!(
-            x.iter()
-                .zip(reference.iter())
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "{label} parallel klu solve differs from serial"
-        );
-    }
-    assert_eq!(
-        rec2.counter("factor.parallel_blocks"),
-        plan.nblocks() as u64,
-        "a parallel factorisation must report its block count"
+    assert!(
+        traced
+            .iter()
+            .zip(plain.iter())
+            .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "traced two-block klu solve differs from untraced"
     );
+    assert_eq!(rec.counter("factor.fresh"), 1, "the matrix was factored");
 
-    // A bordered step Jacobian is one BTF block: under the same budget
-    // it factors serially, bit-identically, and counts no parallel
-    // blocks.
+    // A bordered step Jacobian is one BTF block; the same holds.
     let jac = wampde_bench::StepJacobian::build(8, 2);
-    let serial = jac.factor_solve(wampde::LinearSolverKind::Klu);
-    let rec3 = Arc::new(obskit::CollectingRecorder::new());
-    let budgeted = {
-        let _g = obskit::install(rec3.clone() as Arc<dyn obskit::Recorder>);
-        let _b = budget.install();
+    let plain = jac.factor_solve(wampde::LinearSolverKind::Klu);
+    let rec = Arc::new(obskit::CollectingRecorder::new());
+    let traced = {
+        let _g = obskit::install(rec.clone() as Arc<dyn obskit::Recorder>);
         jac.factor_solve(wampde::LinearSolverKind::Klu)
     };
     assert!(
-        budgeted
+        traced
             .iter()
-            .zip(serial.iter())
+            .zip(plain.iter())
             .all(|(a, b)| a.to_bits() == b.to_bits()),
-        "budgeted one-block klu solve differs from serial"
+        "traced one-block klu solve differs from untraced"
     );
     assert!(
-        rec3.counter("factor.fresh") > 0,
+        rec.counter("factor.fresh") > 0,
         "the step jacobian was factored"
     );
-    assert_eq!(
-        rec3.counter("factor.parallel_blocks"),
-        0,
-        "a one-block factorisation runs serially and must count no parallel blocks"
+}
+
+#[test]
+fn every_emitted_counter_is_documented() {
+    // A warm klu chain emits the chain-only counters (shared symbolic
+    // reuse, warm-start savings) on top of the usual ones.
+    const DOC: &str = include_str!("../docs/OBSERVABILITY.md");
+    let deck = format!("{RC_DECK}.options solver=klu\n");
+    let deck = circuitdae::parse_deck(&deck).unwrap();
+    let rec = Arc::new(obskit::CollectingRecorder::new());
+    {
+        let _g = obskit::install(rec.clone() as Arc<dyn obskit::Recorder>);
+        let config = SweepConfig {
+            warm_start: true,
+            ..SweepConfig::default()
+        };
+        run_deck_with(&deck, &config, None).unwrap();
+    }
+    let metrics = rec.metrics();
+    let names: Vec<&str> = metrics.counters().map(|(name, _)| name).collect();
+    assert!(
+        names.contains(&"batch.symbolic_reuses"),
+        "the chain must share symbolic analysis, saw {names:?}"
     );
+    for name in names {
+        assert!(
+            DOC.contains(&format!("`{name}`")),
+            "counter `{name}` is missing from docs/OBSERVABILITY.md"
+        );
+    }
 }
 
 #[test]

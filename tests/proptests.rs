@@ -292,60 +292,65 @@ proptest! {
         }
     }
 
-    /// Parallel BTF-block factorisation is bitwise identical to the
-    /// serial kernel on random block-triangular matrices at every
-    /// thread count — including counts above the block count.
+    /// On random block-triangular matrices the ordered kernel solves to
+    /// the dense LU's answer within 1e-12 of its scale, and a numeric
+    /// refactor onto new values is bitwise a fresh factor of them.
     #[test]
-    fn parallel_factor_ordered_bitwise_identical(
+    fn multiblock_factor_ordered_matches_dense_and_refactors_bitwise(
         sizes in prop::collection::vec(1usize..8, 1..5),
         seed in prop::collection::vec(-1.0f64..1.0, 240),
+        bump in 0.25f64..1.0,
     ) {
         // Random BTF-rich matrix: diagonally dominant blocks on the
         // diagonal, coupling entries only from each block to the next,
         // so the strongly connected components are exactly the blocks.
+        // `off` scales every off-diagonal value and keeps the pattern.
         let n: usize = sizes.iter().sum();
         let starts: Vec<usize> = sizes
             .iter()
             .scan(0, |acc, &s| { let v = *acc; *acc += s; Some(v) })
             .collect();
-        let mut t = Triplets::new(n, n);
-        let mut k = 0;
-        for (b, (&start, &size)) in starts.iter().zip(sizes.iter()).enumerate() {
-            for r in 0..size {
-                let i = start + r;
-                t.push(i, i, 4.0 + seed[k % seed.len()].abs());
-                k += 1;
-                for _ in 0..2 {
-                    let j = start + ((seed[k % seed.len()].abs() * size as f64) as usize) % size;
-                    t.push(i, j, seed[(k + 7) % seed.len()]);
-                    k += 2;
-                }
-                if b + 1 < sizes.len() {
-                    let nb = sizes[b + 1];
-                    let j = starts[b + 1]
-                        + ((seed[k % seed.len()].abs() * nb as f64) as usize) % nb;
-                    t.push(i, j, seed[(k + 3) % seed.len()]);
+        let build = |off: f64| {
+            let mut t = Triplets::new(n, n);
+            let mut k = 0;
+            for (b, (&start, &size)) in starts.iter().zip(sizes.iter()).enumerate() {
+                for r in 0..size {
+                    let i = start + r;
+                    t.push(i, i, 4.0 + seed[k % seed.len()].abs());
                     k += 1;
+                    for _ in 0..2 {
+                        let j = start + ((seed[k % seed.len()].abs() * size as f64) as usize) % size;
+                        t.push(i, j, off * seed[(k + 7) % seed.len()]);
+                        k += 2;
+                    }
+                    if b + 1 < sizes.len() {
+                        let nb = sizes[b + 1];
+                        let j = starts[b + 1]
+                            + ((seed[k % seed.len()].abs() * nb as f64) as usize) % nb;
+                        t.push(i, j, off * seed[(k + 3) % seed.len()]);
+                        k += 1;
+                    }
                 }
             }
-        }
-        let csc = t.to_csc();
-        let plan = sparsekit::OrderingPlan::for_matrix(&csc).unwrap();
-        let serial = SparseLu::factor_ordered(&csc, &plan).unwrap();
+            t.to_csc()
+        };
+        let (first, second) = (build(1.0), build(bump));
+        let plan = sparsekit::OrderingPlan::for_matrix(&first).unwrap();
+        let lu = SparseLu::factor_ordered(&first, &plan).unwrap();
         let b: Vec<f64> = (0..n).map(|i| 0.5 + (i as f64) * 0.125).collect();
-        let xs = serial.solve(&b).unwrap();
-        for threads in [1usize, 2, 7] {
-            let par = SparseLu::factor_ordered_threads(&csc, &plan, threads).unwrap();
-            prop_assert_eq!(
-                format!("{:?}", par),
-                format!("{:?}", serial),
-                "factors differ at {} threads",
-                threads
-            );
-            let xp = par.solve(&b).unwrap();
-            for (a, c) in xp.iter().zip(xs.iter()) {
-                prop_assert_eq!(a.to_bits(), c.to_bits(), "{} threads: {} vs {}", threads, a, c);
-            }
+        let xs = lu.solve(&b).unwrap();
+        let xd = numkit::DenseLu::factor(&first.to_dense()).unwrap().solve(&b).unwrap();
+        let scale = xd.iter().fold(1.0_f64, |m, v| m.max(v.abs()));
+        for (a, c) in xs.iter().zip(xd.iter()) {
+            prop_assert!((a - c).abs() < 1e-12 * scale, "{a} vs {c}");
+        }
+        let mut reuse = lu;
+        reuse.refactor(&second).unwrap();
+        let fresh = SparseLu::factor_ordered(&second, &plan).unwrap();
+        prop_assert_eq!(format!("{:?}", reuse), format!("{:?}", fresh));
+        let (xr, xf) = (reuse.solve(&b).unwrap(), fresh.solve(&b).unwrap());
+        for (a, c) in xr.iter().zip(xf.iter()) {
+            prop_assert_eq!(a.to_bits(), c.to_bits(), "refactor drifted: {} vs {}", a, c);
         }
     }
 
