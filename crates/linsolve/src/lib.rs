@@ -51,7 +51,9 @@
 //! ```
 
 use numkit::{DMat, DenseLu};
-use sparsekit::{gmres, Csr, CsrOp, GmresOptions, Ilu0, OrderingPlan, SparseLu, Triplets};
+use sparsekit::{
+    gmres, AssemblyPlan, Csc, Csr, CsrOp, GmresOptions, Ilu0, OrderingPlan, SparseLu, Triplets,
+};
 use std::borrow::Cow;
 use std::fmt;
 
@@ -635,6 +637,35 @@ fn factor_gmres(
 }
 
 impl Factored {
+    /// Solves an `n × m` row-major block of right-hand sides: klu in one
+    /// block kernel, the other backends column by column.
+    fn solve_block_in_place(&self, rhs: &mut [f64], m: usize) -> Result<(), LinSolveError> {
+        let n = match self {
+            Factored::Sparse(lu) => {
+                return lu.solve_block_in_place(rhs, m).map_err(LinSolveError::new)
+            }
+            Factored::Dense(lu) => lu.dim(),
+            Factored::Gmres { a, .. } | Factored::GmresCyclic { a, .. } => a.nrows(),
+        };
+        if Some(rhs.len()) != n.checked_mul(m) {
+            return Err(LinSolveError::new(format!(
+                "rhs block of {} entries for {n} rows × {m} columns",
+                rhs.len()
+            )));
+        }
+        let mut col = vec![0.0; n];
+        for c in 0..m {
+            for (v, row) in col.iter_mut().zip(rhs.chunks_exact(m)) {
+                *v = row[c];
+            }
+            self.solve_in_place(&mut col)?;
+            for (v, row) in col.iter().zip(rhs.chunks_exact_mut(m)) {
+                row[c] = *v;
+            }
+        }
+        Ok(())
+    }
+
     fn solve_in_place(&self, rhs: &mut [f64]) -> Result<(), LinSolveError> {
         match self {
             Factored::Dense(lu) => lu.solve_in_place(rhs).map_err(LinSolveError::new),
@@ -804,7 +835,10 @@ pub struct FactorStats {
 /// whenever the incoming pattern matches — skipping the BTF/AMD ordering
 /// and the symbolic reachability analysis. A pattern change (or a
 /// stale-pivot failure) transparently falls back to a fresh factorisation
-/// and is counted in [`FactorStats::pattern_rebuilds`].
+/// and is counted in [`FactorStats::pattern_rebuilds`]. The klu arm also
+/// keeps the triplet→CSC conversion of the last coordinate sequence as
+/// an [`AssemblyPlan`] and replays it, bit-identically, while the
+/// incoming coordinates stay the same.
 ///
 /// Dense LU refactors the cached factors' storage in place
 /// ([`DenseLu::refactor`]); GMRES+ILU(0) has no symbolic phase worth
@@ -821,6 +855,9 @@ pub struct FactorCache {
     factored: Option<Factored>,
     cyclic: Option<CyclicShape>,
     shared: Option<SharedSymbolic>,
+    /// The klu arm's triplet→CSC conversion of the last coordinate
+    /// sequence, replayed while the coordinates stay the same.
+    plan: Option<AssemblyPlan>,
     stats: FactorStats,
 }
 
@@ -836,6 +873,7 @@ impl FactorCache {
             factored: None,
             cyclic: None,
             shared: SharedSymbolic::ambient(),
+            plan: None,
             stats: FactorStats::default(),
         }
     }
@@ -911,18 +949,17 @@ impl FactorCache {
                 Factored::Dense(lu.map_err(LinSolveError::new)?)
             }
             LinearSolverKind::Klu => {
-                let csc = matrix.to_triplets().to_csc();
-                if let Some(mode) = self.refactor(&csc) {
-                    sp.attr("mode", mode);
-                    return Ok(());
+                // The plan leaves `self` while its matrix is in use and
+                // comes back whatever the factor's outcome: it depends
+                // only on coordinates.
+                let mut plan = self.plan.take();
+                let csc = assemble_csc(&mut plan, &matrix.to_triplets());
+                let factored = self.factor_sparse(csc, sp);
+                self.plan = plan;
+                match factored? {
+                    Some(f) => f,
+                    None => return Ok(()),
                 }
-                let lu = factor_klu(&csc)?;
-                if self.reuse {
-                    if let Some(shared) = &self.shared {
-                        shared.publish(&csc, &lu);
-                    }
-                }
-                Factored::Sparse(lu)
             }
             LinearSolverKind::GmresIlu0 {
                 restart,
@@ -939,6 +976,27 @@ impl FactorCache {
         sp.attr("mode", "fresh");
         obskit::counter_add("factor.fresh", 1);
         Ok(())
+    }
+
+    /// The klu arm of [`FactorCache::factor_into_cache`]: a numeric-only
+    /// refactor when one applies (`None`, the cache already updated),
+    /// otherwise fresh factors, published to the batch pool.
+    fn factor_sparse(
+        &mut self,
+        csc: &Csc,
+        sp: &obskit::Span,
+    ) -> Result<Option<Factored>, LinSolveError> {
+        if let Some(mode) = self.refactor(csc) {
+            sp.attr("mode", mode);
+            return Ok(None);
+        }
+        let lu = factor_klu(csc)?;
+        if self.reuse {
+            if let Some(shared) = &self.shared {
+                shared.publish(csc, &lu);
+            }
+        }
+        Ok(Some(Factored::Sparse(lu)))
     }
 
     /// Numeric-only refactorisation of `csc` along a known symbolic
@@ -985,6 +1043,35 @@ impl FactorCache {
             None => Err(LinSolveError::new("no factorisation cached")),
         }
     }
+
+    /// Solves `J·X = B` in place for an `n × m` row-major block of
+    /// right-hand sides (the storage layout of an `n × m` [`DMat`]),
+    /// under one `solve` span. Each column's result is bit-identical to
+    /// [`FactorCache::solve_in_place`] on that column alone.
+    ///
+    /// # Errors
+    ///
+    /// [`LinSolveError`] when nothing has been factored yet, the block is
+    /// not `n × m`, or the backend fails on a column.
+    pub fn solve_block_in_place(&self, rhs: &mut [f64], m: usize) -> Result<(), LinSolveError> {
+        let _sp = obskit::span("solve");
+        match &self.factored {
+            Some(f) => f.solve_block_in_place(rhs, m),
+            None => Err(LinSolveError::new("no factorisation cached")),
+        }
+    }
+}
+
+/// The CSC form of `t`: `plan` replayed when `t` has its coordinates,
+/// otherwise a plan recorded from `t` in its place.
+fn assemble_csc<'p>(plan: &'p mut Option<AssemblyPlan>, t: &Triplets) -> &'p Csc {
+    let replayed = plan.as_mut().is_some_and(|p| p.replay(t).is_some());
+    if !replayed {
+        *plan = Some(AssemblyPlan::new(t));
+    }
+    plan.as_ref()
+        .expect("a plan was just replayed or recorded")
+        .csc()
 }
 
 #[cfg(test)]
@@ -1381,6 +1468,120 @@ mod tests {
         assert_eq!(stats.factorisations, 2);
         assert_eq!(stats.symbolic_reuses, 0);
         assert_eq!(stats.pattern_rebuilds, 1);
+    }
+
+    /// One klu cache through patterns A → B → A → a singular A → A:
+    /// every solve has the bits of a fresh cache's, whether the
+    /// assembly plan was replayed or rebuilt, and the singular step
+    /// fails exactly as a fresh factor does.
+    #[test]
+    fn klu_plan_survives_pattern_changes_and_a_failed_factor() {
+        let rhs = [1.0, -2.0, 0.5];
+        // Pattern A with row 1 all (stored) zeros.
+        let mut singular = Triplets::new(3, 3);
+        for (r, c, v) in shifted(0.0).iter() {
+            singular.push(r, c, if r == 1 { 0.0 } else { v });
+        }
+        let steps = [
+            (shifted(0.0), true),
+            (diag2_padded(), true),
+            (shifted(1.5), true),
+            (singular, false),
+            (shifted(-0.5), true),
+        ];
+        let mut cache = FactorCache::new(LinearSolverKind::Klu);
+        for (t, solvable) in &steps {
+            let matrix = NewtonMatrix::Triplets(t);
+            let mut fresh = FactorCache::new(LinearSolverKind::Klu);
+            if !solvable {
+                let err = cache.factor(&matrix).unwrap_err();
+                assert_eq!(err, fresh.factor(&matrix).unwrap_err());
+                assert!(cache.solve_in_place(&mut rhs.to_vec()).is_err());
+                continue;
+            }
+            cache.factor(&matrix).unwrap();
+            fresh.factor(&matrix).unwrap();
+            let (mut x, mut y) = (rhs.to_vec(), rhs.to_vec());
+            cache.solve_in_place(&mut x).unwrap();
+            fresh.solve_in_place(&mut y).unwrap();
+            assert_eq!(bits(&x), bits(&y));
+        }
+    }
+
+    /// A dense input's pattern is its nonzeros: when an entry becomes
+    /// exactly zero, the klu arm records a new plan instead of
+    /// replaying the old one.
+    #[test]
+    fn klu_plan_follows_a_dense_inputs_zero_pattern() {
+        let full = DMat::from_rows(&[&[4.0, 1.0, 0.5], &[1.0, 3.0, 0.0], &[0.25, 0.0, 5.0]]);
+        let mut thinned = full.clone();
+        thinned[(0, 2)] = 0.0;
+        let mut cache = FactorCache::new(LinearSolverKind::Klu);
+        for (m, nnz) in [(&full, 7), (&thinned, 6), (&full, 7)] {
+            let matrix = NewtonMatrix::Dense(m);
+            cache.factor(&matrix).unwrap();
+            let plan = cache.plan.as_ref().expect("klu records a plan");
+            assert!(plan.matches(&matrix.to_triplets()));
+            assert_eq!(plan.csc().nnz(), nnz);
+            let mut x = vec![1.0, 2.0, 3.0];
+            cache.solve_in_place(&mut x).unwrap();
+            assert_eq!(
+                bits(&x),
+                bits(&solve_once(
+                    LinearSolverKind::Klu,
+                    &matrix,
+                    &[1.0, 2.0, 3.0]
+                ))
+            );
+        }
+        assert_eq!(cache.stats().pattern_rebuilds, 2);
+    }
+
+    /// A block solve has, column by column, the bits of single solves
+    /// on every backend; a block of the wrong size is an error.
+    #[test]
+    fn block_solve_matches_column_solves_on_every_backend() {
+        let t = shifted(0.5);
+        let m = 4;
+        let block: Vec<f64> = (0..3 * m)
+            .map(|k| {
+                if k % m == 2 {
+                    0.0
+                } else {
+                    (k as f64 * 0.7).sin()
+                }
+            })
+            .collect();
+        for kind in [
+            LinearSolverKind::Dense,
+            LinearSolverKind::Klu,
+            LinearSolverKind::gmres_default(),
+        ] {
+            let mut cache = FactorCache::new(kind);
+            cache.factor(&NewtonMatrix::Triplets(&t)).unwrap();
+            let mut x = block.clone();
+            cache.solve_block_in_place(&mut x, m).unwrap();
+            for c in 0..m {
+                let mut col: Vec<f64> = (0..3).map(|i| block[i * m + c]).collect();
+                cache.solve_in_place(&mut col).unwrap();
+                let got: Vec<f64> = (0..3).map(|i| x[i * m + c]).collect();
+                assert_eq!(bits(&got), bits(&col), "{kind:?} column {c}");
+            }
+            assert!(cache.solve_block_in_place(&mut [0.0; 7], 2).is_err());
+        }
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `diag2` on the 3×3 grid of [`shifted`], a second pattern.
+    fn diag2_padded() -> Triplets {
+        let mut t = Triplets::new(3, 3);
+        t.push(0, 0, 2.0);
+        t.push(1, 1, 3.0);
+        t.push(2, 2, 1.0);
+        t
     }
 
     #[test]

@@ -88,6 +88,12 @@ impl Csc {
         &self.data
     }
 
+    /// Mutable stored values (pattern-preserving updates).
+    #[inline]
+    pub(crate) fn data_mut(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Value at `(i, j)`, or `0.0` when not stored.
     pub fn get(&self, i: usize, j: usize) -> f64 {
         let (rows, vals) = self.col(j);

@@ -149,36 +149,15 @@ impl Csr {
 
     /// Converts to CSC.
     pub fn to_csc(&self) -> Csc {
-        let mut counts = vec![0usize; self.ncols + 1];
-        for &c in &self.indices {
-            counts[c + 1] += 1;
-        }
-        for j in 0..self.ncols {
-            counts[j + 1] += counts[j];
-        }
-        let mut indptr = counts.clone();
-        let mut rows = vec![0usize; self.nnz()];
         let mut vals = vec![0.0; self.nnz()];
-        let mut cursor = counts;
-        for i in 0..self.nrows {
-            let (cols, v) = self.row(i);
-            for (c, val) in cols.iter().zip(v.iter()) {
-                let k = cursor[*c];
-                rows[k] = i;
-                vals[k] = *val;
-                cursor[*c] += 1;
-            }
-        }
-        // CSC indptr is the pre-increment counts; recompute cleanly.
-        indptr.push(self.nnz());
-        let mut ip = vec![0usize; self.ncols + 1];
-        for &c in &self.indices {
-            ip[c + 1] += 1;
-        }
-        for j in 0..self.ncols {
-            ip[j + 1] += ip[j];
-        }
-        Csc::from_raw(self.nrows, self.ncols, ip, rows, vals)
+        let (indptr, rows) = transpose(
+            self.nrows,
+            self.ncols,
+            &self.indptr,
+            &self.indices,
+            |s, q| vals[q] = self.data[s],
+        );
+        Csc::from_raw(self.nrows, self.ncols, indptr, rows, vals)
     }
 
     /// Converts to a dense matrix.
@@ -192,6 +171,37 @@ impl Csr {
         }
         m
     }
+}
+
+/// Transposes the row-compressed pattern `indptr`/`indices` of an
+/// `nrows × ncols` matrix into column pointers and row indices, rows
+/// ascending within each column, calling `place(s, q)` as stored entry
+/// `s` lands in column-major slot `q`.
+pub(crate) fn transpose(
+    nrows: usize,
+    ncols: usize,
+    indptr: &[usize],
+    indices: &[usize],
+    mut place: impl FnMut(usize, usize),
+) -> (Vec<usize>, Vec<usize>) {
+    let mut colptr = vec![0usize; ncols + 1];
+    for &c in indices {
+        colptr[c + 1] += 1;
+    }
+    for j in 0..ncols {
+        colptr[j + 1] += colptr[j];
+    }
+    let mut rows = vec![0usize; indices.len()];
+    let mut cursor = colptr[..ncols].to_vec();
+    for i in 0..nrows {
+        let (lo, hi) = (indptr[i], indptr[i + 1]);
+        for (s, &c) in (lo..hi).zip(&indices[lo..hi]) {
+            rows[cursor[c]] = i;
+            place(s, cursor[c]);
+            cursor[c] += 1;
+        }
+    }
+    (colptr, rows)
 }
 
 #[cfg(test)]

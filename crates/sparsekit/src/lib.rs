@@ -5,7 +5,9 @@
 //! (no external sparse dependencies — see `DESIGN.md §5`):
 //!
 //! * [`Triplets`] — coordinate-format assembly buffer with duplicate
-//!   summation, the natural target of MNA device stamps;
+//!   summation, the natural target of MNA device stamps, and
+//!   [`AssemblyPlan`], its triplet→CSC conversion recorded once per
+//!   coordinate sequence and replayed for new values;
 //! * [`Csr`] / [`Csc`] — compressed row/column storage with matvec and
 //!   format conversion;
 //! * [`SparseLu`] — left-looking Gilbert–Peierls LU with partial pivoting
@@ -59,4 +61,4 @@ pub use ilu0::Ilu0;
 pub use klu::OrderingPlan;
 pub use lu::{ColumnOrdering, SparseLu};
 pub use op::{CsrOp, IdentityPrecond, JacobiPrecond, LinOp, Precond};
-pub use triplets::Triplets;
+pub use triplets::{AssemblyPlan, Triplets};

@@ -1,7 +1,7 @@
 //! Coordinate-format (COO) assembly buffer.
 
 use crate::csc::Csc;
-use crate::csr::Csr;
+use crate::csr::{transpose, Csr};
 
 /// A coordinate-format sparse-matrix builder.
 ///
@@ -130,47 +130,18 @@ impl Triplets {
 
     /// Converts to CSR, summing duplicates.
     pub fn to_csr(&self) -> Csr {
-        // Counting sort by row, then per-row sort by column and fold dups.
-        let mut counts = vec![0usize; self.nrows + 1];
-        for &r in &self.rows {
-            counts[r + 1] += 1;
-        }
-        for i in 0..self.nrows {
-            counts[i + 1] += counts[i];
-        }
-        let nnz_raw = self.vals.len();
-        let mut order = vec![0usize; nnz_raw];
-        let mut cursor = counts.clone();
-        for (k, &r) in self.rows.iter().enumerate() {
-            order[cursor[r]] = k;
-            cursor[r] += 1;
-        }
         let mut indptr = Vec::with_capacity(self.nrows + 1);
-        let mut indices = Vec::with_capacity(nnz_raw);
-        let mut data = Vec::with_capacity(nnz_raw);
+        let mut indices = Vec::with_capacity(self.len());
+        let mut data = Vec::with_capacity(self.len());
         indptr.push(0);
-        let mut scratch: Vec<(usize, f64)> = Vec::new();
-        for r in 0..self.nrows {
-            scratch.clear();
-            for &k in &order[counts[r]..counts[r + 1]] {
-                scratch.push((self.cols[k], self.vals[k]));
-            }
-            scratch.sort_unstable_by_key(|&(c, _)| c);
-            let mut i = 0;
-            while i < scratch.len() {
-                let col = scratch[i].0;
-                let mut v = scratch[i].1;
-                let mut j = i + 1;
-                while j < scratch.len() && scratch[j].0 == col {
-                    v += scratch[j].1;
-                    j += 1;
-                }
-                indices.push(col);
-                data.push(v);
-                i = j;
+        let value = |k: usize| self.vals[k];
+        for_each_sorted_row(self.nrows, &self.rows, &self.cols, value, |row| {
+            for run in row.chunk_by(|a, b| a.0 == b.0) {
+                indices.push(run[0].0);
+                data.push(sum(run.iter().map(|&(_, v)| v)));
             }
             indptr.push(indices.len());
-        }
+        });
         Csr::from_raw(self.nrows, self.ncols, indptr, indices, data)
     }
 
@@ -186,6 +157,168 @@ impl Triplets {
             m[(r, c)] += v;
         }
         m
+    }
+}
+
+/// The one summation order of the conversions: a counting sort of the
+/// triplets by row, then `sort_unstable_by_key` on the column within
+/// each row. `visit` sees every row in turn as its (column, payload)
+/// pairs in that order, the payload of triplet `k` being `payload(k)`;
+/// a run of equal columns is one stored entry, summed by [`sum`].
+///
+/// The order depends only on the coordinates: `sort_unstable` moves
+/// elements by comparing keys alone, and picks its algorithm by element
+/// size, so every 16-byte payload pair (a value, or a triplet index for
+/// [`AssemblyPlan`]) comes out in the same order.
+fn for_each_sorted_row<P: Copy>(
+    nrows: usize,
+    rows: &[usize],
+    cols: &[usize],
+    payload: impl Fn(usize) -> P,
+    mut visit: impl FnMut(&[(usize, P)]),
+) {
+    let mut counts = vec![0usize; nrows + 1];
+    for &r in rows {
+        counts[r + 1] += 1;
+    }
+    for i in 0..nrows {
+        counts[i + 1] += counts[i];
+    }
+    let mut order = vec![0usize; rows.len()];
+    let mut cursor = counts[..nrows].to_vec();
+    for (k, &r) in rows.iter().enumerate() {
+        order[cursor[r]] = k;
+        cursor[r] += 1;
+    }
+    let mut row = Vec::new();
+    for r in 0..nrows {
+        row.clear();
+        row.extend(
+            order[counts[r]..counts[r + 1]]
+                .iter()
+                .map(|&k| (cols[k], payload(k))),
+        );
+        row.sort_unstable_by_key(|&(c, _)| c);
+        visit(&row);
+    }
+}
+
+/// The value of one stored entry: the first of its triplet values, then
+/// `+=` the rest in order.
+#[inline]
+fn sum(mut vals: impl Iterator<Item = f64>) -> f64 {
+    let first = vals.next().expect("a stored entry has a triplet");
+    vals.fold(first, |acc, v| acc + v)
+}
+
+/// A recorded triplet→CSC conversion, replayed for new values.
+///
+/// Newton iterations stamp the same coordinates in the same order with
+/// new values every time, so the sort and deduplication of
+/// [`Triplets::to_csc`] need to run once per coordinate sequence. The
+/// plan keeps the coordinates it was built from, the summation order
+/// and the CSC pattern; [`AssemblyPlan::replay`] then only gathers and
+/// sums values. The order depends only on coordinates, so a replay is
+/// bit-identical to a fresh [`Triplets::to_csc`] of the same triplets.
+///
+/// # Example
+///
+/// ```
+/// use sparsekit::{AssemblyPlan, Triplets};
+///
+/// let mut t = Triplets::new(2, 2);
+/// t.push(1, 0, 1.0);
+/// t.push(0, 0, 2.0);
+/// t.push(1, 0, 3.0);
+/// let mut plan = AssemblyPlan::new(&t);
+/// t.scale(10.0);
+/// let csc = plan.replay(&t).expect("same coordinates");
+/// assert_eq!(*csc, t.to_csc());
+/// assert_eq!(csc.get(1, 0), 40.0);
+/// ```
+#[derive(Debug, Clone)]
+pub struct AssemblyPlan {
+    rows: Vec<usize>,
+    cols: Vec<usize>,
+    /// Stored entry `s`, in row-major order, sums the values at
+    /// `src[ptr[s]..ptr[s + 1]]`.
+    ptr: Vec<usize>,
+    src: Vec<usize>,
+    /// The CSC slot of each row-major stored entry.
+    dest: Vec<usize>,
+    /// The pattern, holding the values of the last build or replay.
+    csc: Csc,
+}
+
+impl AssemblyPlan {
+    /// Records the conversion of `t`'s coordinates and assembles `t`.
+    pub fn new(t: &Triplets) -> Self {
+        let (mut ptr, mut src) = (Vec::with_capacity(t.len() + 1), Vec::with_capacity(t.len()));
+        let (mut row_ptr, mut col_of) = (Vec::with_capacity(t.nrows + 1), Vec::new());
+        row_ptr.push(0);
+        for_each_sorted_row(
+            t.nrows,
+            &t.rows,
+            &t.cols,
+            |k| k,
+            |row| {
+                for run in row.chunk_by(|a, b| a.0 == b.0) {
+                    ptr.push(src.len());
+                    col_of.push(run[0].0);
+                    src.extend(run.iter().map(|&(_, k)| k));
+                }
+                row_ptr.push(col_of.len());
+            },
+        );
+        ptr.push(src.len());
+        let nnz = col_of.len();
+        let mut dest = vec![0usize; nnz];
+        let (indptr, row_idx) = transpose(t.nrows, t.ncols, &row_ptr, &col_of, |s, q| dest[s] = q);
+        let mut plan = AssemblyPlan {
+            rows: t.rows.clone(),
+            cols: t.cols.clone(),
+            ptr,
+            src,
+            dest,
+            csc: Csc::from_raw(t.nrows, t.ncols, indptr, row_idx, vec![0.0; nnz]),
+        };
+        plan.fill(&t.vals);
+        plan
+    }
+
+    /// True when `t` has the recorded shape and coordinate sequence, in
+    /// the recorded order.
+    pub fn matches(&self, t: &Triplets) -> bool {
+        t.nrows == self.csc.nrows()
+            && t.ncols == self.csc.ncols()
+            && t.rows == self.rows
+            && t.cols == self.cols
+    }
+
+    /// Assembles `t`'s values along the recorded conversion, or returns
+    /// `None` (and changes nothing) when `t` does not
+    /// [match](AssemblyPlan::matches) the recorded coordinates.
+    pub fn replay(&mut self, t: &Triplets) -> Option<&Csc> {
+        if !self.matches(t) {
+            return None;
+        }
+        self.fill(&t.vals);
+        Some(&self.csc)
+    }
+
+    /// The matrix of the last build or replay.
+    pub fn csc(&self) -> &Csc {
+        &self.csc
+    }
+
+    /// Writes the stored entries summed from `vals` into the pattern.
+    fn fill(&mut self, vals: &[f64]) {
+        let data = self.csc.data_mut();
+        for (s, &d) in self.dest.iter().enumerate() {
+            data[d] = sum(self.src[self.ptr[s]..self.ptr[s + 1]]
+                .iter()
+                .map(|&k| vals[k]));
+        }
     }
 }
 
