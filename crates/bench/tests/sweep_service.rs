@@ -208,15 +208,37 @@ fn one_shard_and_four_shard_merge_are_byte_identical() {
 fn batched_runs_are_byte_identical_for_any_jobs_and_shards() {
     // Batched execution (continuation chains, the default) must keep the
     // determinism invariant: aggregates are byte-identical for any
-    // --jobs count and any shard layout after merge.
+    // --jobs count and any shard layout after merge. The RC deck chains
+    // transients; the VCO deck chains orbit continuation, whose later
+    // positions start from seeds extrapolated through earlier ones.
     let dir = scratch("batched");
-    let deck = write_deck(&dir, DECK);
+    let rc = write_deck(&dir, DECK);
+    assert_batched_layouts_identical(&dir.join("rc"), &rc, "rc_sweep", AGGREGATES);
+    let vco = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/decks/vco_sweep.ckt");
+    assert_batched_layouts_identical(
+        &dir.join("vco"),
+        &vco,
+        "vco_sweep",
+        &[
+            "vco_sweep_shooting0_summary.csv",
+            "vco_sweep_shooting0_waveforms.csv",
+            "vco_sweep_wampde1_summary.csv",
+            "vco_sweep_wampde1_waveforms.csv",
+            "vco_sweep_manifest.json",
+        ],
+    );
+}
+
+/// Runs `deck` (whose file stem is `stem`) batched at `--jobs` 1, 4
+/// and 8 and as a merged 2-shard layout under `dir`, and asserts every
+/// layout writes the same `aggregates` bytes.
+fn assert_batched_layouts_identical(dir: &Path, deck: &Path, stem: &str, aggregates: &[&str]) {
     let outs: Vec<PathBuf> = ["j1", "j4", "j8"].iter().map(|t| dir.join(t)).collect();
     for (out, jobs) in outs.iter().zip(["1", "4", "8"]) {
-        run_cli(&[&p(&deck), "--jobs", jobs, "--out", &p(out), "--no-cache"]);
+        run_cli(&[&p(deck), "--jobs", jobs, "--out", &p(out), "--no-cache"]);
     }
-    assert_identical(&outs[0], &outs[1], AGGREGATES);
-    assert_identical(&outs[0], &outs[2], AGGREGATES);
+    assert_identical(&outs[0], &outs[1], aggregates);
+    assert_identical(&outs[0], &outs[2], aggregates);
 
     // A 2-shard layout recomputes non-owned chain positions as warm-up
     // but records owned jobs only; the merge must match bit-for-bit.
@@ -225,7 +247,7 @@ fn batched_runs_are_byte_identical_for_any_jobs_and_shards() {
     let mut args: Vec<String> = vec!["merge".into()];
     for k in 0..2 {
         run_cli(&[
-            &p(&deck),
+            &p(deck),
             "--jobs",
             "4",
             "--shards",
@@ -237,14 +259,14 @@ fn batched_runs_are_byte_identical_for_any_jobs_and_shards() {
             "--no-cache",
         ]);
         args.push(p(
-            &shard_out.join(format!("rc_sweep_shard{k}of2_manifest.json"))
+            &shard_out.join(format!("{stem}_shard{k}of2_manifest.json"))
         ));
     }
     args.push("--out".into());
     args.push(p(&merged_out));
     let arg_refs: Vec<&str> = args.iter().map(String::as_str).collect();
     run_cli(&arg_refs);
-    assert_identical(&outs[0], &merged_out, AGGREGATES);
+    assert_identical(&outs[0], &merged_out, aggregates);
 }
 
 #[test]

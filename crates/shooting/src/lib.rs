@@ -158,6 +158,12 @@ pub struct PeriodicOrbit {
     pub monodromy: DMat,
     /// Outer Newton iterations used.
     pub iterations: usize,
+    /// The converged `(x0, period)` of the up to two continuation-chain
+    /// positions this orbit was continued from, oldest first, the
+    /// neighbour last; empty for an orbit found cold. This is what
+    /// [`ShootingWarmStart::from_orbit`] hands on, so that the next
+    /// position's seed can be extrapolated through three orbits.
+    pub lineage: Vec<(Vec<f64>, f64)>,
 }
 
 impl PeriodicOrbit {
@@ -579,6 +585,7 @@ fn metered_orbit<D: Dae + ?Sized>(
                 samples: memo.samples,
                 monodromy: memo.monodromy,
                 iterations,
+                lineage: Vec::new(),
             })
         }
         Err(engine_err) => {
@@ -684,11 +691,25 @@ pub fn oscillator_steady_state<D: Dae + ?Sized>(
 /// iterations, failed attempts included — the cost a point actually
 /// paid, so batched sweeps can meter what a warm start saved.
 ///
-/// When `warm` holds a neighbouring grid point's converged orbit,
-/// shooting starts directly from it, skipping the DC solve, the
-/// transients and period detection. A warm solve that fails (the
-/// neighbour was too far away, or the orbit collapsed) falls back to the
-/// cold pipeline, so warm starting changes cost, never reachability.
+/// When `warm` holds a neighbouring chain position's converged orbit,
+/// shooting skips the DC solve, the transients and period detection, and
+/// tries up to three starts in order:
+///
+/// 1. the **extrapolated** start: when `warm` also carries the lineage of
+///    one or two earlier positions, the next `(x0, T)` is extrapolated in
+///    chain index through them and the neighbour (`2b − a` through two
+///    orbits, `3c − 3b + a` through three). A prediction with a
+///    non-finite entry or a non-positive period is skipped; one whose
+///    Newton fails counts `shooting.predictor_fallbacks`;
+/// 2. the **neighbour** start: the neighbour's own `(x0, T)`;
+/// 3. the **cold** pipeline of [`oscillator_steady_state`].
+///
+/// Each start runs only when the one before it failed for any reason
+/// (no convergence, a flow error, or an orbit collapsed onto the
+/// equilibrium), so a failed start costs its iterations, never the
+/// point. An orbit reached
+/// from either warm start records the last two of those positions as
+/// its [`PeriodicOrbit::lineage`]; a cold orbit records none.
 ///
 /// # Errors
 ///
@@ -699,17 +720,38 @@ pub fn oscillator_steady_state_with_stats<D: Dae + ?Sized>(
     opts: &ShootingOptions,
     warm: Option<&ShootingWarmStart>,
 ) -> Result<(PeriodicOrbit, obskit::RunStats), ShootingError> {
-    if opts.phase_var >= dae.dim() {
+    let n = dae.dim();
+    if opts.phase_var >= n {
         return Err(ShootingError::BadInput(format!(
-            "phase_var {} out of range (dim = {})",
+            "phase_var {} out of range (dim = {n})",
             opts.phase_var,
-            dae.dim()
         )));
     }
     let mut stats = obskit::RunStats::default();
-    if let Some(seed) = warm.filter(|seed| seed.x0.len() == dae.dim() && seed.period > 0.0) {
+    if let Some(seed) = warm.filter(|seed| seed.x0.len() == n && seed.period > 0.0) {
+        // Consecutive converged chain positions, oldest first, ending
+        // with the neighbour; a lineage of the wrong size is dropped.
+        let earlier = &seed.lineage[seed.lineage.len().saturating_sub(2)..];
+        let mut points: Vec<(&[f64], f64)> = Vec::with_capacity(3);
+        if earlier.iter().all(|(x0, _)| x0.len() == n) {
+            points.extend(earlier.iter().map(|(x0, period)| (x0.as_slice(), *period)));
+        }
+        points.push((&seed.x0, seed.period));
+        let continued = |mut orbit: PeriodicOrbit| {
+            orbit.lineage = points[points.len().saturating_sub(2)..]
+                .iter()
+                .map(|&(x0, period)| (x0.to_vec(), period))
+                .collect();
+            orbit
+        };
+        if let Some((x0, period)) = extrapolate_seed(&points) {
+            match metered_orbit(dae, &x0, period, opts, &mut stats) {
+                Ok(orbit) => return Ok((continued(orbit), stats)),
+                Err(_) => obskit::counter_add("shooting.predictor_fallbacks", 1),
+            }
+        }
         if let Ok(orbit) = metered_orbit(dae, &seed.x0, seed.period, opts, &mut stats) {
-            return Ok((orbit, stats));
+            return Ok((continued(orbit), stats));
         }
     }
     let _sp = obskit::span_with(
@@ -722,6 +764,33 @@ pub fn oscillator_steady_state_with_stats<D: Dae + ?Sized>(
         cold_start(dae, opts, &dc, TIGHT_START, &mut stats)
     })?;
     Ok((orbit, stats))
+}
+
+/// The continuation predictor: extrapolates the next chain position's
+/// `(x0, T)` in chain index through the converged `(x0, T)` of two or
+/// three consecutive positions, oldest first — `2b − a` or
+/// `3c − 3b + a`. Chain index is the abscissa because shooting never sees
+/// the swept parameter, and `.sweep` grids step uniformly (linear) or
+/// smoothly (`log`) in index.
+///
+/// `None` with fewer than two positions, and for a prediction with a
+/// non-finite entry or a non-positive period: such a seed is not tried.
+#[inline]
+fn extrapolate_seed(points: &[(&[f64], f64)]) -> Option<(Vec<f64>, f64)> {
+    let weights: &[f64] = match points.len() {
+        2 => &[-1.0, 2.0],
+        3 => &[1.0, -3.0, 3.0],
+        _ => return None,
+    };
+    let mut x0 = vec![0.0; points[0].0.len()];
+    let mut period = 0.0;
+    for (&w, &(x, p)) in weights.iter().zip(points) {
+        for (xi, v) in x0.iter_mut().zip(x) {
+            *xi += w * v;
+        }
+        period += w * p;
+    }
+    (period > 0.0 && period.is_finite() && x0.iter().all(|v| v.is_finite())).then_some((x0, period))
 }
 
 /// One cold-start attempt from the DC point `dc`: kick, warm up until an
@@ -791,22 +860,33 @@ fn cold_start<D: Dae + ?Sized>(
     Err(ShootingError::NoOscillation)
 }
 
-/// A converged neighbouring orbit used to seed the next grid point's
-/// shooting solve (continuation warm start).
+/// A continuation warm start: the converged orbit of the neighbouring
+/// chain position, plus the lineage of up to two positions before it,
+/// which seeds the next position's shooting solve (see
+/// [`oscillator_steady_state_with_stats`] for the order of starts).
 #[derive(Debug, Clone)]
 pub struct ShootingWarmStart {
     /// Converged periodic state at the neighbouring parameter value.
     pub x0: Vec<f64>,
-    /// Its period (the next point's period guess).
+    /// Its period.
     pub period: f64,
+    /// The converged `(x0, period)` of up to two chain positions before
+    /// the neighbour, oldest first. With one, the next position starts
+    /// from the secant prediction `2b − a`; with two, from the quadratic
+    /// `3c − 3b + a`; with none, from the neighbour itself.
+    pub lineage: Vec<(Vec<f64>, f64)>,
 }
 
 impl ShootingWarmStart {
-    /// The warm-start a converged orbit hands to the next grid point.
+    /// The warm start a converged orbit hands to the next chain
+    /// position: the orbit itself as the neighbour, and its
+    /// [`PeriodicOrbit::lineage`] as the earlier positions. Every caller
+    /// that chains `from_orbit` therefore gets the same seeds.
     pub fn from_orbit(orbit: &PeriodicOrbit) -> Self {
         ShootingWarmStart {
             x0: orbit.x0.clone(),
             period: orbit.period,
+            lineage: orbit.lineage.clone(),
         }
     }
 }
@@ -828,12 +908,13 @@ pub fn run_shooting_spec<D: Dae + ?Sized>(
 
 /// [`run_shooting_spec`] with a continuation warm start, through
 /// [`oscillator_steady_state_with_stats`]: when `warm` holds a
-/// neighbouring grid point's converged orbit, shooting starts directly
-/// from it, and a warm solve that fails falls back to the cold pipeline.
+/// neighbouring chain position's converged orbit, shooting starts from
+/// the seed extrapolated through its lineage, then from the neighbour
+/// itself, then cold, each only when the one before failed.
 ///
 /// Also returns the [`obskit::RunStats`] of everything the point ran —
-/// the cold pipeline, the warm orbit Newton, or both when the warm start
-/// failed: the per-point cost a sweep actually paid.
+/// every warm orbit Newton it tried and the cold pipeline if it got that
+/// far: the per-point cost a sweep actually paid.
 ///
 /// # Errors
 ///
@@ -1060,6 +1141,7 @@ mod tests {
             let seed = ShootingWarmStart {
                 x0,
                 period: cold.period,
+                lineage: Vec::new(),
             };
             let (orbit, stats) = run_shooting_spec_warm(&vdp, &spec, Some(&seed)).unwrap();
             assert_eq!(orbit.period.to_bits(), cold.period.to_bits());
@@ -1070,6 +1152,148 @@ mod tests {
                 cold_stats.newton_iters
             );
         }
+    }
+
+    /// Van der Pol orbits at μ = 1.00, 1.05, 1.10, chained: the first is
+    /// cold, each later one continues from the one before.
+    fn vdp_chain(opts: &ShootingOptions) -> Vec<PeriodicOrbit> {
+        let mut chain: Vec<PeriodicOrbit> = Vec::new();
+        for mu in [1.00, 1.05, 1.10] {
+            let warm = chain.last().map(ShootingWarmStart::from_orbit);
+            let vdp = VanDerPol::unforced(mu);
+            let (orbit, _) = oscillator_steady_state_with_stats(&vdp, opts, warm.as_ref()).unwrap();
+            chain.push(orbit);
+        }
+        chain
+    }
+
+    fn orbit_bits(orbit: &PeriodicOrbit) -> Vec<u64> {
+        let mut bits = vec![orbit.period.to_bits()];
+        bits.extend(orbit.samples.iter().flatten().map(|v| v.to_bits()));
+        bits
+    }
+
+    /// Runs one warm-started solve under a fresh recorder, returning the
+    /// orbit, its stats and the `shooting.predictor_fallbacks` count.
+    fn recorded_warm_solve(
+        dae: &dyn Dae,
+        opts: &ShootingOptions,
+        seed: &ShootingWarmStart,
+    ) -> (PeriodicOrbit, obskit::RunStats, u64) {
+        use std::sync::Arc;
+        let rec = Arc::new(obskit::CollectingRecorder::new());
+        let _g = obskit::install(rec.clone() as Arc<dyn obskit::Recorder>);
+        let (orbit, stats) = oscillator_steady_state_with_stats(dae, opts, Some(seed)).unwrap();
+        (orbit, stats, rec.counter("shooting.predictor_fallbacks"))
+    }
+
+    #[test]
+    fn extrapolated_seed_reaches_the_plain_seed_orbit_in_fewer_iterations() {
+        let opts = ShootingOptions::default();
+        let chain = vdp_chain(&opts);
+        assert!(
+            chain[0].lineage.is_empty(),
+            "a cold orbit records no lineage"
+        );
+        assert_eq!(chain[1].lineage.len(), 1);
+        let seed = ShootingWarmStart::from_orbit(&chain[2]);
+        assert_eq!(seed.lineage.len(), 2, "three orbits reach the next point");
+        assert_eq!(seed.lineage[0].1.to_bits(), chain[0].period.to_bits());
+        assert_eq!(seed.lineage[1].1.to_bits(), chain[1].period.to_bits());
+        let plain = ShootingWarmStart {
+            lineage: Vec::new(),
+            ..seed.clone()
+        };
+        let next = VanDerPol::unforced(1.15);
+        let (predicted, _, fallbacks) = recorded_warm_solve(&next, &opts, &seed);
+        let (neighbour, _, _) = recorded_warm_solve(&next, &opts, &plain);
+        assert_eq!(fallbacks, 0);
+        let scale = norm2(&neighbour.x0).max(1.0);
+        let gap = norm2(
+            &predicted
+                .x0
+                .iter()
+                .zip(&neighbour.x0)
+                .map(|(a, b)| a - b)
+                .collect::<Vec<_>>(),
+        );
+        assert!(gap <= opts.tol * scale, "x0 gap {gap:e}");
+        let rel = (predicted.period - neighbour.period).abs() / neighbour.period;
+        assert!(rel <= opts.tol, "period gap {rel:e}");
+        assert!(
+            predicted.iterations < neighbour.iterations,
+            "{} vs {} outer iterations",
+            predicted.iterations,
+            neighbour.iterations
+        );
+        // The lineage rolls on: the last two positions of the three.
+        assert_eq!(predicted.lineage.len(), 2);
+        assert_eq!(predicted.lineage[1].0, chain[2].x0);
+    }
+
+    #[test]
+    fn unusable_predictions_are_skipped() {
+        // Secants whose period is non-positive, lineages with a NaN or
+        // an infinity, and one of the wrong size: no prediction is tried,
+        // so the solve is exactly the plain neighbour start.
+        let opts = ShootingOptions::default();
+        let chain = vdp_chain(&opts);
+        let next = VanDerPol::unforced(1.15);
+        let neighbour = ShootingWarmStart {
+            lineage: Vec::new(),
+            ..ShootingWarmStart::from_orbit(&chain[2])
+        };
+        let (plain, plain_stats, _) = recorded_warm_solve(&next, &opts, &neighbour);
+        let p = neighbour.period;
+        let lineages = [
+            vec![(neighbour.x0.clone(), 3.0 * p)],
+            vec![(neighbour.x0.clone(), 2.0 * p)],
+            vec![(vec![f64::NAN, 0.0], p)],
+            vec![
+                (chain[1].x0.clone(), chain[1].period),
+                (vec![0.0, f64::INFINITY], p),
+            ],
+            vec![(vec![1.0], p)],
+        ];
+        for (i, lineage) in lineages.into_iter().enumerate() {
+            let seed = ShootingWarmStart {
+                lineage,
+                ..neighbour.clone()
+            };
+            let (orbit, stats, fallbacks) = recorded_warm_solve(&next, &opts, &seed);
+            assert_eq!(orbit_bits(&orbit), orbit_bits(&plain), "case {i}");
+            assert_eq!(stats.newton_iters, plain_stats.newton_iters, "case {i}");
+            assert_eq!(fallbacks, 0, "case {i}");
+        }
+    }
+
+    #[test]
+    fn failed_prediction_falls_back_to_the_neighbour_and_is_metered() {
+        // An earlier point twice as far out as the neighbour puts the
+        // secant prediction on the equilibrium: its Newton collapses,
+        // and the neighbour start then runs as if alone.
+        let opts = ShootingOptions::default();
+        let chain = vdp_chain(&opts);
+        let next = VanDerPol::unforced(1.15);
+        let neighbour = ShootingWarmStart {
+            lineage: Vec::new(),
+            ..ShootingWarmStart::from_orbit(&chain[2])
+        };
+        let (plain, plain_stats, _) = recorded_warm_solve(&next, &opts, &neighbour);
+        let far: Vec<f64> = neighbour.x0.iter().map(|v| 2.0 * v).collect();
+        let seed = ShootingWarmStart {
+            lineage: vec![(far, neighbour.period)],
+            ..neighbour.clone()
+        };
+        let (orbit, stats, fallbacks) = recorded_warm_solve(&next, &opts, &seed);
+        assert_eq!(orbit_bits(&orbit), orbit_bits(&plain));
+        assert_eq!(fallbacks, 1);
+        assert!(
+            stats.newton_iters > plain_stats.newton_iters,
+            "{} vs plain {}",
+            stats.newton_iters,
+            plain_stats.newton_iters
+        );
     }
 
     #[test]

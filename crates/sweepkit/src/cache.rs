@@ -46,7 +46,10 @@ use std::path::{Path, PathBuf};
 // fmt6: the cold oscillator start settles loosely before the orbit
 // Newton, which moves cold `.shooting`/`.wampde` orbits within the Newton
 // tolerance, and `.wampde` `newton_iters` now includes the initialisation.
-pub const CACHE_SALT: &str = concat!("sweepkit-", env!("CARGO_PKG_VERSION"), "-fmt6");
+// fmt7: warm chain positions from the third on start their orbit Newton
+// from a seed extrapolated through earlier positions, which moves their
+// `.shooting`/`.wampde` orbits within the Newton tolerance.
+pub const CACHE_SALT: &str = concat!("sweepkit-", env!("CARGO_PKG_VERSION"), "-fmt7");
 
 /// FNV-1a, 128-bit: tiny, dependency-free, and plenty for cache keys
 /// (collision odds are negligible below ~2^60 distinct jobs).

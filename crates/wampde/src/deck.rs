@@ -30,13 +30,13 @@ pub fn run_wampde_spec(dae: &CircuitDae, spec: &WampdeSpec) -> Result<EnvelopeRe
 
 /// [`run_wampde_spec`] with a continuation warm start: when `warm`
 /// holds the unforced orbit of a neighbouring grid point, the shooting
-/// initialisation starts directly from it instead of running the full
-/// DC → kick → warm-up → settle pipeline, falling back to the cold
-/// pipeline if the neighbour is too far away to converge (see
-/// [`shooting::oscillator_steady_state_with_stats`]). Also returns this
-/// point's converged unforced orbit, so the caller can chain it into the
-/// next point, and the work the initialisation did — failed warm
-/// attempt included.
+/// initialisation starts from the seed extrapolated through that orbit's
+/// lineage, then from the orbit itself, instead of running the full
+/// DC → kick → warm-up → settle pipeline, which runs only if both fail
+/// (see [`shooting::oscillator_steady_state_with_stats`]). Also returns
+/// this point's converged unforced orbit, so the caller can chain it
+/// into the next point with [`ShootingWarmStart::from_orbit`], and the
+/// work the initialisation did — failed warm attempts included.
 ///
 /// # Errors
 ///
@@ -137,6 +137,7 @@ mod tests {
         let seed = ShootingWarmStart {
             x0: vec![f64::NAN; dae.dim()],
             period: cold.period,
+            lineage: Vec::new(),
         };
         let (env, orbit, init) = run_wampde_spec_warm(&dae, &spec, Some(&seed)).unwrap();
         assert_eq!(orbit.period.to_bits(), cold.period.to_bits());
