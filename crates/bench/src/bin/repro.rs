@@ -665,12 +665,14 @@ fn table_newton() {
 /// analysis). Both runs use one worker and no cache, so the ratio is
 /// pure solver work. Asserts the batched run is at least 1.5× faster,
 /// that the mean Newton iteration count per warm-started point is
-/// strictly below the cold-start mean and at most 2.5, and that every
-/// point's oscillation frequency agrees to 1e-6.
+/// strictly below the cold-start mean and at most 2.5, that warm points
+/// average at most 160 factorisations, and that every point's
+/// oscillation frequency agrees to 1e-6.
 /// Emits `target/repro/BENCH_sweep.json`.
 fn table_sweep() {
     use sweepkit::{run_deck_with, ResultCache, SweepConfig};
     const BATCHED_ITERS_CEILING: f64 = 2.5;
+    const BATCHED_FACTORS_CEILING: f64 = 160.0;
     println!("=== table `sweep`: cold vs warm-cache sweep on vco_sweep ===");
     let deck_text = include_str!("../../../../examples/decks/vco_sweep.ckt");
     let deck = circuitdae::parse_deck(deck_text).expect("vco_sweep deck parses");
@@ -775,10 +777,12 @@ fn table_sweep() {
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
     let cold_mean = mean(&metric(&indep, "newton_iters")[1..]);
     let warm_mean = mean(&metric(&batched, "newton_iters")[1..]);
+    let warm_factors = mean(&metric(&batched, "factorisations")[1..]);
     let batched_speedup = indep_ns as f64 / batched_ns as f64;
     println!(
         "  {} point(s) batched: independent {:.0} ms, chained {:.0} ms -> {batched_speedup:.1}x \
-         (newton iters/point {cold_mean:.0} -> {warm_mean:.1})",
+         (newton iters/point {cold_mean:.0} -> {warm_mean:.1}, \
+         factorisations/warm point {warm_factors:.1})",
         indep.stats.jobs_total,
         indep_ns as f64 / 1e6,
         batched_ns as f64 / 1e6
@@ -796,6 +800,15 @@ fn table_sweep() {
         warm_mean <= BATCHED_ITERS_CEILING,
         "warm-started points must average at most {BATCHED_ITERS_CEILING} Newton \
          iterations ({warm_mean:.2})"
+    );
+    // Each flow of a warm point's orbit Newton factors one step matrix
+    // per step (64 here) plus its first step's: 145.9 factorisations per
+    // warm point when first measured, against about four per flow step
+    // with full Newton. The count does not depend on the machine.
+    assert!(
+        warm_factors <= BATCHED_FACTORS_CEILING,
+        "warm-started points must average at most {BATCHED_FACTORS_CEILING} \
+         factorisations ({warm_factors:.1})"
     );
     // The acceptance bar of the batched executor: skipping the DC +
     // kick + settle pipeline on 31 of 32 points dwarfs 1.5x, which is a
@@ -816,7 +829,8 @@ fn table_sweep() {
          {{\"mode\": \"independent\", \"wall_ns\": {indep_ns}, \"executed\": {}, \
          \"mean_newton_iters\": {cold_mean:.3}}},\n    {{\"mode\": \"batched\", \
          \"wall_ns\": {batched_ns}, \"executed\": {}, \
-         \"mean_newton_iters\": {warm_mean:.3}}}\n  ],\n  \
+         \"mean_newton_iters\": {warm_mean:.3}, \
+         \"mean_factorisations\": {warm_factors:.3}}}\n  ],\n  \
          \"speedup\": {speedup:.3},\n  \"batched_speedup\": {batched_speedup:.3}\n}}\n",
         cold.stats.jobs_total,
         cold.stats.executed,

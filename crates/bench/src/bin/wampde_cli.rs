@@ -601,7 +601,8 @@ fn write_aggregates(
 
 /// Solver run-stat metric names surfaced per analysis in the manifest.
 /// Every stepping solver reports the `obskit::RunStats` quintet;
-/// shooting reports its outer `iterations` instead.
+/// shooting reports its outer `iterations`, `newton_iters` and
+/// `factorisations`.
 const STAT_KEYS: [&str; 6] = [
     "steps",
     "rejected",

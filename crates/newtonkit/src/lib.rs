@@ -64,6 +64,15 @@
 //! reuse never fails a solve full Newton converges;
 //! [`NewtonStats::iterations`] then counts both attempts.
 //!
+//! A caller that factors the next iteration matrix for its own use can
+//! hand the factor over: [`NewtonEngine::keep_factor`] factors a matrix
+//! into the engine's cache and keeps it as if a solve had just factored
+//! it, and [`NewtonEngine::solve_block_in_place`] solves a block of
+//! right-hand sides against it. Shooting's flow integration does this
+//! after every step: the step matrix `C/h + θG` it factors for the
+//! monodromy update becomes the next step's iteration matrix, so the
+//! flow pays one factorisation per step.
+//!
 //! # Example
 //!
 //! Implement [`NewtonSystem`] for your residual and hand it to an engine
@@ -389,12 +398,74 @@ impl NewtonEngine {
         self.kept = None;
     }
 
-    /// Cumulative factorisation counters across the engine's lifetime.
+    /// Cumulative factorisation counters across the engine's lifetime,
+    /// [`NewtonEngine::keep_factor`]'s included.
     pub fn factor_stats(&self) -> FactorStats {
         self.cache
             .as_ref()
             .map(FactorCache::stats)
             .unwrap_or_default()
+    }
+
+    /// The factorisation cache in `slot`, switched to `kind`.
+    fn cache_in(slot: &mut Option<FactorCache>, kind: LinearSolverKind) -> &mut FactorCache {
+        match slot {
+            Some(c) => {
+                c.set_kind(kind);
+                c
+            }
+            slot => slot.insert(FactorCache::new(kind)),
+        }
+    }
+
+    /// Factors `matrix` on the `kind` backend and keeps the factor as the
+    /// iteration matrix of the next [`NewtonEngine::solve`] under
+    /// [`NewtonPolicy::reuse_jacobian`], exactly as if a solve had just
+    /// factored it. A caller that factors the next iteration matrix for
+    /// its own use anyway hands it over this way, and the next solve
+    /// starts on it instead of factoring its own. The factorisation
+    /// counts in [`NewtonEngine::factor_stats`], not in the next
+    /// solve's [`NewtonStats`].
+    ///
+    /// # Errors
+    ///
+    /// [`NewtonError::Singular`] when the factorisation fails; nothing
+    /// is kept then.
+    pub fn keep_factor(
+        &mut self,
+        matrix: &NewtonMatrix<'_>,
+        kind: LinearSolverKind,
+    ) -> Result<(), NewtonError> {
+        self.kept = None;
+        Self::cache_in(&mut self.cache, kind)
+            .factor(matrix)
+            .map_err(|e| NewtonError::Singular { cause: e.cause })?;
+        self.kept = Some(KeptMatrix {
+            dim: matrix.dim(),
+            kind,
+            uses: 0,
+            stale: false,
+        });
+        Ok(())
+    }
+
+    /// Solves `J·X = B` in place against the engine's current factor
+    /// for an `n × m` row-major block of right-hand sides (see
+    /// [`linsolve::FactorCache::solve_block_in_place`]): after
+    /// [`NewtonEngine::keep_factor`], `J` is the matrix handed over.
+    ///
+    /// # Errors
+    ///
+    /// [`NewtonError::Singular`] when nothing is factored or the
+    /// backend fails.
+    pub fn solve_block_in_place(&self, rhs: &mut [f64], m: usize) -> Result<(), NewtonError> {
+        self.cache
+            .as_ref()
+            .ok_or_else(|| NewtonError::Singular {
+                cause: "no factorisation cached".into(),
+            })?
+            .solve_block_in_place(rhs, m)
+            .map_err(|e| NewtonError::Singular { cause: e.cause })
     }
 
     /// Solves `r(x) = 0` by damped Newton, updating `x` in place.
@@ -419,13 +490,7 @@ impl NewtonEngine {
         let n = sys.dim();
         assert_eq!(x.len(), n, "newton: x length mismatch");
 
-        let cache = match &mut self.cache {
-            Some(c) => {
-                c.set_kind(policy.linear_solver);
-                c
-            }
-            slot => slot.insert(FactorCache::new(policy.linear_solver)),
-        };
+        let cache = Self::cache_in(&mut self.cache, policy.linear_solver);
         cache.set_reuse(policy.reuse_symbolic);
         cache.set_cyclic_shape(sys.cyclic_shape());
         let factor_base = cache.stats();

@@ -30,7 +30,7 @@
 //! ```
 
 use circuitdae::Dae;
-use linsolve::{FactorCache, LinearSolverKind, NewtonMatrix};
+use linsolve::{LinearSolverKind, NewtonMatrix};
 use newtonkit::{Damping, NewtonEngine, NewtonError, NewtonPolicy, NewtonSystem};
 use numkit::vecops::norm2;
 use numkit::{DMat, DenseLu};
@@ -38,7 +38,8 @@ use sparsekit::Triplets;
 use std::cell::RefCell;
 use std::fmt;
 use transim::{
-    run_transient, Integrator, NewtonOptions, StepControl, TransientOptions, TransientResult,
+    run_transient, run_transient_with, Integrator, NewtonOptions, StepControl, TransientOptions,
+    TransientResult,
 };
 
 /// Errors from the shooting solver.
@@ -198,12 +199,96 @@ impl PeriodicOrbit {
     }
 }
 
-/// End state, monodromy matrix, and trajectory samples of one flow
-/// integration.
-type FlowOutput = (Vec<f64>, DMat, Vec<Vec<f64>>);
+/// One flow integration over a period guess.
+struct Flow {
+    /// The end state `x(T)`.
+    x_end: Vec<f64>,
+    /// The monodromy matrix `∂x(T)/∂x0`.
+    monodromy: DMat,
+    /// The states at every step, `x0` first.
+    samples: Vec<Vec<f64>>,
+    /// The flow transient's counters.
+    stats: obskit::RunStats,
+}
+
+/// The sparse stamps `C = ∂q/∂x` and `G = ∂f/∂x` at a flow's latest
+/// accepted state and at the one before it: all a flow step needs to
+/// assemble its step matrix and to propagate the monodromy.
+struct StepStamps {
+    c_prev: Triplets,
+    g_prev: Triplets,
+    c: Triplets,
+    g: Triplets,
+}
+
+impl StepStamps {
+    /// The stamps at the initial state `x0`.
+    fn at<D: Dae + ?Sized>(dae: &D, x0: &[f64]) -> Self {
+        let n = dae.dim();
+        let mut stamps = StepStamps {
+            c_prev: Triplets::new(n, n),
+            g_prev: Triplets::new(n, n),
+            c: Triplets::new(n, n),
+            g: Triplets::new(n, n),
+        };
+        dae.jac_q_triplets(x0, &mut stamps.c);
+        dae.jac_f_triplets(x0, &mut stamps.g);
+        stamps
+    }
+
+    /// Makes the latest stamps the previous ones and stamps `x`.
+    fn advance<D: Dae + ?Sized>(&mut self, dae: &D, x: &[f64]) {
+        std::mem::swap(&mut self.c_prev, &mut self.c);
+        std::mem::swap(&mut self.g_prev, &mut self.g);
+        self.c.clear();
+        self.g.clear();
+        dae.jac_q_triplets(x, &mut self.c);
+        dae.jac_f_triplets(x, &mut self.g);
+    }
+
+    /// The step matrix `A = a0h·C + θ·G` at the latest state, as the
+    /// same triplet sequence the step's Newton stamps.
+    fn step_matrix(&self, a0h: f64, theta: f64, out: &mut Triplets) {
+        out.clear();
+        out.append_scaled(&self.c, a0h);
+        out.append_scaled(&self.g, theta);
+    }
+
+    /// `out = B·m` with `B = a0h·C_prev − (1 − θ)·G_prev`, the
+    /// sensitivity map of the step's previous state, applied stamp by
+    /// stamp.
+    fn propagate(&self, a0h: f64, theta: f64, m: &DMat, out: &mut DMat) {
+        out.fill_zero();
+        let mut add = |stamps: &Triplets, s: f64| {
+            for (r, c, v) in stamps.iter() {
+                let w = s * v;
+                for (o, &mv) in out.row_mut(r).iter_mut().zip(m.row(c)) {
+                    *o += w * mv;
+                }
+            }
+        };
+        add(&self.c_prev, a0h);
+        if theta < 1.0 {
+            add(&self.g_prev, -(1.0 - theta));
+        }
+    }
+}
 
 /// Integrates the flow over `[0, T]` with `steps` fixed implicit steps,
-/// returning `(x(T), monodromy, samples)`.
+/// propagating the monodromy along.
+///
+/// Each step's sensitivity update is
+///
+/// ```text
+/// BE:   (C_i/h + G_i) δx_i = (C_{i-1}/h) δx_{i-1}
+/// Trap: (C_i/h + G_i/2) δx_i = (C_{i-1}/h − G_{i-1}/2) δx_{i-1}
+/// ```
+///
+/// whose left matrix `A_i` is the step's own iteration matrix at the
+/// converged state. Each accepted step stamps `C_i`, `G_i` once and
+/// factors `A_i` once; that factor block-solves `M ← A_i⁻¹(B_i·M)` and
+/// is kept as the iteration matrix of the next step's modified Newton,
+/// so a flow pays one factorisation per step.
 fn flow_with_monodromy<D: Dae + ?Sized>(
     dae: &D,
     x0: &[f64],
@@ -211,74 +296,46 @@ fn flow_with_monodromy<D: Dae + ?Sized>(
     steps: usize,
     integrator: Integrator,
     solver: LinearSolverKind,
-) -> Result<FlowOutput, ShootingError> {
+) -> Result<Flow, ShootingError> {
+    if integrator == Integrator::Bdf2 {
+        return Err(ShootingError::BadInput(
+            "monodromy propagation supports BackwardEuler/Trapezoidal".into(),
+        ));
+    }
     let n = dae.dim();
-    let h = period / steps as f64;
     let opts = TransientOptions {
         integrator,
-        step: StepControl::Fixed(h),
+        step: StepControl::Fixed(period / steps as f64),
         newton: NewtonOptions {
             linear_solver: solver,
+            reuse_jacobian: true,
             ..Default::default()
         },
     };
-    let res = run_transient(dae, x0, 0.0, period, &opts)?;
-    let states = &res.states;
-
-    // Monodromy by chaining per-step sensitivities:
-    //   BE:   (C_i/h + G_i) δx_i = (C_{i-1}/h) δx_{i-1}
-    //   Trap: (C_i/h + G_i/2) δx_i = (C_{i-1}/h − G_{i-1}/2) δx_{i-1}
-    let theta = match integrator {
-        Integrator::BackwardEuler => 1.0,
-        Integrator::Trapezoidal => 0.5,
-        Integrator::Bdf2 => {
-            return Err(ShootingError::BadInput(
-                "monodromy propagation supports BackwardEuler/Trapezoidal".into(),
-            ))
-        }
-    };
+    let mut stamps = StepStamps::at(dae, x0);
+    let mut a = Triplets::new(n, n);
     let mut m = DMat::identity(n);
-    let mut c_prev = DMat::zeros(n, n);
-    let mut g_prev = DMat::zeros(n, n);
-    let mut c_cur = DMat::zeros(n, n);
-    let mut g_cur = DMat::zeros(n, n);
-    dae.jac_q(&states[0], &mut c_prev);
-    dae.jac_f(&states[0], &mut g_prev);
-    // One factor cache for the whole chain: every step's sensitivity
-    // matrix A shares the C/G sparsity pattern, so the sparse backends
-    // redo only numeric factorisation after the first step.
-    let mut factors = FactorCache::new(solver);
-
-    for (i, state) in states.iter().enumerate().skip(1) {
-        // Use the actual step taken (the final step may be a float-rounding
-        // remainder smaller than the nominal h).
-        let hi = res.times[i] - res.times[i - 1];
-        dae.jac_q(state, &mut c_cur);
-        dae.jac_f(state, &mut g_cur);
-        // A = C_i/h + θ·G_i ;  B = C_{i-1}/h − (1−θ)·G_{i-1}
-        let mut a = c_cur.clone();
-        a.scale(1.0 / hi);
-        a.axpy(theta, &g_cur);
-        let mut bmat = c_prev.clone();
-        bmat.scale(1.0 / hi);
-        if theta < 1.0 {
-            bmat.axpy(-(1.0 - theta), &g_prev);
-        }
-        factors.factor(&NewtonMatrix::Dense(&a)).map_err(|_| {
-            ShootingError::Transient(transim::TransimError::SingularJacobian {
-                at_time: i as f64 * h,
-            })
-        })?;
-        // M ← A⁻¹ B M: one block solve over the columns of B·M.
-        m = bmat.matmul(&m).expect("dimension-consistent product");
-        factors
-            .solve_block_in_place(m.as_mut_slice(), n)
-            .expect("factored system");
-        std::mem::swap(&mut c_prev, &mut c_cur);
-        std::mem::swap(&mut g_prev, &mut g_cur);
-    }
-
-    Ok((states.last().expect("nonempty").clone(), m, res.states))
+    let mut bm = DMat::zeros(n, n);
+    let res = run_transient_with(dae, x0, 0.0, period, &opts, |engine, step| {
+        let singular = |_| transim::TransimError::SingularJacobian { at_time: step.t };
+        stamps.advance(dae, step.x);
+        stamps.step_matrix(step.a0h, step.theta, &mut a);
+        engine
+            .keep_factor(&NewtonMatrix::Triplets(&a), solver)
+            .map_err(singular)?;
+        stamps.propagate(step.a0h, step.theta, &m, &mut bm);
+        engine
+            .solve_block_in_place(bm.as_mut_slice(), n)
+            .map_err(singular)?;
+        std::mem::swap(&mut m, &mut bm);
+        Ok(())
+    })?;
+    Ok(Flow {
+        x_end: res.last().to_vec(),
+        monodromy: m,
+        samples: res.states,
+        stats: res.stats,
+    })
 }
 
 /// Time derivative `ẋ = −C(x)⁻¹·(f(x) − b(0))` (autonomous systems with
@@ -308,9 +365,7 @@ fn state_derivative<D: Dae + ?Sized>(dae: &D, x: &[f64]) -> Result<Vec<f64>, Sho
 /// integration per iteration — the same as the historical loop.
 struct FlowMemo {
     z: Vec<f64>,
-    x_end: Vec<f64>,
-    monodromy: DMat,
-    samples: Vec<Vec<f64>>,
+    flow: Flow,
 }
 
 /// The shooting boundary-value problem `(x(T) − x0, (b − f)_k(x0)) = 0`
@@ -329,6 +384,8 @@ struct CycleSystem<'a, D: Dae + ?Sized> {
     integrator: Integrator,
     solver: LinearSolverKind,
     flow: RefCell<Option<FlowMemo>>,
+    /// The counters of every flow integrated so far.
+    flow_stats: RefCell<obskit::RunStats>,
     /// First underlying failure (transient blow-up, singular mass
     /// matrix); reported instead of the generic engine error.
     error: RefCell<Option<ShootingError>>,
@@ -351,12 +408,11 @@ impl<D: Dae + ?Sized> CycleSystem<'_, D> {
             self.integrator,
             self.solver,
         ) {
-            Ok((x_end, monodromy, samples)) => {
+            Ok(flow) => {
+                self.flow_stats.borrow_mut().merge(&flow.stats);
                 *self.flow.borrow_mut() = Some(FlowMemo {
                     z: z.to_vec(),
-                    x_end,
-                    monodromy,
-                    samples,
+                    flow,
                 });
                 true
             }
@@ -385,7 +441,7 @@ impl<D: Dae + ?Sized> NewtonSystem for CycleSystem<'_, D> {
         let mut fvec = vec![0.0; self.n];
         self.dae.eval_f(&z[..self.n], &mut fvec);
         for i in 0..self.n {
-            out[i] = memo.x_end[i] - z[i];
+            out[i] = memo.flow.x_end[i] - z[i];
         }
         out[self.n] = self.b0[self.k] - fvec[self.k];
     }
@@ -403,7 +459,7 @@ impl<D: Dae + ?Sized> NewtonSystem for CycleSystem<'_, D> {
         let flow = self.flow.borrow();
         let memo = flow.as_ref().expect("flow memoised");
         let n = self.n;
-        let xdot_end = match state_derivative(self.dae, &memo.x_end) {
+        let xdot_end = match state_derivative(self.dae, &memo.flow.x_end) {
             Ok(v) => v,
             Err(e) => {
                 self.error.borrow_mut().get_or_insert(e);
@@ -416,7 +472,7 @@ impl<D: Dae + ?Sized> NewtonSystem for CycleSystem<'_, D> {
         out.fill_zero();
         for i in 0..n {
             for j in 0..n {
-                out[(i, j)] = memo.monodromy[(i, j)] - if i == j { 1.0 } else { 0.0 };
+                out[(i, j)] = memo.flow.monodromy[(i, j)] - if i == j { 1.0 } else { 0.0 };
             }
             out[(i, n)] = xdot_end[i];
             out[(n, i)] = -g0[(self.k, i)];
@@ -447,7 +503,8 @@ impl<D: Dae + ?Sized> NewtonSystem for CycleSystem<'_, D> {
             .borrow()
             .as_ref()
             .map(|memo| {
-                memo.samples
+                memo.flow
+                    .samples
                     .iter()
                     .flat_map(|s| s.iter())
                     .fold(0.0_f64, |m, v| m.max(v.abs()))
@@ -504,7 +561,9 @@ pub fn find_periodic_orbit<D: Dae + ?Sized>(
 }
 
 /// [`find_periodic_orbit`] adding its outer iterations (flow
-/// evaluations) to `stats.newton_iters`, also when it fails.
+/// evaluations) to `stats.newton_iters`, and the flows' steps and every
+/// factorisation (the flows' and the bordered system's) to the other
+/// counters, also when it fails.
 fn metered_orbit<D: Dae + ?Sized>(
     dae: &D,
     x0_guess: &[f64],
@@ -539,6 +598,7 @@ fn metered_orbit<D: Dae + ?Sized>(
         integrator: opts.integrator,
         solver: opts.linear_solver,
         flow: RefCell::new(None),
+        flow_stats: RefCell::new(obskit::RunStats::default()),
         error: RefCell::new(None),
     };
 
@@ -557,8 +617,17 @@ fn metered_orbit<D: Dae + ?Sized>(
     let solved = engine.solve(&sys, &mut z, &policy);
     // Historical meaning: flow evaluations until convergence (= Newton
     // steps + the converged evaluation).
-    let iterations = engine.stats().residual_evals;
+    let outer = engine.stats();
+    let iterations = outer.residual_evals;
     stats.newton_iters += iterations;
+    // The flows' steps and factorisations count too; their inner
+    // Newton iterations do not, so `newton_iters` stays the orbit
+    // Newton's own count.
+    let flows = sys.flow_stats.take();
+    stats.steps += flows.steps;
+    stats.rejected += flows.rejected;
+    stats.factorisations += outer.factorisations + flows.factorisations;
+    stats.symbolic_reuses += outer.symbolic_reuses + flows.symbolic_reuses;
     match solved {
         Ok(_) => {
             let memo = sys
@@ -569,6 +638,7 @@ fn metered_orbit<D: Dae + ?Sized>(
             // is the equilibrium, not an orbit: the boundary residual
             // vanishes there for any period.
             let (lo, hi) = memo
+                .flow
                 .samples
                 .iter()
                 .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), x| {
@@ -582,8 +652,8 @@ fn metered_orbit<D: Dae + ?Sized>(
             Ok(PeriodicOrbit {
                 x0: z,
                 period,
-                samples: memo.samples,
-                monodromy: memo.monodromy,
+                samples: memo.flow.samples,
+                monodromy: memo.flow.monodromy,
                 iterations,
                 lineage: Vec::new(),
             })
@@ -977,7 +1047,7 @@ mod tests {
         let orbit = oscillator_steady_state(&vdp, &opts).unwrap();
         // The discrete flow at the solver's own discretisation must return
         // to x0 (that is the fixed point shooting solves for).
-        let (x_end, _m, _s) = flow_with_monodromy(
+        let x_end = flow_with_monodromy(
             &vdp,
             &orbit.x0,
             orbit.period,
@@ -985,12 +1055,13 @@ mod tests {
             opts.integrator,
             opts.linear_solver,
         )
-        .unwrap();
+        .unwrap()
+        .x_end;
         for (a, b) in x_end.iter().zip(orbit.x0.iter()) {
             assert!((a - b).abs() < 1e-6, "{x_end:?} vs {:?}", orbit.x0);
         }
         // A finer discretisation agrees to integration accuracy O(h²).
-        let (x_fine, _m, _s) = flow_with_monodromy(
+        let x_fine = flow_with_monodromy(
             &vdp,
             &orbit.x0,
             orbit.period,
@@ -998,7 +1069,8 @@ mod tests {
             opts.integrator,
             opts.linear_solver,
         )
-        .unwrap();
+        .unwrap()
+        .x_end;
         for (a, b) in x_fine.iter().zip(orbit.x0.iter()) {
             assert!((a - b).abs() < 5e-3, "fine {x_fine:?} vs {:?}", orbit.x0);
         }
@@ -1313,94 +1385,167 @@ mod tests {
         ));
     }
 
-    /// The monodromy chained as it was before the block solve: each
-    /// step's `A⁻¹·(B·M)` solved one column at a time. Kept as the
-    /// reference the block solve must reproduce bit for bit.
+    /// The monodromy chained as it was before the block solve, along a
+    /// flow's own states: each step's `A` and `B·M` assembled exactly as
+    /// the flow assembles them, and `A⁻¹·(B·M)` solved one column at a
+    /// time. Kept as the reference the block solve must reproduce bit
+    /// for bit.
     fn monodromy_by_columns<D: Dae + ?Sized>(
         dae: &D,
-        x0: &[f64],
+        flow: &Flow,
         period: f64,
         steps: usize,
         solver: LinearSolverKind,
     ) -> DMat {
         let n = dae.dim();
-        let h = period / steps as f64;
-        let opts = TransientOptions {
-            integrator: Integrator::Trapezoidal,
-            step: StepControl::Fixed(h),
-            newton: NewtonOptions {
-                linear_solver: solver,
-                ..Default::default()
-            },
-        };
-        let res = run_transient(dae, x0, 0.0, period, &opts).unwrap();
-        let theta = 0.5;
+        // The step sizes the flow's fixed-step controller took.
+        let ctl = StepControl::Fixed(period / steps as f64)
+            .resolve(period, Integrator::Trapezoidal.order())
+            .unwrap();
+        let mut t = 0.0;
+        let mut stamps = StepStamps::at(dae, &flow.samples[0]);
+        let mut a = Triplets::new(n, n);
         let mut m = DMat::identity(n);
-        let mut c_prev = DMat::zeros(n, n);
-        let mut g_prev = DMat::zeros(n, n);
-        let mut c_cur = DMat::zeros(n, n);
-        let mut g_cur = DMat::zeros(n, n);
-        dae.jac_q(&res.states[0], &mut c_prev);
-        dae.jac_f(&res.states[0], &mut g_prev);
-        let mut factors = FactorCache::new(solver);
-        for (i, state) in res.states.iter().enumerate().skip(1) {
-            let hi = res.times[i] - res.times[i - 1];
-            dae.jac_q(state, &mut c_cur);
-            dae.jac_f(state, &mut g_cur);
-            let mut a = c_cur.clone();
-            a.scale(1.0 / hi);
-            a.axpy(theta, &g_cur);
-            let mut bmat = c_prev.clone();
-            bmat.scale(1.0 / hi);
-            bmat.axpy(-(1.0 - theta), &g_prev);
-            factors.factor(&NewtonMatrix::Dense(&a)).unwrap();
-            let bm = bmat.matmul(&m).unwrap();
-            let mut m_new = DMat::zeros(n, n);
+        let mut bm = DMat::zeros(n, n);
+        let mut factors = linsolve::FactorCache::new(solver);
+        for state in &flow.samples[1..] {
+            let h = ctl.propose(t, period);
+            t += h;
+            stamps.advance(dae, state);
+            stamps.step_matrix(1.0 / h, 0.5, &mut a);
+            factors.factor(&NewtonMatrix::Triplets(&a)).unwrap();
+            stamps.propagate(1.0 / h, 0.5, &m, &mut bm);
             let mut col = vec![0.0; n];
             for j in 0..n {
-                for i2 in 0..n {
-                    col[i2] = bm[(i2, j)];
+                for i in 0..n {
+                    col[i] = bm[(i, j)];
                 }
                 factors.solve_in_place(&mut col).unwrap();
-                for i2 in 0..n {
-                    m_new[(i2, j)] = col[i2];
+                for i in 0..n {
+                    m[(i, j)] = col[i];
                 }
             }
-            m = m_new;
-            std::mem::swap(&mut c_prev, &mut c_cur);
-            std::mem::swap(&mut g_prev, &mut g_cur);
         }
         m
     }
 
-    #[test]
-    fn block_solved_monodromy_matches_the_column_loop_bit_for_bit() {
+    /// A flow to integrate: the system, its start state, a period
+    /// guess, the steps per period and the backend.
+    type FlowCase = (Box<dyn Dae>, Vec<f64>, f64, usize, LinearSolverKind);
+
+    /// Van der Pol on the dense backend at the default steps per period,
+    /// and the loaded ring VCO on klu at the 64 steps of the committed
+    /// chain decks.
+    fn flow_cases() -> Vec<FlowCase> {
         let vdp = VanDerPol::unforced(1.0);
-        let ladder = circuits::ring_loaded_vco(8);
-        let mut ladder_x0 = vec![0.0; ladder.dim()];
-        ladder_x0[0] = 0.3;
-        let cases: [(&dyn Dae, Vec<f64>, f64, LinearSolverKind); 2] = [
+        let period = vdp.approx_period();
+        let ring = circuits::ring_loaded_vco(8);
+        let mut ring_x0 = vec![0.0; ring.dim()];
+        ring_x0[0] = 0.3;
+        let steps = ShootingOptions::default().steps_per_period;
+        vec![
             (
-                &vdp,
+                Box::new(vdp),
                 vec![2.0, 0.0],
-                vdp.approx_period(),
+                period,
+                steps,
                 LinearSolverKind::Dense,
             ),
             (
-                &ladder,
-                ladder_x0,
+                Box::new(ring),
+                ring_x0,
                 circuits::nominal_period(),
+                64,
                 LinearSolverKind::Klu,
             ),
-        ];
-        for (dae, x0, period, solver) in cases {
-            let (_, m, _) =
-                flow_with_monodromy(dae, &x0, period, 64, Integrator::Trapezoidal, solver).unwrap();
-            let reference = monodromy_by_columns(dae, &x0, period, 64, solver);
+        ]
+    }
+
+    #[test]
+    fn block_solved_monodromy_matches_the_column_loop_bit_for_bit() {
+        for (dae, x0, period, steps, solver) in flow_cases() {
+            let flow =
+                flow_with_monodromy(&*dae, &x0, period, steps, Integrator::Trapezoidal, solver)
+                    .unwrap();
+            let reference = monodromy_by_columns(&*dae, &flow, period, steps, solver);
             let bits = |d: &DMat| d.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&m), bits(&reference), "{}", solver.label());
+            assert_eq!(
+                bits(&flow.monodromy),
+                bits(&reference),
+                "{}",
+                solver.label()
+            );
             // A genuine propagation, not an identity.
-            assert!(m.as_slice().iter().any(|&v| v != 0.0 && v != 1.0));
+            assert!(flow
+                .monodromy
+                .as_slice()
+                .iter()
+                .any(|&v| v != 0.0 && v != 1.0));
+        }
+    }
+
+    #[test]
+    fn a_flow_factors_its_step_matrix_once_per_step() {
+        for (dae, x0, period, steps, solver) in flow_cases() {
+            let flow =
+                flow_with_monodromy(&*dae, &x0, period, steps, Integrator::Trapezoidal, solver)
+                    .unwrap();
+            let s = flow.stats;
+            assert_eq!((s.steps, s.rejected), (steps, 0), "{}", solver.label());
+            // One step matrix per accepted step, plus the first step's
+            // own iteration matrix: nothing is kept before it.
+            assert_eq!(s.factorisations, s.steps + 1, "{}", solver.label());
+        }
+    }
+
+    #[test]
+    fn single_pass_flow_matches_a_full_newton_flow_within_the_newton_tolerance() {
+        for (dae, x0, period, steps, solver) in flow_cases() {
+            let flow =
+                flow_with_monodromy(&*dae, &x0, period, steps, Integrator::Trapezoidal, solver)
+                    .unwrap();
+            // The reference: every step solved by full Newton, then the
+            // monodromy chained along its states.
+            let newton = NewtonOptions {
+                linear_solver: solver,
+                ..Default::default()
+            };
+            let opts = TransientOptions {
+                integrator: Integrator::Trapezoidal,
+                step: StepControl::Fixed(period / steps as f64),
+                newton,
+            };
+            let full = run_transient(&*dae, &x0, 0.0, period, &opts).unwrap();
+            let full = Flow {
+                x_end: full.last().to_vec(),
+                monodromy: DMat::zeros(0, 0),
+                samples: full.states,
+                stats: full.stats,
+            };
+            let full_m = monodromy_by_columns(&*dae, &full, period, steps, solver);
+            // One step's Newton tolerance `reltol·|x| + abstol`: the two
+            // flows' per-step differences do not even add up to it.
+            let tol = |x: &[f64]| {
+                let scale = x.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+                newton.reltol * scale + newton.abstol
+            };
+            let gap = |a: &[f64], b: &[f64]| {
+                a.iter()
+                    .zip(b)
+                    .fold(0.0_f64, |m, (x, y)| m.max((x - y).abs()))
+            };
+            let x_gap = gap(&flow.x_end, &full.x_end);
+            assert!(
+                x_gap <= tol(&full.x_end),
+                "{}: x(T) gap {x_gap:e}",
+                solver.label()
+            );
+            let m_gap = gap(flow.monodromy.as_slice(), full_m.as_slice());
+            assert!(
+                m_gap <= tol(full_m.as_slice()),
+                "{}: monodromy gap {m_gap:e}",
+                solver.label()
+            );
         }
     }
 }

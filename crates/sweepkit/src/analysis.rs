@@ -186,7 +186,8 @@ impl Analysis for ShootingAnalysis {
         // paid for (warm-up/settle transients + orbit Newton on a cold
         // start; the orbit Newton alone on a warm one; both when a failed
         // warm start fell back to cold), so chained and cold costs are
-        // directly comparable.
+        // directly comparable. `factorisations` covers the same pipeline,
+        // every flow's step matrices included.
         let warm_state = WarmState::Orbit(shooting::ShootingWarmStart::from_orbit(&orbit));
         Ok((
             ScenarioResult {
@@ -198,6 +199,7 @@ impl Analysis for ShootingAnalysis {
                     ("freq_hz".into(), orbit.frequency()),
                     ("iterations".into(), orbit.iterations as f64),
                     ("newton_iters".into(), stats.newton_iters as f64),
+                    ("factorisations".into(), stats.factorisations as f64),
                 ],
             },
             Some(warm_state),

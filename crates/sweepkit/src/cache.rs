@@ -49,7 +49,11 @@ use std::path::{Path, PathBuf};
 // fmt7: warm chain positions from the third on start their orbit Newton
 // from a seed extrapolated through earlier positions, which moves their
 // `.shooting`/`.wampde` orbits within the Newton tolerance.
-pub const CACHE_SALT: &str = concat!("sweepkit-", env!("CARGO_PKG_VERSION"), "-fmt7");
+// fmt8: the shooting flow factors one step matrix per step and its
+// Newton runs on it (modified Newton), so `.shooting`/`.wampde` results
+// now move within the Newton tolerance; `.shooting` points also report
+// `factorisations`.
+pub const CACHE_SALT: &str = concat!("sweepkit-", env!("CARGO_PKG_VERSION"), "-fmt8");
 
 /// FNV-1a, 128-bit: tiny, dependency-free, and plenty for cache keys
 /// (collision odds are negligible below ~2^60 distinct jobs).

@@ -1,7 +1,5 @@
 //! Fixed and LTE-adaptive step-size control.
 
-use numkit::vecops::wrms_norm;
-
 /// Step-size policy, shared by every stepping loop in the workspace.
 ///
 /// The `0.0 = auto` fields resolve against the integration span with
@@ -204,9 +202,24 @@ impl StepController {
     /// `z_new − pred` against `z_new`, divided by 5 (the
     /// predictor–corrector difference over-estimates the LTE; 1/5 is
     /// the usual calibration). `≤ 1` means within tolerance.
+    ///
+    /// Computed in place, with the operations of
+    /// [`numkit::vecops::wrms_norm`] on the explicit difference.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the lengths differ.
     pub fn lte(&self, z_new: &[f64], pred: &[f64]) -> f64 {
-        let diff: Vec<f64> = z_new.iter().zip(pred.iter()).map(|(a, b)| a - b).collect();
-        wrms_norm(&diff, z_new, self.atol, self.rtol) / 5.0
+        assert_eq!(z_new.len(), pred.len(), "lte: length mismatch");
+        if z_new.is_empty() {
+            return 0.0;
+        }
+        let mut acc = 0.0;
+        for (zi, pi) in z_new.iter().zip(pred) {
+            let e = (zi - pi) / (self.atol + self.rtol * zi.abs());
+            acc += e * e;
+        }
+        (acc / z_new.len() as f64).sqrt() / 5.0
     }
 
     /// Judges an attempted step of size `h_try` with LTE estimate
@@ -317,6 +330,24 @@ impl StepController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use numkit::vecops::wrms_norm;
+
+    #[test]
+    fn in_place_lte_matches_wrms_of_the_explicit_difference_bit_for_bit() {
+        let ctl = StepPolicy::adaptive(1e-4, 1e-9).resolve(1.0, 2).unwrap();
+        let z: Vec<f64> = (0..37)
+            .map(|i| (i as f64 * 0.7).sin() * 10f64.powi(i % 7 - 3))
+            .collect();
+        let pred: Vec<f64> = z
+            .iter()
+            .enumerate()
+            .map(|(i, v)| v * (1.0 + 1e-3 * (i as f64).cos()) + 1e-8)
+            .collect();
+        let diff: Vec<f64> = z.iter().zip(&pred).map(|(a, b)| a - b).collect();
+        let explicit = wrms_norm(&diff, &z, 1e-9, 1e-4) / 5.0;
+        assert_eq!(ctl.lte(&z, &pred).to_bits(), explicit.to_bits());
+        assert_eq!(ctl.lte(&[], &[]), 0.0);
+    }
 
     #[test]
     fn fixed_resolution_and_rejection_of_bad_steps() {

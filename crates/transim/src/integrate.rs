@@ -190,6 +190,48 @@ pub fn run_transient<D: Dae + ?Sized>(
     t_end: f64,
     opts: &TransientOptions,
 ) -> Result<TransientResult, TransimError> {
+    run_transient_with(dae, x0, t0, t_end, opts, |_, _| Ok(()))
+}
+
+/// One accepted step, as [`run_transient_with`] hands it to its
+/// callback.
+#[derive(Debug, Clone, Copy)]
+pub struct AcceptedStep<'a> {
+    /// The step's end time.
+    pub t: f64,
+    /// The scheme's coefficient on the new charge: the step Jacobian is
+    /// `a0h·C + θ·G`.
+    pub a0h: f64,
+    /// The scheme's weight `θ` of the instantaneous term at the new time.
+    pub theta: f64,
+    /// The converged state at `t`.
+    pub x: &'a [f64],
+}
+
+/// [`run_transient`] calling `on_accept` after every accepted step with
+/// the run's Newton engine and the step. The engine is the one that
+/// solves the next step, so a callback may hand it a factorisation to
+/// keep ([`NewtonEngine::keep_factor`]): with
+/// [`NewtonOptions::reuse_jacobian`](crate::NewtonOptions) set, the next
+/// step's Newton then starts on that matrix. Factorisations the callback
+/// makes count in [`TransientStats::factorisations`].
+///
+/// # Errors
+///
+/// As [`run_transient`], plus the first error `on_accept` returns, which
+/// ends the run.
+pub fn run_transient_with<D, F>(
+    dae: &D,
+    x0: &[f64],
+    t0: f64,
+    t_end: f64,
+    opts: &TransientOptions,
+    mut on_accept: F,
+) -> Result<TransientResult, TransimError>
+where
+    D: Dae + ?Sized,
+    F: FnMut(&mut NewtonEngine, &AcceptedStep<'_>) -> Result<(), TransimError>,
+{
     let n = dae.dim();
     if x0.len() != n {
         return Err(TransimError::BadInput(format!(
@@ -269,22 +311,18 @@ pub fn run_transient<D: Dae + ?Sized>(
         let newton_result = newton
             .solve(&sys, &mut x_new, &opts.newton)
             .map_err(map_newton_err);
-        let nstats = newton.stats();
-        stats.factorisations += nstats.factorisations;
-        stats.symbolic_reuses += nstats.symbolic_reuses;
+        // A failed solve's iterations count too: its step is retried.
+        stats.newton_iters += newton.stats().iterations;
 
         let accept = match &newton_result {
-            Ok(rep) => {
-                stats.newton_iters += rep.iterations;
-                match &predicted {
-                    Some(pred) if ctl.adaptive() => {
-                        let err = ctl.lte(&x_new, pred);
-                        ctl.evaluate(h_try, err) == StepVerdict::Accept
-                    }
-                    // Fixed step, or no history yet: accept the step.
-                    _ => true,
+            Ok(_) => match &predicted {
+                Some(pred) if ctl.adaptive() => {
+                    let err = ctl.lte(&x_new, pred);
+                    ctl.evaluate(h_try, err) == StepVerdict::Accept
                 }
-            }
+                // Fixed step, or no history yet: accept the step.
+                _ => true,
+            },
             Err(_) => {
                 if ctl.at_min(h_try) {
                     return newton_result.map(|_| unreachable!()).map_err(|e| match e {
@@ -317,6 +355,13 @@ pub fn run_transient<D: Dae + ?Sized>(
             times.push(t);
             states.push(x.clone());
             stats.steps += 1;
+            let step = AcceptedStep {
+                t,
+                a0h: coeffs.a0h,
+                theta: coeffs.theta,
+                x: &x,
+            };
+            on_accept(&mut newton, &step)?;
         } else {
             stats.rejected += 1;
             if ctl.underflowed() && newton_result.is_ok() {
@@ -329,6 +374,11 @@ pub fn run_transient<D: Dae + ?Sized>(
         }
     }
 
+    // Every factorisation of the run went through this engine, the
+    // callback's included.
+    let factor_stats = newton.factor_stats();
+    stats.factorisations = factor_stats.factorisations;
+    stats.symbolic_reuses = factor_stats.symbolic_reuses;
     Ok(TransientResult {
         times,
         states,
@@ -560,6 +610,96 @@ mod tests {
             let h = w[1] - w[0];
             assert!(h > 0.099 && h < 0.102, "step {h}");
         }
+    }
+
+    /// FNV-1a over the bits of every time, state and counter of a run.
+    fn digest(res: &TransientResult) -> u64 {
+        let s = &res.stats;
+        let counters = [s.steps, s.rejected, s.newton_iters, s.factorisations];
+        let bits = res
+            .times
+            .iter()
+            .chain(res.states.iter().flatten())
+            .map(|v| v.to_bits())
+            .chain(counters.iter().map(|&c| c as u64));
+        bits.fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            b.to_le_bytes().iter().fold(h, |h, &byte| {
+                (h ^ byte as u64).wrapping_mul(0x100_0000_01b3)
+            })
+        })
+    }
+
+    #[test]
+    fn transient_output_is_pinned_bit_for_bit() {
+        // Digests of runs recorded before the accepted-step callback and
+        // the in-place LTE existed: `run_transient` must not move a bit
+        // (fixed and adaptive steps, dense and klu).
+        let vdp = VanDerPol::unforced(1.0);
+        let ring = circuitdae::circuits::ring_loaded_vco(8);
+        let mut ring_x0 = vec![0.0; ring.dim()];
+        ring_x0[0] = 0.3;
+        let period = circuitdae::circuits::nominal_period();
+        let fixed = |h: f64, kind: linsolve::LinearSolverKind| TransientOptions {
+            integrator: Integrator::Trapezoidal,
+            step: StepControl::Fixed(h),
+            newton: crate::NewtonOptions {
+                linear_solver: kind,
+                ..Default::default()
+            },
+        };
+        let adaptive = |span: f64, kind: linsolve::LinearSolverKind| TransientOptions {
+            step: StepControl::Adaptive {
+                rtol: 1e-4,
+                atol: 1e-12,
+                dt_init: span / 2000.0,
+                dt_min: 0.0,
+                dt_max: span / 200.0,
+            },
+            ..fixed(span, kind)
+        };
+        use linsolve::LinearSolverKind::{Dense, Klu};
+        let runs = [
+            run_transient(&vdp, &[2.0, 0.0], 0.0, 7.0, &fixed(7.0 / 64.0, Dense)),
+            run_transient(&vdp, &[0.1, 0.0], 0.0, 30.0, &adaptive(30.0, Dense)),
+            run_transient(&ring, &ring_x0, 0.0, period, &fixed(period / 64.0, Klu)),
+            run_transient(&ring, &ring_x0, 0.0, 5.0 * period, &adaptive(period, Klu)),
+        ];
+        let got: Vec<u64> = runs.iter().map(|r| digest(r.as_ref().unwrap())).collect();
+        let pinned: [u64; 4] = [
+            0x86e9_1f93_a5b4_ae68,
+            0x71c6_f2c3_cde5_1825,
+            0xc743_7537_653d_ec86,
+            0x0e54_0219_7ab1_3106,
+        ];
+        assert_eq!(got, pinned, "{got:#x?}");
+    }
+
+    #[test]
+    fn failed_newton_iterations_are_metered() {
+        use std::sync::Arc;
+        // Three Newton iterations cannot converge the first, far too
+        // large step: it fails, is retried smaller, and its iterations
+        // still count.
+        let vdp = VanDerPol::unforced(5.0);
+        let opts = TransientOptions {
+            step: StepControl::Adaptive {
+                rtol: 1e-4,
+                atol: 1e-12,
+                dt_init: 3.0,
+                dt_min: 0.0,
+                dt_max: 3.0,
+            },
+            newton: crate::NewtonOptions {
+                max_iter: 3,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let rec = Arc::new(obskit::CollectingRecorder::new());
+        let _g = obskit::install(rec.clone() as Arc<dyn obskit::Recorder>);
+        let res = run_transient(&vdp, &[2.0, 0.0], 0.0, 10.0, &opts).unwrap();
+        assert!(rec.counter("newton.failures") >= 1);
+        assert_eq!(res.stats.newton_iters as u64, rec.counter("newton.iters"));
     }
 
     #[test]

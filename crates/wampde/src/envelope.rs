@@ -264,6 +264,8 @@ pub fn solve_envelope<D: Dae + ?Sized>(
         };
         let newton = newton_step(&mut newton_engine, &sys, opts, &mut x_new, &mut omega_new);
         let nstats = newton_engine.stats();
+        // A failed solve's iterations count too: its step is retried.
+        stats.newton_iters += nstats.iterations;
         stats.factorisations += nstats.factorisations;
         stats.symbolic_reuses += nstats.symbolic_reuses;
         if nstats.factorisations > 0 {
@@ -272,18 +274,15 @@ pub fn solve_envelope<D: Dae + ?Sized>(
 
         let newton_ok = newton.is_ok();
         let accept = match newton {
-            Ok(rep) => {
-                stats.newton_iters += rep.iterations;
-                match &predicted {
-                    Some(pred) if ctl.adaptive() => {
-                        let z_new = pack(&x_new, omega_new, free_omega);
-                        let err = ctl.lte(&z_new, pred);
-                        ctl.evaluate(h_try, err) == StepVerdict::Accept
-                    }
-                    // Fixed step, or no history yet: accept the step.
-                    _ => true,
+            Ok(_) => match &predicted {
+                Some(pred) if ctl.adaptive() => {
+                    let z_new = pack(&x_new, omega_new, free_omega);
+                    let err = ctl.lte(&z_new, pred);
+                    ctl.evaluate(h_try, err) == StepVerdict::Accept
                 }
-            }
+                // Fixed step, or no history yet: accept the step.
+                _ => true,
+            },
             Err(e) => {
                 if ctl.at_min(h_try) {
                     return Err(e);
@@ -611,6 +610,36 @@ mod tests {
         let q3 = res.omega_hz[res.omega_hz.len() * 3 / 4];
         let last = *res.omega_hz.last().unwrap();
         assert!((last - q3).abs() / q3 < 1e-6, "not settled: {q3} vs {last}");
+    }
+
+    #[test]
+    fn failed_newton_iterations_are_metered() {
+        use std::sync::Arc;
+        // Started from the orbit of a gentler oscillator, the first,
+        // large step cannot converge in three Newton iterations: it
+        // fails, is retried smaller, and its iterations still count.
+        let orbit = oscillator_steady_state(&VanDerPol::unforced(0.2), &ShootingOptions::default())
+            .unwrap();
+        let opts = WampdeOptions {
+            step: T2StepControl::Adaptive {
+                rtol: 1e-4,
+                atol: 1e-9,
+                dt_init: 8.0,
+                dt_min: 0.0,
+                dt_max: 8.0,
+            },
+            newton: NewtonPolicy {
+                max_iter: 3,
+                ..small_opts().newton
+            },
+            ..small_opts()
+        };
+        let init = WampdeInit::from_orbit(&orbit, &opts);
+        let rec = Arc::new(obskit::CollectingRecorder::new());
+        let _g = obskit::install(rec.clone() as Arc<dyn obskit::Recorder>);
+        let res = solve_envelope(&VanDerPol::unforced(2.0), &init, 12.0, &opts).unwrap();
+        assert!(rec.counter("newton.failures") >= 1);
+        assert_eq!(res.stats.newton_iters as u64, rec.counter("newton.iters"));
     }
 
     #[test]
