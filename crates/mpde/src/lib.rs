@@ -53,7 +53,7 @@ use linsolve::{JacobianParts, LinearSolverKind};
 use newtonkit::{NewtonEngine, NewtonError, NewtonPolicy, NewtonSystem};
 use std::cell::RefCell;
 use std::fmt;
-use timekit::{History, Scheme, StepPolicy, StepVerdict};
+use timekit::{HistoryPoint, Scheme, Step, StepCoeffs, StepPolicy, StepSystem};
 use transim::NewtonOptions;
 
 /// Errors from the MPDE envelope solver.
@@ -311,31 +311,13 @@ pub fn solve_envelope_mpde_from<D: Dae + ?Sized, F: BivariateForcing + ?Sized>(
     } else {
         t2_end / 50.0
     }));
-    let mut ctl = policy
+    let ctl = policy
         .resolve(t2_end, opts.integrator.order())
         .map_err(MpdeError::BadInput)?;
 
-    // Forcing at collocation phases, updated per step.
-    let mut bgrid = vec![0.0; len];
-    let eval_forcing = |t2: f64, bgrid: &mut Vec<f64>| {
-        let mut row = vec![0.0; n];
-        for s in 0..colloc.n0 {
-            forcing.eval(s as f64 / colloc.n0 as f64, t2, &mut row);
-            bgrid[s * n..(s + 1) * n].copy_from_slice(&row);
-        }
-    };
-
-    // One Newton engine for the whole envelope: the step Jacobian's
-    // sparsity pattern is stable along t2, so the KLU backend pays
-    // for symbolic analysis once and refactors numerically thereafter.
-    let mut engine = NewtonEngine::new();
-    let mut stats = MpdeStats::default();
-
-    // Initial condition: periodic steady state at t2 = 0 (steady-envelope
-    // solve: f1·D·q + f = b̂(·, 0) — the general step residual with
-    // a0h = 0 and θ = 1), seeded from the neighbouring grid point's
-    // converged collocation state when one is in hand, from the DC
-    // operating point otherwise.
+    // Initial condition: periodic steady state at t2 = 0, seeded from the
+    // neighbouring grid point's converged collocation state when one is
+    // in hand, from the DC operating point otherwise.
     let mut x: Vec<f64> = match init {
         Some(seed) => {
             if seed.len() != len {
@@ -352,168 +334,136 @@ pub fn solve_envelope_mpde_from<D: Dae + ?Sized, F: BivariateForcing + ?Sized>(
             (0..colloc.n0).flat_map(|_| dc.iter().copied()).collect()
         }
     };
-    eval_forcing(0.0, &mut bgrid);
+
+    let mut run = Envelope {
+        dae,
+        forcing,
+        f1: f1_hz,
+        newton: NewtonPolicy {
+            linear_solver: opts.linear_solver,
+            ..opts.newton
+        },
+        // One Newton engine for the whole envelope: the step Jacobian's
+        // sparsity pattern is stable along t2, so the KLU backend pays
+        // for symbolic analysis once and refactors numerically thereafter.
+        engine: NewtonEngine::new(),
+        bgrid: vec![0.0; len],
+        g_prev: vec![0.0; len],
+        dq: vec![0.0; len],
+        fv: vec![0.0; len],
+        t2s: Vec::new(),
+        states: Vec::new(),
+        colloc,
+    };
+    let mut stats = MpdeStats::default();
+    // The steady-envelope solve f1·D·q + f = b̂(·, 0) is the general step
+    // residual with a0h = 0 and θ = 1; its solution is the first point.
     let zeros = vec![0.0; len];
-    newton_mpde(
-        &mut engine,
-        &mut stats,
-        dae,
-        &colloc,
-        &mut x,
-        0.0,
-        1.0,
-        &zeros,
-        &zeros,
-        f1_hz,
-        &bgrid,
-        &opts.newton,
-        opts.linear_solver,
-        0.0,
-    )?;
-
-    let mut t2s = vec![0.0];
-    let mut states = vec![x.clone()];
-    let mut q_cur = vec![0.0; len];
-    let mut dq_buf = vec![0.0; len];
-    let mut fv_buf = vec![0.0; len];
-    colloc.eval_q_all(dae, &x, &mut q_cur);
-    // g_prev = f1·D·q + f − b̂ at the newest accepted point (the (1−θ)
-    // term of averaging schemes).
-    let mut g_prev = vec![0.0; len];
-    eval_g_mpde(
-        dae,
-        &colloc,
-        &x,
-        &q_cur,
-        f1_hz,
-        &bgrid,
-        &mut dq_buf,
-        &mut fv_buf,
-        &mut g_prev,
-    );
-
-    // Shared predictor/BDF2 history over the stacked collocation states.
-    let mut history = History::new(3);
-    history.push(0.0, x.clone(), q_cur.clone());
-
-    let mut t2 = 0.0;
-    let max_attempts = ctl.attempt_budget(t2_end);
-    let mut qlin = vec![0.0; len];
-
-    while t2 < t2_end - 1e-15 * t2_end {
-        if stats.steps + stats.rejected > max_attempts {
-            return Err(MpdeError::StepTooSmall {
-                at_t2: t2,
-                step: ctl.h(),
-            });
-        }
-        let h_try = ctl.propose(t2, t2_end);
-        let t_new = t2 + h_try;
-        let step_span = obskit::span("time-step");
-        step_span.attr("t2", t_new);
-        step_span.attr("h", h_try);
-        eval_forcing(t_new, &mut bgrid);
-
-        let coeffs = opts.integrator.step_coeffs(h_try, &history, &mut qlin);
-        let predicted = history.predict(t_new);
-        let mut x_new = predicted.clone().unwrap_or_else(|| x.clone());
-        let newton = newton_mpde(
-            &mut engine,
-            &mut stats,
-            dae,
-            &colloc,
-            &mut x_new,
-            coeffs.a0h,
-            coeffs.theta,
-            &qlin,
-            &g_prev,
-            f1_hz,
-            &bgrid,
-            &opts.newton,
-            opts.linear_solver,
-            t_new,
-        );
-
-        let newton_ok = newton.is_ok();
-        let accept = match newton {
-            Ok(()) => match &predicted {
-                Some(pred) if ctl.adaptive() => {
-                    let err = ctl.lte(&x_new, pred);
-                    ctl.evaluate(h_try, err) == StepVerdict::Accept
-                }
-                // Fixed step, or no history yet: accept the step.
-                _ => true,
-            },
-            Err(e) => {
-                if ctl.at_min(h_try) {
-                    return Err(e);
-                }
-                ctl.reject_failure(h_try);
-                false
-            }
-        };
-
-        step_span.attr("accepted", accept);
-        if accept {
-            t2 = t_new;
-            x = x_new;
-            colloc.eval_q_all(dae, &x, &mut q_cur);
-            eval_g_mpde(
-                dae,
-                &colloc,
-                &x,
-                &q_cur,
-                f1_hz,
-                &bgrid,
-                &mut dq_buf,
-                &mut fv_buf,
-                &mut g_prev,
-            );
-            t2s.push(t2);
-            states.push(x.clone());
-            stats.steps += 1;
-            history.push(t2, x.clone(), q_cur.clone());
-        } else {
-            stats.rejected += 1;
-            if newton_ok && ctl.underflowed() {
-                return Err(MpdeError::StepTooSmall {
-                    at_t2: t2,
-                    step: ctl.h(),
-                });
-            }
-        }
-    }
+    let steady = Step {
+        t_new: 0.0,
+        h: 0.0,
+        coeffs: StepCoeffs {
+            a0h: 0.0,
+            theta: 1.0,
+        },
+        qlin: &zeros,
+    };
+    run.solve(&steady, &mut x, &mut stats)?;
+    let mut q = vec![0.0; len];
+    run.accept(&steady, &x, &mut q)?;
+    let start = HistoryPoint { t: 0.0, z: x, q };
+    timekit::drive(&mut run, opts.integrator, ctl, start, t2_end, &mut stats)?;
 
     Ok(MpdeResult {
         n,
-        n0: colloc.n0,
+        n0: run.colloc.n0,
         f1_hz,
-        t2: t2s,
-        states,
+        t2: run.t2s,
+        states: run.states,
         stats,
     })
 }
 
-/// Evaluates the instantaneous MPDE operator
-/// `g = f1·D·q + f(x) − b̂` into `out`, reusing the caller's already
-/// computed charge vector `q` and scratch buffers (this runs once per
-/// accepted step in the envelope hot loop).
-#[allow(clippy::too_many_arguments)]
-fn eval_g_mpde<D: Dae + ?Sized>(
-    dae: &D,
-    colloc: &Colloc,
-    x: &[f64],
-    q: &[f64],
+/// The MPDE envelope's hooks for the shared `timekit` step loop: the
+/// collocation step solve under the forcing at the step's end, and the
+/// accepted-point records.
+struct Envelope<'a, D: Dae + ?Sized, F: BivariateForcing + ?Sized> {
+    dae: &'a D,
+    forcing: &'a F,
+    colloc: Colloc,
     f1: f64,
-    bgrid: &[f64],
-    dq: &mut [f64],
-    fv: &mut [f64],
-    out: &mut [f64],
-) {
-    colloc.apply_diff(q, dq);
-    colloc.eval_f_all(dae, x, fv);
-    for k in 0..out.len() {
-        out[k] = f1 * dq[k] + fv[k] - bgrid[k];
+    newton: NewtonPolicy,
+    engine: NewtonEngine,
+    /// Forcing at the collocation phases of the newest attempt.
+    bgrid: Vec<f64>,
+    /// `g = f1·D·q + f − b̂` at the newest accepted point (the (1−θ) term
+    /// of averaging schemes).
+    g_prev: Vec<f64>,
+    dq: Vec<f64>,
+    fv: Vec<f64>,
+    t2s: Vec<f64>,
+    states: Vec<Vec<f64>>,
+}
+
+impl<D: Dae + ?Sized, F: BivariateForcing + ?Sized> timekit::StepSystem for Envelope<'_, D, F> {
+    type Error = MpdeError;
+    const TIME_ATTR: &'static str = "t2";
+
+    fn solve(
+        &mut self,
+        step: &Step<'_>,
+        x: &mut [f64],
+        stats: &mut MpdeStats,
+    ) -> Result<(), MpdeError> {
+        let (n, n0) = (self.colloc.n, self.colloc.n0);
+        let mut row = vec![0.0; n];
+        for s in 0..n0 {
+            self.forcing
+                .eval(s as f64 / n0 as f64, step.t_new, &mut row);
+            self.bgrid[s * n..(s + 1) * n].copy_from_slice(&row);
+        }
+        let len = self.colloc.len();
+        let sys = MpdeStepSystem {
+            dae: self.dae,
+            colloc: &self.colloc,
+            a0h: step.coeffs.a0h,
+            theta: step.coeffs.theta,
+            qlin: step.qlin,
+            g_prev: &self.g_prev,
+            f1: self.f1,
+            bgrid: &self.bgrid,
+            work: RefCell::new((vec![0.0; len], vec![0.0; len], vec![0.0; len])),
+        };
+        let result = self.engine.solve(&sys, x, &self.newton);
+        let s = self.engine.stats();
+        stats.newton_iters += s.iterations;
+        stats.factorisations += s.factorisations;
+        stats.symbolic_reuses += s.symbolic_reuses;
+        let at_t2 = step.t_new;
+        match result {
+            Ok(_) => Ok(()),
+            Err(NewtonError::Singular { .. }) => Err(MpdeError::Singular { at_t2 }),
+            Err(NewtonError::NoConvergence { residual, .. }) => {
+                Err(MpdeError::NewtonFailed { at_t2, residual })
+            }
+            Err(NewtonError::BadInput(msg)) => Err(MpdeError::BadInput(msg)),
+        }
+    }
+
+    fn accept(&mut self, step: &Step<'_>, x: &[f64], q: &mut [f64]) -> Result<(), MpdeError> {
+        self.colloc.eval_q_all(self.dae, x, q);
+        self.colloc.apply_diff(q, &mut self.dq);
+        self.colloc.eval_f_all(self.dae, x, &mut self.fv);
+        for k in 0..self.g_prev.len() {
+            self.g_prev[k] = self.f1 * self.dq[k] + self.fv[k] - self.bgrid[k];
+        }
+        self.t2s.push(step.t_new);
+        self.states.push(x.to_vec());
+        Ok(())
+    }
+
+    fn step_too_small(&self, at_t2: f64, step: f64) -> MpdeError {
+        MpdeError::StepTooSmall { at_t2, step }
     }
 }
 
@@ -535,32 +485,7 @@ struct MpdeStepSystem<'a, D: Dae + ?Sized> {
     work: RefCell<(Vec<f64>, Vec<f64>, Vec<f64>)>,
 }
 
-impl<'a, D: Dae + ?Sized> MpdeStepSystem<'a, D> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        dae: &'a D,
-        colloc: &'a Colloc,
-        a0h: f64,
-        theta: f64,
-        qlin: &'a [f64],
-        g_prev: &'a [f64],
-        f1: f64,
-        bgrid: &'a [f64],
-    ) -> Self {
-        let len = colloc.len();
-        MpdeStepSystem {
-            dae,
-            colloc,
-            a0h,
-            theta,
-            qlin,
-            g_prev,
-            f1,
-            bgrid,
-            work: RefCell::new((vec![0.0; len], vec![0.0; len], vec![0.0; len])),
-        }
-    }
-
+impl<D: Dae + ?Sized> MpdeStepSystem<'_, D> {
     fn parts<'b>(
         &'b self,
         cblocks: &'b [numkit::DMat],
@@ -616,45 +541,6 @@ impl<D: Dae + ?Sized> NewtonSystem for MpdeStepSystem<'_, D> {
         let x_scale = x.iter().fold(0.0_f64, |m, v| m.max(v.abs())).max(1e-300);
         let w = abstol + reltol * x_scale;
         (dx_scaled.iter().map(|d| (d / w).powi(2)).sum::<f64>() / dx_scaled.len() as f64).sqrt()
-    }
-}
-
-/// Newton solve of one MPDE step through the shared engine, mapping the
-/// solver-agnostic errors and accumulating run statistics.
-#[allow(clippy::too_many_arguments)]
-fn newton_mpde<D: Dae + ?Sized>(
-    engine: &mut NewtonEngine,
-    stats: &mut MpdeStats,
-    dae: &D,
-    colloc: &Colloc,
-    x: &mut [f64],
-    a0h: f64,
-    theta: f64,
-    qlin: &[f64],
-    g_prev: &[f64],
-    f1: f64,
-    bgrid: &[f64],
-    newton: &NewtonOptions,
-    solver: LinearSolverKind,
-    at_t2: f64,
-) -> Result<(), MpdeError> {
-    let sys = MpdeStepSystem::new(dae, colloc, a0h, theta, qlin, g_prev, f1, bgrid);
-    let policy = NewtonPolicy {
-        linear_solver: solver,
-        ..*newton
-    };
-    let result = engine.solve(&sys, x, &policy);
-    let s = engine.stats();
-    stats.newton_iters += s.iterations;
-    stats.factorisations += s.factorisations;
-    stats.symbolic_reuses += s.symbolic_reuses;
-    match result {
-        Ok(_) => Ok(()),
-        Err(NewtonError::Singular { .. }) => Err(MpdeError::Singular { at_t2 }),
-        Err(NewtonError::NoConvergence { residual, .. }) => {
-            Err(MpdeError::NewtonFailed { at_t2, residual })
-        }
-        Err(NewtonError::BadInput(msg)) => Err(MpdeError::BadInput(msg)),
     }
 }
 

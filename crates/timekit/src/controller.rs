@@ -415,10 +415,13 @@ mod tests {
     #[test]
     fn final_step_stretch() {
         let c = StepPolicy::Fixed(0.1).resolve(1.0005, 2).unwrap();
-        // Remainder 0.5 % of h: stretched into the final step.
-        let h = c.propose(0.9005000000000001, 1.0005);
-        assert!((h - 0.09999999999999987).abs() < 1e-12 || h <= 0.101);
-        assert!(c.propose(0.9005, 1.0005) <= 0.101);
+        // A remainder of 0.5 % of h is stretched into the final step,
+        // which lands exactly on the end.
+        let (t, t_end) = (0.9, 1.0005);
+        let h = c.propose(t, t_end);
+        assert_eq!(h, t_end - t);
+        assert!(h > 0.1);
+        assert_eq!(t + h, t_end);
         // A large remainder is not stretched.
         assert_eq!(c.propose(0.5, 1.0005), 0.1);
     }

@@ -1,14 +1,13 @@
 //! Shared adaptive time-integration engine.
 //!
-//! Every time-stepping loop in this workspace faces the same three
-//! problems: pick an implicit scheme and its (variable-step)
-//! coefficients, predict the next state from accepted history, and
-//! decide — from a local-truncation-error estimate — whether to accept
-//! the step and how large the next one should be. Before this crate
-//! those answers were copy-pasted three times (`transim`'s transient
-//! loop, the MPDE envelope, the WaMPDE envelope) with subtly different
-//! defaults and final-step handling; `timekit` owns them once, exactly
-//! as `linsolve` owns the inner linear solves.
+//! Every time-stepping solver in this workspace — `transim`'s transient,
+//! the MPDE envelope and the WaMPDE envelope — faces the same problems:
+//! pick an implicit scheme and its (variable-step) coefficients, predict
+//! the next state from accepted history, and decide — from a
+//! local-truncation-error estimate — whether to accept the step and how
+//! large the next one should be. `timekit` owns those answers once, and
+//! the step loop that strings them together, exactly as `linsolve` owns
+//! the inner linear solves.
 //!
 //! The pieces:
 //!
@@ -24,25 +23,55 @@
 //!   selection with one canonical `dt_init`/`dt_min`/`dt_max`
 //!   auto-defaulting rule, the ≤1 % final-step stretch, and the
 //!   safety-factor accept/reject law shared by every solver.
+//! * [`drive`] — the one step loop (propose → predict → solve → LTE →
+//!   accept/reject → history) over a solver's [`StepSystem`], which
+//!   supplies only the implicit solve of a step and the bookkeeping of
+//!   an accepted one.
 //!
-//! A caller's loop reads:
+//! Driving `y' = −y` (`q(y) = y`, `g(y) = y`) to `t = 1`:
 //!
 //! ```
-//! use timekit::{History, Scheme, StepPolicy};
+//! use obskit::RunStats;
+//! use timekit::{drive, HistoryPoint, Scheme, Step, StepPolicy, StepSystem};
+//!
+//! struct Decay {
+//!     y_prev: f64,
+//!     ts: Vec<f64>,
+//! }
+//!
+//! impl StepSystem for Decay {
+//!     type Error = String;
+//!     const TIME_ATTR: &'static str = "t";
+//!
+//!     // a0h·y + qlin + θ·y + (1 − θ)·y_prev = 0 is linear in y.
+//!     fn solve(&mut self, step: &Step<'_>, z: &mut [f64], _: &mut RunStats) -> Result<(), String> {
+//!         let c = step.coeffs;
+//!         z[0] = -(step.qlin[0] + (1.0 - c.theta) * self.y_prev) / (c.a0h + c.theta);
+//!         Ok(())
+//!     }
+//!
+//!     fn accept(&mut self, step: &Step<'_>, z: &[f64], q: &mut [f64]) -> Result<(), String> {
+//!         self.y_prev = z[0];
+//!         self.ts.push(step.t_new);
+//!         q[0] = z[0];
+//!         Ok(())
+//!     }
+//!
+//!     fn step_too_small(&self, at_time: f64, step: f64) -> String {
+//!         format!("step {step:e} too small at t = {at_time}")
+//!     }
+//! }
 //!
 //! # fn main() -> Result<(), String> {
 //! let scheme = Scheme::Trapezoidal;
-//! let policy = StepPolicy::default(); // adaptive, auto-resolved
-//! let mut ctl = policy.resolve(1.0, scheme.order())?;
-//! let mut hist = History::new(3);
-//! hist.push(0.0, vec![1.0], vec![1.0]);
-//! let (mut t, t_end) = (0.0, 1.0);
-//! while t < t_end {
-//!     let h_try = ctl.propose(t, t_end);
-//!     // ... build the step system from scheme.step_coeffs(...),
-//!     //     solve it, estimate the LTE, call ctl.accept(...) ...
-//! #   t = t_end;
-//! }
+//! let ctl = StepPolicy::adaptive(1e-6, 1e-12).resolve(1.0, scheme.order())?;
+//! let mut sys = Decay { y_prev: 1.0, ts: Vec::new() };
+//! let start = HistoryPoint { t: 0.0, z: vec![1.0], q: vec![1.0] };
+//! let mut stats = RunStats::default();
+//! drive(&mut sys, scheme, ctl, start, 1.0, &mut stats)?;
+//! assert_eq!(sys.ts.last(), Some(&1.0));
+//! assert_eq!(stats.steps, sys.ts.len());
+//! assert!((sys.y_prev - (-1.0f64).exp()).abs() < 1e-5);
 //! # Ok(())
 //! # }
 //! ```
@@ -50,7 +79,9 @@
 pub mod controller;
 pub mod history;
 pub mod scheme;
+pub mod stepper;
 
 pub use controller::{StepController, StepPolicy, StepVerdict};
 pub use history::{History, HistoryPoint};
 pub use scheme::{Scheme, StepCoeffs};
+pub use stepper::{drive, Step, StepSystem};

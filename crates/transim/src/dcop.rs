@@ -108,7 +108,7 @@ pub fn dc_operating_point_from<D: Dae + ?Sized>(
                 last_err = None;
             }
             Err(e) => {
-                last_err = Some(map_newton_err(e));
+                last_err = Some(map_newton_err(e, f64::NAN));
             }
         }
     }

@@ -6,10 +6,11 @@
 //! both the paper's "transient simulation" baseline and the inner
 //! integrator of the shooting and envelope methods.
 //!
-//! The scheme table, history predictor, LTE estimate, and step
-//! controller live in the shared `timekit` crate (the same engine steps
-//! the MPDE and WaMPDE envelopes along `t2`); this module wires them to
-//! the circuit-DAE step residual and the damped Newton solver.
+//! The scheme table, history predictor, LTE estimate, step controller
+//! and the step loop itself live in the shared `timekit` crate (the same
+//! loop steps the MPDE and WaMPDE envelopes along `t2`); this module
+//! supplies its hooks: the circuit-DAE step residual solved by damped
+//! Newton, and the accepted-point records.
 
 use crate::error::TransimError;
 use crate::newton::{map_newton_err, NewtonOptions, NonlinearSystem};
@@ -17,7 +18,7 @@ use circuitdae::Dae;
 use newtonkit::NewtonEngine;
 use numkit::DMat;
 use sparsekit::Triplets;
-use timekit::{History, StepVerdict};
+use timekit::{HistoryPoint, Step};
 
 /// Implicit integration scheme (the shared `timekit` scheme table).
 ///
@@ -226,7 +227,7 @@ pub fn run_transient_with<D, F>(
     t0: f64,
     t_end: f64,
     opts: &TransientOptions,
-    mut on_accept: F,
+    on_accept: F,
 ) -> Result<TransientResult, TransimError>
 where
     D: Dae + ?Sized,
@@ -244,146 +245,119 @@ where
     if t_end.partial_cmp(&t0) != Some(std::cmp::Ordering::Greater) {
         return Err(TransimError::BadInput("t_end must exceed t0".into()));
     }
-    let span = t_end - t0;
-    let mut ctl = opts
+    let ctl = opts
         .step
-        .resolve(span, opts.integrator.order())
+        .resolve(t_end - t0, opts.integrator.order())
         .map_err(TransimError::BadInput)?;
 
+    let mut q0 = vec![0.0; n];
+    dae.eval_q(x0, &mut q0);
     let mut times = Vec::with_capacity(1024);
-    let mut states: Vec<Vec<f64>> = Vec::with_capacity(1024);
+    let mut states = Vec::with_capacity(1024);
+    times.push(t0);
+    states.push(x0.to_vec());
+    let mut run = Transient {
+        dae,
+        newton_opts: &opts.newton,
+        on_accept,
+        // One Newton engine for the whole run: its factorisation cache
+        // spans every step, so on the KLU backend only the very first
+        // iteration pays for symbolic analysis — the step Jacobian's
+        // pattern never changes along a transient.
+        newton: NewtonEngine::new(),
+        times,
+        states,
+        bbuf: vec![0.0; n],
+        fbuf: vec![0.0; n],
+    };
+    let start = HistoryPoint {
+        t: t0,
+        z: x0.to_vec(),
+        q: q0,
+    };
     let mut stats = TransientStats::default();
-
-    let mut t = t0;
-    let mut x = x0.to_vec();
-    let mut q = vec![0.0; n];
-    dae.eval_q(&x, &mut q);
-    times.push(t);
-    states.push(x.clone());
-
-    let mut hist = History::new(3);
-    hist.push(t, x.clone(), q.clone());
-
-    let mut bbuf = vec![0.0; n];
-    let mut fbuf = vec![0.0; n];
-    let mut qlin = vec![0.0; n];
-    // One Newton engine for the whole run: its factorisation cache spans
-    // every step, so on the KLU backend only the very first
-    // iteration pays for symbolic analysis — the step Jacobian's pattern
-    // never changes along a transient.
-    let mut newton = NewtonEngine::new();
-    // Hard cap prevents runaway loops if a caller passes absurd tolerances.
-    let max_attempts = ctl.attempt_budget(span);
-
-    while t < t_end - 1e-15 * span {
-        if stats.steps + stats.rejected > max_attempts {
-            return Err(TransimError::StepTooSmall {
-                at_time: t,
-                step: ctl.h(),
-            });
-        }
-        let h_try = ctl.propose(t, t_end);
-        let t_new = t + h_try;
-        let step_span = obskit::span("time-step");
-        step_span.attr("t", t_new);
-        step_span.attr("h", h_try);
-
-        // Step-residual constants: the charge-history term from the
-        // scheme, plus (1−θ)·g_prev (trapezoidal only) and −θ·b(t_new).
-        let coeffs = opts.integrator.step_coeffs(h_try, &hist, &mut qlin);
-        let mut rconst = qlin.clone();
-        if coeffs.theta < 1.0 {
-            let prev = hist.latest().expect("history is seeded");
-            dae.eval_f(&prev.z, &mut fbuf);
-            dae.eval_b(prev.t, &mut bbuf);
-            for i in 0..n {
-                rconst[i] += (1.0 - coeffs.theta) * (fbuf[i] - bbuf[i]);
-            }
-        }
-        dae.eval_b(t_new, &mut bbuf);
-        for i in 0..n {
-            rconst[i] -= coeffs.theta * bbuf[i];
-        }
-
-        let sys = StepSystem::new(dae, coeffs.a0h, coeffs.theta, rconst);
-        let predicted = hist.predict(t_new);
-        let mut x_new = predicted.clone().unwrap_or_else(|| x.clone());
-        let newton_result = newton
-            .solve(&sys, &mut x_new, &opts.newton)
-            .map_err(map_newton_err);
-        // A failed solve's iterations count too: its step is retried.
-        stats.newton_iters += newton.stats().iterations;
-
-        let accept = match &newton_result {
-            Ok(_) => match &predicted {
-                Some(pred) if ctl.adaptive() => {
-                    let err = ctl.lte(&x_new, pred);
-                    ctl.evaluate(h_try, err) == StepVerdict::Accept
-                }
-                // Fixed step, or no history yet: accept the step.
-                _ => true,
-            },
-            Err(_) => {
-                if ctl.at_min(h_try) {
-                    return newton_result.map(|_| unreachable!()).map_err(|e| match e {
-                        TransimError::NewtonFailed {
-                            iterations,
-                            residual,
-                            ..
-                        } => TransimError::NewtonFailed {
-                            iterations,
-                            residual,
-                            at_time: t_new,
-                        },
-                        TransimError::SingularJacobian { .. } => {
-                            TransimError::SingularJacobian { at_time: t_new }
-                        }
-                        other => other,
-                    });
-                }
-                ctl.reject_failure(h_try);
-                false
-            }
-        };
-
-        step_span.attr("accepted", accept);
-        if accept {
-            t = t_new;
-            x = x_new;
-            dae.eval_q(&x, &mut q);
-            hist.push(t, x.clone(), q.clone());
-            times.push(t);
-            states.push(x.clone());
-            stats.steps += 1;
-            let step = AcceptedStep {
-                t,
-                a0h: coeffs.a0h,
-                theta: coeffs.theta,
-                x: &x,
-            };
-            on_accept(&mut newton, &step)?;
-        } else {
-            stats.rejected += 1;
-            if ctl.underflowed() && newton_result.is_ok() {
-                // Error control cannot be satisfied even at the minimum step.
-                return Err(TransimError::StepTooSmall {
-                    at_time: t,
-                    step: ctl.h(),
-                });
-            }
-        }
-    }
+    timekit::drive(&mut run, opts.integrator, ctl, start, t_end, &mut stats)?;
 
     // Every factorisation of the run went through this engine, the
     // callback's included.
-    let factor_stats = newton.factor_stats();
+    let factor_stats = run.newton.factor_stats();
     stats.factorisations = factor_stats.factorisations;
     stats.symbolic_reuses = factor_stats.symbolic_reuses;
     Ok(TransientResult {
-        times,
-        states,
+        times: run.times,
+        states: run.states,
         stats,
     })
+}
+
+/// The transient's hooks for the shared `timekit` step loop: the
+/// circuit-DAE step solve and the accepted-point records.
+struct Transient<'a, D: Dae + ?Sized, F> {
+    dae: &'a D,
+    newton_opts: &'a NewtonOptions,
+    on_accept: F,
+    newton: NewtonEngine,
+    times: Vec<f64>,
+    states: Vec<Vec<f64>>,
+    bbuf: Vec<f64>,
+    fbuf: Vec<f64>,
+}
+
+impl<D, F> timekit::StepSystem for Transient<'_, D, F>
+where
+    D: Dae + ?Sized,
+    F: FnMut(&mut NewtonEngine, &AcceptedStep<'_>) -> Result<(), TransimError>,
+{
+    type Error = TransimError;
+    const TIME_ATTR: &'static str = "t";
+
+    fn solve(
+        &mut self,
+        step: &Step<'_>,
+        x: &mut [f64],
+        stats: &mut TransientStats,
+    ) -> Result<(), TransimError> {
+        // Step-residual constants: the charge-history term from the
+        // scheme, plus (1−θ)·g_prev (trapezoidal only) and −θ·b(t_new).
+        let theta = step.coeffs.theta;
+        let mut rconst = step.qlin.to_vec();
+        if theta < 1.0 {
+            let t_prev = *self.times.last().expect("records are seeded");
+            let x_prev = self.states.last().expect("records are seeded");
+            self.dae.eval_f(x_prev, &mut self.fbuf);
+            self.dae.eval_b(t_prev, &mut self.bbuf);
+            for (i, r) in rconst.iter_mut().enumerate() {
+                *r += (1.0 - theta) * (self.fbuf[i] - self.bbuf[i]);
+            }
+        }
+        self.dae.eval_b(step.t_new, &mut self.bbuf);
+        for (r, b) in rconst.iter_mut().zip(&self.bbuf) {
+            *r -= theta * b;
+        }
+
+        let sys = StepSystem::new(self.dae, step.coeffs.a0h, theta, rconst);
+        let result = self.newton.solve(&sys, x, self.newton_opts);
+        // A failed solve's iterations count too: its step is retried.
+        stats.newton_iters += self.newton.stats().iterations;
+        result.map(drop).map_err(|e| map_newton_err(e, step.t_new))
+    }
+
+    fn accept(&mut self, step: &Step<'_>, x: &[f64], q: &mut [f64]) -> Result<(), TransimError> {
+        self.dae.eval_q(x, q);
+        self.times.push(step.t_new);
+        self.states.push(x.to_vec());
+        let accepted = AcceptedStep {
+            t: step.t_new,
+            a0h: step.coeffs.a0h,
+            theta: step.coeffs.theta,
+            x,
+        };
+        (self.on_accept)(&mut self.newton, &accepted)
+    }
+
+    fn step_too_small(&self, at_time: f64, step: f64) -> TransimError {
+        TransimError::StepTooSmall { at_time, step }
+    }
 }
 
 /// Fixed-step convenience used by the paper's Figure 12 baseline:
@@ -700,6 +674,52 @@ mod tests {
         let res = run_transient(&vdp, &[2.0, 0.0], 0.0, 10.0, &opts).unwrap();
         assert!(rec.counter("newton.failures") >= 1);
         assert_eq!(res.stats.newton_iters as u64, rec.counter("newton.iters"));
+    }
+
+    #[test]
+    fn newton_failures_carry_the_failed_steps_end_time() {
+        // A fixed step cannot shrink, so the first failed solve ends the
+        // run, tagged with that step's end time — never NaN.
+        let opts = TransientOptions {
+            step: StepControl::Fixed(0.5),
+            newton: crate::NewtonOptions {
+                max_iter: 1,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let vdp = VanDerPol::unforced(5.0);
+        match run_transient(&vdp, &[2.0, 0.0], 1.0, 3.0, &opts) {
+            Err(TransimError::NewtonFailed { at_time, .. }) => assert_eq!(at_time, 1.5),
+            other => panic!("expected NewtonFailed, got {other:?}"),
+        }
+
+        // No charge and no conductance: every step matrix is zero.
+        struct Flat;
+        impl circuitdae::Dae for Flat {
+            fn dim(&self) -> usize {
+                1
+            }
+            fn eval_q(&self, _x: &[f64], out: &mut [f64]) {
+                out[0] = 0.0;
+            }
+            fn eval_f(&self, _x: &[f64], out: &mut [f64]) {
+                out[0] = 0.0;
+            }
+            fn eval_b(&self, _t: f64, out: &mut [f64]) {
+                out[0] = 1.0;
+            }
+            fn jac_q(&self, _x: &[f64], out: &mut numkit::DMat) {
+                out.fill_zero();
+            }
+            fn jac_f(&self, _x: &[f64], out: &mut numkit::DMat) {
+                out.fill_zero();
+            }
+        }
+        match run_transient(&Flat, &[0.0], 1.0, 3.0, &opts) {
+            Err(TransimError::SingularJacobian { at_time }) => assert_eq!(at_time, 1.5),
+            other => panic!("expected SingularJacobian, got {other:?}"),
+        }
     }
 
     #[test]

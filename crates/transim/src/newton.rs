@@ -33,20 +33,19 @@ pub use newtonkit::{
     NewtonSystem as NonlinearSystem,
 };
 
-/// Maps the solver-agnostic engine failure into [`TransimError`] (time
-/// tag NaN; time-stepping callers re-tag with the failing step time).
-pub(crate) fn map_newton_err(e: newtonkit::NewtonError) -> TransimError {
+/// Maps the solver-agnostic engine failure into [`TransimError`], tagged
+/// with `at_time`: the failing step's end time in a transient, NaN for a
+/// solve outside time (DC, one-shot [`newton_solve`]).
+pub(crate) fn map_newton_err(e: newtonkit::NewtonError, at_time: f64) -> TransimError {
     match e {
-        newtonkit::NewtonError::Singular { .. } => {
-            TransimError::SingularJacobian { at_time: f64::NAN }
-        }
+        newtonkit::NewtonError::Singular { .. } => TransimError::SingularJacobian { at_time },
         newtonkit::NewtonError::NoConvergence {
             iterations,
             residual,
         } => TransimError::NewtonFailed {
             iterations,
             residual,
-            at_time: f64::NAN,
+            at_time,
         },
         newtonkit::NewtonError::BadInput(msg) => TransimError::BadInput(msg),
     }
@@ -66,7 +65,7 @@ pub fn newton_solve<S: NonlinearSystem + ?Sized>(
     x: &mut [f64],
     opts: &NewtonOptions,
 ) -> Result<NewtonReport, TransimError> {
-    newtonkit::newton_solve(sys, x, opts).map_err(map_newton_err)
+    newtonkit::newton_solve(sys, x, opts).map_err(|e| map_newton_err(e, f64::NAN))
 }
 
 #[cfg(test)]

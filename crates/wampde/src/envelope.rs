@@ -15,11 +15,11 @@ use crate::options::{OmegaMode, WampdeOptions};
 use crate::result::{EnvelopeResult, EnvelopeStats};
 use circuitdae::Dae;
 use hb::Colloc;
-use newtonkit::{NewtonEngine, NewtonError, NewtonPolicy, NewtonStats, NewtonSystem};
+use newtonkit::{NewtonEngine, NewtonError, NewtonPolicy, NewtonSystem};
 use numkit::vecops::CompensatedSum;
 use numkit::DMat;
 use std::cell::RefCell;
-use timekit::{History, StepVerdict};
+use timekit::{HistoryPoint, Step, StepCoeffs};
 
 /// Band of `a0h / a0h_at_last_factor` within which a kept step Jacobian
 /// stays valid (DASSL's `[0.6, 1.67]` on its leading coefficient).
@@ -134,7 +134,7 @@ pub fn solve_envelope<D: Dae + ?Sized>(
     }
 
     let free_omega = matches!(opts.omega_mode, OmegaMode::Free);
-    let mut omega = match opts.omega_mode {
+    let omega = match opts.omega_mode {
         OmegaMode::Free => init.freq_hz,
         OmegaMode::Frozen(w) => w,
     };
@@ -165,187 +165,182 @@ pub fn solve_envelope<D: Dae + ?Sized>(
         None
     };
 
-    let mut ctl = opts
+    let ctl = opts
         .step
         .resolve(t2_end, opts.integrator.order())
         .map_err(WampdeError::BadInput)?;
 
-    // Scratch shared by `eval_g` and every step system of the run.
-    let work = RefCell::new(Work::new(len, n));
-    let jac_work = RefCell::new(JacWork::default());
-    let mut q_cur = vec![0.0; len];
-    colloc.eval_q_all(dae, &x, &mut q_cur);
-    let mut g_prev = vec![0.0; len];
-    eval_g(
+    let mut run = Envelope {
         dae,
-        &colloc,
-        &x,
+        phase_row,
+        newton: NewtonPolicy {
+            linear_solver: opts.linear_solver,
+            ..opts.newton
+        },
+        // One Newton engine for the whole envelope: the bordered step
+        // Jacobian keeps its sparsity pattern along t2, so KLU pays
+        // for symbolic analysis once and refactors numerically thereafter;
+        // with `reuse_jacobian` the factored matrix itself is kept across
+        // steps until `a0h` or θ moves (`factored_at`).
+        engine: NewtonEngine::new(),
+        factored_at: None,
         omega,
-        0.0,
-        &mut work.borrow_mut(),
-        &mut g_prev,
-    );
-
-    // One Newton engine for the whole envelope: the bordered step
-    // Jacobian keeps its sparsity pattern along t2, so KLU pays
-    // for symbolic analysis once and refactors numerically thereafter;
-    // with `reuse_jacobian` the factored matrix itself is kept across
-    // steps until `a0h` or θ moves (`factored_at`).
-    let mut newton_engine = NewtonEngine::new();
-    let mut factored_at: Option<(f64, f64)> = None;
-
-    // Result records.
-    let mut t2s = vec![0.0];
-    let mut omegas = vec![omega];
-    let mut phis = vec![0.0];
-    let mut states = vec![x.clone()];
+        phi: CompensatedSum::new(),
+        g_prev: vec![0.0; len],
+        work: RefCell::new(Work::new(len, n)),
+        jac_work: RefCell::new(JacWork::default()),
+        t2s: Vec::new(),
+        omegas: Vec::new(),
+        phis: Vec::new(),
+        states: Vec::new(),
+        colloc,
+    };
+    let mut q = vec![0.0; len];
+    run.record(0.0, &x, &mut q);
+    // The history's z is the stacked X (+ ω in Free mode), its q the
+    // collocation charge vector.
+    if free_omega {
+        x.push(omega);
+    }
+    let start = HistoryPoint { t: 0.0, z: x, q };
     let mut stats = EnvelopeStats::default();
-    let mut phi_acc = CompensatedSum::new();
+    timekit::drive(&mut run, opts.integrator, ctl, start, t2_end, &mut stats)?;
 
-    // Shared predictor/BDF2 history: z is the stacked X (+ ω in Free
-    // mode), q the collocation charge vector.
-    let mut history = History::new(3);
-    history.push(0.0, pack(&x, omega, free_omega), q_cur.clone());
+    Ok(EnvelopeResult {
+        n,
+        n0: run.colloc.n0,
+        t2: run.t2s,
+        omega_hz: run.omegas,
+        phi: run.phis,
+        states: run.states,
+        stats,
+    })
+}
 
-    let mut t2 = 0.0;
-    let max_attempts = ctl.attempt_budget(t2_end);
-    let mut qlin = vec![0.0; len];
+/// The WaMPDE envelope's hooks for the shared `timekit` step loop: the
+/// bordered step solve with its kept-Jacobian invalidation, and the
+/// accepted-point records with the warping-function quadrature.
+struct Envelope<'a, D: Dae + ?Sized> {
+    dae: &'a D,
+    colloc: Colloc,
+    /// The phase condition's row (Free mode only).
+    phase_row: Option<Vec<f64>>,
+    newton: NewtonPolicy,
+    engine: NewtonEngine,
+    /// `(a0h, θ)` of the newest factorisation.
+    factored_at: Option<(f64, f64)>,
+    /// ω at the newest accepted point.
+    omega: f64,
+    /// φ(t2) in cycles.
+    phi: CompensatedSum,
+    /// `g(X, ω, t2)` at the newest accepted point (the (1−θ) term of
+    /// averaging schemes).
+    g_prev: Vec<f64>,
+    /// Scratch shared by `eval_g` and every step system of the run.
+    work: RefCell<Work>,
+    jac_work: RefCell<JacWork>,
+    t2s: Vec<f64>,
+    omegas: Vec<f64>,
+    phis: Vec<f64>,
+    states: Vec<Vec<f64>>,
+}
 
-    while t2 < t2_end - 1e-15 * t2_end {
-        if stats.steps + stats.rejected > max_attempts {
-            return Err(WampdeError::StepTooSmall {
-                at_t2: t2,
-                step: ctl.h(),
-            });
-        }
-        let h_try = ctl.propose(t2, t2_end);
-        let t_new = t2 + h_try;
-        let step_span = obskit::span("time-step");
-        step_span.attr("t2", t_new);
-        step_span.attr("h", h_try);
+impl<D: Dae + ?Sized> Envelope<'_, D> {
+    /// Records the point `x` at `t2` (with the current ω and φ), writes
+    /// its charge vector into `q` and refreshes `g_prev`.
+    fn record(&mut self, t2: f64, x: &[f64], q: &mut [f64]) {
+        self.colloc.eval_q_all(self.dae, x, q);
+        eval_g(
+            self.dae,
+            &self.colloc,
+            x,
+            self.omega,
+            t2,
+            &mut self.work.borrow_mut(),
+            &mut self.g_prev,
+        );
+        self.t2s.push(t2);
+        self.omegas.push(self.omega);
+        self.phis.push(self.phi.value());
+        self.states.push(x.to_vec());
+    }
+}
 
-        // --- Newton solve of the step system. ---
-        let mut x_new = x.clone();
-        let mut omega_new = omega;
-        // Predictor from history (helps both Newton and LTE control).
-        let predicted = history.predict(t_new);
-        if let Some(pred) = &predicted {
-            x_new.copy_from_slice(&pred[..len]);
-            if free_omega {
-                omega_new = pred[len];
-            }
-        }
+impl<D: Dae + ?Sized> timekit::StepSystem for Envelope<'_, D> {
+    type Error = WampdeError;
+    const TIME_ATTR: &'static str = "t2";
 
+    fn solve(
+        &mut self,
+        step: &Step<'_>,
+        z: &mut [f64],
+        stats: &mut EnvelopeStats,
+    ) -> Result<(), WampdeError> {
         // Scheme coefficients for this step:
         //   r = a0h·q(X) + qlin + θ·g(X,ω,t_new) + (1−θ)·g_prev.
-        let coeffs = opts.integrator.step_coeffs(h_try, &history, &mut qlin);
-
+        let StepCoeffs { a0h, theta } = step.coeffs;
         // The iteration matrix is a0h·C + θ·(ω·D·C + G): a kept factor
         // goes once a0h leaves a DASSL-style band around the value it was
         // factored at, or the scheme's θ changes.
-        if let Some((a0h_f, theta_f)) = factored_at {
-            let ratio = coeffs.a0h / a0h_f;
-            if coeffs.theta != theta_f || !(A0H_BAND.0..=A0H_BAND.1).contains(&ratio) {
-                newton_engine.invalidate_jacobian();
+        if let Some((a0h_f, theta_f)) = self.factored_at {
+            let ratio = a0h / a0h_f;
+            if theta != theta_f || !(A0H_BAND.0..=A0H_BAND.1).contains(&ratio) {
+                self.engine.invalidate_jacobian();
             }
         }
         let sys = EnvelopeStepSystem {
-            dae,
-            colloc: &colloc,
-            a0h: coeffs.a0h,
-            theta: coeffs.theta,
-            qlin: &qlin,
-            t_new,
-            g_prev: &g_prev,
-            phase_row: phase_row.as_deref(),
-            frozen_omega: omega,
-            work: &work,
-            jac_work: &jac_work,
+            dae: self.dae,
+            colloc: &self.colloc,
+            a0h,
+            theta,
+            qlin: step.qlin,
+            t_new: step.t_new,
+            g_prev: &self.g_prev,
+            phase_row: self.phase_row.as_deref(),
+            frozen_omega: self.omega,
+            work: &self.work,
+            jac_work: &self.jac_work,
         };
-        let newton = newton_step(&mut newton_engine, &sys, opts, &mut x_new, &mut omega_new);
-        let nstats = newton_engine.stats();
+        let result = self.engine.solve(&sys, z, &self.newton);
+        let nstats = self.engine.stats();
         // A failed solve's iterations count too: its step is retried.
         stats.newton_iters += nstats.iterations;
         stats.factorisations += nstats.factorisations;
         stats.symbolic_reuses += nstats.symbolic_reuses;
         if nstats.factorisations > 0 {
-            factored_at = Some((coeffs.a0h, coeffs.theta));
+            self.factored_at = Some((a0h, theta));
         }
-
-        let newton_ok = newton.is_ok();
-        let accept = match newton {
-            Ok(_) => match &predicted {
-                Some(pred) if ctl.adaptive() => {
-                    let z_new = pack(&x_new, omega_new, free_omega);
-                    let err = ctl.lte(&z_new, pred);
-                    ctl.evaluate(h_try, err) == StepVerdict::Accept
-                }
-                // Fixed step, or no history yet: accept the step.
-                _ => true,
+        let at_t2 = step.t_new;
+        result.map(drop).map_err(|e| match e {
+            NewtonError::Singular { cause } => WampdeError::LinearSolve { at_t2, cause },
+            NewtonError::NoConvergence {
+                iterations,
+                residual,
+            } => WampdeError::NewtonFailed {
+                at_t2,
+                iterations,
+                residual,
             },
-            Err(e) => {
-                if ctl.at_min(h_try) {
-                    return Err(e);
-                }
-                ctl.reject_failure(h_try);
-                false
-            }
+            NewtonError::BadInput(msg) => WampdeError::BadInput(msg),
+        })
+    }
+
+    fn accept(&mut self, step: &Step<'_>, z: &[f64], q: &mut [f64]) -> Result<(), WampdeError> {
+        let len = self.colloc.len();
+        let omega_new = match self.phase_row {
+            Some(_) => z[len],
+            None => self.omega,
         };
-
-        step_span.attr("accepted", accept);
-        if accept {
-            // Warping-function quadrature: φ += h·(ω_old + ω_new)/2 (cycles).
-            phi_acc.add(h_try * 0.5 * (omega + omega_new));
-            t2 = t_new;
-            x = x_new;
-            omega = omega_new;
-            colloc.eval_q_all(dae, &x, &mut q_cur);
-            eval_g(
-                dae,
-                &colloc,
-                &x,
-                omega,
-                t2,
-                &mut work.borrow_mut(),
-                &mut g_prev,
-            );
-            t2s.push(t2);
-            omegas.push(omega);
-            phis.push(phi_acc.value());
-            states.push(x.clone());
-            stats.steps += 1;
-            history.push(t2, pack(&x, omega, free_omega), q_cur.clone());
-        } else {
-            stats.rejected += 1;
-            // An LTE rejection that has already been driven to the
-            // minimum step cannot be satisfied; a Newton failure gets
-            // one retry *at* the minimum before its error propagates.
-            if newton_ok && ctl.underflowed() {
-                return Err(WampdeError::StepTooSmall {
-                    at_t2: t2,
-                    step: ctl.h(),
-                });
-            }
-        }
+        // Warping-function quadrature: φ += h·(ω_old + ω_new)/2 (cycles).
+        self.phi.add(step.h * 0.5 * (self.omega + omega_new));
+        self.omega = omega_new;
+        self.record(step.t_new, &z[..len], q);
+        Ok(())
     }
 
-    Ok(EnvelopeResult {
-        n,
-        n0: colloc.n0,
-        t2: t2s,
-        omega_hz: omegas,
-        phi: phis,
-        states,
-        stats,
-    })
-}
-
-fn pack(x: &[f64], omega: f64, free_omega: bool) -> Vec<f64> {
-    let mut z = x.to_vec();
-    if free_omega {
-        z.push(omega);
+    fn step_too_small(&self, at_t2: f64, step: f64) -> WampdeError {
+        WampdeError::StepTooSmall { at_t2, step }
     }
-    z
 }
 
 /// One implicit `t2` step — the bordered collocation system over
@@ -484,50 +479,6 @@ impl<D: Dae + ?Sized> NewtonSystem for EnvelopeStepSystem<'_, D> {
             reltol,
         )
     }
-}
-
-/// Newton iteration for one implicit `t2` step through the shared
-/// engine, from the predictor `(x, ω)`. Returns the per-solve stats on
-/// success.
-fn newton_step<D: Dae + ?Sized>(
-    engine: &mut NewtonEngine,
-    sys: &EnvelopeStepSystem<'_, D>,
-    opts: &WampdeOptions,
-    x: &mut [f64],
-    omega: &mut f64,
-) -> Result<NewtonStats, WampdeError> {
-    let len = sys.colloc.len();
-    let free_omega = sys.phase_row.is_some();
-    let t_new = sys.t_new;
-    let mut z = Vec::with_capacity(len + 1);
-    z.extend_from_slice(x);
-    if free_omega {
-        z.push(*omega);
-    }
-    let policy = NewtonPolicy {
-        linear_solver: opts.linear_solver,
-        ..opts.newton
-    };
-    let result = engine.solve(sys, &mut z, &policy);
-    x.copy_from_slice(&z[..len]);
-    if free_omega {
-        *omega = z[len];
-    }
-    result.map_err(|e| match e {
-        NewtonError::Singular { cause } => WampdeError::LinearSolve {
-            at_t2: t_new,
-            cause,
-        },
-        NewtonError::NoConvergence {
-            iterations,
-            residual,
-        } => WampdeError::NewtonFailed {
-            at_t2: t_new,
-            iterations,
-            residual,
-        },
-        NewtonError::BadInput(msg) => WampdeError::BadInput(msg),
-    })
 }
 
 #[cfg(test)]
