@@ -1508,12 +1508,19 @@ fn figures_10_to_12() {
     );
 
     // Machine-independent checks: the envelope keeps its factored step
-    // Jacobian for most Newton iterations, and stays within a tenth of a
-    // cycle of the reference over the ~2900 cycles simulated.
+    // Jacobian for most Newton iterations, solves each t2 step only as far
+    // as its error tolerance needs (work ceilings), and stays within a
+    // tenth of a cycle of the reference over the ~2900 cycles simulated.
     let stats = run.env.stats;
     assert!(
         2 * stats.factorisations <= stats.newton_iters,
         "WaMPDE factored on more than half its Newton iterations: {stats:?}"
+    );
+    assert!(
+        stats.newton_iters <= SPEEDUP_NEWTON_ITERS_CEILING
+            && stats.factorisations <= SPEEDUP_FACTORISATIONS_CEILING,
+        "WaMPDE took more than {SPEEDUP_NEWTON_ITERS_CEILING} Newton iterations or \
+         {SPEEDUP_FACTORISATIONS_CEILING} factorisations: {stats:?}"
     );
     assert!(
         wam_final.abs() <= SPEEDUP_PHASE_ERR_BOUND,
@@ -1535,3 +1542,12 @@ fn figures_10_to_12() {
 /// Largest accepted |final phase error| of the WaMPDE envelope against the
 /// 1000 pts/cycle reference in `--table speedup`, in cycles.
 const SPEEDUP_PHASE_ERR_BOUND: f64 = 0.1;
+
+/// Most Newton iterations the `--table speedup` envelope may take (967
+/// with DASSL's Newton test in the step's error weights; 1,603 when every
+/// t2 step was solved to Newton `reltol` 1e-9).
+const SPEEDUP_NEWTON_ITERS_CEILING: usize = 1100;
+
+/// Most step-matrix factorisations the `--table speedup` envelope may
+/// take (237 with DASSL's Newton test; 409 before it).
+const SPEEDUP_FACTORISATIONS_CEILING: usize = 300;

@@ -367,6 +367,7 @@ pub fn solve_envelope_mpde_from<D: Dae + ?Sized, F: BivariateForcing + ?Sized>(
             theta: 1.0,
         },
         qlin: &zeros,
+        tol: None,
     };
     run.solve(&steady, &mut x, &mut stats)?;
     let mut q = vec![0.0; len];

@@ -35,7 +35,10 @@
 //! * **Step-norm** (the default, `residual_tol: None`): converged when
 //!   the damped update satisfies
 //!   [`NewtonSystem::update_norm`]`(λ·Δx, x, abstol, reltol) ≤ 1` — a
-//!   weighted RMS that systems override for block scaling.
+//!   weighted RMS that systems override for block scaling. An adaptive
+//!   WaMPDE step overrides it with DASSL's test in the step controller's
+//!   error weights (`timekit::Tolerance::newton_norm`), ignoring
+//!   `abstol`/`reltol`; the loop itself is the same.
 //! * **Relative residual** (`residual_tol: Some(tol)`): converged when
 //!   `‖r‖₂ / `[`NewtonSystem::residual_scale`]` < tol`, checked *before*
 //!   factoring (shooting's law, where each residual costs a full flow

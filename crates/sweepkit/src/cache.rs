@@ -53,7 +53,10 @@ use std::path::{Path, PathBuf};
 // Newton runs on it (modified Newton), so `.shooting`/`.wampde` results
 // now move within the Newton tolerance; `.shooting` points also report
 // `factorisations`.
-pub const CACHE_SALT: &str = concat!("sweepkit-", env!("CARGO_PKG_VERSION"), "-fmt8");
+// fmt9: adaptive WaMPDE steps converge in DASSL's Newton test in the step
+// controller's error weights, so adaptive `.wampde` results move within
+// the step tolerance.
+pub const CACHE_SALT: &str = concat!("sweepkit-", env!("CARGO_PKG_VERSION"), "-fmt9");
 
 /// FNV-1a, 128-bit: tiny, dependency-free, and plenty for cache keys
 /// (collision odds are negligible below ~2^60 distinct jobs).

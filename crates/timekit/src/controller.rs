@@ -74,9 +74,7 @@ impl StepPolicy {
                     return Err("fixed step must be positive".into());
                 }
                 Ok(StepController {
-                    adaptive: false,
-                    rtol: 0.0,
-                    atol: 0.0,
+                    tol: None,
                     h: dt,
                     h_min: dt,
                     h_max: dt,
@@ -116,9 +114,7 @@ impl StepPolicy {
                 }
                 .clamp(h_min, h_max);
                 Ok(StepController {
-                    adaptive: true,
-                    rtol,
-                    atol,
+                    tol: Some(Tolerance { rtol, atol }),
                     h,
                     h_min,
                     h_max,
@@ -126,6 +122,50 @@ impl StepPolicy {
                 })
             }
         }
+    }
+}
+
+/// DASSL's Newton convergence bound (Brenan, Campbell & Petzold): a step
+/// solve has converged once its update, measured in the step's own error
+/// weights, is at most a third of the local error the step may make.
+pub const NEWTON_TOL: f64 = 0.33;
+
+/// The error tolerance of adaptive step control. Its weights
+/// `wᵢ = atol + rtol·|zᵢ|` scale both the LTE estimate
+/// ([`StepController::lte`]) and the Newton norm of the step solve
+/// ([`Tolerance::newton_norm`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Tolerance {
+    /// Relative local-error tolerance.
+    pub rtol: f64,
+    /// Absolute local-error tolerance.
+    pub atol: f64,
+}
+
+impl Tolerance {
+    /// Weighted RMS norm `sqrt(mean((dᵢ/wᵢ)²))` of `d` with the weights
+    /// taken at `z`, with the operations of [`numkit::vecops::wrms_norm`].
+    fn wrms(&self, d: impl Iterator<Item = f64>, z: &[f64]) -> f64 {
+        if z.is_empty() {
+            return 0.0;
+        }
+        let mut acc = 0.0;
+        for (di, zi) in d.zip(z) {
+            let e = di / (self.atol + self.rtol * zi.abs());
+            acc += e * e;
+        }
+        (acc / z.len() as f64).sqrt()
+    }
+
+    /// DASSL's Newton norm of the update `dz` at the iterate `z`:
+    /// `‖dz‖_w / NEWTON_TOL`, so `≤ 1` means converged (see [`NEWTON_TOL`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the lengths differ.
+    pub fn newton_norm(&self, dz: &[f64], z: &[f64]) -> f64 {
+        assert_eq!(dz.len(), z.len(), "newton_norm: length mismatch");
+        self.wrms(dz.iter().copied(), z) / NEWTON_TOL
     }
 }
 
@@ -144,9 +184,8 @@ pub enum StepVerdict {
 /// `[0.25, 2.5]` on accept and shrink to `[0.1, 0.9]` on reject.
 #[derive(Debug, Clone, Copy)]
 pub struct StepController {
-    adaptive: bool,
-    rtol: f64,
-    atol: f64,
+    /// The error tolerance (`None` for a fixed step).
+    tol: Option<Tolerance>,
     h: f64,
     h_min: f64,
     h_max: f64,
@@ -156,17 +195,12 @@ pub struct StepController {
 impl StepController {
     /// Whether LTE control is active (`false` for a fixed step).
     pub fn adaptive(&self) -> bool {
-        self.adaptive
+        self.tol.is_some()
     }
 
-    /// Relative tolerance (0 in fixed mode).
-    pub fn rtol(&self) -> f64 {
-        self.rtol
-    }
-
-    /// Absolute tolerance (0 in fixed mode).
-    pub fn atol(&self) -> f64 {
-        self.atol
+    /// The error tolerance (`None` for a fixed step).
+    pub fn tolerance(&self) -> Option<Tolerance> {
+        self.tol
     }
 
     /// The current working step.
@@ -201,7 +235,8 @@ impl StepController {
     /// Predictor–corrector LTE estimate: the weighted RMS norm of
     /// `z_new − pred` against `z_new`, divided by 5 (the
     /// predictor–corrector difference over-estimates the LTE; 1/5 is
-    /// the usual calibration). `≤ 1` means within tolerance.
+    /// the usual calibration). `≤ 1` means within tolerance; a fixed
+    /// step has no tolerance and estimates 0.
     ///
     /// Computed in place, with the operations of
     /// [`numkit::vecops::wrms_norm`] on the explicit difference.
@@ -211,22 +246,16 @@ impl StepController {
     /// Panics when the lengths differ.
     pub fn lte(&self, z_new: &[f64], pred: &[f64]) -> f64 {
         assert_eq!(z_new.len(), pred.len(), "lte: length mismatch");
-        if z_new.is_empty() {
-            return 0.0;
-        }
-        let mut acc = 0.0;
-        for (zi, pi) in z_new.iter().zip(pred) {
-            let e = (zi - pi) / (self.atol + self.rtol * zi.abs());
-            acc += e * e;
-        }
-        (acc / z_new.len() as f64).sqrt() / 5.0
+        self.tol.map_or(0.0, |tol| {
+            tol.wrms(z_new.iter().zip(pred).map(|(zi, pi)| zi - pi), z_new) / 5.0
+        })
     }
 
     /// Judges an attempted step of size `h_try` with LTE estimate
     /// `err`, updating the working step. Fixed mode always accepts.
     /// A non-finite `err` is treated as a hard reject (maximum shrink).
     pub fn evaluate(&mut self, h_try: f64, err: f64) -> StepVerdict {
-        if !self.adaptive {
+        if self.tol.is_none() {
             self.record(StepVerdict::Accept, h_try, err, "fixed");
             return StepVerdict::Accept;
         }
@@ -311,7 +340,7 @@ impl StepController {
     /// the error tolerance cannot be met and stepping should stop with
     /// a step-too-small error.
     pub fn underflowed(&self) -> bool {
-        self.adaptive && self.h <= self.h_min * 1.0000001
+        self.tol.is_some() && self.h <= self.h_min * 1.0000001
     }
 
     /// Hard cap on total attempts for a run over `span`: prevents
@@ -347,6 +376,25 @@ mod tests {
         let explicit = wrms_norm(&diff, &z, 1e-9, 1e-4) / 5.0;
         assert_eq!(ctl.lte(&z, &pred).to_bits(), explicit.to_bits());
         assert_eq!(ctl.lte(&[], &[]), 0.0);
+    }
+
+    #[test]
+    fn newton_norm_is_wrms_over_dassls_bound_bit_for_bit() {
+        let ctl = StepPolicy::adaptive(1e-4, 1e-9).resolve(1.0, 2).unwrap();
+        let tol = ctl.tolerance().unwrap();
+        assert_eq!((tol.rtol, tol.atol), (1e-4, 1e-9));
+        let z: Vec<f64> = (0..37)
+            .map(|i| (i as f64 * 0.7).sin() * 10f64.powi(i % 7 - 3))
+            .collect();
+        let dz: Vec<f64> = z
+            .iter()
+            .enumerate()
+            .map(|(i, v)| 1e-5 * v * (i as f64).cos() + 1e-12)
+            .collect();
+        let explicit = wrms_norm(&dz, &z, 1e-9, 1e-4) / 0.33;
+        assert_eq!(tol.newton_norm(&dz, &z).to_bits(), explicit.to_bits());
+        assert_eq!(NEWTON_TOL, 0.33);
+        assert_eq!(tol.newton_norm(&[], &[]), 0.0);
     }
 
     #[test]

@@ -23,6 +23,10 @@
 //!   selection with one canonical `dt_init`/`dt_min`/`dt_max`
 //!   auto-defaulting rule, the ≤1 % final-step stretch, and the
 //!   safety-factor accept/reject law shared by every solver.
+//! * [`Tolerance`] — the adaptive controller's error weights
+//!   `wᵢ = atol + rtol·|zᵢ|`, shared by the LTE estimate and DASSL's
+//!   Newton test ([`Tolerance::newton_norm`], bound [`NEWTON_TOL`]),
+//!   which a solver may apply to the step it is handed.
 //! * [`drive`] — the one step loop (propose → predict → solve → LTE →
 //!   accept/reject → history) over a solver's [`StepSystem`], which
 //!   supplies only the implicit solve of a step and the bookkeeping of
@@ -81,7 +85,7 @@ pub mod history;
 pub mod scheme;
 pub mod stepper;
 
-pub use controller::{StepController, StepPolicy, StepVerdict};
+pub use controller::{StepController, StepPolicy, StepVerdict, Tolerance, NEWTON_TOL};
 pub use history::{History, HistoryPoint};
 pub use scheme::{Scheme, StepCoeffs};
 pub use stepper::{drive, Step, StepSystem};

@@ -1,6 +1,6 @@
 //! The one step loop: propose → predict → solve → LTE → accept/reject.
 
-use crate::{History, HistoryPoint, Scheme, StepCoeffs, StepController, StepVerdict};
+use crate::{History, HistoryPoint, Scheme, StepCoeffs, StepController, StepVerdict, Tolerance};
 use obskit::RunStats;
 
 /// One attempted step, as [`drive`] hands it to a [`StepSystem`].
@@ -15,6 +15,11 @@ pub struct Step<'a> {
     /// The charge-history term `Σᵢ aᵢ·q_histᵢ / h` of
     /// [`Scheme::step_coeffs`].
     pub qlin: &'a [f64],
+    /// The adaptive controller's error tolerance (`None` under a fixed
+    /// step). A solve may converge in its weights, DASSL's way
+    /// ([`Tolerance::newton_norm`]): solving much tighter than the LTE
+    /// the step is judged by buys nothing.
+    pub tol: Option<Tolerance>,
 }
 
 /// What a solver supplies to [`drive`]: the implicit solve of one step
@@ -115,6 +120,7 @@ pub fn drive<S: StepSystem>(
             h,
             coeffs,
             qlin: &qlin,
+            tol: ctl.tolerance(),
         };
         let solved = sys.solve(&step, &mut z, stats);
         let solved_ok = solved.is_ok();
@@ -178,6 +184,7 @@ mod tests {
         jitter: f64,
         fail_accept_after: Option<usize>,
         tried: Vec<f64>,
+        tols: Vec<Option<Tolerance>>,
         ts: Vec<f64>,
     }
 
@@ -187,6 +194,7 @@ mod tests {
 
         fn solve(&mut self, step: &Step<'_>, z: &mut [f64], _: &mut RunStats) -> Result<(), Fail> {
             self.tried.push(step.h);
+            self.tols.push(step.tol);
             if self.fail_solve {
                 return Err(Fail::Solve(step.t_new));
             }
@@ -255,6 +263,24 @@ mod tests {
             "{}",
             sys.y_prev
         );
+    }
+
+    #[test]
+    fn the_solve_sees_the_controllers_tolerance_only_when_adaptive() {
+        let mut sys = Decay::default();
+        run(&mut sys, StepPolicy::Fixed(0.1), 0.0, 1.0).0.unwrap();
+        assert!(sys.tols.iter().all(Option::is_none));
+
+        let mut sys = Decay::default();
+        run(&mut sys, StepPolicy::adaptive(1e-4, 1e-9), 0.0, 1.0)
+            .0
+            .unwrap();
+        let tol = Tolerance {
+            rtol: 1e-4,
+            atol: 1e-9,
+        };
+        assert!(!sys.tols.is_empty());
+        assert!(sys.tols.iter().all(|t| *t == Some(tol)));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use newtonkit::{NewtonEngine, NewtonError, NewtonPolicy, NewtonSystem};
 use numkit::vecops::CompensatedSum;
 use numkit::DMat;
 use std::cell::RefCell;
-use timekit::{HistoryPoint, Step, StepCoeffs};
+use timekit::{HistoryPoint, Step, StepCoeffs, Tolerance};
 
 /// Band of `a0h / a0h_at_last_factor` within which a kept step Jacobian
 /// stays valid (DASSL's `[0.6, 1.67]` on its leading coefficient).
@@ -298,6 +298,7 @@ impl<D: Dae + ?Sized> timekit::StepSystem for Envelope<'_, D> {
             g_prev: &self.g_prev,
             phase_row: self.phase_row.as_deref(),
             frozen_omega: self.omega,
+            tol: step.tol,
             work: &self.work,
             jac_work: &self.jac_work,
         };
@@ -346,8 +347,10 @@ impl<D: Dae + ?Sized> timekit::StepSystem for Envelope<'_, D> {
 /// One implicit `t2` step — the bordered collocation system over
 /// `z = [X (, ω)]` with residual
 /// `r = a0h·q(X) + qlin + θ·g(X,ω,t_new) + (1−θ)·g_prev` (plus the phase
-/// row in Free mode) — as a shared-engine [`NewtonSystem`] with the
-/// historical block-scaled update norm.
+/// row in Free mode) — as a shared-engine [`NewtonSystem`]. Under
+/// adaptive `t2` control its update norm is DASSL's, in the step's own
+/// error weights; under a fixed step it is the block-scaled norm with
+/// the Newton policy's `abstol`/`reltol`.
 struct EnvelopeStepSystem<'a, D: Dae + ?Sized> {
     dae: &'a D,
     colloc: &'a Colloc,
@@ -360,6 +363,8 @@ struct EnvelopeStepSystem<'a, D: Dae + ?Sized> {
     /// ω when the frequency is frozen (ignored in Free mode, where ω is
     /// the last unknown of `z`).
     frozen_omega: f64,
+    /// The step controller's tolerance (`None` under a fixed step).
+    tol: Option<Tolerance>,
     work: &'a RefCell<Work>,
     jac_work: &'a RefCell<JacWork>,
 }
@@ -470,6 +475,12 @@ impl<D: Dae + ?Sized> NewtonSystem for EnvelopeStepSystem<'_, D> {
     }
 
     fn update_norm(&self, dx_scaled: &[f64], z: &[f64], abstol: f64, reltol: f64) -> f64 {
+        // An adaptive step is judged by its LTE in the controller's
+        // weights: solving it further than a fraction of that error buys
+        // nothing.
+        if let Some(tol) = self.tol {
+            return tol.newton_norm(dx_scaled, z);
+        }
         let len = self.colloc.len();
         block_update_norm(
             dx_scaled,
@@ -591,6 +602,29 @@ mod tests {
         let res = solve_envelope(&VanDerPol::unforced(2.0), &init, 12.0, &opts).unwrap();
         assert!(rec.counter("newton.failures") >= 1);
         assert_eq!(res.stats.newton_iters as u64, rec.counter("newton.iters"));
+    }
+
+    #[test]
+    fn paper_deck_final_phase_holds_under_dassls_newton_test() {
+        // The paper's air-damped MEMS VCO over 3 ms (Figs. 10–12) at 9
+        // harmonics. With every t2 step solved to Newton reltol 1e-9 its
+        // final φ was 2913.173855 cycles; converging each step in its own
+        // error weights may move φ by the step tolerance, not by a
+        // visible fraction of a cycle.
+        let orbit = oscillator_steady_state(
+            &circuits::mems_vco(MemsVcoConfig::constant(1.5)),
+            &ShootingOptions::default(),
+        )
+        .unwrap();
+        let dae = circuits::mems_vco(MemsVcoConfig::paper_air());
+        let opts = WampdeOptions {
+            harmonics: 9,
+            ..Default::default()
+        };
+        let init = WampdeInit::from_orbit(&orbit, &opts);
+        let res = solve_envelope(&dae, &init, 3e-3, &opts).unwrap();
+        let phi = *res.phi.last().unwrap();
+        assert!((phi - 2913.173855).abs() <= 1e-3, "final phi {phi} cycles");
     }
 
     #[test]

@@ -64,6 +64,11 @@ pub struct WampdeOptions {
     /// Inner Newton options. The default turns on
     /// [`newtonkit::NewtonPolicy::reuse_jacobian`] for the envelope;
     /// [`crate::solve_quasiperiodic`] always factors every iteration.
+    /// `abstol`/`reltol` govern fixed-step envelopes and
+    /// [`crate::solve_quasiperiodic`]; an adaptive envelope derives its
+    /// Newton test from the step instead: converged when the update is
+    /// at most [`timekit::NEWTON_TOL`] in the step controller's error
+    /// weights ([`timekit::Tolerance::newton_norm`]).
     pub newton: NewtonOptions,
     /// Phase-condition variable `k` (an unknown that actually oscillates —
     /// typically the tank voltage).
