@@ -1075,9 +1075,9 @@ fn table_linsolve() {
                 let t0 = std::time::Instant::now();
                 let trip = parts.assemble_triplets();
                 assembly_ns = assembly_ns.min(t0.elapsed().as_nanos());
-                let mut lu = wampde::linsolve::FactorCache::new(wampde::LinearSolverKind::Klu);
+                let mut lu = linsolve::FactorCache::new(wampde::LinearSolverKind::Klu);
                 let t0 = std::time::Instant::now();
-                lu.factor(&wampde::linsolve::NewtonMatrix::Triplets(&trip))
+                lu.factor(&linsolve::NewtonMatrix::Triplets(&trip))
                     .expect("step jacobian factors");
                 factor_ns = factor_ns.min(t0.elapsed().as_nanos());
                 let mut x = jac.rhs();
@@ -1127,8 +1127,8 @@ fn table_linsolve() {
     let mems = StepJacobian::mems_air(9);
     let a = mems.parts().assemble_dense();
     let rhs = mems.rhs();
-    let mut cache = wampde::linsolve::FactorCache::new(wampde::LinearSolverKind::Dense);
-    let matrix = wampde::linsolve::NewtonMatrix::Dense(&a);
+    let mut cache = linsolve::FactorCache::new(wampde::LinearSolverKind::Dense);
+    let matrix = linsolve::NewtonMatrix::Dense(&a);
     let best_us = |op: &mut dyn FnMut()| {
         const REPS: u32 = 1000;
         let mut best = f64::INFINITY;

@@ -243,18 +243,15 @@ impl StepJacobian {
     }
 
     /// Borrows the assembly description for the shared solver layer.
-    pub fn parts(&self) -> wampde::linsolve::JacobianParts<'_> {
-        wampde::linsolve::JacobianParts {
-            n: self.colloc.n,
-            n0: self.colloc.n0,
-            dmat: &self.colloc.dmat,
-            cblocks: &self.cblocks,
-            gblocks: &self.gblocks,
-            inv_h: self.inv_h,
-            theta: 1.0,
-            omega: self.omega,
-            border: Some((&self.phase_row, &self.omega_col)),
-        }
+    pub fn parts(&self) -> linsolve::JacobianParts<'_> {
+        self.colloc.parts(
+            &self.cblocks,
+            &self.gblocks,
+            self.inv_h,
+            1.0,
+            self.omega,
+            Some((&self.phase_row, &self.omega_col)),
+        )
     }
 
     /// A smooth right-hand side of matching dimension.
@@ -268,8 +265,8 @@ impl StepJacobian {
     ///
     /// Panics when the backend fails (the workload is well-conditioned).
     pub fn factor_solve(&self, kind: wampde::LinearSolverKind) -> Vec<f64> {
-        let mut lu = wampde::linsolve::FactorCache::new(kind);
-        lu.factor(&wampde::linsolve::NewtonMatrix::Parts(&self.parts()))
+        let mut lu = linsolve::FactorCache::new(kind);
+        lu.factor(&linsolve::NewtonMatrix::Parts(&self.parts()))
             .expect("step jacobian factors");
         let mut x = self.rhs();
         lu.solve_in_place(&mut x).expect("step jacobian solves");
@@ -286,7 +283,7 @@ impl StepJacobian {
 /// quasiperiodic system's do; the BDF2 cyclic stencil couples slice `m`
 /// to slices `m−1` and `m−2` (mod `n1`) through the charge blocks. The
 /// matrix is therefore block circulant *to envelope accuracy* — the
-/// structure [`wampde::linsolve::BlockCirculantPrecond`] exploits.
+/// structure [`linsolve::BlockCirculantPrecond`] exploits.
 pub struct CyclicJacobian {
     trip: sparsekit::Triplets,
     n1: usize,
@@ -345,8 +342,8 @@ impl CyclicJacobian {
     }
 
     /// The block-cyclic structure hint for the circulant backend.
-    pub fn shape(&self) -> wampde::linsolve::CyclicShape {
-        wampde::linsolve::CyclicShape {
+    pub fn shape(&self) -> linsolve::CyclicShape {
+        linsolve::CyclicShape {
             blocks: self.n1,
             block_dim: self.bw,
         }
@@ -370,7 +367,7 @@ impl CyclicJacobian {
     /// Panics when the matrix disagrees with its own declared shape.
     pub fn gmres_circulant_iterations(&self) -> Option<usize> {
         let a = self.trip.to_csr();
-        let p = wampde::linsolve::BlockCirculantPrecond::from_csr(&a, self.shape())
+        let p = linsolve::BlockCirculantPrecond::from_csr(&a, self.shape())
             .expect("cyclic jacobian matches its declared shape");
         let op = sparsekit::CsrOp::new(&a);
         let opts = sparsekit::GmresOptions {

@@ -8,8 +8,12 @@
 //! ```text
 //! ∂r[s]/∂x[s'] = δ_{ss'}·(extra_s + G_s)  +  ω·D[s][s']·C_{s'}
 //! ```
+//!
+//! [`Colloc::parts`] is the one place that describes such a Jacobian to
+//! the shared `linsolve` layer.
 
 use circuitdae::Dae;
+use linsolve::JacobianParts;
 use numkit::DMat;
 
 /// Collocation workspace for one (warped) periodic axis.
@@ -24,14 +28,47 @@ pub struct Colloc {
 }
 
 impl Colloc {
+    /// Checks a grid request, and with `phase = Some((k, l))` a phase
+    /// condition on variable `k` at harmonic `l`: the inputs on which
+    /// [`Colloc::new`] and [`Colloc::phase_row`] would panic come back as
+    /// a message for the solver's own `BadInput`.
+    ///
+    /// # Errors
+    ///
+    /// When `dae_dim` or `harmonics` is zero, `k >= dae_dim`, or `l` is
+    /// not in `1..=harmonics`.
+    pub fn check(
+        dae_dim: usize,
+        harmonics: usize,
+        phase: Option<(usize, usize)>,
+    ) -> Result<(), String> {
+        if dae_dim == 0 {
+            return Err("dae dimension must be positive".into());
+        }
+        if harmonics == 0 {
+            return Err("need at least one harmonic".into());
+        }
+        match phase {
+            Some((k, _)) if k >= dae_dim => Err(format!(
+                "phase variable {k} out of range (dae dimension {dae_dim})"
+            )),
+            Some((_, l)) if l == 0 || l > harmonics => {
+                Err(format!("phase harmonic {l} out of range 1..={harmonics}"))
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Creates a collocation grid with `2·harmonics + 1` samples.
     ///
     /// # Panics
     ///
-    /// Panics when `harmonics == 0` or `dae_dim == 0`.
+    /// Panics when `harmonics == 0` or `dae_dim == 0` (see
+    /// [`Colloc::check`]).
     pub fn new(dae_dim: usize, harmonics: usize) -> Self {
-        assert!(dae_dim > 0, "dae dimension must be positive");
-        assert!(harmonics > 0, "need at least one harmonic");
+        if let Err(msg) = Self::check(dae_dim, harmonics, None) {
+            panic!("{msg}");
+        }
         let n0 = 2 * harmonics + 1;
         Colloc {
             n: dae_dim,
@@ -114,10 +151,12 @@ impl Colloc {
     ///
     /// # Panics
     ///
-    /// Panics when `k >= n` or `l` is zero or above the harmonic count.
+    /// Panics when `k >= n` or `l` is zero or above the harmonic count
+    /// (see [`Colloc::check`]).
     pub fn phase_row(&self, k: usize, l: usize) -> Vec<f64> {
-        assert!(k < self.n, "phase variable out of range");
-        assert!(l >= 1 && l <= self.n0 / 2, "phase harmonic out of range");
+        if let Err(msg) = Self::check(self.n, self.n0 / 2, Some((k, l))) {
+            panic!("{msg}");
+        }
         let mut row = vec![0.0; self.len()];
         for s in 0..self.n0 {
             let arg = 2.0 * std::f64::consts::PI * (l * s) as f64 / self.n0 as f64;
@@ -134,6 +173,33 @@ impl Colloc {
         row.iter().zip(x.iter()).map(|(a, b)| a * b).sum()
     }
 
+    /// The collocation Jacobian on this grid,
+    /// `J[s,s'] = δ_{ss'}·(inv_h·C_s + θ·G_s) + θ·ω·D[s,s']·C_{s'}`, from
+    /// the per-sample `C_s = ∂q/∂x` and `G_s = ∂f/∂x`, optionally bordered
+    /// by a (phase row, `∂r/∂ω` column) pair. `inv_h = 0`, `θ = 1` is
+    /// harmonic balance; see [`JacobianParts`] for the coefficients.
+    pub fn parts<'a>(
+        &'a self,
+        cblocks: &'a [DMat],
+        gblocks: &'a [DMat],
+        inv_h: f64,
+        theta: f64,
+        omega: f64,
+        border: Option<(&'a [f64], &'a [f64])>,
+    ) -> JacobianParts<'a> {
+        JacobianParts {
+            n: self.n,
+            n0: self.n0,
+            dmat: &self.dmat,
+            cblocks,
+            gblocks,
+            inv_h,
+            theta,
+            omega,
+            border,
+        }
+    }
+
     /// Extracts the samples of variable `i` as a contiguous vector
     /// (length `N0`), e.g. for trigonometric interpolation.
     pub fn extract_var(&self, x: &[f64], i: usize) -> Vec<f64> {
@@ -145,6 +211,8 @@ impl Colloc {
 mod tests {
     use super::*;
     use circuitdae::analytic::VanDerPol;
+    use circuitdae::circuits;
+    use linsolve::{FactorCache, LinearSolverKind, NewtonMatrix};
 
     #[test]
     fn indexing_layout() {
@@ -237,5 +305,115 @@ mod tests {
     fn phase_row_rejects_dc() {
         let c = Colloc::new(1, 2);
         let _ = c.phase_row(0, 0);
+    }
+
+    /// Per-sample Jacobian blocks of `dae` at a smooth synthetic state.
+    fn blocks_at_synthetic_state<D: Dae>(dae: &D, colloc: &Colloc) -> (Vec<DMat>, Vec<DMat>) {
+        let x: Vec<f64> = (0..colloc.len()).map(|k| (0.37 * k as f64).sin()).collect();
+        circuitdae::jac_blocks(dae, &x)
+    }
+
+    fn solve(parts: &JacobianParts<'_>, kind: LinearSolverKind, rhs: &[f64]) -> Vec<f64> {
+        let mut cache = FactorCache::new(kind);
+        cache.factor(&NewtonMatrix::Parts(parts)).unwrap();
+        let mut x = rhs.to_vec();
+        cache.solve_in_place(&mut x).unwrap();
+        x
+    }
+
+    /// Builds bordered vdP JacobianParts and checks all three backends
+    /// produce the same solution.
+    #[test]
+    fn backends_agree() {
+        let vdp = VanDerPol::unforced(0.8);
+        let colloc = Colloc::new(2, 3);
+        let len = colloc.len();
+        let (cblocks, gblocks) = blocks_at_synthetic_state(&vdp, &colloc);
+        let row: Vec<f64> = colloc.phase_row(0, 1);
+        let col: Vec<f64> = (0..len).map(|i| 0.1 + (i as f64 * 0.11).cos()).collect();
+        let parts = colloc.parts(&cblocks, &gblocks, 10.0, 0.5, 1.3, Some((&row, &col)));
+        let rhs: Vec<f64> = (0..parts.dim())
+            .map(|i| ((i * 3 % 7) as f64) - 3.0)
+            .collect();
+        let dense = solve(&parts, LinearSolverKind::Dense, &rhs);
+        let klu = solve(&parts, LinearSolverKind::Klu, &rhs);
+        let gmres = solve(
+            &parts,
+            LinearSolverKind::GmresIlu0 {
+                restart: 60,
+                max_iters: 500,
+                rtol: 1e-12,
+            },
+            &rhs,
+        );
+        for i in 0..rhs.len() {
+            assert!(
+                (dense[i] - klu[i]).abs() < 1e-8,
+                "klu mismatch at {i}: {} vs {}",
+                dense[i],
+                klu[i]
+            );
+            assert!(
+                (dense[i] - gmres[i]).abs() < 1e-6,
+                "gmres mismatch at {i}: {} vs {}",
+                dense[i],
+                gmres[i]
+            );
+        }
+    }
+
+    /// On the paper's LC VCO, dense and KLU step solutions agree to 1e-9
+    /// (and GMRES at its default tolerance tracks them).
+    #[test]
+    fn lc_vco_dense_vs_klu_agree_to_1e9() {
+        let dae = circuits::lc_vco();
+        let colloc = Colloc::new(dae.dim(), 5);
+        let len = colloc.len();
+        let (cblocks, gblocks) = blocks_at_synthetic_state(&dae, &colloc);
+        let row: Vec<f64> = colloc.phase_row(0, 1);
+        let col: Vec<f64> = (0..len).map(|i| 1e-9 * (0.2 * i as f64).cos()).collect();
+        let parts = colloc.parts(
+            &cblocks,
+            &gblocks,
+            1.0 / 2.0e-6,
+            1.0,
+            0.75e6,
+            Some((&row, &col)),
+        );
+        let rhs: Vec<f64> = (0..parts.dim()).map(|i| (0.3 * i as f64).sin()).collect();
+        let dense = solve(&parts, LinearSolverKind::Dense, &rhs);
+        let scale = dense.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+        let klu = solve(&parts, LinearSolverKind::Klu, &rhs);
+        let gm = solve(&parts, LinearSolverKind::gmres_default(), &rhs);
+        for i in 0..rhs.len() {
+            assert!(
+                (dense[i] - klu[i]).abs() <= 1e-9 * scale.max(1.0),
+                "klu at {i}: {} vs {}",
+                dense[i],
+                klu[i]
+            );
+            assert!(
+                (dense[i] - gm[i]).abs() <= 1e-7 * scale.max(1.0),
+                "gmres at {i}: {} vs {}",
+                dense[i],
+                gm[i]
+            );
+        }
+    }
+
+    #[test]
+    fn unbordered_assembly() {
+        let vdp = VanDerPol::unforced(0.3);
+        let colloc = Colloc::new(2, 2);
+        let len = colloc.len();
+        let (cblocks, gblocks) = blocks_at_synthetic_state(&vdp, &colloc);
+        let parts = colloc.parts(&cblocks, &gblocks, 5.0, 1.0, 0.7, None);
+        assert_eq!(parts.dim(), len);
+        let rhs = vec![1.0; len];
+        let a = solve(&parts, LinearSolverKind::Dense, &rhs);
+        let b = solve(&parts, LinearSolverKind::Klu, &rhs);
+        for i in 0..a.len() {
+            assert!((a[i] - b[i]).abs() < 1e-9);
+        }
     }
 }

@@ -10,9 +10,13 @@
 //! exactly the gap the WaMPDE fills.
 //!
 //! The [`colloc::Colloc`] core (sample layout, spectral differentiation,
-//! block Jacobian assembly, phase row) is shared with the `wampde` crate:
-//! the WaMPDE time-stepper is harmonic balance along the warped axis plus
-//! a time discretisation along the slow axis.
+//! phase row, input checks) is shared with the `mpde` and `wampde`
+//! crates: their time-steppers are harmonic balance along the (warped)
+//! fast axis plus a time discretisation along the slow axis.
+//! [`Colloc::parts`] is the one builder of a collocation grid's
+//! `linsolve::JacobianParts`: harmonic balance (`inv_h = 0`, `θ = 1`),
+//! both envelope steps and the bench workloads all describe their
+//! Jacobians through it.
 
 pub mod colloc;
 pub mod error;

@@ -18,6 +18,11 @@
 //! `wampde::OmegaMode::Frozen` in the ablation benches; this crate covers
 //! the legitimate non-autonomous use.)
 //!
+//! The step along `t2` is the WaMPDE's, [`wampde::step::CollocStep`],
+//! with ω pinned at `f1` (`Omega::Fixed`) and the forcing filled from
+//! the [`BivariateForcing`] at each attempt. It keeps full Newton to the
+//! policy's tolerance even under adaptive steps.
+//!
 //! # Example
 //!
 //! ```
@@ -49,12 +54,13 @@
 
 use circuitdae::Dae;
 use hb::Colloc;
-use linsolve::{JacobianParts, LinearSolverKind};
-use newtonkit::{NewtonEngine, NewtonError, NewtonPolicy, NewtonSystem};
+use linsolve::LinearSolverKind;
+use newtonkit::{NewtonEngine, NewtonError, NewtonPolicy};
 use std::cell::RefCell;
 use std::fmt;
 use timekit::{HistoryPoint, Scheme, Step, StepCoeffs, StepPolicy, StepSystem};
 use transim::NewtonOptions;
+use wampde::step::{eval_g, CollocStep, Omega, StepWork};
 
 /// Errors from the MPDE envelope solver.
 #[derive(Debug, Clone, PartialEq)]
@@ -139,7 +145,8 @@ impl BivariateForcing for AmForcing {
 pub struct MpdeOptions {
     /// Harmonics along the fast axis (`N0 = 2M+1` samples).
     pub harmonics: usize,
-    /// Fixed `t2` step (`0.0` = auto: 1/50 of the run). Only consulted
+    /// Fixed `t2` step (`0.0` = auto: 1/50 of the run; any other value
+    /// must be positive). Only consulted
     /// when [`MpdeOptions::step`] is `None` (the legacy fixed-step
     /// configuration path).
     pub dt2: f64,
@@ -304,12 +311,13 @@ pub fn solve_envelope_mpde_from<D: Dae + ?Sized, F: BivariateForcing + ?Sized>(
         return Err(MpdeError::BadInput("t2_end must be positive".into()));
     }
     let n = dae.dim();
+    Colloc::check(n, opts.harmonics, None).map_err(MpdeError::BadInput)?;
     let colloc = Colloc::new(n, opts.harmonics);
     let len = colloc.len();
-    let policy = opts.step.unwrap_or(StepPolicy::Fixed(if opts.dt2 > 0.0 {
-        opts.dt2
-    } else {
+    let policy = opts.step.unwrap_or(StepPolicy::Fixed(if opts.dt2 == 0.0 {
         t2_end / 50.0
+    } else {
+        opts.dt2
     }));
     let ctl = policy
         .resolve(t2_end, opts.integrator.order())
@@ -347,10 +355,9 @@ pub fn solve_envelope_mpde_from<D: Dae + ?Sized, F: BivariateForcing + ?Sized>(
         // sparsity pattern is stable along t2, so the KLU backend pays
         // for symbolic analysis once and refactors numerically thereafter.
         engine: NewtonEngine::new(),
-        bgrid: vec![0.0; len],
+        b: vec![0.0; len],
         g_prev: vec![0.0; len],
-        dq: vec![0.0; len],
-        fv: vec![0.0; len],
+        work: RefCell::new(StepWork::new(&colloc)),
         t2s: Vec::new(),
         states: Vec::new(),
         colloc,
@@ -386,8 +393,8 @@ pub fn solve_envelope_mpde_from<D: Dae + ?Sized, F: BivariateForcing + ?Sized>(
 }
 
 /// The MPDE envelope's hooks for the shared `timekit` step loop: the
-/// collocation step solve under the forcing at the step's end, and the
-/// accepted-point records.
+/// WaMPDE's collocation step with ω pinned at `f1`, solved under the
+/// forcing at the step's end, and the accepted-point records.
 struct Envelope<'a, D: Dae + ?Sized, F: BivariateForcing + ?Sized> {
     dae: &'a D,
     forcing: &'a F,
@@ -396,12 +403,11 @@ struct Envelope<'a, D: Dae + ?Sized, F: BivariateForcing + ?Sized> {
     newton: NewtonPolicy,
     engine: NewtonEngine,
     /// Forcing at the collocation phases of the newest attempt.
-    bgrid: Vec<f64>,
+    b: Vec<f64>,
     /// `g = f1·D·q + f − b̂` at the newest accepted point (the (1−θ) term
     /// of averaging schemes).
     g_prev: Vec<f64>,
-    dq: Vec<f64>,
-    fv: Vec<f64>,
+    work: RefCell<StepWork>,
     t2s: Vec<f64>,
     states: Vec<Vec<f64>>,
 }
@@ -417,47 +423,44 @@ impl<D: Dae + ?Sized, F: BivariateForcing + ?Sized> timekit::StepSystem for Enve
         stats: &mut MpdeStats,
     ) -> Result<(), MpdeError> {
         let (n, n0) = (self.colloc.n, self.colloc.n0);
-        let mut row = vec![0.0; n];
-        for s in 0..n0 {
-            self.forcing
-                .eval(s as f64 / n0 as f64, step.t_new, &mut row);
-            self.bgrid[s * n..(s + 1) * n].copy_from_slice(&row);
+        for (s, row) in self.b.chunks_exact_mut(n).enumerate() {
+            self.forcing.eval(s as f64 / n0 as f64, step.t_new, row);
         }
-        let len = self.colloc.len();
-        let sys = MpdeStepSystem {
+        // No step tolerance: the MPDE envelope has not moved onto
+        // DASSL's Newton test, so even adaptive steps solve to the
+        // policy's tolerance.
+        let sys = CollocStep {
             dae: self.dae,
             colloc: &self.colloc,
-            a0h: step.coeffs.a0h,
-            theta: step.coeffs.theta,
-            qlin: step.qlin,
+            step: Step { tol: None, ..*step },
+            b: &self.b,
             g_prev: &self.g_prev,
-            f1: self.f1,
-            bgrid: &self.bgrid,
-            work: RefCell::new((vec![0.0; len], vec![0.0; len], vec![0.0; len])),
+            omega: Omega::Fixed(self.f1),
+            work: &self.work,
         };
-        let result = self.engine.solve(&sys, x, &self.newton);
-        let s = self.engine.stats();
-        stats.newton_iters += s.iterations;
-        stats.factorisations += s.factorisations;
-        stats.symbolic_reuses += s.symbolic_reuses;
         let at_t2 = step.t_new;
-        match result {
-            Ok(_) => Ok(()),
-            Err(NewtonError::Singular { .. }) => Err(MpdeError::Singular { at_t2 }),
-            Err(NewtonError::NoConvergence { residual, .. }) => {
-                Err(MpdeError::NewtonFailed { at_t2, residual })
-            }
-            Err(NewtonError::BadInput(msg)) => Err(MpdeError::BadInput(msg)),
-        }
+        sys.solve(&mut self.engine, x, &self.newton, stats)
+            .map_err(|e| match e {
+                NewtonError::Singular { .. } => MpdeError::Singular { at_t2 },
+                NewtonError::NoConvergence { residual, .. } => {
+                    MpdeError::NewtonFailed { at_t2, residual }
+                }
+                NewtonError::BadInput(msg) => MpdeError::BadInput(msg),
+            })
     }
 
     fn accept(&mut self, step: &Step<'_>, x: &[f64], q: &mut [f64]) -> Result<(), MpdeError> {
-        self.colloc.eval_q_all(self.dae, x, q);
-        self.colloc.apply_diff(q, &mut self.dq);
-        self.colloc.eval_f_all(self.dae, x, &mut self.fv);
-        for k in 0..self.g_prev.len() {
-            self.g_prev[k] = self.f1 * self.dq[k] + self.fv[k] - self.bgrid[k];
-        }
+        let work = &mut *self.work.borrow_mut();
+        eval_g(
+            self.dae,
+            &self.colloc,
+            x,
+            self.f1,
+            &self.b,
+            work,
+            &mut self.g_prev,
+        );
+        q.copy_from_slice(work.q());
         self.t2s.push(step.t_new);
         self.states.push(x.to_vec());
         Ok(())
@@ -465,83 +468,6 @@ impl<D: Dae + ?Sized, F: BivariateForcing + ?Sized> timekit::StepSystem for Enve
 
     fn step_too_small(&self, at_t2: f64, step: f64) -> MpdeError {
         MpdeError::StepTooSmall { at_t2, step }
-    }
-}
-
-/// One MPDE step (or the `t2 = 0` steady problem when `a0h = 0`) as a
-/// shared-engine Newton system:
-/// `r = a0h·q(x) + qlin + θ·(f1·D·q(x) + f(x) − b̂) + (1−θ)·g_prev`,
-/// Jacobian `δ(a0h·C + θ·G) + θ·f1·D⊗C` — the `a0h`-shifted, unbordered
-/// collocation form with ω pinned at the carrier fundamental `f1`.
-struct MpdeStepSystem<'a, D: Dae + ?Sized> {
-    dae: &'a D,
-    colloc: &'a Colloc,
-    a0h: f64,
-    theta: f64,
-    qlin: &'a [f64],
-    g_prev: &'a [f64],
-    f1: f64,
-    bgrid: &'a [f64],
-    /// (q, dq, fv) residual scratch.
-    work: RefCell<(Vec<f64>, Vec<f64>, Vec<f64>)>,
-}
-
-impl<D: Dae + ?Sized> MpdeStepSystem<'_, D> {
-    fn parts<'b>(
-        &'b self,
-        cblocks: &'b [numkit::DMat],
-        gblocks: &'b [numkit::DMat],
-    ) -> JacobianParts<'b> {
-        JacobianParts {
-            n: self.colloc.n,
-            n0: self.colloc.n0,
-            dmat: &self.colloc.dmat,
-            cblocks,
-            gblocks,
-            inv_h: self.a0h,
-            theta: self.theta,
-            omega: self.f1,
-            border: None,
-        }
-    }
-}
-
-impl<D: Dae + ?Sized> NewtonSystem for MpdeStepSystem<'_, D> {
-    fn dim(&self) -> usize {
-        self.colloc.len()
-    }
-
-    fn residual(&self, x: &[f64], out: &mut [f64]) {
-        let (q, dq, fv) = &mut *self.work.borrow_mut();
-        self.colloc.eval_q_all(self.dae, x, q);
-        self.colloc.apply_diff(q, dq);
-        self.colloc.eval_f_all(self.dae, x, fv);
-        for k in 0..out.len() {
-            let g_inst = self.f1 * dq[k] + fv[k] - self.bgrid[k];
-            out[k] = self.a0h * q[k]
-                + self.qlin[k]
-                + self.theta * g_inst
-                + (1.0 - self.theta) * self.g_prev[k];
-        }
-    }
-
-    fn jacobian(&self, x: &[f64], out: &mut numkit::DMat) {
-        let (cblocks, gblocks) = circuitdae::jac_blocks(self.dae, x);
-        self.parts(&cblocks, &gblocks).assemble_dense_into(out);
-    }
-
-    fn jacobian_triplets(&self, x: &[f64], out: &mut sparsekit::Triplets) -> bool {
-        let (cblocks, gblocks) = circuitdae::jac_blocks(self.dae, x);
-        self.parts(&cblocks, &gblocks).push_triplets(out);
-        true
-    }
-
-    /// Block-scaled convergence (cf. `wampde::envelope`): every
-    /// collocation sample weighted by the global sample magnitude.
-    fn update_norm(&self, dx_scaled: &[f64], x: &[f64], abstol: f64, reltol: f64) -> f64 {
-        let x_scale = x.iter().fold(0.0_f64, |m, v| m.max(v.abs())).max(1e-300);
-        let w = abstol + reltol * x_scale;
-        (dx_scaled.iter().map(|d| (d / w).powi(2)).sum::<f64>() / dx_scaled.len() as f64).sqrt()
     }
 }
 
@@ -774,6 +700,15 @@ mod tests {
         };
         assert!(solve_envelope_mpde(&dae, &f, -1.0, 1.0, &MpdeOptions::default()).is_err());
         assert!(solve_envelope_mpde(&dae, &f, 1.0, -1.0, &MpdeOptions::default()).is_err());
+        // A grid `Colloc` would panic on.
+        let no_harmonics = MpdeOptions {
+            harmonics: 0,
+            ..Default::default()
+        };
+        assert!(matches!(
+            solve_envelope_mpde(&dae, &f, 1.0, 1.0, &no_harmonics),
+            Err(MpdeError::BadInput(_))
+        ));
     }
 
     #[test]

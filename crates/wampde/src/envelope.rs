@@ -10,91 +10,19 @@
 
 use crate::error::WampdeError;
 use crate::init::WampdeInit;
-use crate::linsolve::colloc_parts;
 use crate::options::{OmegaMode, WampdeOptions};
 use crate::result::{EnvelopeResult, EnvelopeStats};
+use crate::step::{eval_g, CollocStep, Omega, StepWork};
 use circuitdae::Dae;
 use hb::Colloc;
-use newtonkit::{NewtonEngine, NewtonError, NewtonPolicy, NewtonSystem};
+use newtonkit::{NewtonEngine, NewtonError, NewtonPolicy};
 use numkit::vecops::CompensatedSum;
-use numkit::DMat;
 use std::cell::RefCell;
-use timekit::{HistoryPoint, Step, StepCoeffs, Tolerance};
+use timekit::{HistoryPoint, Step, StepCoeffs};
 
 /// Band of `a0h / a0h_at_last_factor` within which a kept step Jacobian
 /// stays valid (DASSL's `[0.6, 1.67]` on its leading coefficient).
 const A0H_BAND: (f64, f64) = (0.6, 1.67);
-
-/// Weighted update norm with *block* scaling: collocation samples are
-/// weighted by the block's maximum magnitude (a per-entry weight would
-/// demand machine-exact solves at zero crossings), the frequency unknown
-/// by its own magnitude.
-pub(crate) fn block_update_norm(
-    dz: &[f64],
-    x: &[f64],
-    omega: Option<f64>,
-    abstol: f64,
-    reltol: f64,
-) -> f64 {
-    let len = x.len();
-    let x_scale = x.iter().fold(0.0_f64, |m, v| m.max(v.abs())).max(1e-300);
-    let wx = abstol + reltol * x_scale;
-    let mut acc = 0.0;
-    for &d in &dz[..len] {
-        let e = d / wx;
-        acc += e * e;
-    }
-    let mut count = len;
-    if let Some(om) = omega {
-        let womega = abstol + reltol * om.abs().max(1e-300);
-        let e = dz[len] / womega;
-        acc += e * e;
-        count += 1;
-    }
-    (acc / count as f64).sqrt()
-}
-
-/// Scratch buffers for residual evaluation.
-struct Work {
-    q: Vec<f64>,
-    dq: Vec<f64>,
-    f: Vec<f64>,
-    b: Vec<f64>,
-}
-
-impl Work {
-    fn new(len: usize, n: usize) -> Self {
-        Work {
-            q: vec![0.0; len],
-            dq: vec![0.0; len],
-            f: vec![0.0; len],
-            b: vec![0.0; n],
-        }
-    }
-}
-
-/// Evaluates the "instantaneous" WaMPDE operator
-/// `g(X, ω, t2) = ω·D·q(X) + f(X) − b(t2)` (stacked, sample-major).
-fn eval_g<D: Dae + ?Sized>(
-    dae: &D,
-    colloc: &Colloc,
-    x: &[f64],
-    omega: f64,
-    t2: f64,
-    w: &mut Work,
-    out: &mut [f64],
-) {
-    colloc.eval_q_all(dae, x, &mut w.q);
-    colloc.apply_diff(&w.q, &mut w.dq);
-    colloc.eval_f_all(dae, x, &mut w.f);
-    dae.eval_b(t2, &mut w.b);
-    for s in 0..colloc.n0 {
-        for i in 0..colloc.n {
-            let k = colloc.idx(s, i);
-            out[k] = omega * w.dq[k] + w.f[k] - w.b[i];
-        }
-    }
-}
 
 /// Solves the envelope (initial-value) WaMPDE from `t2 = 0` to `t2_end`.
 ///
@@ -114,6 +42,9 @@ pub fn solve_envelope<D: Dae + ?Sized>(
     opts: &WampdeOptions,
 ) -> Result<EnvelopeResult, WampdeError> {
     let n = dae.dim();
+    let free_omega = matches!(opts.omega_mode, OmegaMode::Free);
+    let phase = free_omega.then_some((opts.phase_var, opts.phase_harmonic));
+    Colloc::check(n, opts.harmonics, phase).map_err(WampdeError::BadInput)?;
     let colloc = Colloc::new(n, opts.harmonics);
     let len = colloc.len();
     if init.n0() != colloc.n0 {
@@ -133,7 +64,6 @@ pub fn solve_envelope<D: Dae + ?Sized>(
         return Err(WampdeError::BadInput("t2_end must be positive".into()));
     }
 
-    let free_omega = matches!(opts.omega_mode, OmegaMode::Free);
     let omega = match opts.omega_mode {
         OmegaMode::Free => init.freq_hz,
         OmegaMode::Frozen(w) => w,
@@ -186,9 +116,9 @@ pub fn solve_envelope<D: Dae + ?Sized>(
         factored_at: None,
         omega,
         phi: CompensatedSum::new(),
+        b: vec![0.0; len],
         g_prev: vec![0.0; len],
-        work: RefCell::new(Work::new(len, n)),
-        jac_work: RefCell::new(JacWork::default()),
+        work: RefCell::new(StepWork::new(&colloc)),
         t2s: Vec::new(),
         omegas: Vec::new(),
         phis: Vec::new(),
@@ -196,6 +126,7 @@ pub fn solve_envelope<D: Dae + ?Sized>(
         colloc,
     };
     let mut q = vec![0.0; len];
+    run.fill_b(0.0);
     run.record(0.0, &x, &mut q);
     // The history's z is the stacked X (+ ω in Free mode), its q the
     // collocation charge vector.
@@ -233,12 +164,13 @@ struct Envelope<'a, D: Dae + ?Sized> {
     omega: f64,
     /// φ(t2) in cycles.
     phi: CompensatedSum,
+    /// `b(t2)` of the newest attempt, repeated at every sample.
+    b: Vec<f64>,
     /// `g(X, ω, t2)` at the newest accepted point (the (1−θ) term of
     /// averaging schemes).
     g_prev: Vec<f64>,
-    /// Scratch shared by `eval_g` and every step system of the run.
-    work: RefCell<Work>,
-    jac_work: RefCell<JacWork>,
+    /// Scratch shared by `eval_g` and every step of the run.
+    work: RefCell<StepWork>,
     t2s: Vec<f64>,
     omegas: Vec<f64>,
     phis: Vec<f64>,
@@ -246,19 +178,30 @@ struct Envelope<'a, D: Dae + ?Sized> {
 }
 
 impl<D: Dae + ?Sized> Envelope<'_, D> {
-    /// Records the point `x` at `t2` (with the current ω and φ), writes
-    /// its charge vector into `q` and refreshes `g_prev`.
+    /// Fills `b` with the forcing at `t2`.
+    fn fill_b(&mut self, t2: f64) {
+        let n = self.colloc.n;
+        self.dae.eval_b(t2, &mut self.b[..n]);
+        for s in 1..self.colloc.n0 {
+            self.b.copy_within(..n, s * n);
+        }
+    }
+
+    /// Records the point `x` at `t2` (with the current ω and φ, and `b`
+    /// at `t2`), writes its charge vector into `q` and refreshes
+    /// `g_prev`.
     fn record(&mut self, t2: f64, x: &[f64], q: &mut [f64]) {
-        self.colloc.eval_q_all(self.dae, x, q);
+        let work = &mut *self.work.borrow_mut();
         eval_g(
             self.dae,
             &self.colloc,
             x,
             self.omega,
-            t2,
-            &mut self.work.borrow_mut(),
+            &self.b,
+            work,
             &mut self.g_prev,
         );
+        q.copy_from_slice(work.q());
         self.t2s.push(t2);
         self.omegas.push(self.omega);
         self.phis.push(self.phi.value());
@@ -276,8 +219,6 @@ impl<D: Dae + ?Sized> timekit::StepSystem for Envelope<'_, D> {
         z: &mut [f64],
         stats: &mut EnvelopeStats,
     ) -> Result<(), WampdeError> {
-        // Scheme coefficients for this step:
-        //   r = a0h·q(X) + qlin + θ·g(X,ω,t_new) + (1−θ)·g_prev.
         let StepCoeffs { a0h, theta } = step.coeffs;
         // The iteration matrix is a0h·C + θ·(ω·D·C + G): a kept factor
         // goes once a0h leaves a DASSL-style band around the value it was
@@ -288,31 +229,25 @@ impl<D: Dae + ?Sized> timekit::StepSystem for Envelope<'_, D> {
                 self.engine.invalidate_jacobian();
             }
         }
-        let sys = EnvelopeStepSystem {
+        self.fill_b(step.t_new);
+        let sys = CollocStep {
             dae: self.dae,
             colloc: &self.colloc,
-            a0h,
-            theta,
-            qlin: step.qlin,
-            t_new: step.t_new,
+            step: *step,
+            b: &self.b,
             g_prev: &self.g_prev,
-            phase_row: self.phase_row.as_deref(),
-            frozen_omega: self.omega,
-            tol: step.tol,
+            omega: match &self.phase_row {
+                Some(row) => Omega::Free(row),
+                None => Omega::Fixed(self.omega),
+            },
             work: &self.work,
-            jac_work: &self.jac_work,
         };
-        let result = self.engine.solve(&sys, z, &self.newton);
-        let nstats = self.engine.stats();
-        // A failed solve's iterations count too: its step is retried.
-        stats.newton_iters += nstats.iterations;
-        stats.factorisations += nstats.factorisations;
-        stats.symbolic_reuses += nstats.symbolic_reuses;
-        if nstats.factorisations > 0 {
+        let result = sys.solve(&mut self.engine, z, &self.newton, stats);
+        if self.engine.stats().factorisations > 0 {
             self.factored_at = Some((a0h, theta));
         }
         let at_t2 = step.t_new;
-        result.map(drop).map_err(|e| match e {
+        result.map_err(|e| match e {
             NewtonError::Singular { cause } => WampdeError::LinearSolve { at_t2, cause },
             NewtonError::NoConvergence {
                 iterations,
@@ -341,154 +276,6 @@ impl<D: Dae + ?Sized> timekit::StepSystem for Envelope<'_, D> {
 
     fn step_too_small(&self, at_t2: f64, step: f64) -> WampdeError {
         WampdeError::StepTooSmall { at_t2, step }
-    }
-}
-
-/// One implicit `t2` step — the bordered collocation system over
-/// `z = [X (, ω)]` with residual
-/// `r = a0h·q(X) + qlin + θ·g(X,ω,t_new) + (1−θ)·g_prev` (plus the phase
-/// row in Free mode) — as a shared-engine [`NewtonSystem`]. Under
-/// adaptive `t2` control its update norm is DASSL's, in the step's own
-/// error weights; under a fixed step it is the block-scaled norm with
-/// the Newton policy's `abstol`/`reltol`.
-struct EnvelopeStepSystem<'a, D: Dae + ?Sized> {
-    dae: &'a D,
-    colloc: &'a Colloc,
-    a0h: f64,
-    theta: f64,
-    qlin: &'a [f64],
-    t_new: f64,
-    g_prev: &'a [f64],
-    phase_row: Option<&'a [f64]>,
-    /// ω when the frequency is frozen (ignored in Free mode, where ω is
-    /// the last unknown of `z`).
-    frozen_omega: f64,
-    /// The step controller's tolerance (`None` under a fixed step).
-    tol: Option<Tolerance>,
-    work: &'a RefCell<Work>,
-    jac_work: &'a RefCell<JacWork>,
-}
-
-/// Jacobian scratch of the step systems: per-sample C/G blocks and the
-/// θ·D·q frequency column.
-#[derive(Default)]
-struct JacWork {
-    cblocks: Vec<DMat>,
-    gblocks: Vec<DMat>,
-    omega_col: Vec<f64>,
-}
-
-impl<D: Dae + ?Sized> EnvelopeStepSystem<'_, D> {
-    fn omega_of(&self, z: &[f64]) -> f64 {
-        match self.phase_row {
-            Some(_) => z[self.colloc.len()],
-            None => self.frozen_omega,
-        }
-    }
-
-    /// Fills the Jacobian scratch (per-sample C/G blocks and the θ·D·q
-    /// frequency column) at the iterate.
-    fn fill_jac_work(&self, z: &[f64]) {
-        let n = self.colloc.n;
-        let JacWork {
-            cblocks,
-            gblocks,
-            omega_col,
-        } = &mut *self.jac_work.borrow_mut();
-        if cblocks.len() != self.colloc.n0 {
-            *cblocks = (0..self.colloc.n0).map(|_| DMat::zeros(n, n)).collect();
-            *gblocks = (0..self.colloc.n0).map(|_| DMat::zeros(n, n)).collect();
-        }
-        for s in 0..self.colloc.n0 {
-            let xs = &z[s * n..(s + 1) * n];
-            self.dae.jac_q(xs, &mut cblocks[s]);
-            self.dae.jac_f(xs, &mut gblocks[s]);
-        }
-        let work = &mut *self.work.borrow_mut();
-        self.colloc
-            .eval_q_all(self.dae, &z[..self.colloc.len()], &mut work.q);
-        self.colloc.apply_diff(&work.q, &mut work.dq);
-        omega_col.resize(self.colloc.len(), 0.0);
-        for (slot, v) in omega_col.iter_mut().zip(work.dq.iter()) {
-            *slot = self.theta * v;
-        }
-    }
-}
-
-impl<D: Dae + ?Sized> NewtonSystem for EnvelopeStepSystem<'_, D> {
-    fn dim(&self) -> usize {
-        self.colloc.len() + usize::from(self.phase_row.is_some())
-    }
-
-    fn residual(&self, z: &[f64], out: &mut [f64]) {
-        let (len, n) = (self.colloc.len(), self.colloc.n);
-        let omega = self.omega_of(z);
-        let work = &mut *self.work.borrow_mut();
-        self.colloc.eval_q_all(self.dae, &z[..len], &mut work.q);
-        self.colloc.apply_diff(&work.q, &mut work.dq);
-        self.colloc.eval_f_all(self.dae, &z[..len], &mut work.f);
-        self.dae.eval_b(self.t_new, &mut work.b);
-        for s in 0..self.colloc.n0 {
-            for i in 0..n {
-                let k = self.colloc.idx(s, i);
-                let g_inst = omega * work.dq[k] + work.f[k] - work.b[i];
-                out[k] = self.a0h * work.q[k]
-                    + self.qlin[k]
-                    + self.theta * g_inst
-                    + (1.0 - self.theta) * self.g_prev[k];
-            }
-        }
-        if let Some(row) = self.phase_row {
-            out[len] = row.iter().zip(z.iter()).map(|(a, b)| a * b).sum();
-        }
-    }
-
-    fn jacobian(&self, z: &[f64], out: &mut DMat) {
-        self.fill_jac_work(z);
-        let jw = self.jac_work.borrow();
-        colloc_parts(
-            self.colloc,
-            &jw.cblocks,
-            &jw.gblocks,
-            self.a0h,
-            self.theta,
-            self.omega_of(z),
-            self.phase_row.map(|row| (row, jw.omega_col.as_slice())),
-        )
-        .assemble_dense_into(out);
-    }
-
-    fn jacobian_triplets(&self, z: &[f64], out: &mut sparsekit::Triplets) -> bool {
-        self.fill_jac_work(z);
-        let jw = self.jac_work.borrow();
-        colloc_parts(
-            self.colloc,
-            &jw.cblocks,
-            &jw.gblocks,
-            self.a0h,
-            self.theta,
-            self.omega_of(z),
-            self.phase_row.map(|row| (row, jw.omega_col.as_slice())),
-        )
-        .push_triplets(out);
-        true
-    }
-
-    fn update_norm(&self, dx_scaled: &[f64], z: &[f64], abstol: f64, reltol: f64) -> f64 {
-        // An adaptive step is judged by its LTE in the controller's
-        // weights: solving it further than a fraction of that error buys
-        // nothing.
-        if let Some(tol) = self.tol {
-            return tol.newton_norm(dx_scaled, z);
-        }
-        let len = self.colloc.len();
-        block_update_norm(
-            dx_scaled,
-            &z[..len],
-            self.phase_row.is_some().then(|| z[len]),
-            abstol,
-            reltol,
-        )
     }
 }
 
@@ -709,5 +496,26 @@ mod tests {
             solve_envelope(&vdp, &flat, 1.0, &opts),
             Err(WampdeError::DegeneratePhase { .. })
         ));
+        // Grid and phase-condition inputs that `Colloc` would panic on.
+        let orbit = oscillator_steady_state(&vdp, &ShootingOptions::default()).unwrap();
+        let init = WampdeInit::from_orbit(&orbit, &opts);
+        let bad = [
+            (0, opts.phase_var, opts.phase_harmonic),
+            (opts.harmonics, 2, 1),
+            (opts.harmonics, 0, 0),
+            (opts.harmonics, 0, opts.harmonics + 1),
+        ];
+        for (harmonics, phase_var, phase_harmonic) in bad {
+            let bad_opts = WampdeOptions {
+                harmonics,
+                phase_var,
+                phase_harmonic,
+                ..opts
+            };
+            assert!(matches!(
+                solve_envelope(&vdp, &init, 1.0, &bad_opts),
+                Err(WampdeError::BadInput(_))
+            ));
+        }
     }
 }

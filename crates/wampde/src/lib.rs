@@ -22,14 +22,21 @@
 //!
 //! Discretisation (Section 4 of the paper, mixed frequency–time): harmonic
 //! balance with `N0 = 2M+1` collocation samples along `t1` (the shared
-//! [`hb::Colloc`] core), Backward-Euler or Trapezoidal time-stepping along
-//! `t2`. Two solution regimes:
+//! [`hb::Colloc`] core) and a `timekit` scheme along `t2` (BDF2 by
+//! default; Backward Euler and Trapezoidal from the same table). Two
+//! solution regimes:
 //!
 //! * [`envelope::solve_envelope`] — initial conditions in `t2`:
 //!   envelope-modulated FM transients (paper Figures 7–12);
 //! * [`quasiperiodic::solve_quasiperiodic`] — periodic boundary conditions
 //!   in `t2`: FM/AM-quasiperiodic steady states, mode locking and period
 //!   multiplication as special cases (Section 4.1).
+//!
+//! Modules: [`envelope`] and [`quasiperiodic`] are the two solvers;
+//! [`step`] is the one implicit collocation step along `t2`, with ω free
+//! or fixed, which the `mpde` crate's envelope also runs (ω fixed at its
+//! carrier); [`init`], [`options`], [`result`] and [`error`] are their
+//! inputs and outputs; [`deck`] runs `.wampde` directives.
 //!
 //! # Example
 //!
@@ -57,10 +64,10 @@ pub mod deck;
 pub mod envelope;
 pub mod error;
 pub mod init;
-pub mod linsolve;
 pub mod options;
 pub mod quasiperiodic;
 pub mod result;
+pub mod step;
 
 pub use deck::{run_wampde_spec, run_wampde_spec_warm};
 pub use envelope::solve_envelope;

@@ -16,8 +16,7 @@
 //! as-is.
 
 use crate::error::WampdeError;
-use crate::linsolve::LinearSolverKind;
-use crate::options::WampdeOptions;
+use crate::options::{LinearSolverKind, WampdeOptions};
 use crate::result::EnvelopeResult;
 use circuitdae::Dae;
 use hb::Colloc;
@@ -212,6 +211,8 @@ pub fn solve_quasiperiodic<D: Dae + ?Sized>(
     opts: &WampdeOptions,
 ) -> Result<QuasiPeriodicSolution, WampdeError> {
     let n = dae.dim();
+    let phase = (opts.phase_var, opts.phase_harmonic);
+    Colloc::check(n, opts.harmonics, Some(phase)).map_err(WampdeError::BadInput)?;
     let colloc = Colloc::new(n, opts.harmonics);
     let len = colloc.len();
     let n1 = init.slices.len();
@@ -527,7 +528,7 @@ impl<D: Dae + ?Sized> NewtonSystem for QpSystem<'_, D> {
     }
 
     /// Block-scaled update norm: samples weighted by the global sample
-    /// magnitude, each ω by its own (see `envelope::block_update_norm`).
+    /// magnitude, each ω by its own (see `step::block_update_norm`).
     fn update_norm(&self, dx_scaled: &[f64], z: &[f64], abstol: f64, reltol: f64) -> f64 {
         let (n1, bw, len) = (self.n1, self.bw(), self.colloc.len());
         let x_scale = (0..n1)
@@ -675,6 +676,29 @@ mod tests {
             omegas: vec![1.0; 4],
         };
         assert!(solve_quasiperiodic(&dae, &mismatched, 1.0, &opts).is_err());
+        // Grid and phase-condition inputs that `Colloc` would panic on.
+        let bad = [
+            (0, opts.phase_var, opts.phase_harmonic),
+            (opts.harmonics, dae.dim(), 1),
+            (opts.harmonics, 0, 0),
+            (opts.harmonics, 0, opts.harmonics + 1),
+        ];
+        for (harmonics, phase_var, phase_harmonic) in bad {
+            let bad_opts = crate::WampdeOptions {
+                harmonics,
+                phase_var,
+                phase_harmonic,
+                ..opts
+            };
+            let init = QpInit {
+                slices: vec![vec![0.0; dae.dim() * bad_opts.n0()]; 4],
+                omegas: vec![1.0; 4],
+            };
+            assert!(matches!(
+                solve_quasiperiodic(&dae, &init, 1.0, &bad_opts),
+                Err(WampdeError::BadInput(_))
+            ));
+        }
     }
 
     /// Synthetic flat solution for exercising the post-processing without

@@ -1,0 +1,370 @@
+//! One implicit collocation step along `t2`, shared by the WaMPDE and
+//! MPDE envelopes.
+//!
+//! Over the stacked samples `X` (plus ω when it is free) the step solves
+//!
+//! ```text
+//! r = a0h·q(X) + qlin + θ·g(X, ω) + (1−θ)·g_prev = 0,   g = ω·D·q(X) + f(X) − b,
+//! ```
+//!
+//! with `b` the forcing at the step's end, sample-major. The WaMPDE
+//! leaves ω free, pinned by the phase row (paper eq. (20)); fixing ω at
+//! the carrier `f1` gives the MPDE step, and fixing it anywhere gives
+//! [`crate::OmegaMode::Frozen`].
+
+use circuitdae::Dae;
+use hb::Colloc;
+use linsolve::JacobianParts;
+use newtonkit::{NewtonEngine, NewtonError, NewtonPolicy, NewtonSystem};
+use numkit::DMat;
+use std::cell::RefCell;
+use timekit::Step;
+
+/// How a step treats the local frequency.
+#[derive(Debug, Clone, Copy)]
+pub enum Omega<'a> {
+    /// ω is the last unknown, pinned by this phase-condition row.
+    Free(&'a [f64]),
+    /// ω is held at this value (Hz).
+    Fixed(f64),
+}
+
+/// Scratch reused by every step of a run: residual buffers and the
+/// Jacobian's per-sample blocks.
+pub struct StepWork {
+    q: Vec<f64>,
+    dq: Vec<f64>,
+    f: Vec<f64>,
+    cblocks: Vec<DMat>,
+    gblocks: Vec<DMat>,
+    /// The bordered Jacobian's `∂r/∂ω = θ·D·q` column.
+    omega_col: Vec<f64>,
+}
+
+impl StepWork {
+    /// Scratch sized for the grid `colloc`.
+    pub fn new(colloc: &Colloc) -> Self {
+        let (n, len) = (colloc.n, colloc.len());
+        let blocks = || (0..colloc.n0).map(|_| DMat::zeros(n, n)).collect();
+        StepWork {
+            q: vec![0.0; len],
+            dq: vec![0.0; len],
+            f: vec![0.0; len],
+            cblocks: blocks(),
+            gblocks: blocks(),
+            omega_col: vec![0.0; len],
+        }
+    }
+
+    /// `q(X)` of the newest [`eval_g`].
+    pub fn q(&self) -> &[f64] {
+        &self.q
+    }
+}
+
+/// Evaluates `g = ω·D·q(X) + f(X) − b` into `out` (all `n·N0`,
+/// sample-major), leaving `q(X)` in `work`.
+pub fn eval_g<D: Dae + ?Sized>(
+    dae: &D,
+    colloc: &Colloc,
+    x: &[f64],
+    omega: f64,
+    b: &[f64],
+    work: &mut StepWork,
+    out: &mut [f64],
+) {
+    colloc.eval_q_all(dae, x, &mut work.q);
+    colloc.apply_diff(&work.q, &mut work.dq);
+    colloc.eval_f_all(dae, x, &mut work.f);
+    for (k, slot) in out.iter_mut().enumerate() {
+        *slot = omega * work.dq[k] + work.f[k] - b[k];
+    }
+}
+
+/// Weighted update norm with *block* scaling: collocation samples are
+/// weighted by the block's maximum magnitude (a per-entry weight would
+/// demand machine-exact solves at zero crossings), the frequency unknown
+/// by its own magnitude.
+fn block_update_norm(dz: &[f64], x: &[f64], omega: Option<f64>, abstol: f64, reltol: f64) -> f64 {
+    let len = x.len();
+    let x_scale = x.iter().fold(0.0_f64, |m, v| m.max(v.abs())).max(1e-300);
+    let wx = abstol + reltol * x_scale;
+    let mut acc = 0.0;
+    for &d in &dz[..len] {
+        let e = d / wx;
+        acc += e * e;
+    }
+    let mut count = len;
+    if let Some(om) = omega {
+        let womega = abstol + reltol * om.abs().max(1e-300);
+        let e = dz[len] / womega;
+        acc += e * e;
+        count += 1;
+    }
+    (acc / count as f64).sqrt()
+}
+
+/// One step as a shared-engine [`NewtonSystem`] over `z = [X (, ω)]`.
+/// Under adaptive `t2` control (`step.tol` set) its update norm is
+/// DASSL's, in the step's own error weights; otherwise it is the
+/// block-scaled norm with the Newton policy's `abstol`/`reltol`.
+pub struct CollocStep<'a, D: Dae + ?Sized> {
+    /// The circuit.
+    pub dae: &'a D,
+    /// The collocation grid along `t1`.
+    pub colloc: &'a Colloc,
+    /// The attempt: scheme coefficients, charge history and tolerance.
+    pub step: Step<'a>,
+    /// Forcing at `step.t_new`, sample-major (`n·N0`).
+    pub b: &'a [f64],
+    /// `g` at the newest accepted point (the `(1−θ)` term).
+    pub g_prev: &'a [f64],
+    /// Free or fixed local frequency.
+    pub omega: Omega<'a>,
+    /// Scratch (see [`StepWork::new`]).
+    pub work: &'a RefCell<StepWork>,
+}
+
+impl<D: Dae + ?Sized> CollocStep<'_, D> {
+    /// Solves the step in place on `z` and adds the engine's iterations,
+    /// factorisations and symbolic reuses to `stats` (a failed solve's
+    /// too: its step is retried).
+    ///
+    /// # Errors
+    ///
+    /// The engine's [`NewtonError`].
+    pub fn solve(
+        &self,
+        engine: &mut NewtonEngine,
+        z: &mut [f64],
+        policy: &NewtonPolicy,
+        stats: &mut obskit::RunStats,
+    ) -> Result<(), NewtonError> {
+        let result = engine.solve(self, z, policy);
+        let nstats = engine.stats();
+        stats.newton_iters += nstats.iterations;
+        stats.factorisations += nstats.factorisations;
+        stats.symbolic_reuses += nstats.symbolic_reuses;
+        result.map(drop)
+    }
+
+    fn omega_of(&self, z: &[f64]) -> f64 {
+        match self.omega {
+            Omega::Free(_) => z[self.colloc.len()],
+            Omega::Fixed(w) => w,
+        }
+    }
+
+    /// Fills the Jacobian blocks (and, with ω free, its column) at the
+    /// iterate and hands their assembly description to `use_parts`.
+    fn with_parts(&self, z: &[f64], use_parts: impl FnOnce(JacobianParts<'_>)) {
+        let (n, len) = (self.colloc.n, self.colloc.len());
+        let work = &mut *self.work.borrow_mut();
+        for s in 0..self.colloc.n0 {
+            let xs = &z[s * n..(s + 1) * n];
+            self.dae.jac_q(xs, &mut work.cblocks[s]);
+            self.dae.jac_f(xs, &mut work.gblocks[s]);
+        }
+        let theta = self.step.coeffs.theta;
+        let border = match self.omega {
+            Omega::Free(row) => {
+                self.colloc.eval_q_all(self.dae, &z[..len], &mut work.q);
+                self.colloc.apply_diff(&work.q, &mut work.dq);
+                for (slot, v) in work.omega_col.iter_mut().zip(&work.dq) {
+                    *slot = theta * v;
+                }
+                Some((row, work.omega_col.as_slice()))
+            }
+            Omega::Fixed(_) => None,
+        };
+        use_parts(self.colloc.parts(
+            &work.cblocks,
+            &work.gblocks,
+            self.step.coeffs.a0h,
+            theta,
+            self.omega_of(z),
+            border,
+        ));
+    }
+}
+
+impl<D: Dae + ?Sized> NewtonSystem for CollocStep<'_, D> {
+    fn dim(&self) -> usize {
+        self.colloc.len() + usize::from(matches!(self.omega, Omega::Free(_)))
+    }
+
+    fn residual(&self, z: &[f64], out: &mut [f64]) {
+        let len = self.colloc.len();
+        let work = &mut *self.work.borrow_mut();
+        let (x, omega) = (&z[..len], self.omega_of(z));
+        eval_g(
+            self.dae,
+            self.colloc,
+            x,
+            omega,
+            self.b,
+            work,
+            &mut out[..len],
+        );
+        let (a0h, theta) = (self.step.coeffs.a0h, self.step.coeffs.theta);
+        for (k, r) in out[..len].iter_mut().enumerate() {
+            *r = a0h * work.q[k] + self.step.qlin[k] + theta * *r + (1.0 - theta) * self.g_prev[k];
+        }
+        if let Omega::Free(row) = self.omega {
+            out[len] = row.iter().zip(x).map(|(a, b)| a * b).sum();
+        }
+    }
+
+    fn jacobian(&self, z: &[f64], out: &mut DMat) {
+        self.with_parts(z, |parts| parts.assemble_dense_into(out));
+    }
+
+    fn jacobian_triplets(&self, z: &[f64], out: &mut sparsekit::Triplets) -> bool {
+        self.with_parts(z, |parts| parts.push_triplets(out));
+        true
+    }
+
+    fn update_norm(&self, dx_scaled: &[f64], z: &[f64], abstol: f64, reltol: f64) -> f64 {
+        // An adaptive step is judged by its LTE in the controller's
+        // weights: solving it further than a fraction of that error buys
+        // nothing.
+        if let Some(tol) = self.step.tol {
+            return tol.newton_norm(dx_scaled, z);
+        }
+        let len = self.colloc.len();
+        let omega = matches!(self.omega, Omega::Free(_)).then(|| z[len]);
+        block_update_norm(dx_scaled, &z[..len], omega, abstol, reltol)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use circuitdae::analytic::VanDerPol;
+    use circuitdae::circuits;
+    use shooting::{oscillator_steady_state, ShootingOptions};
+    use timekit::StepCoeffs;
+
+    /// Checks `jacobian` and `jacobian_triplets` of every step variant
+    /// (free and fixed ω, `a0h` zero and positive, θ ∈ {½, 1}) against
+    /// central differences of `residual`, at a point of the unforced
+    /// orbit of `dae` under a forcing that differs from sample to sample.
+    fn check_against_differences<D: Dae>(dae: &D) {
+        let orbit = oscillator_steady_state(dae, &ShootingOptions::default()).unwrap();
+        let colloc = Colloc::new(dae.dim(), 3);
+        let (n, len) = (colloc.n, colloc.len());
+        let x: Vec<f64> = orbit.resample_uniform(colloc.n0).concat();
+        let f0 = orbit.frequency();
+        let work = RefCell::new(StepWork::new(&colloc));
+        // Forcing, history and g_prev on the scale of g itself.
+        let mut g = vec![0.0; len];
+        eval_g(
+            dae,
+            &colloc,
+            &x,
+            f0,
+            &vec![0.0; len],
+            &mut work.borrow_mut(),
+            &mut g,
+        );
+        let g_scale = g.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+        let wave = |phase: f64| -> Vec<f64> {
+            (0..len)
+                .map(|k| 0.3 * g_scale * (0.7 * k as f64 + phase).sin())
+                .collect()
+        };
+        let (b, qlin, g_prev) = (wave(0.1), wave(1.3), wave(2.9));
+        let phase_row = colloc.phase_row(0, 1);
+        // Perturbation scale of each unknown: its magnitude, floored at a
+        // hundredth of its variable's amplitude.
+        let var_max: Vec<f64> = (0..n)
+            .map(|i| {
+                colloc
+                    .extract_var(&x, i)
+                    .iter()
+                    .fold(0.0_f64, |m, v| m.max(v.abs()))
+            })
+            .collect();
+        let mut cases = 0;
+        for free in [true, false] {
+            for a0h in [0.0, 1.5 * f0 / 20.0] {
+                for theta in [0.5, 1.0] {
+                    let omega = if free {
+                        Omega::Free(&phase_row)
+                    } else {
+                        Omega::Fixed(1.1 * f0)
+                    };
+                    let sys = CollocStep {
+                        dae,
+                        colloc: &colloc,
+                        step: Step {
+                            t_new: 0.0,
+                            h: 0.0,
+                            coeffs: StepCoeffs { a0h, theta },
+                            qlin: &qlin,
+                            tol: None,
+                        },
+                        b: &b,
+                        g_prev: &g_prev,
+                        omega,
+                        work: &work,
+                    };
+                    let dim = sys.dim();
+                    let mut z = x.clone();
+                    if free {
+                        z.push(f0);
+                    }
+                    let scale: Vec<f64> = (0..dim)
+                        .map(|j| match j.checked_sub(len) {
+                            Some(_) => f0,
+                            None => z[j].abs().max(0.01 * var_max[j % n]),
+                        })
+                        .collect();
+                    let mut dense = DMat::zeros(dim, dim);
+                    sys.jacobian(&z, &mut dense);
+                    let mut trip = sparsekit::Triplets::new(dim, dim);
+                    assert!(sys.jacobian_triplets(&z, &mut trip));
+                    let sparse = trip.to_dense();
+                    // Row magnitude: the size of the terms the row sums.
+                    let row_mag: Vec<f64> = (0..dim)
+                        .map(|i| (0..dim).map(|j| (dense[(i, j)] * scale[j]).abs()).sum())
+                        .collect();
+                    let (mut plus, mut minus) = (vec![0.0; dim], vec![0.0; dim]);
+                    for j in 0..dim {
+                        let h = 1e-6 * scale[j];
+                        let mut zp = z.clone();
+                        zp[j] += h;
+                        sys.residual(&zp, &mut plus);
+                        let mut zm = z.clone();
+                        zm[j] -= h;
+                        sys.residual(&zm, &mut minus);
+                        for i in 0..dim {
+                            let fd = (plus[i] - minus[i]) / (zp[j] - zm[j]);
+                            for (kind, jac) in [("dense", &dense), ("triplets", &sparse)] {
+                                let err = (jac[(i, j)] - fd).abs() * scale[j];
+                                assert!(
+                                    err <= 1e-8 * row_mag[i],
+                                    "{kind} free={free} a0h={a0h} θ={theta} ({i},{j}): \
+                                     {} vs {fd}",
+                                    jac[(i, j)]
+                                );
+                            }
+                        }
+                    }
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 8);
+    }
+
+    #[test]
+    fn jacobian_matches_central_differences_on_van_der_pol() {
+        check_against_differences(&VanDerPol::unforced(0.7));
+    }
+
+    #[test]
+    fn jacobian_matches_central_differences_on_lc_vco() {
+        check_against_differences(&circuits::lc_vco());
+    }
+}

@@ -7,8 +7,8 @@
 #[path = "../crates/numkit/src/lu/oracle.rs"]
 mod oracle;
 
+use linsolve::{FactorCache, JacobianParts, LinearSolverKind, NewtonMatrix};
 use numkit::DMat;
-use wampde::linsolve::{FactorCache, JacobianParts, LinearSolverKind, NewtonMatrix};
 use wampde_bench::StepJacobian;
 
 fn bits(v: &[f64]) -> Vec<u64> {

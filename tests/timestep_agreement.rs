@@ -71,6 +71,20 @@ fn all_solvers_reject_bad_fixed_steps_identically() {
             err.to_string().contains(FIXED_STEP_DIAGNOSTIC),
             "mpde({bad}): {err}"
         );
+
+        // mpde's `dt2` (only 0.0 means the automatic step)
+        if bad != 0.0 {
+            let mopts = mpde::MpdeOptions {
+                harmonics: 3,
+                dt2: bad,
+                ..Default::default()
+            };
+            let err = mpde::solve_envelope_mpde(&dae, &forcing, 1.0e6, 1.0e-3, &mopts).unwrap_err();
+            assert!(
+                err.to_string().contains(FIXED_STEP_DIAGNOSTIC),
+                "mpde dt2({bad}): {err}"
+            );
+        }
     }
 }
 
