@@ -1543,11 +1543,13 @@ fn figures_10_to_12() {
 /// 1000 pts/cycle reference in `--table speedup`, in cycles.
 const SPEEDUP_PHASE_ERR_BOUND: f64 = 0.1;
 
-/// Most Newton iterations the `--table speedup` envelope may take (967
-/// with DASSL's Newton test in the step's error weights; 1,603 when every
-/// t2 step was solved to Newton `reltol` 1e-9).
+/// Most Newton iterations the `--table speedup` envelope may take (1,072
+/// with DASSL's kept-matrix rules; 967 with at most four iterations per
+/// kept matrix; 1,603 when every t2 step was solved to Newton `reltol`
+/// 1e-9).
 const SPEEDUP_NEWTON_ITERS_CEILING: usize = 1100;
 
 /// Most step-matrix factorisations the `--table speedup` envelope may
-/// take (237 with DASSL's Newton test; 409 before it).
-const SPEEDUP_FACTORISATIONS_CEILING: usize = 300;
+/// take (93 with DASSL's kept-matrix rules; 237 with at most four
+/// iterations per kept matrix; 409 before DASSL's Newton test).
+const SPEEDUP_FACTORISATIONS_CEILING: usize = 120;

@@ -51,12 +51,20 @@
 //! and across [`NewtonEngine::solve`] calls, and assembles and factors a
 //! new iteration matrix only when
 //!
-//! * it holds no factor yet, or the caller called
-//!   [`NewtonEngine::invalidate_jacobian`];
+//! * it holds no factor yet;
 //! * the system dimension or the linear-solver backend changed;
 //! * the contraction rate `ρ = ‖Δₖ‖/‖Δₖ₋₁‖` measured on the kept matrix
 //!   exceeded 1/2, or the line search damped (`λ < 1`);
-//! * four iterations have already been solved against it.
+//! * the system reports the coefficients `(a0h, θ)` of an iteration
+//!   matrix `a0h·C + θ·(…)` ([`NewtonSystem::matrix_coeffs`]), and θ
+//!   changed or `r = a0h/a0h_kept` left `[0.6, 1.67]` since the kept
+//!   matrix was factored.
+//!
+//! Inside that band, a correction solved against the kept matrix is
+//! multiplied by `2/(1 + r)`, DASSL's first-order fix for the stale
+//! leading coefficient. Systems that report no coefficients, and
+//! matrices handed over by [`NewtonEngine::keep_factor`], skip both the
+//! band and the scaling.
 //!
 //! Iterations on a kept matrix converge only linearly, so one of them
 //! converges only when `update ≤ 1` **and** `ρ/(1−ρ)·update ≤ 1` (the
@@ -179,6 +187,16 @@ pub trait NewtonSystem {
     /// keeps the period unknown within a factor of 2 here.
     fn step_allowed(&self, _x: &[f64], _dx: &[f64], _lambda: f64) -> bool {
         true
+    }
+
+    /// Coefficients `(a0h, θ)` of a time-step system whose Jacobian is
+    /// `a0h·C + θ·(…)`, read once per solve. Under
+    /// [`NewtonPolicy::reuse_jacobian`] they let the engine judge a kept
+    /// matrix factored at other coefficients (see "Jacobian reuse" in the
+    /// crate docs); `None` (the default) keeps any matrix whatever its
+    /// coefficients.
+    fn matrix_coeffs(&self) -> Option<(f64, f64)> {
+        None
     }
 }
 
@@ -333,24 +351,37 @@ impl std::error::Error for NewtonError {}
 /// before the next iteration refactors.
 const MAX_KEPT_RATE: f64 = 0.5;
 
-/// Iterations solved against one factorisation, across solves, before
-/// the next iteration refactors whatever the measured rate.
-const MAX_KEPT_USES: usize = 4;
+/// Band of `a0h/a0h_kept` within which a kept matrix stays in use
+/// (DASSL's on its leading coefficient).
+const KEPT_RATIO_BAND: (f64, f64) = (0.6, 1.67);
 
 /// The factorisation an engine keeps for modified Newton.
 #[derive(Debug, Clone, Copy)]
 struct KeptMatrix {
     dim: usize,
     kind: LinearSolverKind,
-    /// Iterations solved against it after the one that factored it.
-    uses: usize,
+    /// `(a0h, θ)` it was factored at, when the system reports them.
+    coeffs: Option<(f64, f64)>,
     /// The last iteration on it damped or contracted too slowly.
     stale: bool,
 }
 
 impl KeptMatrix {
-    fn needs_refresh(&self) -> bool {
-        self.stale || self.uses >= MAX_KEPT_USES
+    /// The factor on a correction solved against this matrix for a system
+    /// now at `coeffs`: `2/(1 + r)` with `r = a0h/a0h_kept`, or 1 when
+    /// either side has no coefficients or they are unchanged. `None` when
+    /// θ changed or `r` left [`KEPT_RATIO_BAND`] (an infinite or NaN `r`
+    /// included), so the matrix must be refactored.
+    fn correction_scale(&self, coeffs: Option<(f64, f64)>) -> Option<f64> {
+        let (Some(kept), Some(now)) = (self.coeffs, coeffs) else {
+            return Some(1.0);
+        };
+        if now == kept {
+            return Some(1.0);
+        }
+        let r = now.0 / kept.0;
+        let (lo, hi) = KEPT_RATIO_BAND;
+        (now.1 == kept.1 && (lo..=hi).contains(&r)).then(|| 2.0 / (1.0 + r))
     }
 }
 
@@ -390,15 +421,6 @@ impl NewtonEngine {
     /// populated on the error paths too, unlike the success return value.
     pub fn stats(&self) -> NewtonStats {
         self.stats
-    }
-
-    /// Drops the kept iteration matrix, so the next iteration under
-    /// [`NewtonPolicy::reuse_jacobian`] assembles and factors a new one.
-    /// Call it when the system changes in a way the contraction rate
-    /// would only catch after wasted iterations (a new step size or
-    /// integration scheme).
-    pub fn invalidate_jacobian(&mut self) {
-        self.kept = None;
     }
 
     /// Cumulative factorisation counters across the engine's lifetime,
@@ -446,7 +468,7 @@ impl NewtonEngine {
         self.kept = Some(KeptMatrix {
             dim: matrix.dim(),
             kind,
-            uses: 0,
+            coeffs: None,
             stale: false,
         });
         Ok(())
@@ -528,6 +550,10 @@ impl NewtonEngine {
         stats.residual_evals += 1;
         let mut rnorm = norm2(&self.r);
         let scale = sys.residual_scale();
+        let coeffs = sys.matrix_coeffs();
+        // Refactorisations of a kept matrix by cause: its coefficients
+        // left the band, or its last iteration damped or contracted slowly.
+        let (mut band_refreshes, mut stale_refreshes) = (0_u64, 0_u64);
 
         // Under `reuse_jacobian` the first attempt may solve against kept
         // factorisations; if it fails after doing so, the solve restarts
@@ -556,7 +582,22 @@ impl NewtonEngine {
                     let ispan = obskit::span("newton-iter");
                     ispan.attr("iter", iter);
 
-                    let refresh = full_newton || self.kept.is_none_or(|k| k.needs_refresh());
+                    // The factor on this iteration's correction, or `None`
+                    // to assemble and factor a new iteration matrix.
+                    let kept_scale = match self.kept {
+                        Some(k) if !full_newton => {
+                            if k.stale {
+                                stale_refreshes += 1;
+                                None
+                            } else {
+                                let scaled = k.correction_scale(coeffs);
+                                band_refreshes += u64::from(scaled.is_none());
+                                scaled
+                            }
+                        }
+                        _ => None,
+                    };
+                    let refresh = kept_scale.is_none();
                     let factor_mode = if refresh {
                         let factor_pre = cache.stats();
                         // Factor the Jacobian: sparse backends prefer a
@@ -583,7 +624,7 @@ impl NewtonEngine {
                         self.kept = policy.reuse_jacobian.then_some(KeptMatrix {
                             dim: n,
                             kind: policy.linear_solver,
-                            uses: 0,
+                            coeffs,
                             stale: false,
                         });
                         prev_update = None;
@@ -597,13 +638,15 @@ impl NewtonEngine {
                         "kept"
                     };
 
-                    // dx = -J⁻¹ r.
+                    // dx = -J⁻¹ r, times the kept matrix's correction scale
+                    // (multiplying by −1 is exact negation).
                     self.dx.copy_from_slice(&self.r);
                     if let Err(e) = cache.solve_in_place(&mut self.dx) {
                         break 'solve Err(NewtonError::Singular { cause: e.cause });
                     }
+                    let neg_scale = -kept_scale.unwrap_or(1.0);
                     for v in self.dx.iter_mut() {
-                        *v = -*v;
+                        *v *= neg_scale;
                     }
 
                     // Damp and apply the step, leaving `r`/`rnorm` evaluated
@@ -715,9 +758,6 @@ impl NewtonEngine {
                         // with ρ measured in this solve.
                         let close = !policy.reuse_jacobian || {
                             let kept = self.kept.as_mut().expect("an iteration matrix is kept");
-                            if !refresh {
-                                kept.uses += 1;
-                            }
                             let rate = prev_update.map(|prev| update / prev);
                             kept.stale = lambda < 1.0
                                 || rate.is_some_and(|r| r.is_nan() || r > MAX_KEPT_RATE);
@@ -759,6 +799,12 @@ impl NewtonEngine {
             obskit::counter_add("newton.iters", stats.iterations as u64);
             if stats.jacobian_reuses > 0 {
                 obskit::counter_add("newton.jacobian_reuses", stats.jacobian_reuses as u64);
+            }
+            if band_refreshes > 0 {
+                obskit::counter_add("newton.band_refreshes", band_refreshes);
+            }
+            if stale_refreshes > 0 {
+                obskit::counter_add("newton.stale_refreshes", stale_refreshes);
             }
             if outcome.is_err() {
                 obskit::counter_add("newton.failures", 1);
@@ -1205,30 +1251,207 @@ mod tests {
         assert_eq!(full.iterations, 2);
     }
 
-    #[test]
-    fn invalidate_forces_a_fresh_factorisation() {
-        let reuse = NewtonPolicy {
+    /// The linear step system `r(x) = (a0h·C + θ·G)·x − b` on two
+    /// unknowns, reporting `(a0h, θ)` when `report` is set and logging
+    /// every iterate its residual is evaluated at.
+    struct LinStep {
+        a0h: f64,
+        theta: f64,
+        report: bool,
+        seen: std::cell::RefCell<Vec<[f64; 2]>>,
+    }
+
+    const STEP_C: [[f64; 2]; 2] = [[1.0, 0.2], [0.1, 2.0]];
+    const STEP_G: [[f64; 2]; 2] = [[0.3, -0.1], [0.05, 0.4]];
+    const STEP_B: [f64; 2] = [1.0, -2.0];
+
+    fn lin_step(a0h: f64, theta: f64, report: bool) -> LinStep {
+        LinStep {
+            a0h,
+            theta,
+            report,
+            seen: Default::default(),
+        }
+    }
+
+    impl NewtonSystem for LinStep {
+        fn dim(&self) -> usize {
+            2
+        }
+        fn residual(&self, x: &[f64], out: &mut [f64]) {
+            self.seen.borrow_mut().push([x[0], x[1]]);
+            let mut j = DMat::zeros(2, 2);
+            self.jacobian(x, &mut j);
+            for (i, o) in out.iter_mut().enumerate() {
+                *o = j[(i, 0)] * x[0] + j[(i, 1)] * x[1] - STEP_B[i];
+            }
+        }
+        fn jacobian(&self, _x: &[f64], out: &mut DMat) {
+            for (i, (c, g)) in STEP_C.iter().zip(&STEP_G).enumerate() {
+                for k in 0..2 {
+                    out[(i, k)] = self.a0h * c[k] + self.theta * g[k];
+                }
+            }
+        }
+        fn matrix_coeffs(&self) -> Option<(f64, f64)> {
+            self.report.then_some((self.a0h, self.theta))
+        }
+    }
+
+    fn reuse() -> NewtonPolicy {
+        NewtonPolicy {
             reuse_jacobian: true,
+            damping: Damping::Full,
             ..Default::default()
-        };
+        }
+    }
+
+    /// What a traced solve of `sys` from `x = 0` on `engine` did: the
+    /// first iteration's `factor` mode, the first corrected iterate, the
+    /// stats and the band/stale refresh counters.
+    fn traced_from_zero(
+        engine: &mut NewtonEngine,
+        sys: &LinStep,
+    ) -> (obskit::AttrValue, [f64; 2], NewtonStats, [u64; 2]) {
+        use std::sync::Arc;
+        let rec = Arc::new(obskit::CollectingRecorder::new());
+        let _g = obskit::install(rec.clone() as Arc<dyn obskit::Recorder>);
+        let mut x = [0.0; 2];
+        let stats = engine.solve(sys, &mut x, &reuse()).unwrap();
+        let mut r = [0.0; 2];
+        sys.residual(&x, &mut r);
+        assert!(norm2(&r) <= 1e-9 * norm2(&STEP_B), "{x:?}: {r:?}");
+        assert_eq!(
+            stats.factorisations + stats.jacobian_reuses,
+            stats.iterations,
+            "{stats:?}"
+        );
+        let first = rec
+            .points()
+            .into_iter()
+            .find(|p| p.name == "newton.iter")
+            .and_then(|p| p.attrs.into_iter().find(|(k, _)| *k == "factor"))
+            .expect("a traced iteration")
+            .1;
+        let counters = ["newton.band_refreshes", "newton.stale_refreshes"].map(|c| rec.counter(c));
+        (first, sys.seen.borrow()[1], stats, counters)
+    }
+
+    /// An engine whose kept matrix was factored for `sys` by a solve.
+    fn engine_kept_for(sys: &LinStep) -> NewtonEngine {
         let mut engine = NewtonEngine::new();
-        engine.solve(&Quadratic, &mut [3.0], &reuse).unwrap();
-        // The traced `factor` mode of the first iteration from x = 2.1.
-        let first_mode = |engine: &mut NewtonEngine| {
-            use std::sync::Arc;
-            let rec = Arc::new(obskit::CollectingRecorder::new());
-            let _g = obskit::install(rec.clone() as Arc<dyn obskit::Recorder>);
-            let mut x = [2.1];
-            engine.solve(&Quadratic, &mut x, &reuse).unwrap();
-            assert!((x[0] - 2.0).abs() < 1e-9);
-            let first = rec.points().into_iter().find(|p| p.name == "newton.iter");
-            first.and_then(|p| p.attrs.into_iter().find(|(k, _)| *k == "factor"))
-        };
-        let kept = ("factor", obskit::AttrValue::Str("kept"));
-        let fresh = ("factor", obskit::AttrValue::Str("fresh"));
-        assert_eq!(first_mode(&mut engine), Some(kept));
-        engine.invalidate_jacobian();
-        assert_eq!(first_mode(&mut engine), Some(fresh));
+        engine.solve(sys, &mut [0.0; 2], &reuse()).unwrap();
+        engine
+    }
+
+    /// `J⁻¹·b` for the matrix of `sys`, on the default dense backend.
+    fn kept_solve(sys: &LinStep) -> [f64; 2] {
+        let mut j = DMat::zeros(2, 2);
+        sys.jacobian(&[0.0; 2], &mut j);
+        let mut engine = NewtonEngine::new();
+        engine
+            .keep_factor(&NewtonMatrix::Dense(&j), LinearSolverKind::Dense)
+            .unwrap();
+        let mut s = STEP_B;
+        engine.solve_block_in_place(&mut s, 1).unwrap();
+        s
+    }
+
+    fn kept() -> obskit::AttrValue {
+        obskit::AttrValue::Str("kept")
+    }
+
+    #[test]
+    fn kept_matrix_outlives_four_iterations_while_contracting() {
+        /// r(x) = a·(x − 2): the Jacobian is the constant `a`.
+        struct Lin(f64);
+        impl NewtonSystem for Lin {
+            fn dim(&self) -> usize {
+                1
+            }
+            fn residual(&self, x: &[f64], out: &mut [f64]) {
+                out[0] = self.0 * (x[0] - 2.0);
+            }
+            fn jacobian(&self, _x: &[f64], out: &mut DMat) {
+                out[(0, 0)] = self.0;
+            }
+        }
+        let mut engine = NewtonEngine::new();
+        engine.solve(&Lin(1.0), &mut [0.0], &reuse()).unwrap();
+        // On the kept J = 1 each iteration for J = 0.6 contracts the
+        // error by ρ = 0.4 ≤ ½: the matrix is never refactored.
+        let mut x = [0.0];
+        let rep = engine.solve(&Lin(0.6), &mut x, &reuse()).unwrap();
+        assert!((x[0] - 2.0).abs() < 1e-8, "{x:?}");
+        assert_eq!(rep.factorisations, 0, "{rep:?}");
+        assert!(rep.jacobian_reuses > 4, "{rep:?}");
+        assert_eq!(rep.jacobian_reuses, rep.iterations, "{rep:?}");
+    }
+
+    #[test]
+    fn kept_correction_is_scaled_by_two_over_one_plus_ratio() {
+        let old = lin_step(1.0, 1.0, true);
+        let mut engine = engine_kept_for(&old);
+        let new = lin_step(1.2, 1.0, true);
+        let (mode, x1, stats, counters) = traced_from_zero(&mut engine, &new);
+        assert_eq!(mode, kept());
+        assert_eq!((stats.factorisations, counters), (0, [0, 0]), "{stats:?}");
+        let s = kept_solve(&old);
+        let c = 2.0 / (1.0 + 1.2 / 1.0);
+        assert_eq!(x1.map(f64::to_bits), s.map(|v| (v * c).to_bits()));
+    }
+
+    #[test]
+    fn coefficients_outside_the_band_refactor_before_the_first_iteration() {
+        // (a0h, θ) kept → (a0h, θ) now: ratio below 0.6, above 1.67, a θ
+        // change, and a matrix kept at a0h = 0 (ratio ∞).
+        let cases = [
+            ((1.0, 1.0), (0.59, 1.0)),
+            ((1.0, 1.0), (1.68, 1.0)),
+            ((1.0, 1.0), (1.0, 0.5)),
+            ((0.0, 1.0), (1.0, 1.0)),
+        ];
+        for ((a_old, th_old), (a_new, th_new)) in cases {
+            let mut engine = engine_kept_for(&lin_step(a_old, th_old, true));
+            let (mode, x1, stats, counters) =
+                traced_from_zero(&mut engine, &lin_step(a_new, th_new, true));
+            let case = format!("{a_old},{th_old} -> {a_new},{th_new}: {stats:?}");
+            assert_eq!(mode, obskit::AttrValue::Str("fresh"), "{case}");
+            assert_eq!(counters, [1, 0], "{case}");
+            assert!(x1.iter().all(|v| v.is_finite()), "{case}");
+        }
+        // The band's edges keep the matrix, and so do unchanged
+        // coefficients, a0h = 0 included (no 0/0 ratio).
+        for (a_old, a_new) in [(1.0, 0.6), (1.0, 1.67), (0.0, 0.0)] {
+            let mut engine = engine_kept_for(&lin_step(a_old, 1.0, true));
+            let (mode, _, stats, counters) =
+                traced_from_zero(&mut engine, &lin_step(a_new, 1.0, true));
+            assert_eq!((mode, counters), (kept(), [0, 0]), "{a_old} -> {a_new}");
+            assert_eq!(stats.factorisations, 0, "{a_old} -> {a_new}: {stats:?}");
+        }
+    }
+
+    #[test]
+    fn matrices_without_coefficients_are_kept_unscaled() {
+        // A system that reports no coefficients keeps its matrix across a
+        // ratio of 3 and solves against it unscaled…
+        let old = lin_step(1.0, 1.0, false);
+        let mut engine = engine_kept_for(&old);
+        let (mode, x1, _, counters) = traced_from_zero(&mut engine, &lin_step(3.0, 1.0, false));
+        assert_eq!((mode, counters[0]), (kept(), 0));
+        assert_eq!(x1.map(f64::to_bits), kept_solve(&old).map(f64::to_bits));
+
+        // …and so does a reporting system on a matrix handed over by
+        // `keep_factor`, which records no coefficients.
+        let mut j = DMat::zeros(2, 2);
+        old.jacobian(&[0.0; 2], &mut j);
+        let mut engine = NewtonEngine::new();
+        engine
+            .keep_factor(&NewtonMatrix::Dense(&j), LinearSolverKind::Dense)
+            .unwrap();
+        let (mode, x1, _, counters) = traced_from_zero(&mut engine, &lin_step(1.2, 1.0, true));
+        assert_eq!((mode, counters[0]), (kept(), 0));
+        assert_eq!(x1.map(f64::to_bits), kept_solve(&old).map(f64::to_bits));
     }
 
     #[test]

@@ -56,7 +56,11 @@ use std::path::{Path, PathBuf};
 // fmt9: adaptive WaMPDE steps converge in DASSL's Newton test in the step
 // controller's error weights, so adaptive `.wampde` results move within
 // the step tolerance.
-pub const CACHE_SALT: &str = concat!("sweepkit-", env!("CARGO_PKG_VERSION"), "-fmt9");
+// fmt10: a kept Newton matrix serves any number of iterations while it
+// contracts, and the WaMPDE step scales stale corrections by
+// 2/(1 + a0h/a0h_kept), so `.wampde` results move within the step
+// tolerance and some `.shooting` results move within the Newton tolerance.
+pub const CACHE_SALT: &str = concat!("sweepkit-", env!("CARGO_PKG_VERSION"), "-fmt10");
 
 /// FNV-1a, 128-bit: tiny, dependency-free, and plenty for cache keys
 /// (collision odds are negligible below ~2^60 distinct jobs).

@@ -90,8 +90,8 @@ impl Default for WampdeOptions {
             integrator: T2Integrator::Bdf2,
             step: T2StepControl::adaptive(1e-4, 1e-9),
             // Modified Newton: the step Jacobian barely moves between
-            // neighbouring t2 steps (the envelope invalidates it when the
-            // step size or scheme changes).
+            // neighbouring t2 steps (the engine refactors it when a0h
+            // leaves DASSL's band or the scheme's θ changes).
             newton: NewtonOptions {
                 reuse_jacobian: true,
                 ..NewtonOptions::default()

@@ -219,6 +219,12 @@ impl<D: Dae + ?Sized> NewtonSystem for CollocStep<'_, D> {
         self.with_parts(z, |parts| parts.assemble_dense_into(out));
     }
 
+    /// The step matrix is `a0h·C + θ·(ω·D·C + G)`: a kept factor is
+    /// judged by DASSL's rules on these coefficients.
+    fn matrix_coeffs(&self) -> Option<(f64, f64)> {
+        Some((self.step.coeffs.a0h, self.step.coeffs.theta))
+    }
+
     fn jacobian_triplets(&self, z: &[f64], out: &mut sparsekit::Triplets) -> bool {
         self.with_parts(z, |parts| parts.push_triplets(out));
         true

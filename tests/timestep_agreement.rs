@@ -248,7 +248,10 @@ fn envelope_outputs_are_pinned_bit_for_bit() {
     // adaptive, cold and warm). Digest [0], the adaptive free-ω run, was
     // re-recorded when adaptive WaMPDE steps took DASSL's Newton test in
     // the step's error weights; the fixed-step and MPDE digests kept
-    // their bits.
+    // their bits. Digests [0]–[2] were re-recorded when the kept step
+    // matrix took DASSL's rules (no cap on its uses, stale corrections
+    // scaled by 2/(1 + a0h/a0h_kept)); the MPDE envelope runs full Newton
+    // and kept its bits.
     use wampde::{LinearSolverKind, OmegaMode, T2Integrator};
     let vdp = circuitdae::analytic::VanDerPol::forced(0.5, 0.1, 0.01);
     let orbit = oscillator_steady_state(
@@ -318,9 +321,9 @@ fn envelope_outputs_are_pinned_bit_for_bit() {
             .map(|r| mpde_digest(r.as_ref().unwrap())),
     );
     let pinned: [u64; 5] = [
-        0x8c37_b49a_0397_7e23,
-        0xd864_5142_908f_e252,
-        0x7f0c_66c9_2a40_80f2,
+        0xede1_93c8_d7b3_38de,
+        0x3d39_97f1_f74a_bab9,
+        0xbef3_97e3_3fa6_1a66,
         0x796a_a505_830b_3004,
         0x2232_3a21_03d1_de49,
     ];
