@@ -60,7 +60,7 @@ use std::cell::RefCell;
 use std::fmt;
 use timekit::{HistoryPoint, Scheme, Step, StepCoeffs, StepPolicy, StepSystem};
 use transim::NewtonOptions;
-use wampde::step::{eval_g, CollocStep, Omega, StepWork};
+use wampde::step::{accepted_g, CollocStep, Omega, StepWork};
 
 /// Errors from the MPDE envelope solver.
 #[derive(Debug, Clone, PartialEq)]
@@ -423,6 +423,7 @@ impl<D: Dae + ?Sized, F: BivariateForcing + ?Sized> timekit::StepSystem for Enve
         stats: &mut MpdeStats,
     ) -> Result<(), MpdeError> {
         let (n, n0) = (self.colloc.n, self.colloc.n0);
+        self.work.get_mut().drop_point();
         for (s, row) in self.b.chunks_exact_mut(n).enumerate() {
             self.forcing.eval(s as f64 / n0 as f64, step.t_new, row);
         }
@@ -450,17 +451,16 @@ impl<D: Dae + ?Sized, F: BivariateForcing + ?Sized> timekit::StepSystem for Enve
     }
 
     fn accept(&mut self, step: &Step<'_>, x: &[f64], q: &mut [f64]) -> Result<(), MpdeError> {
-        let work = &mut *self.work.borrow_mut();
-        eval_g(
+        accepted_g(
             self.dae,
             &self.colloc,
             x,
             self.f1,
             &self.b,
-            work,
+            self.work.get_mut(),
             &mut self.g_prev,
+            q,
         );
-        q.copy_from_slice(work.q());
         self.t2s.push(step.t_new);
         self.states.push(x.to_vec());
         Ok(())
