@@ -1544,12 +1544,14 @@ fn figures_10_to_12() {
 const SPEEDUP_PHASE_ERR_BOUND: f64 = 0.1;
 
 /// Most Newton iterations the `--table speedup` envelope may take (1,072
-/// with DASSL's kept-matrix rules; 967 with at most four iterations per
-/// kept matrix; 1,603 when every t2 step was solved to Newton `reltol`
-/// 1e-9).
+/// with DASSL's kept-matrix rules, before and after the dense back
+/// substitution took descending column order; 967 with at most four
+/// iterations per kept matrix; 1,603 when every t2 step was solved to
+/// Newton `reltol` 1e-9).
 const SPEEDUP_NEWTON_ITERS_CEILING: usize = 1100;
 
 /// Most step-matrix factorisations the `--table speedup` envelope may
-/// take (93 with DASSL's kept-matrix rules; 237 with at most four
-/// iterations per kept matrix; 409 before DASSL's Newton test).
+/// take (92 with the dense back substitution in descending column order;
+/// 93 with DASSL's kept-matrix rules in ascending order; 237 with at most
+/// four iterations per kept matrix; 409 before DASSL's Newton test).
 const SPEEDUP_FACTORISATIONS_CEILING: usize = 120;

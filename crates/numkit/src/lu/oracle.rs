@@ -65,6 +65,9 @@ pub fn factor(a: &[f64], n: usize) -> Result<Oracle, usize> {
 
 impl Oracle {
     /// Solves `A·x = b` by permutation, forward and back substitution.
+    /// The forward solve subtracts each row's terms in ascending column
+    /// order, the back solve in descending column order (LAPACK's
+    /// column-oriented `dtrsv`).
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
         let n = self.n;
         let mut y: Vec<f64> = self.perm.iter().map(|&p| b[p]).collect();
@@ -77,7 +80,7 @@ impl Oracle {
         }
         for i in (0..n).rev() {
             let mut acc = y[i];
-            for j in (i + 1)..n {
+            for j in ((i + 1)..n).rev() {
                 acc -= self.lu[i * n + j] * y[j];
             }
             y[i] = acc / self.lu[i * n + i];

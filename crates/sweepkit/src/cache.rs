@@ -60,7 +60,10 @@ use std::path::{Path, PathBuf};
 // contracts, and the WaMPDE step scales stale corrections by
 // 2/(1 + a0h/a0h_kept), so `.wampde` results move within the step
 // tolerance and some `.shooting` results move within the Newton tolerance.
-pub const CACHE_SALT: &str = concat!("sweepkit-", env!("CARGO_PKG_VERSION"), "-fmt10");
+// fmt11: the dense LU's back substitution subtracts each row's terms in
+// descending column order, so `.wampde`, `.mpde` and dense `.shooting`
+// results move by rounding.
+pub const CACHE_SALT: &str = concat!("sweepkit-", env!("CARGO_PKG_VERSION"), "-fmt11");
 
 /// FNV-1a, 128-bit: tiny, dependency-free, and plenty for cache keys
 /// (collision odds are negligible below ~2^60 distinct jobs).
