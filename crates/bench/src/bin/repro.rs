@@ -555,23 +555,20 @@ fn table_newton() {
                     mod_depth: spec.mod_depth,
                     mod_freq_hz: spec.mod_freq_hz,
                 };
-                mpde::solve_envelope_mpde(
-                    &dae,
-                    &forcing,
-                    spec.f1_hz,
-                    spec.t_stop,
-                    &mpde::MpdeOptions {
-                        harmonics: spec.harmonics,
-                        dt2: spec.dt,
-                        linear_solver: spec.solver,
-                        newton: transim::NewtonOptions {
-                            reuse_symbolic: false,
-                            ..Default::default()
-                        },
+                let opts = wampde::WampdeOptions {
+                    harmonics: spec.harmonics,
+                    integrator: wampde::T2Integrator::BackwardEuler,
+                    step: wampde::T2StepControl::Fixed(spec.dt),
+                    newton: transim::NewtonOptions {
+                        reuse_symbolic: false,
                         ..Default::default()
                     },
-                )
-                .expect("mpde converges")
+                    omega_mode: wampde::OmegaMode::Frozen(spec.f1_hz),
+                    linear_solver: spec.solver,
+                    ..Default::default()
+                };
+                wampde::solve_mpde(&dae, &forcing, spec.t_stop, &opts, None)
+                    .expect("mpde converges")
             };
             let wall = t0.elapsed().as_nanos();
             solver_row(

@@ -1,7 +1,7 @@
 //! Workspace-wide instrumentation: spans, metrics, convergence traces.
 //!
 //! Every layer of this workspace used to invent its own stats struct
-//! (`NewtonStats`, `FactorStats`, `MpdeStats`, …) and mostly drop it on
+//! (`NewtonStats`, `FactorStats`, …) and mostly drop it on
 //! the floor. `obskit` replaces the printf archaeology with one small,
 //! dependency-free substrate:
 //!

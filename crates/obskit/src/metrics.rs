@@ -127,8 +127,8 @@ impl MetricsRegistry {
 
 /// The unified per-run summary shared by the stepping solvers.
 ///
-/// `transim::TransientStats`, `mpde::MpdeStats` and
-/// `wampde::EnvelopeStats` are all aliases of this type, so the metrics
+/// `transim::TransientStats` and `wampde::EnvelopeStats` (the WaMPDE
+/// and MPDE envelopes' stats) are aliases of this type, so the metrics
 /// registry and the sweep manifest can consume any solver's stats
 /// without per-crate adapters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

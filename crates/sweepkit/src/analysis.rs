@@ -248,7 +248,7 @@ impl Analysis for MpdeAnalysis {
                 columns,
                 rows,
                 metrics: vec![
-                    ("f1_hz".into(), res.f1_hz),
+                    ("f1_hz".into(), self.0.f1_hz),
                     ("points".into(), res.t2.len() as f64),
                     ("steps".into(), res.stats.steps as f64),
                     ("rejected".into(), res.stats.rejected as f64),
@@ -288,18 +288,14 @@ impl Analysis for WampdeAnalysis {
             "phi_cycles".to_string(),
         ];
         columns.extend(names.iter().map(|n| format!("amp({n})")));
+        let amps: Vec<Vec<f64>> = (0..env.n).map(|v| env.envelope_amplitude(v)).collect();
         let rows = (0..env.len())
             .map(|idx| {
                 let mut row = Vec::with_capacity(3 + env.n);
                 row.push(env.t2[idx]);
                 row.push(env.omega_hz[idx]);
                 row.push(env.phi[idx]);
-                for v in 0..env.n {
-                    let s = env.var_samples(idx, v);
-                    let max = s.iter().fold(f64::NEG_INFINITY, |m, x| m.max(*x));
-                    let min = s.iter().fold(f64::INFINITY, |m, x| m.min(*x));
-                    row.push((max - min) / 2.0);
-                }
+                row.extend(amps.iter().map(|a| a[idx]));
                 row
             })
             .collect();
@@ -449,6 +445,6 @@ mod tests {
         .unwrap();
         let dae = deck.base_circuit().unwrap();
         let err = analysis_for(&deck.analyses[0]).run(&dae).unwrap_err();
-        assert!(matches!(err, SweepError::Mpde(_)), "{err}");
+        assert!(matches!(err, SweepError::Wampde(_)), "{err}");
     }
 }

@@ -14,9 +14,7 @@ pub enum SweepError {
     Transim(transim::TransimError),
     /// The shooting solver failed.
     Shooting(shooting::ShootingError),
-    /// The (unwarped) MPDE solver failed.
-    Mpde(mpde::MpdeError),
-    /// The WaMPDE solver failed.
+    /// The WaMPDE or MPDE envelope solver failed.
     Wampde(wampde::WampdeError),
     /// A sweep job failed, tagged with its grid point and analysis.
     Job {
@@ -39,7 +37,6 @@ impl fmt::Display for SweepError {
             SweepError::Netlist(e) => write!(f, "deck: {e}"),
             SweepError::Transim(e) => write!(f, "tran: {e}"),
             SweepError::Shooting(e) => write!(f, "shooting: {e}"),
-            SweepError::Mpde(e) => write!(f, "mpde: {e}"),
             SweepError::Wampde(e) => write!(f, "wampde: {e}"),
             SweepError::Job {
                 point,
@@ -58,7 +55,6 @@ impl std::error::Error for SweepError {
             SweepError::Netlist(e) => Some(e),
             SweepError::Transim(e) => Some(e),
             SweepError::Shooting(e) => Some(e),
-            SweepError::Mpde(e) => Some(e),
             SweepError::Wampde(e) => Some(e),
             SweepError::Job { cause, .. } => Some(cause),
             SweepError::BadInput(_) | SweepError::Io(_) => None,
@@ -81,12 +77,6 @@ impl From<transim::TransimError> for SweepError {
 impl From<shooting::ShootingError> for SweepError {
     fn from(e: shooting::ShootingError) -> Self {
         SweepError::Shooting(e)
-    }
-}
-
-impl From<mpde::MpdeError> for SweepError {
-    fn from(e: mpde::MpdeError) -> Self {
-        SweepError::Mpde(e)
     }
 }
 

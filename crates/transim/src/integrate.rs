@@ -50,7 +50,8 @@ pub struct TransientOptions {
 /// Counters reported alongside a transient run.
 ///
 /// This is the workspace-wide [`obskit::RunStats`] summary (shared with
-/// `mpde::MpdeStats` and `wampde::EnvelopeStats`): `steps`, `rejected`,
+/// `wampde::EnvelopeStats`, which the WaMPDE and MPDE envelopes report):
+/// `steps`, `rejected`,
 /// `newton_iters`, `factorisations`, `symbolic_reuses`.
 pub type TransientStats = obskit::RunStats;
 

@@ -1,4 +1,4 @@
-//! Envelope (initial-value) WaMPDE solver.
+//! Envelope (initial-value) solver for the WaMPDE and the MPDE.
 //!
 //! Discretises eq. (19)–(20) of the paper by time-stepping along the slow
 //! axis `t2`: at each step a bordered nonlinear system in the `n·N0`
@@ -7,6 +7,16 @@
 //! (Figures 7–12): it tracks frequency-modulated envelopes taking `t2`
 //! steps on the *modulation* time scale, independent of how many fast
 //! carrier cycles elapse.
+//!
+//! Pinning ω at a carrier `f1` and forcing with a bivariate `b̂(t1, t2)`
+//! gives the unwarped MPDE of a non-autonomous circuit
+//! (Brachtendorf et al. \[BWLBG96\]; Roychowdhury \[Roy97\]),
+//!
+//! ```text
+//! f1·∂q(x̂)/∂t1 + ∂q(x̂)/∂t2 + f(x̂) = b̂(t1, t2),
+//! ```
+//!
+//! which [`solve_mpde`] runs through the same step loop.
 
 use crate::error::WampdeError;
 use crate::init::WampdeInit;
@@ -18,7 +28,14 @@ use hb::Colloc;
 use newtonkit::{NewtonEngine, NewtonError, NewtonPolicy};
 use numkit::vecops::CompensatedSum;
 use std::cell::RefCell;
-use timekit::{HistoryPoint, Step};
+use timekit::{HistoryPoint, Step, StepCoeffs, StepController, StepSystem};
+
+/// A bivariate forcing `b̂(t1, t2)` with `t1 ∈ [0, 1)` the normalised fast
+/// phase and `t2` ordinary time: the MPDE's right-hand side.
+pub trait BivariateForcing {
+    /// Evaluates the forcing into `out` (length = DAE dimension).
+    fn eval(&self, t1: f64, t2: f64, out: &mut [f64]);
+}
 
 /// Solves the envelope (initial-value) WaMPDE from `t2 = 0` to `t2_end`.
 ///
@@ -55,20 +72,13 @@ pub fn solve_envelope<D: Dae + ?Sized>(
             "init sample width != dae dimension".into(),
         ));
     }
-    // `partial_cmp` keeps the NaN-rejecting behavior of `!(v > 0.0)`.
-    if t2_end.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-        return Err(WampdeError::BadInput("t2_end must be positive".into()));
-    }
+    check_positive(t2_end, "t2_end")?;
 
     let omega = match opts.omega_mode {
         OmegaMode::Free => init.freq_hz,
         OmegaMode::Frozen(w) => w,
     };
-    if omega.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-        return Err(WampdeError::BadInput(
-            "initial frequency must be positive".into(),
-        ));
-    }
+    check_positive(omega, "initial frequency")?;
 
     let mut x = init.stacked();
 
@@ -95,31 +105,7 @@ pub fn solve_envelope<D: Dae + ?Sized>(
         .step
         .resolve(t2_end, opts.integrator.order())
         .map_err(WampdeError::BadInput)?;
-
-    let mut run = Envelope {
-        dae,
-        phase_row,
-        newton: NewtonPolicy {
-            linear_solver: opts.linear_solver,
-            ..opts.newton
-        },
-        // One Newton engine for the whole envelope: the bordered step
-        // Jacobian keeps its sparsity pattern along t2, so KLU pays
-        // for symbolic analysis once and refactors numerically thereafter;
-        // with `reuse_jacobian` the factored matrix itself is kept across
-        // steps until `a0h` leaves DASSL's band or θ moves.
-        engine: NewtonEngine::new(),
-        omega,
-        phi: CompensatedSum::new(),
-        b: vec![0.0; len],
-        g_prev: vec![0.0; len],
-        work: RefCell::new(StepWork::new(&colloc)),
-        t2s: Vec::new(),
-        omegas: Vec::new(),
-        phis: Vec::new(),
-        states: Vec::new(),
-        colloc,
-    };
+    let mut run = Envelope::new(dae, Forcing::Slow, colloc, phase_row, omega, opts);
     let mut q = vec![0.0; len];
     run.fill_b(0.0);
     run.record(0.0, &x, &mut q);
@@ -128,26 +114,113 @@ pub fn solve_envelope<D: Dae + ?Sized>(
     if free_omega {
         x.push(omega);
     }
-    let start = HistoryPoint { t: 0.0, z: x, q };
-    let mut stats = EnvelopeStats::default();
-    timekit::drive(&mut run, opts.integrator, ctl, start, t2_end, &mut stats)?;
-
-    Ok(EnvelopeResult {
-        n,
-        n0: run.colloc.n0,
-        t2: run.t2s,
-        omega_hz: run.omegas,
-        phi: run.phis,
-        states: run.states,
-        stats,
-    })
+    run.drive(
+        HistoryPoint { t: 0.0, z: x, q },
+        ctl,
+        t2_end,
+        opts,
+        EnvelopeStats::default(),
+    )
 }
 
-/// The WaMPDE envelope's hooks for the shared `timekit` step loop: the
-/// bordered step solve, and the accepted-point records with the
+/// Solves the MPDE of a non-autonomous circuit under the bivariate
+/// `forcing` from `t2 = 0` to `t2_end`: the envelope with ω frozen at
+/// the carrier, `opts.omega_mode = OmegaMode::Frozen(f1)`.
+///
+/// The first point is the forced periodic steady state at `t2 = 0`,
+/// solved on the run's own Newton engine from `seed` (a neighbouring
+/// grid point's converged collocation state, `states[0]` of its
+/// [`EnvelopeResult`]) or, when there is none, from the DC operating
+/// point repeated at every sample. The seed changes the iteration count,
+/// not the fixed point; a wrong-length seed is rejected.
+///
+/// # Errors
+///
+/// [`WampdeError::BadInput`] when ω is free, and otherwise as
+/// [`solve_envelope`]; a failed steady solve reports `at_t2 = 0`.
+pub fn solve_mpde<D: Dae + ?Sized>(
+    dae: &D,
+    forcing: &dyn BivariateForcing,
+    t2_end: f64,
+    opts: &WampdeOptions,
+    seed: Option<&[f64]>,
+) -> Result<EnvelopeResult, WampdeError> {
+    let OmegaMode::Frozen(f1) = opts.omega_mode else {
+        return Err(WampdeError::BadInput(
+            "the MPDE needs omega frozen at its carrier".into(),
+        ));
+    };
+    check_positive(f1, "carrier frequency")?;
+    check_positive(t2_end, "t2_end")?;
+    let n = dae.dim();
+    Colloc::check(n, opts.harmonics, None).map_err(WampdeError::BadInput)?;
+    let colloc = Colloc::new(n, opts.harmonics);
+    let len = colloc.len();
+    let ctl = opts
+        .step
+        .resolve(t2_end, opts.integrator.order())
+        .map_err(WampdeError::BadInput)?;
+    let mut x: Vec<f64> = match seed {
+        Some(seed) if seed.len() != len => {
+            return Err(WampdeError::BadInput(format!(
+                "warm-start state has {} entries, collocation grid needs {len}",
+                seed.len()
+            )));
+        }
+        Some(seed) => seed.to_vec(),
+        None => {
+            let dc = transim::dc_operating_point(dae, &opts.newton)
+                .map_err(|e| WampdeError::BadInput(format!("dc operating point failed: {e}")))?;
+            (0..colloc.n0).flat_map(|_| dc.iter().copied()).collect()
+        }
+    };
+
+    let mut run = Envelope::new(dae, Forcing::Bivariate(forcing), colloc, None, f1, opts);
+    let mut stats = EnvelopeStats::default();
+    // The steady-envelope solve f1·D·q + f = b̂(·, 0) is the general step
+    // residual with a0h = 0 and θ = 1; its solution is the first point.
+    let zeros = vec![0.0; len];
+    let steady = Step {
+        t_new: 0.0,
+        h: 0.0,
+        coeffs: StepCoeffs {
+            a0h: 0.0,
+            theta: 1.0,
+        },
+        qlin: &zeros,
+        tol: None,
+    };
+    run.solve(&steady, &mut x, &mut stats)?;
+    let mut q = vec![0.0; len];
+    run.accept(&steady, &x, &mut q)?;
+    run.drive(HistoryPoint { t: 0.0, z: x, q }, ctl, t2_end, opts, stats)
+}
+
+/// Rejects a non-positive (or NaN) `v` with "`what` must be positive".
+fn check_positive(v: f64, what: &str) -> Result<(), WampdeError> {
+    // `partial_cmp` keeps the NaN-rejecting behavior of `!(v > 0.0)`.
+    if v.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater) {
+        Ok(())
+    } else {
+        Err(WampdeError::BadInput(format!("{what} must be positive")))
+    }
+}
+
+/// The forcing a step is solved under.
+#[derive(Clone, Copy)]
+enum Forcing<'a> {
+    /// The DAE's own slow `b(t2)`, the same at every sample (the WaMPDE).
+    Slow,
+    /// A bivariate `b̂(t1, t2)` (the MPDE).
+    Bivariate(&'a dyn BivariateForcing),
+}
+
+/// The envelope's hooks for the shared `timekit` step loop: the
+/// (bordered) step solve, and the accepted-point records with the
 /// warping-function quadrature.
 struct Envelope<'a, D: Dae + ?Sized> {
     dae: &'a D,
+    forcing: Forcing<'a>,
     colloc: Colloc,
     /// The phase condition's row (Free mode only).
     phase_row: Option<Vec<f64>>,
@@ -157,7 +230,7 @@ struct Envelope<'a, D: Dae + ?Sized> {
     omega: f64,
     /// φ(t2) in cycles.
     phi: CompensatedSum,
-    /// `b(t2)` of the newest attempt, repeated at every sample.
+    /// The forcing at the collocation phases of the newest attempt.
     b: Vec<f64>,
     /// `g(X, ω, t2)` at the newest accepted point (the (1−θ) term of
     /// averaging schemes).
@@ -170,14 +243,81 @@ struct Envelope<'a, D: Dae + ?Sized> {
     states: Vec<Vec<f64>>,
 }
 
-impl<D: Dae + ?Sized> Envelope<'_, D> {
+impl<'a, D: Dae + ?Sized> Envelope<'a, D> {
+    fn new(
+        dae: &'a D,
+        forcing: Forcing<'a>,
+        colloc: Colloc,
+        phase_row: Option<Vec<f64>>,
+        omega: f64,
+        opts: &WampdeOptions,
+    ) -> Self {
+        let len = colloc.len();
+        Envelope {
+            dae,
+            forcing,
+            phase_row,
+            newton: NewtonPolicy {
+                linear_solver: opts.linear_solver,
+                ..opts.newton
+            },
+            // One Newton engine for the whole envelope: the (bordered)
+            // step Jacobian keeps its sparsity pattern along t2, so KLU
+            // pays for symbolic analysis once and refactors numerically
+            // thereafter; with `reuse_jacobian` the factored matrix itself
+            // is kept across steps until `a0h` leaves DASSL's band or θ
+            // moves.
+            engine: NewtonEngine::new(),
+            omega,
+            phi: CompensatedSum::new(),
+            b: vec![0.0; len],
+            g_prev: vec![0.0; len],
+            work: RefCell::new(StepWork::new(&colloc)),
+            t2s: Vec::new(),
+            omegas: Vec::new(),
+            phis: Vec::new(),
+            states: Vec::new(),
+            colloc,
+        }
+    }
+
+    /// Steps from `start` to `t2_end` and collects the records.
+    fn drive(
+        mut self,
+        start: HistoryPoint,
+        ctl: StepController,
+        t2_end: f64,
+        opts: &WampdeOptions,
+        mut stats: EnvelopeStats,
+    ) -> Result<EnvelopeResult, WampdeError> {
+        timekit::drive(&mut self, opts.integrator, ctl, start, t2_end, &mut stats)?;
+        Ok(EnvelopeResult {
+            n: self.colloc.n,
+            n0: self.colloc.n0,
+            t2: self.t2s,
+            omega_hz: self.omegas,
+            phi: self.phis,
+            states: self.states,
+            stats,
+        })
+    }
+
     /// Fills `b` with the forcing at `t2`.
     fn fill_b(&mut self, t2: f64) {
         self.work.get_mut().drop_point();
-        let n = self.colloc.n;
-        self.dae.eval_b(t2, &mut self.b[..n]);
-        for s in 1..self.colloc.n0 {
-            self.b.copy_within(..n, s * n);
+        let (n, n0) = (self.colloc.n, self.colloc.n0);
+        match self.forcing {
+            Forcing::Slow => {
+                self.dae.eval_b(t2, &mut self.b[..n]);
+                for s in 1..n0 {
+                    self.b.copy_within(..n, s * n);
+                }
+            }
+            Forcing::Bivariate(forcing) => {
+                for (s, row) in self.b.chunks_exact_mut(n).enumerate() {
+                    forcing.eval(s as f64 / n0 as f64, t2, row);
+                }
+            }
         }
     }
 
@@ -202,7 +342,7 @@ impl<D: Dae + ?Sized> Envelope<'_, D> {
     }
 }
 
-impl<D: Dae + ?Sized> timekit::StepSystem for Envelope<'_, D> {
+impl<D: Dae + ?Sized> StepSystem for Envelope<'_, D> {
     type Error = WampdeError;
     const TIME_ATTR: &'static str = "t2";
 
@@ -213,10 +353,13 @@ impl<D: Dae + ?Sized> timekit::StepSystem for Envelope<'_, D> {
         stats: &mut EnvelopeStats,
     ) -> Result<(), WampdeError> {
         self.fill_b(step.t_new);
+        // The MPDE has not moved onto DASSL's Newton test: its adaptive
+        // steps still solve to the policy's `reltol`.
+        let tol = step.tol.filter(|_| matches!(self.forcing, Forcing::Slow));
         let sys = CollocStep {
             dae: self.dae,
             colloc: &self.colloc,
-            step: *step,
+            step: Step { tol, ..*step },
             b: &self.b,
             g_prev: &self.g_prev,
             omega: match &self.phase_row {

@@ -32,10 +32,15 @@
 //!   in `t2`: FM/AM-quasiperiodic steady states, mode locking and period
 //!   multiplication as special cases (Section 4.1).
 //!
+//! Freezing ω at a carrier `f1` ([`OmegaMode::Frozen`]) and forcing with
+//! a bivariate `b̂(t1, t2)` ([`BivariateForcing`]) turns the envelope into
+//! the unwarped MPDE of a non-autonomous circuit: [`solve_mpde`] runs it
+//! through the same step loop, and the `mpde` crate adds the AM forcing
+//! and the `.mpde` deck adapter.
+//!
 //! Modules: [`envelope`] and [`quasiperiodic`] are the two solvers;
 //! [`step`] is the one implicit collocation step along `t2`, with ω free
-//! or fixed, which the `mpde` crate's envelope also runs (ω fixed at its
-//! carrier); [`init`], [`options`], [`result`] and [`error`] are their
+//! or fixed; [`init`], [`options`], [`result`] and [`error`] are their
 //! inputs and outputs; [`deck`] runs `.wampde` directives.
 //!
 //! # Example
@@ -70,7 +75,7 @@ pub mod result;
 pub mod step;
 
 pub use deck::{run_wampde_spec, run_wampde_spec_warm};
-pub use envelope::solve_envelope;
+pub use envelope::{solve_envelope, solve_mpde, BivariateForcing};
 pub use error::WampdeError;
 pub use init::WampdeInit;
 pub use options::{LinearSolverKind, OmegaMode, T2Integrator, T2StepControl, WampdeOptions};

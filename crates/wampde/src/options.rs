@@ -4,7 +4,7 @@ use transim::NewtonOptions;
 
 /// Implicit scheme used along the slow (unwarped) time axis `t2` — a
 /// re-export of the shared [`timekit::Scheme`] table (the same engine
-/// steps `transim` transients and the MPDE envelope).
+/// steps `transim` transients).
 ///
 /// The envelope system is a semi-explicit DAE in which the local
 /// frequency `ω(t2)` acts as a Lagrange multiplier enforcing the phase
@@ -39,10 +39,12 @@ pub enum OmegaMode {
     /// WaMPDE proper.
     #[default]
     Free,
-    /// `ω` is frozen at a constant and the phase condition is dropped —
-    /// this degenerates to the *unwarped* MPDE applied to an autonomous
-    /// system, the formulation the paper shows cannot represent FM
-    /// compactly. Kept for the ablation benches.
+    /// `ω` is frozen at a constant (Hz) and the phase condition is
+    /// dropped: this *is* the unwarped MPDE. Under a bivariate forcing
+    /// ([`crate::solve_mpde`]) it is the MPDE of a non-autonomous circuit
+    /// driven at that carrier; on an autonomous system
+    /// ([`crate::solve_envelope`]) it is the formulation the paper shows
+    /// cannot represent FM compactly.
     Frozen(f64),
 }
 
@@ -52,7 +54,8 @@ pub enum OmegaMode {
 /// selects backends for every solver (transient, shooting, HB, MPDE).
 pub use ::linsolve::LinearSolverKind;
 
-/// Options for [`crate::solve_envelope`] / [`crate::solve_quasiperiodic`].
+/// Options for [`crate::solve_envelope`], [`crate::solve_mpde`] and
+/// [`crate::solve_quasiperiodic`].
 #[derive(Debug, Clone, Copy)]
 pub struct WampdeOptions {
     /// Harmonic count `M` along the warped axis (`N0 = 2M+1` samples).
@@ -64,11 +67,12 @@ pub struct WampdeOptions {
     /// Inner Newton options. The default turns on
     /// [`newtonkit::NewtonPolicy::reuse_jacobian`] for the envelope;
     /// [`crate::solve_quasiperiodic`] always factors every iteration.
-    /// `abstol`/`reltol` govern fixed-step envelopes and
-    /// [`crate::solve_quasiperiodic`]; an adaptive envelope derives its
-    /// Newton test from the step instead: converged when the update is
-    /// at most [`timekit::NEWTON_TOL`] in the step controller's error
-    /// weights ([`timekit::Tolerance::newton_norm`]).
+    /// `abstol`/`reltol` govern fixed-step envelopes, every MPDE step
+    /// ([`crate::solve_mpde`]) and [`crate::solve_quasiperiodic`]; an
+    /// adaptive [`crate::solve_envelope`] derives its Newton test from
+    /// the step instead: converged when the update is at most
+    /// [`timekit::NEWTON_TOL`] in the step controller's error weights
+    /// ([`timekit::Tolerance::newton_norm`]).
     pub newton: NewtonOptions,
     /// Phase-condition variable `k` (an unknown that actually oscillates —
     /// typically the tank voltage).

@@ -4,14 +4,15 @@
 /// Counters reported with an envelope run.
 ///
 /// This is the workspace-wide [`obskit::RunStats`] summary (shared with
-/// `transim::TransientStats` and `mpde::MpdeStats`); `steps`/`rejected`
-/// count `t2` steps.
+/// `transim::TransientStats`); `steps`/`rejected` count `t2` steps, and
+/// an MPDE run's `newton_iters` includes its `t2 = 0` steady solve.
 pub type EnvelopeStats = obskit::RunStats;
 
-/// Result of [`crate::solve_envelope`]: the bivariate solution
-/// `x̂(t1, t2)` sampled along the envelope, the local frequency `ω(t2)`,
-/// and the warping function `φ(t2) = ∫ω` (in *cycles* — the warped axis
-/// has unit period).
+/// Result of [`crate::solve_envelope`] and [`crate::solve_mpde`]: the
+/// bivariate solution `x̂(t1, t2)` sampled along the envelope, the local
+/// frequency `ω(t2)` (the constant carrier for the MPDE), and the
+/// warping function `φ(t2) = ∫ω` (in *cycles* — the warped axis has unit
+/// period).
 #[derive(Debug, Clone)]
 pub struct EnvelopeResult {
     /// DAE dimension.
@@ -61,6 +62,19 @@ impl EnvelopeResult {
             .map(|idx| self.var_samples(idx, var))
             .collect();
         (t1, self.t2.clone(), values)
+    }
+
+    /// Half the warped-axis peak-to-peak swing of `var` at each `t2`: the
+    /// demodulated envelope amplitude.
+    pub fn envelope_amplitude(&self, var: usize) -> Vec<f64> {
+        (0..self.t2.len())
+            .map(|idx| {
+                let s = self.var_samples(idx, var);
+                let max = s.iter().fold(f64::NEG_INFINITY, |m, v| m.max(*v));
+                let min = s.iter().fold(f64::INFINITY, |m, v| m.min(*v));
+                (max - min) / 2.0
+            })
+            .collect()
     }
 
     /// Mean over the warped axis (the DC Fourier component) of `var` at
@@ -222,6 +236,17 @@ mod tests {
         assert_eq!(t2.len(), 11);
         assert_eq!(v.len(), 11);
         assert_eq!(v[0].len(), 9);
+    }
+
+    #[test]
+    fn envelope_amplitude_is_half_the_sampled_swing() {
+        // Nine samples of the cosine peak at 1 and bottom out at
+        // cos(8π/9), the samples either side of t1 = 1/2.
+        let r = synthetic();
+        let want = (1.0 - (8.0 * std::f64::consts::PI / 9.0).cos()) / 2.0;
+        for v in r.envelope_amplitude(0) {
+            assert!((v - want).abs() < 1e-12, "{v} vs {want}");
+        }
     }
 
     #[test]

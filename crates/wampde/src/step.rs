@@ -9,8 +9,7 @@
 //!
 //! with `b` the forcing at the step's end, sample-major. The WaMPDE
 //! leaves ω free, pinned by the phase row (paper eq. (20)); fixing ω at
-//! the carrier `f1` gives the MPDE step, and fixing it anywhere gives
-//! [`crate::OmegaMode::Frozen`].
+//! the carrier `f1` ([`crate::OmegaMode::Frozen`]) gives the MPDE step.
 
 use circuitdae::Dae;
 use hb::Colloc;

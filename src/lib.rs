@@ -17,8 +17,8 @@
 //! | [`transim`] | Newton, DC operating point, transient integration |
 //! | [`shooting`] | periodic steady state of free-running oscillators |
 //! | [`hb`] | harmonic balance + the collocation core |
-//! | [`mpde`] | the unwarped MPDE for non-autonomous multirate systems |
-//! | [`wampde`] | **the WaMPDE itself**: envelope & quasiperiodic solvers |
+//! | [`mpde`] | AM forcing and the `.mpde` adapter over wampde's envelope |
+//! | [`wampde`] | **the WaMPDE itself**: envelope (also the MPDE's) & quasiperiodic solvers |
 //! | [`multitime`] | the paper's Section-3 signal examples (Figures 1–6) |
 //! | [`sigproc`] | instantaneous frequency, phase error, spectra |
 //! | [`wampde_bench`] | experiment drivers behind the benches and the `repro` binary |

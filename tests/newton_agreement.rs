@@ -13,13 +13,16 @@
 
 use circuitdae::circuits;
 use linsolve::LinearSolverKind;
-use mpde::{solve_envelope_mpde, AmForcing, MpdeOptions};
+use mpde::AmForcing;
 use shooting::{oscillator_steady_state, ShootingOptions};
 use transim::{
     dc_operating_point, run_transient, Integrator, NewtonOptions, StepControl, TransientOptions,
     TransimError,
 };
-use wampde::{solve_envelope, T2StepControl, WampdeError, WampdeInit, WampdeOptions};
+use wampde::{
+    solve_envelope, solve_mpde, OmegaMode, T2Integrator, T2StepControl, WampdeError, WampdeInit,
+    WampdeOptions,
+};
 
 #[test]
 fn dc_backends_agree_on_ring_vco() {
@@ -177,20 +180,21 @@ fn exhausted_budgets_surface_identical_diagnostics() {
         mod_depth: 0.5,
         mod_freq_hz: 1.0e3,
     };
-    let merr = solve_envelope_mpde(
-        &rc,
-        &forcing,
-        1.0e6,
-        1.0e-3,
-        &MpdeOptions {
-            harmonics: 3,
-            newton: tight,
-            ..Default::default()
-        },
-    )
-    .unwrap_err();
+    let mopts = WampdeOptions {
+        harmonics: 3,
+        integrator: T2Integrator::BackwardEuler,
+        step: T2StepControl::Fixed(1.0e-3 / 50.0),
+        newton: tight,
+        omega_mode: OmegaMode::Frozen(1.0e6),
+        ..Default::default()
+    };
+    let merr = solve_mpde(&rc, &forcing, 1.0e-3, &mopts, None).unwrap_err();
     assert!(
-        matches!(merr, mpde::MpdeError::NewtonFailed { at_t2, .. } if at_t2 == 0.0),
+        matches!(
+            merr,
+            WampdeError::NewtonFailed { at_t2, iterations, .. }
+                if at_t2 == 0.0 && iterations == budget
+        ),
         "unexpected mpde error {merr}"
     );
 

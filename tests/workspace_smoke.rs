@@ -40,8 +40,13 @@ fn every_member_crate_is_linkable() {
     let colloc = hb::Colloc::new(2, 3);
     assert!(!colloc.is_empty());
 
-    // mpde: options plumbing.
-    let _mpde_opts = mpde::MpdeOptions::default();
+    // mpde: the AM forcing is a bivariate forcing of wampde's envelope.
+    let _forcing: &dyn wampde::BivariateForcing = &mpde::AmForcing {
+        node: 0,
+        carrier_amplitude: 1.0,
+        mod_depth: 0.5,
+        mod_freq_hz: 1.0,
+    };
 
     // wampde: options plumbing.
     let _wampde_opts = wampde::WampdeOptions::default();
