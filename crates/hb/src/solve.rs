@@ -7,6 +7,7 @@ use fourier::FourierSeries;
 use linsolve::JacobianParts;
 use numkit::DMat;
 use sparsekit::Triplets;
+use std::cell::RefCell;
 use transim::{newton_solve, NewtonOptions, NonlinearSystem};
 
 /// Options for the harmonic-balance solvers.
@@ -68,6 +69,29 @@ impl HbSolution {
     }
 }
 
+/// Scratch a system's residual refills on every call: `q(X)` and its
+/// spectral derivative `D·q(X)`.
+struct ChargeWork {
+    q: Vec<f64>,
+    dq: Vec<f64>,
+}
+
+impl ChargeWork {
+    /// Scratch for `len` stacked samples.
+    fn new(len: usize) -> RefCell<Self> {
+        RefCell::new(ChargeWork {
+            q: vec![0.0; len],
+            dq: vec![0.0; len],
+        })
+    }
+
+    /// Evaluates `q` at the samples `x`, then `D·q`.
+    fn eval<D: Dae + ?Sized>(&mut self, dae: &D, colloc: &Colloc, x: &[f64]) {
+        colloc.eval_q_all(dae, x, &mut self.q);
+        colloc.apply_diff(&self.q, &mut self.dq);
+    }
+}
+
 /// Newton system for forced HB: fixed fundamental, unknowns = samples.
 struct ForcedSystem<'a, D: Dae + ?Sized> {
     dae: &'a D,
@@ -75,6 +99,7 @@ struct ForcedSystem<'a, D: Dae + ?Sized> {
     freq_hz: f64,
     /// Forcing evaluated at the collocation times (sample-major).
     b: Vec<f64>,
+    work: RefCell<ChargeWork>,
 }
 
 impl<D: Dae + ?Sized> NonlinearSystem for ForcedSystem<'_, D> {
@@ -83,16 +108,14 @@ impl<D: Dae + ?Sized> NonlinearSystem for ForcedSystem<'_, D> {
     }
 
     fn residual(&self, x: &[f64], out: &mut [f64]) {
-        let (n, len) = (self.colloc.n, self.colloc.len());
-        let mut q = vec![0.0; len];
-        self.colloc.eval_q_all(self.dae, x, &mut q);
-        let mut dq = vec![0.0; len];
-        self.colloc.apply_diff(&q, &mut dq);
+        let n = self.colloc.n;
+        let work = &mut *self.work.borrow_mut();
+        work.eval(self.dae, self.colloc, x);
         self.colloc.eval_f_all(self.dae, x, out);
         for s in 0..self.colloc.n0 {
             for i in 0..n {
                 let k = self.colloc.idx(s, i);
-                out[k] += self.freq_hz * dq[k] - self.b[k];
+                out[k] += self.freq_hz * work.dq[k] - self.b[k];
             }
         }
     }
@@ -118,6 +141,7 @@ struct AutonomousSystem<'a, D: Dae + ?Sized> {
     colloc: &'a Colloc,
     b0: Vec<f64>,
     phase_row: &'a [f64],
+    work: RefCell<ChargeWork>,
 }
 
 impl<D: Dae + ?Sized> NonlinearSystem for AutonomousSystem<'_, D> {
@@ -129,15 +153,13 @@ impl<D: Dae + ?Sized> NonlinearSystem for AutonomousSystem<'_, D> {
         let len = self.colloc.len();
         let freq = x[len];
         let xs = &x[..len];
-        let mut q = vec![0.0; len];
-        self.colloc.eval_q_all(self.dae, xs, &mut q);
-        let mut dq = vec![0.0; len];
-        self.colloc.apply_diff(&q, &mut dq);
+        let work = &mut *self.work.borrow_mut();
+        work.eval(self.dae, self.colloc, xs);
         self.colloc.eval_f_all(self.dae, xs, &mut out[..len]);
         for s in 0..self.colloc.n0 {
             for i in 0..self.colloc.n {
                 let k = self.colloc.idx(s, i);
-                out[k] += freq * dq[k] - self.b0[i];
+                out[k] += freq * work.dq[k] - self.b0[i];
             }
         }
         out[len] = self
@@ -166,11 +188,9 @@ impl<D: Dae + ?Sized> AutonomousSystem<'_, D> {
         let xs = &x[..len];
         let (cblocks, gblocks) = circuitdae::jac_blocks(self.dae, xs);
         // ∂r/∂ω column: (D·q)(t1_s).
-        let mut q = vec![0.0; len];
-        self.colloc.eval_q_all(self.dae, xs, &mut q);
-        let mut dq = vec![0.0; len];
-        self.colloc.apply_diff(&q, &mut dq);
-        let border = Some((self.phase_row, dq.as_slice()));
+        let work = &mut *self.work.borrow_mut();
+        work.eval(self.dae, self.colloc, xs);
+        let border = Some((self.phase_row, work.dq.as_slice()));
         use_parts(
             self.colloc
                 .parts(&cblocks, &gblocks, 0.0, 1.0, x[len], border),
@@ -239,6 +259,7 @@ pub fn solve_forced<D: Dae + ?Sized>(
         colloc: &colloc,
         freq_hz,
         b,
+        work: ChargeWork::new(len),
     };
     let rep = newton_solve(&sys, &mut x, &opts.newton)?;
     Ok(HbSolution {
@@ -302,6 +323,7 @@ pub fn solve_autonomous<D: Dae + ?Sized>(
         colloc: &colloc,
         b0,
         phase_row: &phase_row,
+        work: ChargeWork::new(len),
     };
     let rep = newton_solve(&sys, &mut x, &opts.newton)?;
     let freq_hz = x[len];
