@@ -186,19 +186,38 @@ pub fn jac_blocks<D: Dae + ?Sized>(dae: &D, x: &[f64]) -> (Vec<DMat>, Vec<DMat>)
         x.len().is_multiple_of(n),
         "stacked state length must be n·N0"
     );
-    let n0 = x.len() / n;
-    let mut cblocks = Vec::with_capacity(n0);
-    let mut gblocks = Vec::with_capacity(n0);
-    for s in 0..n0 {
-        let xs = &x[s * n..(s + 1) * n];
-        let mut c = DMat::zeros(n, n);
-        let mut g = DMat::zeros(n, n);
-        dae.jac_q(xs, &mut c);
-        dae.jac_f(xs, &mut g);
-        cblocks.push(c);
-        gblocks.push(g);
-    }
+    let blocks = || (0..x.len() / n).map(|_| DMat::zeros(n, n)).collect();
+    let (mut cblocks, mut gblocks): (Vec<DMat>, Vec<DMat>) = (blocks(), blocks());
+    jac_blocks_into(dae, x, &mut cblocks, &mut gblocks);
     (cblocks, gblocks)
+}
+
+/// [`jac_blocks`] into caller-owned `n × n` blocks, one `C_s` and one
+/// `G_s` per sample: the form a Newton system that stamps a Jacobian per
+/// iteration reuses.
+///
+/// # Panics
+///
+/// Panics when the block counts differ or `x.len()` is not `n` times
+/// their count.
+pub fn jac_blocks_into<D: Dae + ?Sized>(
+    dae: &D,
+    x: &[f64],
+    cblocks: &mut [DMat],
+    gblocks: &mut [DMat],
+) {
+    let n = dae.dim();
+    assert_eq!(cblocks.len(), gblocks.len(), "one C and one G per sample");
+    assert_eq!(
+        x.len(),
+        n * cblocks.len(),
+        "stacked state length must be n·N0"
+    );
+    for (s, (c, g)) in cblocks.iter_mut().zip(gblocks.iter_mut()).enumerate() {
+        let xs = &x[s * n..(s + 1) * n];
+        dae.jac_q(xs, c);
+        dae.jac_f(xs, g);
+    }
 }
 
 /// Evaluates the instantaneous DAE residual `C(x)·xdot + f(x) − b(t)`.

@@ -173,7 +173,7 @@ pub struct WampdeSpec {
 
 impl WampdeSpec {
     /// The directive defaults: LTE-adaptive BDF2 along `t2` at
-    /// `rtol = 1e-4`, `atol = 1e-9`, auto step bounds, 8 harmonics,
+    /// `rtol = 2e-4`, `atol = 1e-9`, auto step bounds, 8 harmonics,
     /// 512-step shooting initialisation, dense LU.
     pub fn new(t_stop: f64) -> Self {
         WampdeSpec {
@@ -182,7 +182,7 @@ impl WampdeSpec {
             phase_var: 0,
             shooting_steps: 512,
             dt: 0.0, // adaptive unless a fixed step is pinned
-            rtol: 1e-4,
+            rtol: 2e-4,
             atol: 1e-9,
             dt_min: 0.0,
             dt_max: 0.0,

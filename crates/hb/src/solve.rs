@@ -69,19 +69,26 @@ impl HbSolution {
     }
 }
 
-/// Scratch a system's residual refills on every call: `q(X)` and its
-/// spectral derivative `D·q(X)`.
-struct ChargeWork {
+/// Scratch a system owns across its Newton solve: the residual's `q(X)`
+/// and spectral derivative `D·q(X)`, and the Jacobian's per-sample
+/// `∂q/∂x` and `∂f/∂x` blocks.
+struct HbWork {
     q: Vec<f64>,
     dq: Vec<f64>,
+    cblocks: Vec<DMat>,
+    gblocks: Vec<DMat>,
 }
 
-impl ChargeWork {
-    /// Scratch for `len` stacked samples.
-    fn new(len: usize) -> RefCell<Self> {
-        RefCell::new(ChargeWork {
+impl HbWork {
+    /// Scratch for the grid `colloc`.
+    fn new(colloc: &Colloc) -> RefCell<Self> {
+        let (n, len) = (colloc.n, colloc.len());
+        let blocks = || (0..colloc.n0).map(|_| DMat::zeros(n, n)).collect();
+        RefCell::new(HbWork {
             q: vec![0.0; len],
             dq: vec![0.0; len],
+            cblocks: blocks(),
+            gblocks: blocks(),
         })
     }
 
@@ -99,7 +106,7 @@ struct ForcedSystem<'a, D: Dae + ?Sized> {
     freq_hz: f64,
     /// Forcing evaluated at the collocation times (sample-major).
     b: Vec<f64>,
-    work: RefCell<ChargeWork>,
+    work: RefCell<HbWork>,
 }
 
 impl<D: Dae + ?Sized> NonlinearSystem for ForcedSystem<'_, D> {
@@ -121,16 +128,24 @@ impl<D: Dae + ?Sized> NonlinearSystem for ForcedSystem<'_, D> {
     }
 
     fn jacobian(&self, x: &[f64], out: &mut DMat) {
-        let (c, g) = circuitdae::jac_blocks(self.dae, x);
-        let parts = self.colloc.parts(&c, &g, 0.0, 1.0, self.freq_hz, None);
-        parts.assemble_dense_into(out);
+        self.with_parts(x, |parts| parts.assemble_dense_into(out));
     }
 
     fn jacobian_triplets(&self, x: &[f64], out: &mut Triplets) -> bool {
-        let (c, g) = circuitdae::jac_blocks(self.dae, x);
-        let parts = self.colloc.parts(&c, &g, 0.0, 1.0, self.freq_hz, None);
-        parts.push_triplets(out);
+        self.with_parts(x, |parts| parts.push_triplets(out));
         true
+    }
+}
+
+impl<D: Dae + ?Sized> ForcedSystem<'_, D> {
+    /// Hands the collocation Jacobian at `x` to `use_parts`.
+    fn with_parts(&self, x: &[f64], use_parts: impl FnOnce(JacobianParts<'_>)) {
+        let work = &mut *self.work.borrow_mut();
+        circuitdae::jac_blocks_into(self.dae, x, &mut work.cblocks, &mut work.gblocks);
+        use_parts(
+            self.colloc
+                .parts(&work.cblocks, &work.gblocks, 0.0, 1.0, self.freq_hz, None),
+        );
     }
 }
 
@@ -141,7 +156,7 @@ struct AutonomousSystem<'a, D: Dae + ?Sized> {
     colloc: &'a Colloc,
     b0: Vec<f64>,
     phase_row: &'a [f64],
-    work: RefCell<ChargeWork>,
+    work: RefCell<HbWork>,
 }
 
 impl<D: Dae + ?Sized> NonlinearSystem for AutonomousSystem<'_, D> {
@@ -186,14 +201,14 @@ impl<D: Dae + ?Sized> AutonomousSystem<'_, D> {
     fn with_parts(&self, x: &[f64], use_parts: impl FnOnce(JacobianParts<'_>)) {
         let len = self.colloc.len();
         let xs = &x[..len];
-        let (cblocks, gblocks) = circuitdae::jac_blocks(self.dae, xs);
-        // ∂r/∂ω column: (D·q)(t1_s).
         let work = &mut *self.work.borrow_mut();
+        circuitdae::jac_blocks_into(self.dae, xs, &mut work.cblocks, &mut work.gblocks);
+        // ∂r/∂ω column: (D·q)(t1_s).
         work.eval(self.dae, self.colloc, xs);
         let border = Some((self.phase_row, work.dq.as_slice()));
         use_parts(
             self.colloc
-                .parts(&cblocks, &gblocks, 0.0, 1.0, x[len], border),
+                .parts(&work.cblocks, &work.gblocks, 0.0, 1.0, x[len], border),
         );
     }
 }
@@ -259,7 +274,7 @@ pub fn solve_forced<D: Dae + ?Sized>(
         colloc: &colloc,
         freq_hz,
         b,
-        work: ChargeWork::new(len),
+        work: HbWork::new(&colloc),
     };
     let rep = newton_solve(&sys, &mut x, &opts.newton)?;
     Ok(HbSolution {
@@ -323,7 +338,7 @@ pub fn solve_autonomous<D: Dae + ?Sized>(
         colloc: &colloc,
         b0,
         phase_row: &phase_row,
-        work: ChargeWork::new(len),
+        work: HbWork::new(&colloc),
     };
     let rep = newton_solve(&sys, &mut x, &opts.newton)?;
     let freq_hz = x[len];

@@ -20,7 +20,8 @@
 //! ([`wampde::solve_mpde`] under `OmegaMode::Frozen(f1)`), so a run
 //! returns a [`wampde::EnvelopeResult`] and fails with a
 //! [`wampde::WampdeError`]. This crate supplies the AM carrier
-//! [`AmForcing`] and the `.mpde` directive's adapter [`run_mpde_spec`].
+//! [`AmForcing`] and the `.mpde` directive's adapter [`run_mpde_spec`]
+//! over the problem [`spec_problem`] maps a directive to.
 //!
 //! # Example
 //!
@@ -81,12 +82,46 @@ impl BivariateForcing for AmForcing {
     }
 }
 
-/// Deck adapter: runs a `.mpde` directive. The spec's AM forcing fields
-/// map onto an [`AmForcing`] into the named KCL row; its step keys pick
-/// fixed-step mode (the default, `dt=`, automatically `t_stop/50`) or —
-/// when `rtol` is positive — LTE-adaptive stepping with `dt` as the
-/// initial step. Newton is full Newton to the default tolerances
-/// (`NewtonOptions::default()`, not `WampdeOptions`' modified Newton).
+/// The `.mpde` directive's problem: its AM forcing into the named KCL
+/// row, and its envelope options. The step keys pick fixed-step mode (the
+/// default, `dt=`, automatically `t_stop/50`) or — when `rtol` is
+/// positive — LTE-adaptive stepping with `dt` as the initial step. Newton
+/// is full Newton to the default tolerances (`NewtonOptions::default()`,
+/// not `WampdeOptions`' modified Newton), ω is frozen at the carrier.
+pub fn spec_problem(spec: &circuitdae::MpdeSpec) -> (AmForcing, WampdeOptions) {
+    let forcing = AmForcing {
+        node: spec.node,
+        carrier_amplitude: spec.amplitude,
+        mod_depth: spec.mod_depth,
+        mod_freq_hz: spec.mod_freq_hz,
+    };
+    let step = if spec.rtol > 0.0 {
+        T2StepControl::Adaptive {
+            rtol: spec.rtol,
+            atol: spec.atol,
+            dt_init: spec.dt,
+            dt_min: spec.dt_min,
+            dt_max: spec.dt_max,
+        }
+    } else if spec.dt > 0.0 {
+        T2StepControl::Fixed(spec.dt)
+    } else {
+        T2StepControl::Fixed(spec.t_stop / 50.0)
+    };
+    let opts = WampdeOptions {
+        harmonics: spec.harmonics,
+        integrator: spec.integrator,
+        step,
+        newton: NewtonOptions::default(),
+        omega_mode: OmegaMode::Frozen(spec.f1_hz),
+        linear_solver: spec.solver,
+        ..Default::default()
+    };
+    (forcing, opts)
+}
+
+/// Deck adapter: runs a `.mpde` directive, the problem
+/// [`spec_problem`] maps it to.
 ///
 /// # Errors
 ///
@@ -119,34 +154,7 @@ pub fn run_mpde_spec_warm<D: Dae + ?Sized>(
             dae.dim()
         )));
     }
-    let forcing = AmForcing {
-        node: spec.node,
-        carrier_amplitude: spec.amplitude,
-        mod_depth: spec.mod_depth,
-        mod_freq_hz: spec.mod_freq_hz,
-    };
-    let step = if spec.rtol > 0.0 {
-        T2StepControl::Adaptive {
-            rtol: spec.rtol,
-            atol: spec.atol,
-            dt_init: spec.dt,
-            dt_min: spec.dt_min,
-            dt_max: spec.dt_max,
-        }
-    } else if spec.dt > 0.0 {
-        T2StepControl::Fixed(spec.dt)
-    } else {
-        T2StepControl::Fixed(spec.t_stop / 50.0)
-    };
-    let opts = WampdeOptions {
-        harmonics: spec.harmonics,
-        integrator: spec.integrator,
-        step,
-        newton: NewtonOptions::default(),
-        omega_mode: OmegaMode::Frozen(spec.f1_hz),
-        linear_solver: spec.solver,
-        ..Default::default()
-    };
+    let (forcing, opts) = spec_problem(spec);
     wampde::solve_mpde(dae, &forcing, spec.t_stop, &opts, init)
 }
 

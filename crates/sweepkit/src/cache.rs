@@ -63,7 +63,11 @@ use std::path::{Path, PathBuf};
 // fmt11: the dense LU's back substitution subtracts each row's terms in
 // descending column order, so `.wampde`, `.mpde` and dense `.shooting`
 // results move by rounding.
-pub const CACHE_SALT: &str = concat!("sweepkit-", env!("CARGO_PKG_VERSION"), "-fmt11");
+// fmt12: adaptive envelope steps weigh each collocation sample's error by
+// its variable's amplitude and take Gustafsson's PI gains, the WaMPDE
+// corrector runs undamped, and the `.wampde` default rtol is 2e-4, so
+// adaptive `.wampde` and `.mpde` results move within the step tolerance.
+pub const CACHE_SALT: &str = concat!("sweepkit-", env!("CARGO_PKG_VERSION"), "-fmt12");
 
 /// FNV-1a, 128-bit: tiny, dependency-free, and plenty for cache keys
 /// (collision odds are negligible below ~2^60 distinct jobs).

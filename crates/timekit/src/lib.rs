@@ -21,12 +21,16 @@
 //!   ([`History::predict`]).
 //! * [`StepPolicy`] / [`StepController`] — fixed or LTE-adaptive step
 //!   selection with one canonical `dt_init`/`dt_min`/`dt_max`
-//!   auto-defaulting rule, the ≤1 % final-step stretch, and the
-//!   safety-factor accept/reject law shared by every solver.
+//!   auto-defaulting rule, the ≤1 % final-step stretch, and one
+//!   safety-factor accept law `h·0.9·err^(−β1)·err_prev^(β2)` whose
+//!   [`Gains`] the caller picks: the elementary `(1/(k+1), 0)` for
+//!   transients, Gustafsson's PI `(0.7/(k+1), 0.4/(k+1))` for envelopes.
 //! * [`Tolerance`] — the adaptive controller's error weights
-//!   `wᵢ = atol + rtol·|zᵢ|`, shared by the LTE estimate and DASSL's
-//!   Newton test ([`Tolerance::newton_norm`], bound [`NEWTON_TOL`]),
-//!   which a solver may apply to the step it is handed.
+//!   `wᵢ = atol + rtol·sᵢ`, with `sᵢ` the entry's own magnitude or, for
+//!   collocation samples, its variable's amplitude over the period
+//!   ([`Scale`]), shared by the LTE estimate and DASSL's Newton test
+//!   ([`Tolerance::newton_norm`], bound [`NEWTON_TOL`]), which a solver
+//!   may apply to the step it is handed.
 //! * [`drive`] — the one step loop (propose → predict → solve → LTE →
 //!   accept/reject → history) over a solver's [`StepSystem`], which
 //!   supplies only the implicit solve of a step and the bookkeeping of
@@ -85,7 +89,9 @@ pub mod history;
 pub mod scheme;
 pub mod stepper;
 
-pub use controller::{StepController, StepPolicy, StepVerdict, Tolerance, NEWTON_TOL};
+pub use controller::{
+    Gains, Scale, StepController, StepPolicy, StepVerdict, Tolerance, NEWTON_TOL,
+};
 pub use history::{History, HistoryPoint};
 pub use scheme::{Scheme, StepCoeffs};
 pub use stepper::{drive, Step, StepSystem};

@@ -126,10 +126,7 @@ pub fn drive<S: StepSystem>(
         let solved_ok = solved.is_ok();
         let accept = match solved {
             Ok(()) => match &predicted {
-                Some(pred) if ctl.adaptive() => {
-                    let err = ctl.lte(&z, pred);
-                    ctl.evaluate(h, err) == StepVerdict::Accept
-                }
+                Some(pred) if ctl.adaptive() => ctl.judge(h, &z, pred) == StepVerdict::Accept,
                 // Fixed step, or no history yet: accept the step.
                 _ => true,
             },
@@ -165,7 +162,7 @@ pub fn drive<S: StepSystem>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::StepPolicy;
+    use crate::{Scale, StepPolicy};
 
     #[derive(Debug, PartialEq)]
     enum Fail {
@@ -278,6 +275,7 @@ mod tests {
         let tol = Tolerance {
             rtol: 1e-4,
             atol: 1e-9,
+            scale: Scale::Entry,
         };
         assert!(!sys.tols.is_empty());
         assert!(sys.tols.iter().all(|t| *t == Some(tol)));

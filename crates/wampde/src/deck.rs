@@ -111,6 +111,24 @@ mod tests {
     }
 
     #[test]
+    fn deck_defaults_are_the_options_defaults() {
+        // A `.wampde` deck that sets no key runs the library's defaults:
+        // sweeps compare deck runs against direct `solve_envelope` calls
+        // built from `WampdeOptions::default()`.
+        let spec = WampdeSpec::new(1.0e-6);
+        let opts = WampdeOptions::default();
+        let T2StepControl::Adaptive { rtol, atol, .. } = opts.step else {
+            panic!("the default t2 step is adaptive: {:?}", opts.step);
+        };
+        assert_eq!((spec.rtol, spec.atol), (rtol, atol));
+        assert_eq!(spec.dt, 0.0);
+        assert_eq!(spec.harmonics, opts.harmonics);
+        assert_eq!(spec.integrator, opts.integrator);
+        assert_eq!(spec.phase_var, opts.phase_var);
+        assert_eq!(spec.solver, opts.linear_solver);
+    }
+
+    #[test]
     fn out_of_range_phase_var_rejected() {
         let dae = circuits::mems_vco(MemsVcoConfig::constant(1.5));
         let spec = WampdeSpec {

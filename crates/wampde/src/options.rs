@@ -1,6 +1,6 @@
 //! Configuration of the WaMPDE solvers.
 
-use transim::NewtonOptions;
+use transim::{Damping, NewtonOptions};
 
 /// Implicit scheme used along the slow (unwarped) time axis `t2` — a
 /// re-export of the shared [`timekit::Scheme`] table (the same engine
@@ -28,7 +28,8 @@ pub use timekit::Scheme as T2Integrator;
 /// **Breaking note:** `T2StepControl::default()` now follows the
 /// shared transient convention (`rtol = 1e-6`, `atol = 1e-12`), *not*
 /// the historical wampde default. [`WampdeOptions::default`] pins the
-/// envelope-accuracy tolerances (`rtol = 1e-4`, `atol = 1e-9`) — build
+/// envelope-accuracy tolerances (`rtol = 2e-4`, `atol = 1e-9`, relative
+/// to each variable's amplitude over the period) — build
 /// options through it, or with [`timekit::StepPolicy::adaptive`].
 pub use timekit::StepPolicy as T2StepControl;
 
@@ -65,7 +66,8 @@ pub struct WampdeOptions {
     /// Slow-time step policy.
     pub step: T2StepControl,
     /// Inner Newton options. The default turns on
-    /// [`newtonkit::NewtonPolicy::reuse_jacobian`] for the envelope;
+    /// [`newtonkit::NewtonPolicy::reuse_jacobian`] for the envelope and
+    /// takes full (undamped) Newton steps;
     /// [`crate::solve_quasiperiodic`] always factors every iteration.
     /// `abstol`/`reltol` govern fixed-step envelopes, every MPDE step
     /// ([`crate::solve_mpde`]) and [`crate::solve_quasiperiodic`]; an
@@ -92,12 +94,18 @@ impl Default for WampdeOptions {
             // BDF2: second-order envelope accuracy without multiplier
             // ringing (see the T2Integrator re-export docs).
             integrator: T2Integrator::Bdf2,
-            step: T2StepControl::adaptive(1e-4, 1e-9),
+            // Relative to each variable's amplitude over the period (see
+            // `timekit::Scale::Amplitude`), not to each sample.
+            step: T2StepControl::adaptive(2e-4, 1e-9),
             // Modified Newton: the step Jacobian barely moves between
             // neighbouring t2 steps (the engine refactors it when a0h
-            // leaves DASSL's band or the scheme's θ changes).
+            // leaves DASSL's band or the scheme's θ changes). The
+            // corrector starts at the predictor, so it runs undamped, as
+            // DASSL's does: a diverging iteration on a kept matrix
+            // refactors, and a failed solve is retried smaller.
             newton: NewtonOptions {
                 reuse_jacobian: true,
+                damping: Damping::Full,
                 ..NewtonOptions::default()
             },
             phase_var: 0,
@@ -128,9 +136,10 @@ mod tests {
         assert!(matches!(o.linear_solver, LinearSolverKind::Dense));
         assert_eq!(o.integrator, T2Integrator::Bdf2);
         assert!(o.newton.reuse_jacobian);
+        assert_eq!(o.newton.damping, Damping::Full);
         match o.step {
             T2StepControl::Adaptive { rtol, atol, .. } => {
-                assert_eq!(rtol, 1e-4);
+                assert_eq!(rtol, 2e-4);
                 assert_eq!(atol, 1e-9);
             }
             other => panic!("unexpected default step policy {other:?}"),

@@ -239,13 +239,9 @@ impl<D: Dae + ?Sized> CollocStep<'_, D> {
     /// Fills the Jacobian blocks (and, with ω free, its column) at the
     /// iterate and hands their assembly description to `use_parts`.
     fn with_parts(&self, z: &[f64], use_parts: impl FnOnce(JacobianParts<'_>)) {
-        let (n, len) = (self.colloc.n, self.colloc.len());
+        let len = self.colloc.len();
         let work = &mut *self.work.borrow_mut();
-        for s in 0..self.colloc.n0 {
-            let xs = &z[s * n..(s + 1) * n];
-            self.dae.jac_q(xs, &mut work.cblocks[s]);
-            self.dae.jac_f(xs, &mut work.gblocks[s]);
-        }
+        circuitdae::jac_blocks_into(self.dae, &z[..len], &mut work.cblocks, &mut work.gblocks);
         let theta = self.step.coeffs.theta;
         let border = match self.omega {
             Omega::Free(row) => {
@@ -471,6 +467,10 @@ mod tests {
                 Some(timekit::Tolerance {
                     rtol: 1e-4,
                     atol: 1e-9,
+                    scale: timekit::Scale::Amplitude {
+                        n: colloc.n,
+                        samples: colloc.n0,
+                    },
                 }),
             ] {
                 for reuse_jacobian in [false, true] {
