@@ -1521,8 +1521,9 @@ fn figures_10_to_12() {
 }
 
 /// Largest accepted |final phase error| of the WaMPDE envelope against the
-/// 1000 pts/cycle reference in `--table speedup`, in cycles.
-const SPEEDUP_PHASE_ERR_BOUND: f64 = 0.1;
+/// 1000 pts/cycle reference in `--table speedup`, in cycles (0.016
+/// measured; the reference's own error is about 0.004).
+const SPEEDUP_PHASE_ERR_BOUND: f64 = 0.03;
 
 /// Most Newton iterations the `--table speedup` envelope may take (847
 /// with amplitude-weighted errors, Gustafsson's PI gains, the undamped

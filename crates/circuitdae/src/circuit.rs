@@ -1,7 +1,7 @@
 //! Modified-nodal-analysis circuit builder.
 
 use crate::dae::{Dae, Pattern};
-use crate::device::{Device, Stamper};
+use crate::device::{Device, Sink, Values};
 use numkit::DMat;
 use sparsekit::Triplets;
 use std::fmt;
@@ -228,16 +228,16 @@ impl CircuitDae {
         }
     }
 
-    /// Stamps one per-device triplet pass in device insertion order.
-    fn stamp_jac_triplets(
+    /// Loads one device side into `sink` over every device, in insertion
+    /// order: the one device loop behind the value and Jacobian methods.
+    fn load<S: Sink>(
         &self,
         x: &[f64],
-        out: &mut Triplets,
-        stamp: fn(&Device, &Stamper<'_>, usize, &mut Triplets),
+        sink: &mut S,
+        side: impl Fn(&Device, &[f64], usize, &mut S),
     ) {
-        let st = Stamper { x };
         for (d, off) in &self.devices {
-            stamp(d, &st, *off, out);
+            side(d, x, *off, sink);
         }
     }
 }
@@ -248,42 +248,31 @@ impl Dae for CircuitDae {
     }
 
     fn eval_q(&self, x: &[f64], out: &mut [f64]) {
-        out.iter_mut().for_each(|v| *v = 0.0);
-        let st = Stamper { x };
-        for (d, off) in &self.devices {
-            d.stamp_q(&st, *off, out);
-        }
+        out.fill(0.0);
+        self.load(x, &mut Values(out), Device::load_q);
     }
 
     fn eval_f(&self, x: &[f64], out: &mut [f64]) {
-        out.iter_mut().for_each(|v| *v = 0.0);
-        let st = Stamper { x };
-        for (d, off) in &self.devices {
-            d.stamp_f(&st, *off, out);
-        }
+        out.fill(0.0);
+        self.load(x, &mut Values(out), Device::load_f);
     }
 
     fn eval_b(&self, t: f64, out: &mut [f64]) {
-        out.iter_mut().for_each(|v| *v = 0.0);
+        out.fill(0.0);
+        let mut sink = Values(out);
         for (d, off) in &self.devices {
-            d.stamp_b(t, *off, out);
+            d.stamp_b(t, *off, &mut sink);
         }
     }
 
     fn jac_q(&self, x: &[f64], out: &mut DMat) {
         out.fill_zero();
-        let st = Stamper { x };
-        for (d, off) in &self.devices {
-            d.stamp_jac_q(&st, *off, out);
-        }
+        self.load(x, out, Device::load_q);
     }
 
     fn jac_f(&self, x: &[f64], out: &mut DMat) {
         out.fill_zero();
-        let st = Stamper { x };
-        for (d, off) in &self.devices {
-            d.stamp_jac_f(&st, *off, out);
-        }
+        self.load(x, out, Device::load_f);
     }
 
     fn var_names(&self) -> Vec<String> {
@@ -291,8 +280,8 @@ impl Dae for CircuitDae {
     }
 
     fn sparsity(&self) -> Pattern {
-        // Device triplet stamps push every structural position regardless
-        // of value, so one stamp at x = 0 reveals the full pattern.
+        // Device loads push every structural position regardless of
+        // value, so one load at x = 0 reveals the full pattern.
         let x = vec![0.0; self.dim];
         let mut t = Triplets::new(self.dim, self.dim);
         self.jac_q_triplets(&x, &mut t);
@@ -301,11 +290,11 @@ impl Dae for CircuitDae {
     }
 
     fn jac_q_triplets(&self, x: &[f64], out: &mut Triplets) {
-        self.stamp_jac_triplets(x, out, Device::stamp_jac_q_trip);
+        self.load(x, out, Device::load_q);
     }
 
     fn jac_f_triplets(&self, x: &[f64], out: &mut Triplets) {
-        self.stamp_jac_triplets(x, out, Device::stamp_jac_f_trip);
+        self.load(x, out, Device::load_f);
     }
 }
 
@@ -554,8 +543,10 @@ mod tests {
         assert!(check_jacobians(&dae, &[0.3, -0.2]) < 1e-6);
     }
 
-    /// Sparse and dense Jacobian stamping must agree entrywise, and the
-    /// reported pattern must cover every dense nonzero.
+    /// Sparse and dense Jacobian loads must agree bit for bit (the
+    /// triplets sum in push order, the dense matrix in write order, and
+    /// a load writes both in one order), and the reported pattern must
+    /// cover every dense nonzero.
     fn assert_sparse_matches_dense(dae: &CircuitDae, x: &[f64]) {
         let n = dae.dim();
         let mut dense_q = DMat::zeros(n, n);
@@ -571,14 +562,16 @@ mod tests {
         let pattern = dae.sparsity();
         for i in 0..n {
             for j in 0..n {
-                assert!(
-                    (dense_q[(i, j)] - sq[(i, j)]).abs() < 1e-14,
+                assert_eq!(
+                    dense_q[(i, j)].to_bits(),
+                    sq[(i, j)].to_bits(),
                     "C({i},{j}): {} vs {}",
                     dense_q[(i, j)],
                     sq[(i, j)]
                 );
-                assert!(
-                    (dense_f[(i, j)] - sf[(i, j)]).abs() < 1e-14,
+                assert_eq!(
+                    dense_f[(i, j)].to_bits(),
+                    sf[(i, j)].to_bits(),
                     "G({i},{j}): {} vs {}",
                     dense_f[(i, j)],
                     sf[(i, j)]
@@ -628,6 +621,63 @@ mod tests {
         ckt.add(Device::mems_varactor(t, Circuit::GND, p));
         let dae = ckt.build().unwrap();
         assert_sparse_matches_dense(&dae, &[1.2, -0.5, 0.3, 0.1]);
+    }
+
+    /// The `(row, col)` sequence of both triplet Jacobians, in push order.
+    fn triplet_coords(dae: &CircuitDae, x: &[f64]) -> Vec<(usize, usize)> {
+        let n = dae.dim();
+        let mut t = Triplets::new(n, n);
+        dae.jac_q_triplets(x, &mut t);
+        dae.jac_f_triplets(x, &mut t);
+        t.iter().map(|(r, c, _)| (r, c)).collect()
+    }
+
+    #[test]
+    fn triplet_coordinates_do_not_depend_on_x() {
+        // Every device kind, and a MEMS varactor whose tank coupling adds
+        // the x-dependent entries of G: the pushed coordinates must be the
+        // same at x = 0 and anywhere else, which `sparsity` and klu's
+        // assembly-plan replay rely on.
+        let mems = |tank_coupling| MemsParams {
+            c0: 5e-9,
+            y0: 1.0,
+            mass: 1e-12,
+            damping: 3e-7,
+            spring_k: 2.5,
+            force_gain: 0.12,
+            control: Waveform::Dc(1.5),
+            tank_coupling,
+        };
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let b = ckt.node("b");
+        ckt.add(Device::resistor(a, b, 1e3));
+        ckt.add(Device::capacitor(b, Circuit::GND, 1e-9));
+        ckt.add(Device::inductor(a, b, 1e-5));
+        ckt.add(Device::cubic_conductor(b, Circuit::GND, 2e-3, 6.7e-4));
+        ckt.add(Device::tanh_conductor(a, b, 1e-3, 0.5, 1e-5));
+        ckt.add(Device::current_source(Circuit::GND, a, Waveform::Dc(1e-3)));
+        ckt.add(Device::voltage_source(a, Circuit::GND, Waveform::Dc(2.0)));
+        ckt.add(Device::mems_varactor(a, b, mems(0.0)));
+        ckt.add(Device::mems_varactor(b, Circuit::GND, mems(0.8)));
+        ckt.add(Device::diode(a, b, 1e-14, 0.02585));
+        ckt.add(Device::vccs(Circuit::GND, b, a, Circuit::GND, 2e-3));
+        let dae = ckt.build().unwrap();
+        let at_zero = triplet_coords(&dae, &vec![0.0; dae.dim()]);
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        for _ in 0..8 {
+            let x: Vec<f64> = (0..dae.dim())
+                .map(|_| {
+                    // xorshift64: a fixed pseudo-random point in [-2, 2).
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    4.0 * (state >> 11) as f64 / (1u64 << 53) as f64 - 2.0
+                })
+                .collect();
+            assert_eq!(triplet_coords(&dae, &x), at_zero, "x = {x:?}");
+            assert_sparse_matches_dense(&dae, &x);
+        }
     }
 
     #[test]

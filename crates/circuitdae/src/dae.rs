@@ -102,12 +102,13 @@ pub trait Dae {
     /// Forcing `b(t)` into `out` (length `n`).
     fn eval_b(&self, t: f64, out: &mut [f64]);
 
-    /// Jacobian `C(x) = ∂q/∂x` into `out` (`n × n`, pre-zeroed by caller
-    /// contract: implementations overwrite every entry or call
-    /// [`DMat::fill_zero`] first).
+    /// Jacobian `C(x) = ∂q/∂x` into `out` (`n × n`). Callers may pass a
+    /// matrix holding anything: implementations overwrite every entry
+    /// (an accumulating one calls [`DMat::fill_zero`] first).
     fn jac_q(&self, x: &[f64], out: &mut DMat);
 
-    /// Jacobian `G(x) = ∂f/∂x` into `out` (`n × n`).
+    /// Jacobian `G(x) = ∂f/∂x` into `out` (`n × n`); every entry is
+    /// overwritten, as in [`Dae::jac_q`].
     fn jac_f(&self, x: &[f64], out: &mut DMat);
 
     /// Human-readable unknown names, for reporting. Defaults to `x0..`.

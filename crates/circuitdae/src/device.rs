@@ -1,4 +1,20 @@
-//! Circuit devices and their MNA stamps.
+//! Circuit devices and their MNA loads.
+//!
+//! Each side of a device is written once, in SPICE's load idiom: the
+//! crate-private `Device::load_q` computes the device's `q(x)` values
+//! together with their Jacobian `C(x) = ∂q/∂x`, and `Device::load_f` its
+//! `f(x)` values with `G(x) = ∂f/∂x`. Both write through a `Sink`:
+//! `Values` keeps the values, a [`DMat`] adds the Jacobian entries and
+//! [`Triplets`] pushes them; each drops the other output. The loads are
+//! generic over the sink, so every instance inlines its sink and the
+//! optimiser deletes the arithmetic only the dropped output needs.
+//!
+//! A load writes each output in the same order whatever the sink, so
+//! the dense and triplet Jacobians agree bit for bit. It pushes every
+//! structural entry, zeros included, and which entries it pushes depends
+//! on the device's parameters, never on `x`: one load at `x = 0` gives
+//! [`crate::Dae::sparsity`], and klu replays one assembly plan while the
+//! coordinates repeat.
 
 use crate::circuit::Node;
 use crate::waveform::Waveform;
@@ -475,124 +491,165 @@ impl Device {
     }
 }
 
-/// Stamp context: resolves node voltages and accumulates into vectors.
-pub(crate) struct Stamper<'a> {
-    pub x: &'a [f64],
+/// Voltage of node `n` in `x` (ground reads 0).
+#[inline]
+fn volt(x: &[f64], n: Node) -> f64 {
+    match n.unknown_index() {
+        Some(i) => x[i],
+        None => 0.0,
+    }
 }
 
-impl Stamper<'_> {
-    #[inline]
-    pub fn v(&self, n: Node) -> f64 {
-        match n.unknown_index() {
-            Some(i) => self.x[i],
-            None => 0.0,
-        }
-    }
+/// Voltage across `n1 → n2`.
+#[inline]
+fn across(x: &[f64], n1: Node, n2: Node) -> f64 {
+    volt(x, n1) - volt(x, n2)
+}
 
+/// A MEMS varactor's plate displacement and velocity `(y, u)` at its
+/// extra unknowns, read through one bounds check whichever is used.
+#[inline]
+fn plate(x: &[f64], extra: usize) -> (f64, f64) {
+    let yu = &x[extra..extra + 2];
+    (yu[0], yu[1])
+}
+
+/// Where a device load writes one side of the DAE: its values, or its
+/// Jacobian entries. Each impl keeps one output and drops the other.
+pub(crate) trait Sink {
+    /// Adds `v` to value `i`.
+    fn value(&mut self, i: usize, v: f64);
+
+    /// Adds `v` to Jacobian entry `(i, j)`.
+    fn entry(&mut self, i: usize, j: usize, v: f64);
+
+    /// Adds `v` to the value of node `n` (ground rows skipped).
     #[inline]
-    pub fn acc(out: &mut [f64], n: Node, val: f64) {
+    fn val(&mut self, n: Node, v: f64) {
         if let Some(i) = n.unknown_index() {
-            out[i] += val;
+            self.value(i, v);
         }
     }
 
+    /// Adds `v` to the Jacobian entry at node row `row`, node column `col`.
     #[inline]
-    pub fn acc_jac(out: &mut DMat, row: Node, col: Node, val: f64) {
+    fn jac(&mut self, row: Node, col: Node, v: f64) {
         if let (Some(i), Some(j)) = (row.unknown_index(), col.unknown_index()) {
-            out[(i, j)] += val;
+            self.entry(i, j, v);
         }
     }
 
+    /// Adds `v` at node row `row`, unknown column `col`.
     #[inline]
-    pub fn acc_jac_ri(out: &mut DMat, row: Node, col: usize, val: f64) {
+    fn jac_ri(&mut self, row: Node, col: usize, v: f64) {
         if let Some(i) = row.unknown_index() {
-            out[(i, col)] += val;
+            self.entry(i, col, v);
         }
     }
 
+    /// Adds `v` at unknown row `row`, node column `col`.
     #[inline]
-    pub fn acc_jac_ir(out: &mut DMat, row: usize, col: Node, val: f64) {
+    fn jac_ir(&mut self, row: usize, col: Node, v: f64) {
         if let Some(j) = col.unknown_index() {
-            out[(row, j)] += val;
+            self.entry(row, j, v);
         }
     }
 
-    // Sparse (triplet) counterparts of the dense accumulators. These push
-    // *unconditionally* — a value of 0.0 is kept — so the emitted pattern
-    // is structural: the same positions appear for every `x`, which is
-    // what lets `CircuitDae::sparsity` be computed from a single stamp.
-
+    /// Adds the four-entry conductance-style block `±g` between two nodes.
     #[inline]
-    pub fn trip(out: &mut Triplets, row: Node, col: Node, val: f64) {
-        if let (Some(i), Some(j)) = (row.unknown_index(), col.unknown_index()) {
-            out.push(i, j, val);
-        }
+    fn pair(&mut self, n1: Node, n2: Node, g: f64) {
+        self.jac(n1, n1, g);
+        self.jac(n1, n2, -g);
+        self.jac(n2, n1, -g);
+        self.jac(n2, n2, g);
+    }
+}
+
+/// Keeps the values, drops the Jacobian.
+pub(crate) struct Values<'a>(pub &'a mut [f64]);
+
+impl Sink for Values<'_> {
+    #[inline]
+    fn value(&mut self, i: usize, v: f64) {
+        self.0[i] += v;
     }
 
     #[inline]
-    pub fn trip_ri(out: &mut Triplets, row: Node, col: usize, val: f64) {
-        if let Some(i) = row.unknown_index() {
-            out.push(i, col, val);
-        }
-    }
+    fn entry(&mut self, _: usize, _: usize, _: f64) {}
+}
+
+/// Adds the Jacobian entries into a dense matrix, drops the values.
+impl Sink for DMat {
+    #[inline]
+    fn value(&mut self, _: usize, _: f64) {}
 
     #[inline]
-    pub fn trip_ir(out: &mut Triplets, row: usize, col: Node, val: f64) {
-        if let Some(j) = col.unknown_index() {
-            out.push(row, j, val);
-        }
+    fn entry(&mut self, i: usize, j: usize, v: f64) {
+        self[(i, j)] += v;
     }
+}
 
-    /// Pushes the four-entry conductance-style block `±g` between two
-    /// nodes (ground rows/cols skipped).
+/// Pushes the Jacobian entries, zeros included, drops the values.
+impl Sink for Triplets {
     #[inline]
-    fn trip_pair(out: &mut Triplets, n1: Node, n2: Node, g: f64) {
-        Stamper::trip(out, n1, n1, g);
-        Stamper::trip(out, n1, n2, -g);
-        Stamper::trip(out, n2, n1, -g);
-        Stamper::trip(out, n2, n2, g);
+    fn value(&mut self, _: usize, _: f64) {}
+
+    #[inline]
+    fn entry(&mut self, i: usize, j: usize, v: f64) {
+        self.push(i, j, v);
     }
 }
 
 impl Device {
-    /// Accumulates the device's contribution to `q(x)`.
-    pub(crate) fn stamp_q(&self, st: &Stamper<'_>, extra: usize, out: &mut [f64]) {
+    /// Loads the device's `q` side into `s`: its contribution to `q(x)`
+    /// and to `C(x) = ∂q/∂x`.
+    pub(crate) fn load_q<S: Sink>(&self, x: &[f64], extra: usize, s: &mut S) {
         match *self {
             Device::Capacitor { n1, n2, c } => {
-                let v12 = st.v(n1) - st.v(n2);
-                Stamper::acc(out, n1, c * v12);
-                Stamper::acc(out, n2, -c * v12);
+                let v12 = across(x, n1, n2);
+                s.val(n1, c * v12);
+                s.val(n2, -c * v12);
+                s.pair(n1, n2, c);
             }
             Device::Inductor { l, .. } => {
-                out[extra] += l * st.x[extra];
+                s.value(extra, l * x[extra]);
+                s.entry(extra, extra, l);
             }
             Device::MemsVaractor { n1, n2, ref params } => {
-                let v12 = st.v(n1) - st.v(n2);
-                let y = st.x[extra];
-                let u = st.x[extra + 1];
+                let v12 = across(x, n1, n2);
+                let (y, u) = plate(x, extra);
                 let c = params.capacitance(y);
-                Stamper::acc(out, n1, c * v12);
-                Stamper::acc(out, n2, -c * v12);
-                out[extra] += y;
-                out[extra + 1] += params.mass * u;
+                let dcdy = params.dc_dy(y);
+                s.val(n1, c * v12);
+                s.val(n2, -c * v12);
+                s.value(extra, y);
+                s.value(extra + 1, params.mass * u);
+                s.pair(n1, n2, c);
+                s.jac_ri(n1, extra, dcdy * v12);
+                s.jac_ri(n2, extra, -dcdy * v12);
+                s.entry(extra, extra, 1.0);
+                s.entry(extra + 1, extra + 1, params.mass);
             }
             _ => {}
         }
     }
 
-    /// Accumulates the device's contribution to `f(x)`.
-    pub(crate) fn stamp_f(&self, st: &Stamper<'_>, extra: usize, out: &mut [f64]) {
+    /// Loads the device's `f` side into `s`: its contribution to `f(x)`
+    /// and to `G(x) = ∂f/∂x`.
+    pub(crate) fn load_f<S: Sink>(&self, x: &[f64], extra: usize, s: &mut S) {
         match *self {
             Device::Resistor { n1, n2, r } => {
-                let i = (st.v(n1) - st.v(n2)) / r;
-                Stamper::acc(out, n1, i);
-                Stamper::acc(out, n2, -i);
+                let i = across(x, n1, n2) / r;
+                s.val(n1, i);
+                s.val(n2, -i);
+                s.pair(n1, n2, 1.0 / r);
             }
             Device::CubicConductor { n1, n2, g1, g3 } => {
-                let v = st.v(n1) - st.v(n2);
+                let v = across(x, n1, n2);
                 let i = -g1 * v + g3 * v * v * v;
-                Stamper::acc(out, n1, i);
-                Stamper::acc(out, n2, -i);
+                s.val(n1, i);
+                s.val(n2, -i);
+                s.pair(n1, n2, -g1 + 3.0 * g3 * v * v);
             }
             Device::TanhConductor {
                 n1,
@@ -601,39 +658,56 @@ impl Device {
                 vt,
                 gmin,
             } => {
-                let v = st.v(n1) - st.v(n2);
-                let i = -isat * (v / vt).tanh() + gmin * v;
-                Stamper::acc(out, n1, i);
-                Stamper::acc(out, n2, -i);
+                let v = across(x, n1, n2);
+                let t = (v / vt).tanh();
+                let i = -isat * t + gmin * v;
+                s.val(n1, i);
+                s.val(n2, -i);
+                s.pair(n1, n2, -isat / vt * (1.0 - t * t) + gmin);
             }
             Device::Inductor { n1, n2, .. } => {
-                let il = st.x[extra];
-                Stamper::acc(out, n1, il);
-                Stamper::acc(out, n2, -il);
-                out[extra] += -(st.v(n1) - st.v(n2));
+                let il = x[extra];
+                s.val(n1, il);
+                s.val(n2, -il);
+                s.value(extra, -across(x, n1, n2));
+                s.jac_ri(n1, extra, 1.0);
+                s.jac_ri(n2, extra, -1.0);
+                s.jac_ir(extra, n1, -1.0);
+                s.jac_ir(extra, n2, 1.0);
             }
             Device::VoltageSource { n1, n2, .. } => {
-                let i = st.x[extra];
-                Stamper::acc(out, n1, i);
-                Stamper::acc(out, n2, -i);
-                out[extra] += st.v(n1) - st.v(n2);
+                let i = x[extra];
+                s.val(n1, i);
+                s.val(n2, -i);
+                s.value(extra, across(x, n1, n2));
+                s.jac_ri(n1, extra, 1.0);
+                s.jac_ri(n2, extra, -1.0);
+                s.jac_ir(extra, n1, 1.0);
+                s.jac_ir(extra, n2, -1.0);
             }
             Device::MemsVaractor { n1, n2, ref params } => {
-                let y = st.x[extra];
-                let u = st.x[extra + 1];
-                out[extra] += -u;
+                let (y, u) = plate(x, extra);
+                s.value(extra, -u);
+                s.entry(extra, extra + 1, -1.0);
+                s.entry(extra + 1, extra, params.spring_k);
+                s.entry(extra + 1, extra + 1, params.damping);
                 let mut fu = params.damping * u + params.spring_k * y;
                 if params.tank_coupling != 0.0 {
-                    let v12 = st.v(n1) - st.v(n2);
-                    fu -= 0.5 * params.tank_coupling * v12 * v12 * params.dc_dy(y);
+                    let v12 = across(x, n1, n2);
+                    let tc = params.tank_coupling;
+                    let dcdy = params.dc_dy(y);
+                    fu -= 0.5 * tc * v12 * v12 * dcdy;
+                    s.jac_ir(extra + 1, n1, -tc * v12 * dcdy);
+                    s.jac_ir(extra + 1, n2, tc * v12 * dcdy);
+                    s.entry(extra + 1, extra, -0.5 * tc * v12 * v12 * params.d2c_dy2(y));
                 }
-                out[extra + 1] += fu;
+                s.value(extra + 1, fu);
             }
             Device::Diode { n1, n2, isat, vt } => {
-                let v = st.v(n1) - st.v(n2);
-                let (i, _) = diode_iv(v, isat, vt);
-                Stamper::acc(out, n1, i);
-                Stamper::acc(out, n2, -i);
+                let (i, g) = diode_iv(across(x, n1, n2), isat, vt);
+                s.val(n1, i);
+                s.val(n2, -i);
+                s.pair(n1, n2, g);
             }
             Device::Vccs {
                 n_from,
@@ -644,246 +718,32 @@ impl Device {
             } => {
                 // f holds currents *leaving* each node: an injection into
                 // n_to appears with negative sign there.
-                let i = gm * (st.v(cp) - st.v(cn));
-                Stamper::acc(out, n_to, -i);
-                Stamper::acc(out, n_from, i);
+                let i = gm * across(x, cp, cn);
+                s.val(n_to, -i);
+                s.val(n_from, i);
+                s.jac(n_to, cp, -gm);
+                s.jac(n_to, cn, gm);
+                s.jac(n_from, cp, gm);
+                s.jac(n_from, cn, -gm);
             }
             Device::CurrentSource { .. } | Device::Capacitor { .. } => {}
         }
     }
 
-    /// Accumulates the device's contribution to `b(t)`.
-    pub(crate) fn stamp_b(&self, t: f64, extra: usize, out: &mut [f64]) {
+    /// Adds the device's contribution to `b(t)` into `s`.
+    pub(crate) fn stamp_b(&self, t: f64, extra: usize, s: &mut Values<'_>) {
         match *self {
             Device::CurrentSource { n_from, n_to, wave } => {
                 let i = wave.eval(t);
-                Stamper::acc(out, n_to, i);
-                Stamper::acc(out, n_from, -i);
+                s.val(n_to, i);
+                s.val(n_from, -i);
             }
-            Device::VoltageSource { wave, .. } => {
-                out[extra] += wave.eval(t);
-            }
+            Device::VoltageSource { wave, .. } => s.value(extra, wave.eval(t)),
             Device::MemsVaractor { ref params, .. } => {
                 let v = params.control.eval(t);
-                out[extra + 1] += params.force_gain * v * v;
+                s.value(extra + 1, params.force_gain * v * v);
             }
             _ => {}
-        }
-    }
-
-    /// Accumulates the device's contribution to `C(x) = ∂q/∂x`.
-    pub(crate) fn stamp_jac_q(&self, st: &Stamper<'_>, extra: usize, out: &mut DMat) {
-        match *self {
-            Device::Capacitor { n1, n2, c } => {
-                Stamper::acc_jac(out, n1, n1, c);
-                Stamper::acc_jac(out, n1, n2, -c);
-                Stamper::acc_jac(out, n2, n1, -c);
-                Stamper::acc_jac(out, n2, n2, c);
-            }
-            Device::Inductor { l, .. } => {
-                out[(extra, extra)] += l;
-            }
-            Device::MemsVaractor { n1, n2, ref params } => {
-                let v12 = st.v(n1) - st.v(n2);
-                let y = st.x[extra];
-                let c = params.capacitance(y);
-                let dcdy = params.dc_dy(y);
-                Stamper::acc_jac(out, n1, n1, c);
-                Stamper::acc_jac(out, n1, n2, -c);
-                Stamper::acc_jac(out, n2, n1, -c);
-                Stamper::acc_jac(out, n2, n2, c);
-                Stamper::acc_jac_ri(out, n1, extra, dcdy * v12);
-                Stamper::acc_jac_ri(out, n2, extra, -dcdy * v12);
-                out[(extra, extra)] += 1.0;
-                out[(extra + 1, extra + 1)] += params.mass;
-            }
-            _ => {}
-        }
-    }
-
-    /// Accumulates the device's contribution to `G(x) = ∂f/∂x`.
-    pub(crate) fn stamp_jac_f(&self, st: &Stamper<'_>, extra: usize, out: &mut DMat) {
-        match *self {
-            Device::Resistor { n1, n2, r } => {
-                let g = 1.0 / r;
-                Stamper::acc_jac(out, n1, n1, g);
-                Stamper::acc_jac(out, n1, n2, -g);
-                Stamper::acc_jac(out, n2, n1, -g);
-                Stamper::acc_jac(out, n2, n2, g);
-            }
-            Device::CubicConductor { n1, n2, g1, g3 } => {
-                let v = st.v(n1) - st.v(n2);
-                let g = -g1 + 3.0 * g3 * v * v;
-                Stamper::acc_jac(out, n1, n1, g);
-                Stamper::acc_jac(out, n1, n2, -g);
-                Stamper::acc_jac(out, n2, n1, -g);
-                Stamper::acc_jac(out, n2, n2, g);
-            }
-            Device::TanhConductor {
-                n1,
-                n2,
-                isat,
-                vt,
-                gmin,
-            } => {
-                let v = st.v(n1) - st.v(n2);
-                let sech2 = {
-                    let t = (v / vt).tanh();
-                    1.0 - t * t
-                };
-                let g = -isat / vt * sech2 + gmin;
-                Stamper::acc_jac(out, n1, n1, g);
-                Stamper::acc_jac(out, n1, n2, -g);
-                Stamper::acc_jac(out, n2, n1, -g);
-                Stamper::acc_jac(out, n2, n2, g);
-            }
-            Device::Inductor { n1, n2, .. } => {
-                Stamper::acc_jac_ri(out, n1, extra, 1.0);
-                Stamper::acc_jac_ri(out, n2, extra, -1.0);
-                Stamper::acc_jac_ir(out, extra, n1, -1.0);
-                Stamper::acc_jac_ir(out, extra, n2, 1.0);
-            }
-            Device::VoltageSource { n1, n2, .. } => {
-                Stamper::acc_jac_ri(out, n1, extra, 1.0);
-                Stamper::acc_jac_ri(out, n2, extra, -1.0);
-                Stamper::acc_jac_ir(out, extra, n1, 1.0);
-                Stamper::acc_jac_ir(out, extra, n2, -1.0);
-            }
-            Device::MemsVaractor { n1, n2, ref params } => {
-                out[(extra, extra + 1)] += -1.0;
-                out[(extra + 1, extra)] += params.spring_k;
-                out[(extra + 1, extra + 1)] += params.damping;
-                if params.tank_coupling != 0.0 {
-                    let v12 = st.v(n1) - st.v(n2);
-                    let y = st.x[extra];
-                    let dcdy = params.dc_dy(y);
-                    let d2c = params.d2c_dy2(y);
-                    let tc = params.tank_coupling;
-                    Stamper::acc_jac_ir(out, extra + 1, n1, -tc * v12 * dcdy);
-                    Stamper::acc_jac_ir(out, extra + 1, n2, tc * v12 * dcdy);
-                    out[(extra + 1, extra)] += -0.5 * tc * v12 * v12 * d2c;
-                }
-            }
-            Device::Diode { n1, n2, isat, vt } => {
-                let v = st.v(n1) - st.v(n2);
-                let (_, g) = diode_iv(v, isat, vt);
-                Stamper::acc_jac(out, n1, n1, g);
-                Stamper::acc_jac(out, n1, n2, -g);
-                Stamper::acc_jac(out, n2, n1, -g);
-                Stamper::acc_jac(out, n2, n2, g);
-            }
-            Device::Vccs {
-                n_from,
-                n_to,
-                cp,
-                cn,
-                gm,
-            } => {
-                Stamper::acc_jac(out, n_to, cp, -gm);
-                Stamper::acc_jac(out, n_to, cn, gm);
-                Stamper::acc_jac(out, n_from, cp, gm);
-                Stamper::acc_jac(out, n_from, cn, -gm);
-            }
-            Device::CurrentSource { .. } | Device::Capacitor { .. } => {}
-        }
-    }
-
-    /// Sparse counterpart of [`Device::stamp_jac_q`]: pushes the device's
-    /// `∂q/∂x` entries as triplets at their structural positions (zeros
-    /// kept, so the pattern is `x`-independent).
-    pub(crate) fn stamp_jac_q_trip(&self, st: &Stamper<'_>, extra: usize, out: &mut Triplets) {
-        match *self {
-            Device::Capacitor { n1, n2, c } => {
-                Stamper::trip_pair(out, n1, n2, c);
-            }
-            Device::Inductor { l, .. } => {
-                out.push(extra, extra, l);
-            }
-            Device::MemsVaractor { n1, n2, ref params } => {
-                let v12 = st.v(n1) - st.v(n2);
-                let y = st.x[extra];
-                let c = params.capacitance(y);
-                let dcdy = params.dc_dy(y);
-                Stamper::trip_pair(out, n1, n2, c);
-                Stamper::trip_ri(out, n1, extra, dcdy * v12);
-                Stamper::trip_ri(out, n2, extra, -dcdy * v12);
-                out.push(extra, extra, 1.0);
-                out.push(extra + 1, extra + 1, params.mass);
-            }
-            _ => {}
-        }
-    }
-
-    /// Sparse counterpart of [`Device::stamp_jac_f`]; same contract as
-    /// [`Device::stamp_jac_q_trip`].
-    pub(crate) fn stamp_jac_f_trip(&self, st: &Stamper<'_>, extra: usize, out: &mut Triplets) {
-        match *self {
-            Device::Resistor { n1, n2, r } => {
-                Stamper::trip_pair(out, n1, n2, 1.0 / r);
-            }
-            Device::CubicConductor { n1, n2, g1, g3 } => {
-                let v = st.v(n1) - st.v(n2);
-                Stamper::trip_pair(out, n1, n2, -g1 + 3.0 * g3 * v * v);
-            }
-            Device::TanhConductor {
-                n1,
-                n2,
-                isat,
-                vt,
-                gmin,
-            } => {
-                let v = st.v(n1) - st.v(n2);
-                let sech2 = {
-                    let t = (v / vt).tanh();
-                    1.0 - t * t
-                };
-                Stamper::trip_pair(out, n1, n2, -isat / vt * sech2 + gmin);
-            }
-            Device::Inductor { n1, n2, .. } => {
-                Stamper::trip_ri(out, n1, extra, 1.0);
-                Stamper::trip_ri(out, n2, extra, -1.0);
-                Stamper::trip_ir(out, extra, n1, -1.0);
-                Stamper::trip_ir(out, extra, n2, 1.0);
-            }
-            Device::VoltageSource { n1, n2, .. } => {
-                Stamper::trip_ri(out, n1, extra, 1.0);
-                Stamper::trip_ri(out, n2, extra, -1.0);
-                Stamper::trip_ir(out, extra, n1, 1.0);
-                Stamper::trip_ir(out, extra, n2, -1.0);
-            }
-            Device::MemsVaractor { n1, n2, ref params } => {
-                out.push(extra, extra + 1, -1.0);
-                out.push(extra + 1, extra, params.spring_k);
-                out.push(extra + 1, extra + 1, params.damping);
-                if params.tank_coupling != 0.0 {
-                    let v12 = st.v(n1) - st.v(n2);
-                    let y = st.x[extra];
-                    let dcdy = params.dc_dy(y);
-                    let d2c = params.d2c_dy2(y);
-                    let tc = params.tank_coupling;
-                    Stamper::trip_ir(out, extra + 1, n1, -tc * v12 * dcdy);
-                    Stamper::trip_ir(out, extra + 1, n2, tc * v12 * dcdy);
-                    out.push(extra + 1, extra, -0.5 * tc * v12 * v12 * d2c);
-                }
-            }
-            Device::Diode { n1, n2, isat, vt } => {
-                let v = st.v(n1) - st.v(n2);
-                let (_, g) = diode_iv(v, isat, vt);
-                Stamper::trip_pair(out, n1, n2, g);
-            }
-            Device::Vccs {
-                n_from,
-                n_to,
-                cp,
-                cn,
-                gm,
-            } => {
-                Stamper::trip(out, n_to, cp, -gm);
-                Stamper::trip(out, n_to, cn, gm);
-                Stamper::trip(out, n_from, cp, gm);
-                Stamper::trip(out, n_from, cn, -gm);
-            }
-            Device::CurrentSource { .. } | Device::Capacitor { .. } => {}
         }
     }
 }

@@ -39,12 +39,12 @@ impl History {
         }
     }
 
-    /// Records an accepted point, evicting the oldest beyond `cap`.
-    pub fn push(&mut self, t: f64, z: Vec<f64>, q: Vec<f64>) {
-        if self.entries.len() == self.cap {
-            self.entries.remove(0);
-        }
+    /// Records an accepted point, evicting the oldest beyond `cap`, and
+    /// returns the evicted point so its vectors can be reused.
+    pub fn push(&mut self, t: f64, z: Vec<f64>, q: Vec<f64>) -> Option<HistoryPoint> {
+        let evicted = (self.entries.len() == self.cap).then(|| self.entries.remove(0));
         self.entries.push(HistoryPoint { t, z, q });
+        evicted
     }
 
     /// Number of points held.
@@ -67,22 +67,19 @@ impl History {
         self.entries.len().checked_sub(2).map(|i| &self.entries[i])
     }
 
-    /// Polynomial extrapolation of `z` to time `t`: `None` with fewer
-    /// than two points, linear with two, quadratic (Lagrange) with
-    /// three.
-    pub fn predict(&self, t: f64) -> Option<Vec<f64>> {
+    /// Polynomial extrapolation of `z` to time `t`, written into `out`
+    /// (length of `z`): `false`, leaving `out` untouched, with fewer than
+    /// two points, linear with two, quadratic (Lagrange) with three.
+    pub fn predict(&self, t: f64, out: &mut [f64]) -> bool {
         match self.entries.len() {
-            0 | 1 => None,
+            0 | 1 => return false,
             2 => {
                 let a = &self.entries[0];
                 let b = &self.entries[1];
                 let w = (t - a.t) / (b.t - a.t);
-                Some(
-                    a.z.iter()
-                        .zip(b.z.iter())
-                        .map(|(p, q)| p * (1.0 - w) + q * w)
-                        .collect(),
-                )
+                for ((o, p), q) in out.iter_mut().zip(&a.z).zip(&b.z) {
+                    *o = p * (1.0 - w) + q * w;
+                }
             }
             _ => {
                 let n = self.entries.len();
@@ -92,13 +89,12 @@ impl History {
                 let la = (t - b.t) * (t - c.t) / ((a.t - b.t) * (a.t - c.t));
                 let lb = (t - a.t) * (t - c.t) / ((b.t - a.t) * (b.t - c.t));
                 let lc = (t - a.t) * (t - b.t) / ((c.t - a.t) * (c.t - b.t));
-                Some(
-                    (0..a.z.len())
-                        .map(|i| a.z[i] * la + b.z[i] * lb + c.z[i] * lc)
-                        .collect(),
-                )
+                for (i, o) in out.iter_mut().enumerate() {
+                    *o = a.z[i] * la + b.z[i] * lb + c.z[i] * lc;
+                }
             }
         }
+        true
     }
 }
 
@@ -108,26 +104,34 @@ mod tests {
 
     #[test]
     fn predictor_orders() {
+        let mut out = [7.0];
         let mut h = History::new(3);
-        assert!(h.predict(1.0).is_none());
+        assert!(!h.predict(1.0, &mut out));
         h.push(0.0, vec![0.0], vec![0.0]);
-        assert!(h.predict(1.0).is_none());
+        assert!(!h.predict(1.0, &mut out));
+        assert_eq!(out, [7.0]);
         // Linear through two points reproduces a line exactly.
         h.push(1.0, vec![2.0], vec![0.0]);
-        assert!((h.predict(2.0).unwrap()[0] - 4.0).abs() < 1e-14);
+        assert!(h.predict(2.0, &mut out));
+        assert!((out[0] - 4.0).abs() < 1e-14);
         // Quadratic through three reproduces t^2 exactly.
         let mut h = History::new(3);
         for t in [0.0, 0.5, 1.5] {
             h.push(t, vec![t * t], vec![0.0]);
         }
-        assert!((h.predict(2.0).unwrap()[0] - 4.0).abs() < 1e-12);
+        assert!(h.predict(2.0, &mut out));
+        assert!((out[0] - 4.0).abs() < 1e-12);
     }
 
     #[test]
     fn ring_evicts_oldest() {
         let mut h = History::new(3);
-        for t in 0..5 {
-            h.push(t as f64, vec![t as f64], vec![]);
+        for t in 0..5_u32 {
+            let evicted = h.push(t as f64, vec![t as f64], vec![]);
+            // The point pushed three before comes back, vectors and all.
+            let back = t.checked_sub(3).map(|old| old as f64);
+            assert_eq!(evicted.as_ref().map(|p| p.t), back);
+            assert_eq!(evicted.map(|p| p.z), back.map(|old| vec![old]));
         }
         assert_eq!(h.len(), 3);
         assert_eq!(h.latest().unwrap().t, 4.0);

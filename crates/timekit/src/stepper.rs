@@ -93,11 +93,17 @@ pub fn drive<S: StepSystem>(
 ) -> Result<(), S::Error> {
     let span = t_end - start.t;
     let max_attempts = ctl.attempt_budget(span);
-    let q_len = start.q.len();
+    let (z_len, q_len) = (start.z.len(), start.q.len());
     let mut t = start.t;
     let mut hist = History::new(3);
     hist.push(start.t, start.z, start.q);
     let mut qlin = vec![0.0; q_len];
+    // The iterate and the prediction live in two buffers for the whole
+    // run; once the history is full, each accepted step's `z` and `q` go
+    // into it and the evicted point's vectors come back for reuse.
+    let mut z = vec![0.0; z_len];
+    let mut pred = vec![0.0; z_len];
+    let mut evicted: Option<HistoryPoint> = None;
 
     while t < t_end - 1e-15 * span {
         if stats.steps + stats.rejected > max_attempts {
@@ -110,11 +116,12 @@ pub fn drive<S: StepSystem>(
         step_span.attr("h", h);
 
         let coeffs = scheme.step_coeffs(h, &hist, &mut qlin);
-        let predicted = hist.predict(t_new);
-        let mut z = match &predicted {
-            Some(pred) => pred.clone(),
-            None => hist.latest().expect("history is seeded").z.clone(),
-        };
+        let predicted = hist.predict(t_new, &mut pred);
+        z.copy_from_slice(if predicted {
+            &pred
+        } else {
+            &hist.latest().expect("history is seeded").z
+        });
         let step = Step {
             t_new,
             h,
@@ -125,11 +132,9 @@ pub fn drive<S: StepSystem>(
         let solved = sys.solve(&step, &mut z, stats);
         let solved_ok = solved.is_ok();
         let accept = match solved {
-            Ok(()) => match &predicted {
-                Some(pred) if ctl.adaptive() => ctl.judge(h, &z, pred) == StepVerdict::Accept,
-                // Fixed step, or no history yet: accept the step.
-                _ => true,
-            },
+            Ok(()) if predicted && ctl.adaptive() => ctl.judge(h, &z, &pred) == StepVerdict::Accept,
+            // Fixed step, or no history yet: accept the step.
+            Ok(()) => true,
             Err(e) => {
                 if ctl.at_min(h) {
                     return Err(e);
@@ -141,9 +146,14 @@ pub fn drive<S: StepSystem>(
 
         step_span.attr("accepted", accept);
         if accept {
-            let mut q = vec![0.0; q_len];
+            let (z_free, mut q) = match evicted.take() {
+                Some(old) => (old.z, old.q),
+                None => (vec![0.0; z_len], vec![0.0; q_len]),
+            };
+            q.fill(0.0);
             sys.accept(&step, &z, &mut q)?;
-            hist.push(t_new, z, q);
+            let z_accepted = std::mem::replace(&mut z, z_free);
+            evicted = hist.push(t_new, z_accepted, q);
             stats.steps += 1;
             t = t_new;
         } else {
