@@ -9,7 +9,8 @@
 
 use circuitdae::circuits::{self, MemsVcoConfig};
 use circuitdae::{CircuitDae, Dae};
-use shooting::{oscillator_steady_state, PeriodicOrbit, ShootingOptions};
+use obskit::RunStats;
+use shooting::{oscillator_steady_state_with_stats, PeriodicOrbit, ShootingOptions};
 use std::time::{Duration, Instant};
 use transim::{
     run_fixed_per_cycle, run_transient, Integrator, StepControl, TransientOptions, TransientResult,
@@ -24,8 +25,19 @@ pub mod out;
 ///
 /// Panics when shooting fails (it never does for the calibrated presets).
 pub fn unforced_orbit() -> PeriodicOrbit {
+    unforced_orbit_with_stats().0
+}
+
+/// [`unforced_orbit`] with the work its cold start did: the warm-up and
+/// settle transients' steps and the orbit Newton's flows.
+///
+/// # Panics
+///
+/// Panics when shooting fails (it never does for the calibrated presets).
+pub fn unforced_orbit_with_stats() -> (PeriodicOrbit, RunStats) {
     let dae = circuits::mems_vco(MemsVcoConfig::constant(1.5));
-    oscillator_steady_state(&dae, &ShootingOptions::default()).expect("unforced VCO oscillates")
+    oscillator_steady_state_with_stats(&dae, &ShootingOptions::default(), None)
+        .expect("unforced VCO oscillates")
 }
 
 /// A WaMPDE envelope run of one of the paper's MEMS VCO experiments.

@@ -37,6 +37,7 @@ use numkit::{DMat, DenseLu};
 use sparsekit::Triplets;
 use std::cell::RefCell;
 use std::fmt;
+use std::ops::ControlFlow;
 use transim::{
     run_transient, run_transient_with, Integrator, NewtonOptions, StepControl, TransientOptions,
     TransientResult,
@@ -119,7 +120,8 @@ pub struct ShootingOptions {
     /// only when the first, loose attempt (a settle of a few periods)
     /// fails. Both attempts' warm-ups also scale with it: each warm-up
     /// window spans `warmup_periods / 10` estimates of the oscillation
-    /// horizon.
+    /// horizon, which the loose attempt's warm-up leaves early once the
+    /// oscillation has settled.
     pub warmup_periods: f64,
     /// Relative kick applied to the phase variable of the DC solution to
     /// start the oscillation in [`oscillator_steady_state`] (both the
@@ -328,7 +330,7 @@ fn flow_with_monodromy<D: Dae + ?Sized>(
             .solve_block_in_place(bm.as_mut_slice(), n)
             .map_err(singular)?;
         std::mem::swap(&mut m, &mut bm);
-        Ok(())
+        Ok(ControlFlow::Continue(()))
     })?;
     Ok(Flow {
         x_end: res.last().to_vec(),
@@ -709,39 +711,120 @@ pub fn estimate_period_from_transient(res: &TransientResult, var: usize) -> Opti
 /// Transient accuracy of one cold-start attempt: the kicked warm-up and
 /// the settle run adaptive trapezoidal steps at `rtol`, and the settle
 /// lasts `settle_periods` detected periods (`None`: the caller's
-/// [`ShootingOptions::warmup_periods`]).
+/// [`ShootingOptions::warmup_periods`]). With `end_settled_warmup` the
+/// warm-up ends before its horizon once the phase variable's
+/// oscillation has settled ([`SettleCheck`] at `rtol`).
 #[derive(Debug, Clone, Copy)]
 struct ColdStart {
     rtol: f64,
     settle_periods: Option<f64>,
+    end_settled_warmup: bool,
 }
 
 /// The first attempt. The transients only have to land the orbit
 /// Newton in its basin; the orbit's accuracy comes from that Newton
-/// (`tol`, fixed `steps_per_period`), so a loose warm-up and a settle of
-/// a few periods suffice.
+/// (`tol`, fixed `steps_per_period`), so a loose warm-up that stops once
+/// the oscillation has settled and a settle of a few periods suffice.
 const LOOSE_START: ColdStart = ColdStart {
     rtol: 1e-3,
     settle_periods: Some(4.0),
+    end_settled_warmup: true,
 };
 
 /// The fallback when the loose attempt fails for any reason: an
-/// accurate warm-up and a settle of `warmup_periods` periods.
+/// accurate warm-up over its whole horizon and a settle of
+/// `warmup_periods` periods.
 const TIGHT_START: ColdStart = ColdStart {
     rtol: 1e-6,
     settle_periods: None,
+    end_settled_warmup: false,
 };
+
+/// Consecutive peak-to-peak changes of the phase variable, each within
+/// the attempt's `rtol` of the newer peak, after which a loose warm-up
+/// counts as settled.
+const SETTLED_PEAKS: usize = 3;
+
+/// How a cold start's warm-up ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Warmup {
+    /// On the settle check, before its horizon.
+    Settled,
+    /// At its horizon.
+    Horizon,
+}
+
+impl Warmup {
+    fn label(self) -> &'static str {
+        match self {
+            Warmup::Settled => "settled",
+            Warmup::Horizon => "horizon",
+        }
+    }
+}
+
+/// The settle check of a loose warm-up, fed the phase variable's
+/// accepted samples in order. A sample no lower than the one before it
+/// and higher than the one after it is a peak, as in
+/// [`state_at_last_peak`]; the oscillation has settled once
+/// [`SETTLED_PEAKS`] consecutive peak-to-peak changes are each within
+/// `rtol` of the newer peak. A signal without peaks never settles.
+#[derive(Debug)]
+struct SettleCheck {
+    rtol: f64,
+    /// The sample before `latest`, once there is one.
+    before: Option<f64>,
+    latest: f64,
+    peak: Option<f64>,
+    agreeing: usize,
+}
+
+impl SettleCheck {
+    /// A check whose first sample is `first` (the warm-up's start).
+    fn new(rtol: f64, first: f64) -> Self {
+        SettleCheck {
+            rtol,
+            before: None,
+            latest: first,
+            peak: None,
+            agreeing: 0,
+        }
+    }
+
+    /// Takes the next sample; `true` once the oscillation has settled.
+    fn push(&mut self, next: f64) -> bool {
+        let mid = self.latest;
+        if self
+            .before
+            .is_some_and(|before| mid >= before && mid > next)
+        {
+            let agrees = self
+                .peak
+                .is_some_and(|peak| (mid - peak).abs() <= self.rtol * mid.abs());
+            self.agreeing = if agrees { self.agreeing + 1 } else { 0 };
+            self.peak = Some(mid);
+        }
+        self.before = Some(mid);
+        self.latest = next;
+        self.agreeing >= SETTLED_PEAKS
+    }
+}
 
 /// Full pipeline for an autonomous oscillator: DC operating point →
 /// kicked warm-up transient → period detection → settle → shooting.
 ///
-/// The warm-up and settle first run loosely (rtol 1e-3, a settle of a
-/// few periods); only if that attempt fails — no oscillation detected, a
+/// The warm-up and settle first run loosely (rtol 1e-3, a settle of 4
+/// detected periods), and this warm-up ends early once the phase
+/// variable's oscillation has settled: 3 consecutive peak-to-peak
+/// changes each within the rtol of the peak (counting
+/// `shooting.warmup_settled`); a warm-up that has not settled runs to
+/// its horizon. Only if that attempt fails — no oscillation detected, a
 /// transient error, orbit Newton non-convergence, or an orbit collapsed
 /// onto the equilibrium — does the pipeline run once more with accurate
-/// transients and a settle of [`ShootingOptions::warmup_periods`]
-/// periods, counting `shooting.cold_fallbacks`. The fallback changes
-/// cost, never which orbits can be reached.
+/// transients, a warm-up over its whole horizon and a settle of
+/// [`ShootingOptions::warmup_periods`] periods, counting
+/// `shooting.cold_fallbacks`. The fallback changes cost, never which
+/// orbits can be reached.
 ///
 /// # Errors
 ///
@@ -824,15 +907,16 @@ pub fn oscillator_steady_state_with_stats<D: Dae + ?Sized>(
             return Ok((continued(orbit), stats));
         }
     }
-    let _sp = obskit::span_with(
+    let sp = obskit::span_with(
         "shooting",
         &[("phase", obskit::AttrValue::Str("steady-state"))],
     );
     let dc = transim::dc_operating_point(dae, &NewtonOptions::default())?;
-    let orbit = cold_start(dae, opts, &dc, LOOSE_START, &mut stats).or_else(|_| {
+    let (orbit, warmup) = cold_start(dae, opts, &dc, LOOSE_START, &mut stats).or_else(|_| {
         obskit::counter_add("shooting.cold_fallbacks", 1);
         cold_start(dae, opts, &dc, TIGHT_START, &mut stats)
     })?;
+    sp.attr("warmup", warmup.label());
     Ok((orbit, stats))
 }
 
@@ -865,7 +949,8 @@ fn extrapolate_seed(points: &[(&[f64], f64)]) -> Option<(Vec<f64>, f64)> {
 
 /// One cold-start attempt from the DC point `dc`: kick, warm up until an
 /// oscillation period is detected, settle at `start`'s accuracy, then
-/// run the orbit Newton. Accumulates the work done into `stats`, also
+/// run the orbit Newton. Returns the orbit and how the warm-up that
+/// found its period ended. Accumulates the work done into `stats`, also
 /// when the attempt fails.
 fn cold_start<D: Dae + ?Sized>(
     dae: &D,
@@ -873,7 +958,7 @@ fn cold_start<D: Dae + ?Sized>(
     dc: &[f64],
     start: ColdStart,
     stats: &mut obskit::RunStats,
-) -> Result<PeriodicOrbit, ShootingError> {
+) -> Result<(PeriodicOrbit, Warmup), ShootingError> {
     // Kick the phase variable off the (typically unstable) equilibrium.
     let mut x = dc.to_vec();
     let kick = opts.kick.abs().max(1e-3);
@@ -905,14 +990,26 @@ fn cold_start<D: Dae + ?Sized>(
                 ..Default::default()
             },
         };
-        let warm = run_transient(
+        let mut check = SettleCheck::new(start.rtol, x[opts.phase_var]);
+        let mut warmup = Warmup::Horizon;
+        let warm = run_transient_with(
             dae,
             &x,
             0.0,
             horizon_guess * opts.warmup_periods / 10.0,
             &opts_tr,
+            |_, step| {
+                if start.end_settled_warmup && check.push(step.x[opts.phase_var]) {
+                    warmup = Warmup::Settled;
+                    return Ok(ControlFlow::Break(()));
+                }
+                Ok(ControlFlow::Continue(()))
+            },
         )?;
         stats.merge(&warm.stats);
+        if warmup == Warmup::Settled {
+            obskit::counter_add("shooting.warmup_settled", 1);
+        }
         if let Some((period, _t_cross)) = estimate_period_from_transient(&warm, opts.phase_var) {
             // Settle onto the limit cycle, then pick the state at the last
             // *peak* of the phase variable: there q̇_k ≈ 0 already, so the
@@ -923,7 +1020,11 @@ fn cold_start<D: Dae + ?Sized>(
             stats.merge(&settle.stats);
             let x0_guess = state_at_last_peak(&settle, opts.phase_var)
                 .unwrap_or_else(|| settle.last().to_vec());
-            return metered_orbit(dae, &x0_guess, period, opts, stats);
+            return metered_orbit(dae, &x0_guess, period, opts, stats).map(|orbit| (orbit, warmup));
+        }
+        if warmup == Warmup::Settled {
+            // A longer horizon would stop at the same settled point.
+            break;
         }
         horizon_guess *= 8.0;
     }
@@ -1157,7 +1258,7 @@ mod tests {
             assert_eq!(rec.counter("shooting.cold_fallbacks"), 0, "case {i}");
             let dc = transim::dc_operating_point(dae, &NewtonOptions::default()).unwrap();
             let mut tight_stats = obskit::RunStats::default();
-            let tight = cold_start(dae, &opts, &dc, TIGHT_START, &mut tight_stats).unwrap();
+            let (tight, _) = cold_start(dae, &opts, &dc, TIGHT_START, &mut tight_stats).unwrap();
             let rel = (loose.period - tight.period).abs() / tight.period;
             assert!(
                 rel <= 1e-7,
@@ -1172,6 +1273,101 @@ mod tests {
                 tight_stats.newton_iters
             );
         }
+    }
+
+    #[test]
+    fn settle_check_stops_once_three_peak_to_peak_changes_agree() {
+        // Samples of `amp(k)·sin` at 16 per period, from one sample in.
+        let run = |amp: &dyn Fn(usize) -> f64, samples: usize| {
+            let mut check = SettleCheck::new(1e-3, 0.0);
+            (1..samples).find(|&k| {
+                let phase = 2.0 * std::f64::consts::PI * k as f64 / 16.0;
+                check.push(amp(k) * phase.sin())
+            })
+        };
+        // The peak is at sample 4 of each period and is recognised one
+        // sample later; the fourth equal peak is the third agreeing one.
+        assert_eq!(run(&|_| 2.0, 4000), Some(3 * 16 + 5));
+        // Growing by 0.5 % per period: never within 1e-3.
+        assert_eq!(run(&|k| 1.005f64.powf(k as f64 / 16.0), 4000), None);
+        // A decaying beat on the peaks: it stops at the first three
+        // consecutive peak changes within 1e-3, and not before.
+        let beat = |k: usize| {
+            let p = (k / 16) as f64;
+            2.0 + (-p / 25.0).exp() * (1.3 * p).cos()
+        };
+        let peak = |p: usize| beat(16 * p + 4);
+        let agrees = |p: usize| (peak(p) - peak(p - 1)).abs() <= 1e-3 * peak(p);
+        let settled = (3..).find(|&p| (p - 2..=p).all(agrees)).unwrap();
+        assert!(settled > 100, "{settled}");
+        assert_eq!(run(&beat, 4000), Some(16 * settled + 5));
+        // No peaks: a ramp, and a flat line (no sample is higher than the
+        // one after it).
+        assert_eq!(run(&|k| k as f64 / 1e3, 4000), None);
+        let mut flat = SettleCheck::new(1e-3, 1.0);
+        assert!((0..1000).all(|_| !flat.push(1.0)));
+    }
+
+    #[test]
+    fn mems_cold_start_ends_its_warmup_once_settled() {
+        use circuitdae::circuits::MemsVcoConfig;
+        use std::sync::Arc;
+        // The envelope's start: the unforced VCO at its 1.5 V control.
+        // The warm-up settles in about 12 of its 75 horizon periods.
+        let mems = circuits::mems_vco(MemsVcoConfig::constant(1.5));
+        let rec = Arc::new(obskit::CollectingRecorder::new());
+        let _g = obskit::install(rec.clone() as Arc<dyn obskit::Recorder>);
+        let (orbit, stats) =
+            oscillator_steady_state_with_stats(&mems, &ShootingOptions::default(), None).unwrap();
+        let steps = stats.steps + stats.rejected;
+        assert!(steps <= 3000, "{steps} transient steps");
+        assert!(orbit.iterations <= 3, "{} flows", orbit.iterations);
+        assert_eq!(rec.counter("shooting.warmup_settled"), 1);
+        assert_eq!(rec.counter("shooting.cold_fallbacks"), 0);
+        let start = rec
+            .spans()
+            .into_iter()
+            .find(|s| s.name == "shooting" && s.attrs.contains(&("warmup", "settled".into())))
+            .expect("the cold-start span says how its warm-up ended");
+        assert!(start
+            .attrs
+            .contains(&("phase", obskit::AttrValue::Str("steady-state"))));
+    }
+
+    #[test]
+    fn an_unsettled_warmup_runs_the_old_path_bit_for_bit() {
+        use std::sync::Arc;
+        // The loaded ring's warm-up never settles within its horizon, so
+        // its cold start is the one recorded before the settle check
+        // existed: same orbit, same monodromy, same counters.
+        let ring = circuits::ring_loaded_vco(6);
+        let rec = Arc::new(obskit::CollectingRecorder::new());
+        let _g = obskit::install(rec.clone() as Arc<dyn obskit::Recorder>);
+        let (orbit, s) =
+            oscillator_steady_state_with_stats(&ring, &ShootingOptions::default(), None).unwrap();
+        assert_eq!(rec.counter("shooting.warmup_settled"), 0);
+        let counters = [
+            orbit.iterations,
+            s.steps,
+            s.rejected,
+            s.newton_iters,
+            s.factorisations,
+            s.symbolic_reuses,
+        ];
+        let values = orbit
+            .x0
+            .iter()
+            .chain(orbit.samples.iter().flatten())
+            .chain(orbit.monodromy.as_slice());
+        let bits = std::iter::once(orbit.period.to_bits())
+            .chain(values.map(|v| v.to_bits()))
+            .chain(counters.iter().map(|&c| c as u64));
+        let digest = bits.fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            b.to_le_bytes().iter().fold(h, |h, &byte| {
+                (h ^ byte as u64).wrapping_mul(0x100_0000_01b3)
+            })
+        });
+        assert_eq!(digest, 0xb0b7_3585_b3dd_37c3, "{digest:#x}, {counters:?}");
     }
 
     #[test]

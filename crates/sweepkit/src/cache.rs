@@ -67,7 +67,10 @@ use std::path::{Path, PathBuf};
 // its variable's amplitude and take Gustafsson's PI gains, the WaMPDE
 // corrector runs undamped, and the `.wampde` default rtol is 2e-4, so
 // adaptive `.wampde` and `.mpde` results move within the step tolerance.
-pub const CACHE_SALT: &str = concat!("sweepkit-", env!("CARGO_PKG_VERSION"), "-fmt12");
+// fmt13: the cold oscillator start's loose warm-up ends once the phase
+// variable's oscillation has settled, so cold `.shooting`/`.wampde`
+// orbits whose warm-up settles move within the Newton tolerance.
+pub const CACHE_SALT: &str = concat!("sweepkit-", env!("CARGO_PKG_VERSION"), "-fmt13");
 
 /// FNV-1a, 128-bit: tiny, dependency-free, and plenty for cache keys
 /// (collision odds are negligible below ~2^60 distinct jobs).

@@ -40,6 +40,7 @@
 //!
 //! ```
 //! use obskit::RunStats;
+//! use std::ops::ControlFlow;
 //! use timekit::{drive, HistoryPoint, Scheme, Step, StepPolicy, StepSystem};
 //!
 //! struct Decay {
@@ -58,11 +59,16 @@
 //!         Ok(())
 //!     }
 //!
-//!     fn accept(&mut self, step: &Step<'_>, z: &[f64], q: &mut [f64]) -> Result<(), String> {
+//!     fn accept(
+//!         &mut self,
+//!         step: &Step<'_>,
+//!         z: &[f64],
+//!         q: &mut [f64],
+//!     ) -> Result<ControlFlow<()>, String> {
 //!         self.y_prev = z[0];
 //!         self.ts.push(step.t_new);
 //!         q[0] = z[0];
-//!         Ok(())
+//!         Ok(ControlFlow::Continue(()))
 //!     }
 //!
 //!     fn step_too_small(&self, at_time: f64, step: f64) -> String {

@@ -2,6 +2,7 @@
 
 use crate::{History, HistoryPoint, Scheme, StepCoeffs, StepController, StepVerdict, Tolerance};
 use obskit::RunStats;
+use std::ops::ControlFlow;
 
 /// One attempted step, as [`drive`] hands it to a [`StepSystem`].
 #[derive(Debug, Clone, Copy)]
@@ -52,12 +53,19 @@ pub trait StepSystem {
     ) -> Result<(), Self::Error>;
 
     /// Records the accepted point `z` at `step.t_new` and writes its charge
-    /// vector `q(z)` into `q` for the history.
+    /// vector `q(z)` into `q` for the history. Returning
+    /// [`ControlFlow::Break`] ends the run at this point, before `t_end`:
+    /// the point is recorded and [`drive`] returns `Ok`.
     ///
     /// # Errors
     ///
     /// Any error ends the run and is returned by [`drive`].
-    fn accept(&mut self, step: &Step<'_>, z: &[f64], q: &mut [f64]) -> Result<(), Self::Error>;
+    fn accept(
+        &mut self,
+        step: &Step<'_>,
+        z: &[f64],
+        q: &mut [f64],
+    ) -> Result<ControlFlow<()>, Self::Error>;
 
     /// The solver's step-too-small error at time `at_time` with working
     /// step `step`.
@@ -73,7 +81,9 @@ pub trait StepSystem {
 /// attempt is seeded with the history's prediction, or else the last
 /// accepted `z`. With a prediction in hand and adaptive control, the
 /// LTE of the full `z` against it judges the step; a fixed step, or the
-/// first step, is accepted unconditionally.
+/// first step, is accepted unconditionally. The run ends at `t_end`, or
+/// earlier at the first accepted point whose [`StepSystem::accept`]
+/// returned [`ControlFlow::Break`].
 ///
 /// # Errors
 ///
@@ -151,11 +161,14 @@ pub fn drive<S: StepSystem>(
                 None => (vec![0.0; z_len], vec![0.0; q_len]),
             };
             q.fill(0.0);
-            sys.accept(&step, &z, &mut q)?;
+            let flow = sys.accept(&step, &z, &mut q)?;
             let z_accepted = std::mem::replace(&mut z, z_free);
             evicted = hist.push(t_new, z_accepted, q);
             stats.steps += 1;
             t = t_new;
+            if flow.is_break() {
+                break;
+            }
         } else {
             stats.rejected += 1;
             // An LTE rejection already driven to the minimum step cannot
@@ -190,6 +203,7 @@ mod tests {
         fail_solve: bool,
         jitter: f64,
         fail_accept_after: Option<usize>,
+        stop_after: Option<usize>,
         tried: Vec<f64>,
         tols: Vec<Option<Tolerance>>,
         ts: Vec<f64>,
@@ -213,14 +227,23 @@ mod tests {
             Ok(())
         }
 
-        fn accept(&mut self, step: &Step<'_>, z: &[f64], q: &mut [f64]) -> Result<(), Fail> {
+        fn accept(
+            &mut self,
+            step: &Step<'_>,
+            z: &[f64],
+            q: &mut [f64],
+        ) -> Result<ControlFlow<()>, Fail> {
             if self.fail_accept_after == Some(self.ts.len()) {
                 return Err(Fail::Accept(step.t_new));
             }
             self.y_prev = z[0];
             q[0] = z[0];
             self.ts.push(step.t_new);
-            Ok(())
+            Ok(if self.stop_after == Some(self.ts.len()) {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            })
         }
 
         fn step_too_small(&self, at: f64, step: f64) -> Fail {
@@ -359,6 +382,20 @@ mod tests {
         assert!(matches!(res, Err(Fail::Accept(t)) if (t - 0.4).abs() < 1e-12));
         assert_eq!(sys.tried.len(), 4);
         assert_eq!(stats.steps, 3);
+    }
+
+    #[test]
+    fn an_accept_hook_break_ends_the_run_after_recording_its_point() {
+        let mut sys = Decay {
+            stop_after: Some(3),
+            ..Default::default()
+        };
+        let (res, stats) = run(&mut sys, StepPolicy::Fixed(0.1), 0.0, 1.0);
+        res.unwrap();
+        assert_eq!(sys.ts.len(), 3);
+        assert!((sys.ts[2] - 0.3).abs() < 1e-12, "{:?}", sys.ts);
+        assert_eq!(sys.tried.len(), 3);
+        assert_eq!((stats.steps, stats.rejected), (3, 0));
     }
 
     #[test]

@@ -18,6 +18,8 @@ use circuitdae::Dae;
 use newtonkit::NewtonEngine;
 use numkit::DMat;
 use sparsekit::Triplets;
+use std::cell::RefCell;
+use std::ops::ControlFlow;
 use timekit::{HistoryPoint, Step};
 
 /// Implicit integration scheme (the shared `timekit` scheme table).
@@ -114,25 +116,25 @@ struct StepSystem<'a, D: Dae + ?Sized> {
     dae: &'a D,
     a0h: f64,
     theta: f64,
-    rconst: Vec<f64>,
-    qbuf: std::cell::RefCell<Vec<f64>>,
-    fbuf: std::cell::RefCell<Vec<f64>>,
-    cmat: std::cell::RefCell<DMat>,
-    tbuf: std::cell::RefCell<Triplets>,
+    rconst: &'a [f64],
+    scratch: &'a StepScratch,
 }
 
-impl<D: Dae + ?Sized> StepSystem<'_, D> {
-    fn new(dae: &D, a0h: f64, theta: f64, rconst: Vec<f64>) -> StepSystem<'_, D> {
-        let n = dae.dim();
-        StepSystem {
-            dae,
-            a0h,
-            theta,
-            rconst,
-            qbuf: std::cell::RefCell::new(vec![0.0; n]),
-            fbuf: std::cell::RefCell::new(vec![0.0; n]),
-            cmat: std::cell::RefCell::new(DMat::zeros(n, n)),
-            tbuf: std::cell::RefCell::new(Triplets::new(n, n)),
+/// The evaluation buffers of [`StepSystem`], kept for a whole run.
+struct StepScratch {
+    q: RefCell<Vec<f64>>,
+    f: RefCell<Vec<f64>>,
+    c: RefCell<DMat>,
+    triplets: RefCell<Triplets>,
+}
+
+impl StepScratch {
+    fn new(n: usize) -> Self {
+        StepScratch {
+            q: RefCell::new(vec![0.0; n]),
+            f: RefCell::new(vec![0.0; n]),
+            c: RefCell::new(DMat::zeros(n, n)),
+            triplets: RefCell::new(Triplets::new(n, n)),
         }
     }
 }
@@ -143,8 +145,8 @@ impl<D: Dae + ?Sized> NonlinearSystem for StepSystem<'_, D> {
     }
 
     fn residual(&self, x: &[f64], out: &mut [f64]) {
-        let mut q = self.qbuf.borrow_mut();
-        let mut f = self.fbuf.borrow_mut();
+        let mut q = self.scratch.q.borrow_mut();
+        let mut f = self.scratch.f.borrow_mut();
         self.dae.eval_q(x, &mut q);
         self.dae.eval_f(x, &mut f);
         for i in 0..out.len() {
@@ -153,7 +155,7 @@ impl<D: Dae + ?Sized> NonlinearSystem for StepSystem<'_, D> {
     }
 
     fn jacobian(&self, x: &[f64], out: &mut DMat) {
-        let mut c = self.cmat.borrow_mut();
+        let mut c = self.scratch.c.borrow_mut();
         self.dae.jac_q(x, &mut c);
         self.dae.jac_f(x, out);
         out.scale(self.theta);
@@ -162,7 +164,7 @@ impl<D: Dae + ?Sized> NonlinearSystem for StepSystem<'_, D> {
 
     fn jacobian_triplets(&self, x: &[f64], out: &mut Triplets) -> bool {
         // J = a0h·C + θ·G from the DAE's sparse stamps.
-        let mut scratch = self.tbuf.borrow_mut();
+        let mut scratch = self.scratch.triplets.borrow_mut();
         scratch.clear();
         self.dae.jac_q_triplets(x, &mut scratch);
         out.append_scaled(&scratch, self.a0h);
@@ -192,7 +194,9 @@ pub fn run_transient<D: Dae + ?Sized>(
     t_end: f64,
     opts: &TransientOptions,
 ) -> Result<TransientResult, TransimError> {
-    run_transient_with(dae, x0, t0, t_end, opts, |_, _| Ok(()))
+    run_transient_with(dae, x0, t0, t_end, opts, |_, _| {
+        Ok(ControlFlow::Continue(()))
+    })
 }
 
 /// One accepted step, as [`run_transient_with`] hands it to its
@@ -218,6 +222,10 @@ pub struct AcceptedStep<'a> {
 /// step's Newton then starts on that matrix. Factorisations the callback
 /// makes count in [`TransientStats::factorisations`].
 ///
+/// A callback returning [`ControlFlow::Break`] ends the run at that
+/// step, which is the result's last point; with `Continue` throughout,
+/// the run reaches `t_end`.
+///
 /// # Errors
 ///
 /// As [`run_transient`], plus the first error `on_accept` returns, which
@@ -232,7 +240,7 @@ pub fn run_transient_with<D, F>(
 ) -> Result<TransientResult, TransimError>
 where
     D: Dae + ?Sized,
-    F: FnMut(&mut NewtonEngine, &AcceptedStep<'_>) -> Result<(), TransimError>,
+    F: FnMut(&mut NewtonEngine, &AcceptedStep<'_>) -> Result<ControlFlow<()>, TransimError>,
 {
     let n = dae.dim();
     if x0.len() != n {
@@ -268,8 +276,11 @@ where
         newton: NewtonEngine::new(),
         times,
         states,
+        scratch: StepScratch::new(n),
+        rconst: vec![0.0; n],
+        g_prev: vec![0.0; n],
+        g_prev_stale: true,
         bbuf: vec![0.0; n],
-        fbuf: vec![0.0; n],
     };
     let start = HistoryPoint {
         t: t0,
@@ -300,14 +311,21 @@ struct Transient<'a, D: Dae + ?Sized, F> {
     newton: NewtonEngine,
     times: Vec<f64>,
     states: Vec<Vec<f64>>,
+    scratch: StepScratch,
+    /// The step residual's constant term, rebuilt on every attempt.
+    rconst: Vec<f64>,
+    /// `(1 − θ)·(f − b)` at the latest record, the same for every
+    /// attempt from it: the first attempt after a record computes it
+    /// (`g_prev_stale` until then), its retries reuse it.
+    g_prev: Vec<f64>,
+    g_prev_stale: bool,
     bbuf: Vec<f64>,
-    fbuf: Vec<f64>,
 }
 
 impl<D, F> timekit::StepSystem for Transient<'_, D, F>
 where
     D: Dae + ?Sized,
-    F: FnMut(&mut NewtonEngine, &AcceptedStep<'_>) -> Result<(), TransimError>,
+    F: FnMut(&mut NewtonEngine, &AcceptedStep<'_>) -> Result<ControlFlow<()>, TransimError>,
 {
     type Error = TransimError;
     const TIME_ATTR: &'static str = "t";
@@ -321,32 +339,50 @@ where
         // Step-residual constants: the charge-history term from the
         // scheme, plus (1−θ)·g_prev (trapezoidal only) and −θ·b(t_new).
         let theta = step.coeffs.theta;
-        let mut rconst = step.qlin.to_vec();
+        self.rconst.copy_from_slice(step.qlin);
         if theta < 1.0 {
-            let t_prev = *self.times.last().expect("records are seeded");
-            let x_prev = self.states.last().expect("records are seeded");
-            self.dae.eval_f(x_prev, &mut self.fbuf);
-            self.dae.eval_b(t_prev, &mut self.bbuf);
-            for (i, r) in rconst.iter_mut().enumerate() {
-                *r += (1.0 - theta) * (self.fbuf[i] - self.bbuf[i]);
+            if self.g_prev_stale {
+                let t_prev = *self.times.last().expect("records are seeded");
+                let x_prev = self.states.last().expect("records are seeded");
+                self.dae.eval_f(x_prev, &mut self.g_prev);
+                self.dae.eval_b(t_prev, &mut self.bbuf);
+                for (g, b) in self.g_prev.iter_mut().zip(&self.bbuf) {
+                    *g = (1.0 - theta) * (*g - b);
+                }
+                self.g_prev_stale = false;
+            }
+            for (r, g) in self.rconst.iter_mut().zip(&self.g_prev) {
+                *r += g;
             }
         }
         self.dae.eval_b(step.t_new, &mut self.bbuf);
-        for (r, b) in rconst.iter_mut().zip(&self.bbuf) {
+        for (r, b) in self.rconst.iter_mut().zip(&self.bbuf) {
             *r -= theta * b;
         }
 
-        let sys = StepSystem::new(self.dae, step.coeffs.a0h, theta, rconst);
+        let sys = StepSystem {
+            dae: self.dae,
+            a0h: step.coeffs.a0h,
+            theta,
+            rconst: &self.rconst,
+            scratch: &self.scratch,
+        };
         let result = self.newton.solve(&sys, x, self.newton_opts);
         // A failed solve's iterations count too: its step is retried.
         stats.newton_iters += self.newton.stats().iterations;
         result.map(drop).map_err(|e| map_newton_err(e, step.t_new))
     }
 
-    fn accept(&mut self, step: &Step<'_>, x: &[f64], q: &mut [f64]) -> Result<(), TransimError> {
+    fn accept(
+        &mut self,
+        step: &Step<'_>,
+        x: &[f64],
+        q: &mut [f64],
+    ) -> Result<ControlFlow<()>, TransimError> {
         self.dae.eval_q(x, q);
         self.times.push(step.t_new);
         self.states.push(x.to_vec());
+        self.g_prev_stale = true;
         let accepted = AcceptedStep {
             t: step.t_new,
             a0h: step.coeffs.a0h,

@@ -28,6 +28,7 @@ use hb::Colloc;
 use newtonkit::{NewtonEngine, NewtonError, NewtonPolicy};
 use numkit::vecops::CompensatedSum;
 use std::cell::RefCell;
+use std::ops::ControlFlow;
 use timekit::{Gains, HistoryPoint, Scale, Step, StepCoeffs, StepController, StepSystem};
 
 /// A bivariate forcing `b̂(t1, t2)` with `t1 ∈ [0, 1)` the normalised fast
@@ -196,7 +197,8 @@ pub fn solve_mpde<D: Dae + ?Sized>(
     };
     run.solve(&steady, &mut x, &mut stats)?;
     let mut q = vec![0.0; len];
-    run.accept(&steady, &x, &mut q)?;
+    // The envelope's hook always continues.
+    let _ = run.accept(&steady, &x, &mut q)?;
     run.drive(HistoryPoint { t: 0.0, z: x, q }, ctl, t2_end, opts, stats)
 }
 
@@ -397,7 +399,12 @@ impl<D: Dae + ?Sized> StepSystem for Envelope<'_, D> {
         })
     }
 
-    fn accept(&mut self, step: &Step<'_>, z: &[f64], q: &mut [f64]) -> Result<(), WampdeError> {
+    fn accept(
+        &mut self,
+        step: &Step<'_>,
+        z: &[f64],
+        q: &mut [f64],
+    ) -> Result<ControlFlow<()>, WampdeError> {
         let len = self.colloc.len();
         let omega_new = match self.phase_row {
             Some(_) => z[len],
@@ -407,7 +414,7 @@ impl<D: Dae + ?Sized> StepSystem for Envelope<'_, D> {
         self.phi.add(step.h * 0.5 * (self.omega + omega_new));
         self.omega = omega_new;
         self.record(step.t_new, &z[..len], q);
-        Ok(())
+        Ok(ControlFlow::Continue(()))
     }
 
     fn step_too_small(&self, at_t2: f64, step: f64) -> WampdeError {
