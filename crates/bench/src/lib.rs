@@ -1,11 +1,11 @@
-//! Experiment drivers shared by the Criterion benches and the `repro`
-//! binary that regenerates every figure of the paper.
+//! Experiment drivers behind the `repro` binary, which regenerates every
+//! figure and table of the paper.
 //!
-//! Each paper artifact maps to one driver here (see `DESIGN.md §3` for
-//! the full index); the benches time the underlying computations, while
-//! `cargo run --release -p wampde-bench --bin repro` writes the figure
-//! data as CSV into `target/repro/` and prints the headline numbers for
-//! `EXPERIMENTS.md`.
+//! Each paper artifact maps to one driver here; `cargo run --release -p
+//! wampde_bench --bin repro` writes the figure data as CSV into
+//! `target/repro/`, the measured tables as `BENCH_*.json`, and prints the
+//! headline numbers. The crate also holds the `wampde-cli` deck runner
+//! and the `obs-check` trace validator.
 
 use circuitdae::circuits::{self, MemsVcoConfig};
 use circuitdae::{CircuitDae, Dae};
@@ -308,7 +308,6 @@ impl CyclicJacobian {
     pub fn build(n1: usize) -> Self {
         let base = StepJacobian::build(4, 2);
         let bw = base.dim();
-        let n = base.colloc.n;
         let dim = n1 * bw;
         // BDF2 cyclic stencil over the slice spacing h.
         let h = 2.0e-6 / n1 as f64;
@@ -320,7 +319,7 @@ impl CyclicJacobian {
         let mut local = sparsekit::Triplets::new(bw, bw);
         let mut parts = base.parts();
         parts.inv_h = c0;
-        parts.push_triplets(&mut local);
+        parts.push_triplets(&mut local, 0, 0);
         for m in 0..n1 {
             let wob = 1.0 + 0.05 * (2.0 * std::f64::consts::PI * m as f64 / n1 as f64).sin();
             let off = m * bw;
@@ -328,21 +327,15 @@ impl CyclicJacobian {
                 trip.push(off + r, off + c, v * wob);
             }
         }
-        // d = 1, 2 stencil couplings: c_d·C_s blocks, sample-diagonal.
+        // d = 1, 2 stencil couplings: c_d·C_s blocks, sample-diagonal
+        // (the collocation block with inv_h = c_d and θ = 0).
         for (d, cd) in [(1usize, c1), (2usize, c2)] {
+            let coupling = base
+                .colloc
+                .parts(&base.cblocks, &base.gblocks, cd, 0.0, 0.0, None);
             for m in 0..n1 {
                 let src = (m + n1 - d) % n1;
-                for s in 0..base.colloc.n0 {
-                    let c = &base.cblocks[s];
-                    for i in 0..n {
-                        for j in 0..n {
-                            let v = cd * c[(i, j)];
-                            if v != 0.0 {
-                                trip.push(m * bw + s * n + i, src * bw + s * n + j, v);
-                            }
-                        }
-                    }
-                }
+                coupling.push_triplets(&mut trip, m * bw, src * bw);
             }
         }
         CyclicJacobian { trip, n1, bw }

@@ -175,7 +175,7 @@ pub trait Dae {
 
 /// Per-sample Jacobian blocks `(C_s, G_s)` of a stacked sample-major
 /// state (`x[s·n + i]` = variable `i` at sample `s`) — the building
-/// blocks every collocation-style consumer (HB, MPDE, WaMPDE, benches)
+/// blocks every collocation-style consumer (HB, MPDE, WaMPDE, repro)
 /// hands to `linsolve::JacobianParts`.
 ///
 /// # Panics

@@ -99,117 +99,84 @@ impl HbWork {
     }
 }
 
-/// Newton system for forced HB: fixed fundamental, unknowns = samples.
-struct ForcedSystem<'a, D: Dae + ?Sized> {
+/// The fundamental of a harmonic-balance system.
+enum Freq<'a> {
+    /// Fixed at the forcing's (Hz).
+    Fixed(f64),
+    /// The last unknown, pinned by this phase row.
+    Free(&'a [f64]),
+}
+
+/// Newton system of harmonic balance: unknowns are the samples, followed
+/// by the frequency when it is free, whose row is then the phase
+/// condition.
+struct HbSystem<'a, D: Dae + ?Sized> {
     dae: &'a D,
     colloc: &'a Colloc,
-    freq_hz: f64,
     /// Forcing evaluated at the collocation times (sample-major).
     b: Vec<f64>,
+    freq: Freq<'a>,
     work: RefCell<HbWork>,
 }
 
-impl<D: Dae + ?Sized> NonlinearSystem for ForcedSystem<'_, D> {
-    fn dim(&self) -> usize {
-        self.colloc.len()
-    }
-
-    fn residual(&self, x: &[f64], out: &mut [f64]) {
-        let n = self.colloc.n;
-        let work = &mut *self.work.borrow_mut();
-        work.eval(self.dae, self.colloc, x);
-        self.colloc.eval_f_all(self.dae, x, out);
-        for s in 0..self.colloc.n0 {
-            for i in 0..n {
-                let k = self.colloc.idx(s, i);
-                out[k] += self.freq_hz * work.dq[k] - self.b[k];
-            }
+impl<D: Dae + ?Sized> HbSystem<'_, D> {
+    fn freq_of(&self, x: &[f64]) -> f64 {
+        match self.freq {
+            Freq::Fixed(f) => f,
+            Freq::Free(_) => x[self.colloc.len()],
         }
     }
 
-    fn jacobian(&self, x: &[f64], out: &mut DMat) {
-        self.with_parts(x, |parts| parts.assemble_dense_into(out));
-    }
-
-    fn jacobian_triplets(&self, x: &[f64], out: &mut Triplets) -> bool {
-        self.with_parts(x, |parts| parts.push_triplets(out));
-        true
-    }
-}
-
-impl<D: Dae + ?Sized> ForcedSystem<'_, D> {
-    /// Hands the collocation Jacobian at `x` to `use_parts`.
-    fn with_parts(&self, x: &[f64], use_parts: impl FnOnce(JacobianParts<'_>)) {
-        let work = &mut *self.work.borrow_mut();
-        circuitdae::jac_blocks_into(self.dae, x, &mut work.cblocks, &mut work.gblocks);
-        use_parts(
-            self.colloc
-                .parts(&work.cblocks, &work.gblocks, 0.0, 1.0, self.freq_hz, None),
-        );
-    }
-}
-
-/// Newton system for autonomous HB: unknowns = samples + frequency; the
-/// final row is the phase condition.
-struct AutonomousSystem<'a, D: Dae + ?Sized> {
-    dae: &'a D,
-    colloc: &'a Colloc,
-    b0: Vec<f64>,
-    phase_row: &'a [f64],
-    work: RefCell<HbWork>,
-}
-
-impl<D: Dae + ?Sized> NonlinearSystem for AutonomousSystem<'_, D> {
-    fn dim(&self) -> usize {
-        self.colloc.len() + 1
-    }
-
-    fn residual(&self, x: &[f64], out: &mut [f64]) {
-        let len = self.colloc.len();
-        let freq = x[len];
-        let xs = &x[..len];
-        let work = &mut *self.work.borrow_mut();
-        work.eval(self.dae, self.colloc, xs);
-        self.colloc.eval_f_all(self.dae, xs, &mut out[..len]);
-        for s in 0..self.colloc.n0 {
-            for i in 0..self.colloc.n {
-                let k = self.colloc.idx(s, i);
-                out[k] += freq * work.dq[k] - self.b0[i];
-            }
-        }
-        out[len] = self
-            .phase_row
-            .iter()
-            .zip(xs.iter())
-            .map(|(a, b)| a * b)
-            .sum();
-    }
-
-    fn jacobian(&self, x: &[f64], out: &mut DMat) {
-        self.with_parts(x, |parts| parts.assemble_dense_into(out));
-    }
-
-    fn jacobian_triplets(&self, x: &[f64], out: &mut Triplets) -> bool {
-        self.with_parts(x, |parts| parts.push_triplets(out));
-        true
-    }
-}
-
-impl<D: Dae + ?Sized> AutonomousSystem<'_, D> {
-    /// Hands the bordered collocation Jacobian at `x` (samples, then
-    /// frequency) to `use_parts`; `∂phase/∂ω = 0`.
+    /// Hands the collocation Jacobian at `x` to `use_parts`, bordered by
+    /// the phase row and the `∂r/∂ω = D·q` column when the frequency is
+    /// free (`∂phase/∂ω = 0`).
     fn with_parts(&self, x: &[f64], use_parts: impl FnOnce(JacobianParts<'_>)) {
         let len = self.colloc.len();
         let xs = &x[..len];
         let work = &mut *self.work.borrow_mut();
         circuitdae::jac_blocks_into(self.dae, xs, &mut work.cblocks, &mut work.gblocks);
-        // ∂r/∂ω column: (D·q)(t1_s).
-        work.eval(self.dae, self.colloc, xs);
-        let border = Some((self.phase_row, work.dq.as_slice()));
+        let border = match self.freq {
+            Freq::Fixed(_) => None,
+            Freq::Free(row) => {
+                work.eval(self.dae, self.colloc, xs);
+                Some((row, work.dq.as_slice()))
+            }
+        };
+        let freq = self.freq_of(x);
         use_parts(
             self.colloc
-                .parts(&work.cblocks, &work.gblocks, 0.0, 1.0, x[len], border),
+                .parts(&work.cblocks, &work.gblocks, 0.0, 1.0, freq, border),
         );
+    }
+}
+
+impl<D: Dae + ?Sized> NonlinearSystem for HbSystem<'_, D> {
+    fn dim(&self) -> usize {
+        self.colloc.len() + usize::from(matches!(self.freq, Freq::Free(_)))
+    }
+
+    fn residual(&self, x: &[f64], out: &mut [f64]) {
+        let len = self.colloc.len();
+        let freq = self.freq_of(x);
+        let xs = &x[..len];
+        let work = &mut *self.work.borrow_mut();
+        work.eval(self.dae, self.colloc, xs);
+        self.colloc.eval_f_all(self.dae, xs, &mut out[..len]);
+        for (k, r) in out[..len].iter_mut().enumerate() {
+            *r += freq * work.dq[k] - self.b[k];
+        }
+        if let Freq::Free(row) = self.freq {
+            out[len] = row.iter().zip(xs).map(|(a, b)| a * b).sum();
+        }
+    }
+
+    fn jacobian(&self, x: &[f64], out: &mut DMat) {
+        self.with_parts(x, |parts| parts.assemble_dense_into(out));
+    }
+
+    fn jacobian_triplets(&self, x: &[f64], out: &mut Triplets) -> bool {
+        self.with_parts(x, |parts| parts.push_triplets(out, 0, 0));
+        true
     }
 }
 
@@ -269,11 +236,11 @@ pub fn solve_forced<D: Dae + ?Sized>(
         }
     };
 
-    let sys = ForcedSystem {
+    let sys = HbSystem {
         dae,
         colloc: &colloc,
-        freq_hz,
         b,
+        freq: Freq::Fixed(freq_hz),
         work: HbWork::new(&colloc),
     };
     let rep = newton_solve(&sys, &mut x, &opts.newton)?;
@@ -333,11 +300,11 @@ pub fn solve_autonomous<D: Dae + ?Sized>(
     let mut b0 = vec![0.0; colloc.n];
     dae.eval_b(0.0, &mut b0);
     let phase_row = colloc.phase_row(opts.phase_var, opts.phase_harmonic);
-    let sys = AutonomousSystem {
+    let sys = HbSystem {
         dae,
         colloc: &colloc,
-        b0,
-        phase_row: &phase_row,
+        b: b0.repeat(colloc.n0),
+        freq: Freq::Free(&phase_row),
         work: HbWork::new(&colloc),
     };
     let rep = newton_solve(&sys, &mut x, &opts.newton)?;

@@ -314,17 +314,19 @@ impl JacobianParts<'_> {
     }
 
     /// Pushes the nonzero entries into a triplet buffer (duplicates sum on
-    /// conversion; the caller provides a `dim() × dim()` buffer): all
-    /// diagonal blocks in ascending `s`, then all cross terms in
+    /// conversion) as the block whose first entry sits at row `row0`,
+    /// column `col0`; `(0, 0)` for a `dim() × dim()` buffer of its own.
+    /// All diagonal blocks go in ascending `s`, then all cross terms in
     /// ascending `s`, then the border.
-    pub fn push_triplets(&self, t: &mut Triplets) {
-        self.push_diag(t);
-        self.push_cross(t);
-        self.push_border(t);
+    pub fn push_triplets(&self, t: &mut Triplets, row0: usize, col0: usize) {
+        let mut push = |r, c, v| t.push(row0 + r, col0 + c, v);
+        self.push_diag(&mut push);
+        self.push_cross(&mut push);
+        self.push_border(&mut push);
     }
 
     /// Diagonal blocks `inv_h·C_s + θ·G_s`.
-    fn push_diag(&self, t: &mut Triplets) {
+    fn push_diag(&self, push: &mut impl FnMut(usize, usize, f64)) {
         let n = self.n;
         for s in 0..self.n0 {
             let g = &self.gblocks[s];
@@ -333,7 +335,7 @@ impl JacobianParts<'_> {
                 for j in 0..n {
                     let v = self.inv_h * c[(i, j)] + self.theta * g[(i, j)];
                     if v != 0.0 {
-                        t.push(self.idx(s, i), self.idx(s, j), v);
+                        push(self.idx(s, i), self.idx(s, j), v);
                     }
                 }
             }
@@ -349,7 +351,7 @@ impl JacobianParts<'_> {
     /// zero, which the scan never pushes; a NaN entry compares nonzero,
     /// so it stays in the list. A non-finite `d` turns zeros into NaN,
     /// so that block falls back to the full scan.
-    fn push_cross(&self, t: &mut Triplets) {
+    fn push_cross(&self, push: &mut impl FnMut(usize, usize, f64)) {
         let n = self.n;
         let nonzeros: Vec<Vec<(usize, usize, f64)>> = self.cblocks[..self.n0]
             .iter()
@@ -370,7 +372,7 @@ impl JacobianParts<'_> {
                     for &(i, j, c) in nz {
                         let v = d * c;
                         if v != 0.0 {
-                            t.push(self.idx(s, i), self.idx(sp, j), v);
+                            push(self.idx(s, i), self.idx(sp, j), v);
                         }
                     }
                 } else {
@@ -379,7 +381,7 @@ impl JacobianParts<'_> {
                         for j in 0..n {
                             let v = d * c[(i, j)];
                             if v != 0.0 {
-                                t.push(self.idx(s, i), self.idx(sp, j), v);
+                                push(self.idx(s, i), self.idx(sp, j), v);
                             }
                         }
                     }
@@ -389,15 +391,15 @@ impl JacobianParts<'_> {
     }
 
     /// The phase row and `∂r/∂ω` column, when bordered.
-    fn push_border(&self, t: &mut Triplets) {
+    fn push_border(&self, push: &mut impl FnMut(usize, usize, f64)) {
         let len = self.len();
         if let Some((row, col)) = self.border {
             for k in 0..len {
                 if row[k] != 0.0 {
-                    t.push(len, k, row[k]);
+                    push(len, k, row[k]);
                 }
                 if col[k] != 0.0 {
-                    t.push(k, len, col[k]);
+                    push(k, len, col[k]);
                 }
             }
         }
@@ -410,7 +412,7 @@ impl JacobianParts<'_> {
             self.dim(),
             self.n0 * self.n0 * self.n + 4 * self.len(),
         );
-        self.push_triplets(&mut t);
+        self.push_triplets(&mut t, 0, 0);
         t
     }
 }

@@ -298,7 +298,7 @@ impl<D: Dae + ?Sized> NewtonSystem for CollocStep<'_, D> {
     }
 
     fn jacobian_triplets(&self, z: &[f64], out: &mut sparsekit::Triplets) -> bool {
-        self.with_parts(z, |parts| parts.push_triplets(out));
+        self.with_parts(z, |parts| parts.push_triplets(out, 0, 0));
         true
     }
 

@@ -21,7 +21,7 @@
 //! | [`wampde`] | **the WaMPDE itself**: envelope (also the MPDE's) & quasiperiodic solvers |
 //! | [`multitime`] | the paper's Section-3 signal examples (Figures 1–6) |
 //! | [`sigproc`] | instantaneous frequency, phase error, spectra |
-//! | [`wampde_bench`] | experiment drivers behind the benches and the `repro` binary |
+//! | [`wampde_bench`] | experiment drivers behind the `repro` binary, `wampde-cli` |
 //!
 //! ## Quickstart
 //!
