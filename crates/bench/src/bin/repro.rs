@@ -7,8 +7,9 @@
 //! cargo run --release -p wampde_bench --bin repro -- --list  # targets
 //! ```
 //!
-//! CSV data lands in `target/repro/`; summaries print to stdout in the
-//! form recorded in `EXPERIMENTS.md`. Unknown `--fig`/`--table` values
+//! CSV data lands in `target/repro/`; summaries print to stdout, with
+//! the paper's value beside each measured one where the paper gives
+//! it. Unknown `--fig`/`--table` values
 //! exit with the valid target list instead of running nothing.
 
 use circuitdae::circuits::{self, MemsVcoConfig};

@@ -4,7 +4,8 @@
 //! reproduced (initial frequency ≈ 0.75 MHz at a 1.5 V control, ≈3×
 //! frequency swing for the vacuum varactor, ≈0.75–1.25 MHz with visible
 //! settling for the air-filled one); exact component values were not
-//! published — see `DESIGN.md §2` for the calibration derivation.
+//! published, so the constants and presets below each state the
+//! relation their values were calibrated by.
 
 use crate::circuit::{Circuit, CircuitDae, Node};
 use crate::device::{Device, MemsParams};

@@ -350,8 +350,15 @@ impl JacobianParts<'_> {
     /// listed once, in row-major order. A finite `d` times a zero is a
     /// zero, which the scan never pushes; a NaN entry compares nonzero,
     /// so it stays in the list. A non-finite `d` turns zeros into NaN,
-    /// so that block falls back to the full scan.
+    /// so that block falls back to the full scan. A zero `θ·ω` (a
+    /// coupling with `θ = 0` or `ω = 0`) times the finite spectral `D`
+    /// pushes nothing, so it returns before listing anything; `θ = 0,
+    /// ω = ∞` is NaN, not zero, and takes the scan.
     fn push_cross(&self, push: &mut impl FnMut(usize, usize, f64)) {
+        let theta_omega = self.theta * self.omega;
+        if theta_omega == 0.0 {
+            return;
+        }
         let n = self.n;
         let nonzeros: Vec<Vec<(usize, usize, f64)>> = self.cblocks[..self.n0]
             .iter()
@@ -364,7 +371,7 @@ impl JacobianParts<'_> {
             .collect();
         for s in 0..self.n0 {
             for (sp, nz) in nonzeros.iter().enumerate() {
-                let d = self.theta * self.omega * self.dmat[(s, sp)];
+                let d = theta_omega * self.dmat[(s, sp)];
                 if d == 0.0 {
                     continue;
                 }
@@ -1292,14 +1299,23 @@ mod tests {
             assert_same_entries(&trip, &dense_scan_triplets(&parts), &what);
         }
         // A non-finite coefficient turns C's zeros into NaN: every entry
-        // of the affected block rows is pushed, as in the dense scan.
-        let mut parts = synthetic_parts(&dmat, &cblocks, &gblocks);
-        parts.omega = f64::INFINITY;
-        assert_same_entries(
-            &parts.assemble_triplets(),
-            &dense_scan_triplets(&parts),
-            "infinite omega",
-        );
+        // of the affected block rows is pushed, as in the dense scan. A
+        // zero θ or ω pushes no cross term, unless the other is infinite.
+        for (theta, omega) in [
+            (0.5, f64::INFINITY),
+            (0.0, 1.3),
+            (0.5, 0.0),
+            (0.0, f64::INFINITY),
+        ] {
+            let mut parts = synthetic_parts(&dmat, &cblocks, &gblocks);
+            parts.theta = theta;
+            parts.omega = omega;
+            assert_same_entries(
+                &parts.assemble_triplets(),
+                &dense_scan_triplets(&parts),
+                &format!("theta={theta} omega={omega}"),
+            );
+        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Circuit and WaMPDE Jacobians are sparse, unsymmetric, and frequently
 //! refactored with an unchanged pattern. This crate provides, from scratch
-//! (no external sparse dependencies — see `DESIGN.md §5`):
+//! (no external sparse dependencies: the workspace builds offline from
+//! its own sources, see `BUILDING.md`):
 //!
 //! * [`Triplets`] — coordinate-format assembly buffer with duplicate
 //!   summation, the natural target of MNA device stamps, and

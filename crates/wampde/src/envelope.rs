@@ -18,18 +18,19 @@
 //!
 //! which [`solve_mpde`] runs through the same step loop.
 
-use crate::error::WampdeError;
+use crate::error::{check_positive, WampdeError};
+use crate::harmonic_balance::dc_samples;
 use crate::init::WampdeInit;
 use crate::options::{OmegaMode, WampdeOptions};
 use crate::result::{EnvelopeResult, EnvelopeStats};
-use crate::step::{accepted_g, CollocStep, Omega, StepWork};
+use crate::step::{accepted_g, steady, CollocStep, Omega, StepWork};
 use circuitdae::Dae;
 use hb::Colloc;
-use newtonkit::{NewtonEngine, NewtonError, NewtonPolicy};
+use newtonkit::{NewtonEngine, NewtonPolicy};
 use numkit::vecops::CompensatedSum;
 use std::cell::RefCell;
 use std::ops::ControlFlow;
-use timekit::{Gains, HistoryPoint, Scale, Step, StepCoeffs, StepController, StepSystem};
+use timekit::{Gains, HistoryPoint, Scale, Step, StepController, StepSystem};
 
 /// A bivariate forcing `b̂(t1, t2)` with `t1 ∈ [0, 1)` the normalised fast
 /// phase and `t2` ordinary time: the MPDE's right-hand side.
@@ -161,6 +162,7 @@ pub fn solve_mpde<D: Dae + ?Sized>(
         .step
         .resolve(t2_end, opts.integrator.order())
         .map_err(WampdeError::BadInput)?;
+    let mut run = Envelope::new(dae, Forcing::Bivariate(forcing), colloc, None, f1, opts);
     let mut x: Vec<f64> = match seed {
         Some(seed) if seed.len() != len => {
             return Err(WampdeError::BadInput(format!(
@@ -169,47 +171,19 @@ pub fn solve_mpde<D: Dae + ?Sized>(
             )));
         }
         Some(seed) => seed.to_vec(),
-        None => {
-            let newton = NewtonPolicy {
-                linear_solver: opts.linear_solver,
-                ..opts.newton
-            };
-            let dc = transim::dc_operating_point(dae, &newton)
-                .map_err(|e| WampdeError::BadInput(format!("dc operating point failed: {e}")))?;
-            (0..colloc.n0).flat_map(|_| dc.iter().copied()).collect()
-        }
+        None => dc_samples(dae, &run.colloc, &run.newton)?,
     };
 
-    let mut run = Envelope::new(dae, Forcing::Bivariate(forcing), colloc, None, f1, opts);
     let mut stats = EnvelopeStats::default();
     // The steady-envelope solve f1·D·q + f = b̂(·, 0) is the general step
     // residual with a0h = 0 and θ = 1; its solution is the first point.
     let zeros = vec![0.0; len];
-    let steady = Step {
-        t_new: 0.0,
-        h: 0.0,
-        coeffs: StepCoeffs {
-            a0h: 0.0,
-            theta: 1.0,
-        },
-        qlin: &zeros,
-        tol: None,
-    };
-    run.solve(&steady, &mut x, &mut stats)?;
+    let step = steady(&zeros);
+    run.solve(&step, &mut x, &mut stats)?;
     let mut q = vec![0.0; len];
     // The envelope's hook always continues.
-    let _ = run.accept(&steady, &x, &mut q)?;
+    let _ = run.accept(&step, &x, &mut q)?;
     run.drive(HistoryPoint { t: 0.0, z: x, q }, ctl, t2_end, opts, stats)
-}
-
-/// Rejects a non-positive (or NaN) `v` with "`what` must be positive".
-fn check_positive(v: f64, what: &str) -> Result<(), WampdeError> {
-    // `partial_cmp` keeps the NaN-rejecting behavior of `!(v > 0.0)`.
-    if v.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater) {
-        Ok(())
-    } else {
-        Err(WampdeError::BadInput(format!("{what} must be positive")))
-    }
 }
 
 /// The forcing a step is solved under.
@@ -383,20 +357,8 @@ impl<D: Dae + ?Sized> StepSystem for Envelope<'_, D> {
             },
             work: &self.work,
         };
-        let result = sys.solve(&mut self.engine, z, &self.newton, stats);
-        let at_t2 = step.t_new;
-        result.map_err(|e| match e {
-            NewtonError::Singular { cause } => WampdeError::LinearSolve { at_t2, cause },
-            NewtonError::NoConvergence {
-                iterations,
-                residual,
-            } => WampdeError::NewtonFailed {
-                at_t2,
-                iterations,
-                residual,
-            },
-            NewtonError::BadInput(msg) => WampdeError::BadInput(msg),
-        })
+        sys.solve(&mut self.engine, z, &self.newton, stats)
+            .map_err(|e| WampdeError::from_newton(e, step.t_new))
     }
 
     fn accept(

@@ -1,5 +1,6 @@
 //! Error type for the WaMPDE solvers.
 
+use newtonkit::NewtonError;
 use std::fmt;
 
 /// Errors from WaMPDE envelope / quasiperiodic solves.
@@ -67,6 +68,35 @@ impl fmt::Display for WampdeError {
 }
 
 impl std::error::Error for WampdeError {}
+
+impl WampdeError {
+    /// Tags a failed Newton solve with the slow time `at_t2` it was
+    /// solving for (0 for the steady-state and periodic solves).
+    pub(crate) fn from_newton(e: NewtonError, at_t2: f64) -> Self {
+        match e {
+            NewtonError::Singular { cause } => WampdeError::LinearSolve { at_t2, cause },
+            NewtonError::NoConvergence {
+                iterations,
+                residual,
+            } => WampdeError::NewtonFailed {
+                at_t2,
+                iterations,
+                residual,
+            },
+            NewtonError::BadInput(msg) => WampdeError::BadInput(msg),
+        }
+    }
+}
+
+/// Rejects a non-positive (or NaN) `v` with "`what` must be positive".
+pub(crate) fn check_positive(v: f64, what: &str) -> Result<(), WampdeError> {
+    // `partial_cmp` keeps the NaN-rejecting behavior of `!(v > 0.0)`.
+    if v.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater) {
+        Ok(())
+    } else {
+        Err(WampdeError::BadInput(format!("{what} must be positive")))
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -40,8 +40,10 @@
 //!
 //! Modules: [`envelope`] and [`quasiperiodic`] are the two solvers;
 //! [`step`] is the one implicit collocation step along `t2`, with ω free
-//! or fixed; [`init`], [`options`], [`result`] and [`error`] are their
-//! inputs and outputs; [`deck`] runs `.wampde` directives.
+//! or fixed, and [`harmonic_balance`] is its steady case (`a0h = 0`,
+//! `θ = 1`): the classical forced and autonomous periodic steady state;
+//! [`init`], [`options`], [`result`] and [`error`] are their inputs and
+//! outputs; [`deck`] runs `.wampde` directives.
 //!
 //! # Example
 //!
@@ -68,6 +70,7 @@
 pub mod deck;
 pub mod envelope;
 pub mod error;
+pub mod harmonic_balance;
 pub mod init;
 pub mod options;
 pub mod quasiperiodic;

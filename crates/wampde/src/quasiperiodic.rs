@@ -18,9 +18,10 @@
 use crate::error::WampdeError;
 use crate::options::{LinearSolverKind, WampdeOptions};
 use crate::result::EnvelopeResult;
+use crate::step::StepWork;
 use circuitdae::Dae;
 use hb::Colloc;
-use newtonkit::{NewtonEngine, NewtonError, NewtonPolicy, NewtonSystem};
+use newtonkit::{NewtonEngine, NewtonPolicy, NewtonSystem};
 use numkit::DMat;
 use sparsekit::Triplets;
 use std::cell::RefCell;
@@ -251,11 +252,14 @@ pub fn solve_quasiperiodic<D: Dae + ?Sized>(
         z[m * bw + len] = init.omegas[m];
     }
 
-    // Forcing per slice.
-    let mut b_slices = vec![vec![0.0; n]; n1];
-    for (m, b) in b_slices.iter_mut().enumerate() {
-        dae.eval_b(h * m as f64, b);
-    }
+    // Forcing per slice, the same at every sample.
+    let mut b = vec![0.0; n];
+    let b_slices: Vec<Vec<f64>> = (0..n1)
+        .map(|m| {
+            dae.eval_b(h * m as f64, &mut b);
+            b.repeat(colloc.n0)
+        })
+        .collect();
 
     let sys = QpSystem {
         dae,
@@ -268,7 +272,7 @@ pub fn solve_quasiperiodic<D: Dae + ?Sized>(
         theta,
         b_slices: &b_slices,
         phase_row: &phase_row,
-        work: QpWork::new(&colloc, n1),
+        work: RefCell::new((0..n1).map(|_| StepWork::new(&colloc)).collect()),
     };
 
     // The cyclic system is never dense-solved: `Dense` (the global
@@ -288,62 +292,24 @@ pub fn solve_quasiperiodic<D: Dae + ?Sized>(
         reuse_jacobian: false,
         ..opts.newton
     };
-    let mut engine = NewtonEngine::new();
-    match engine.solve(&sys, &mut z, &policy) {
-        Ok(stats) => {
-            let mut slices = Vec::with_capacity(n1);
-            let mut omegas = Vec::with_capacity(n1);
-            for m in 0..n1 {
-                slices.push(z[m * bw..m * bw + len].to_vec());
-                omegas.push(z[m * bw + len]);
-            }
-            Ok(QuasiPeriodicSolution {
-                n,
-                n0: colloc.n0,
-                n1,
-                t2_period,
-                slices,
-                omegas,
-                iterations: stats.iterations,
-            })
-        }
-        Err(NewtonError::Singular { cause }) => Err(WampdeError::LinearSolve { at_t2: 0.0, cause }),
-        Err(NewtonError::NoConvergence {
-            iterations,
-            residual,
-        }) => Err(WampdeError::NewtonFailed {
-            at_t2: 0.0,
-            iterations,
-            residual,
-        }),
-        Err(NewtonError::BadInput(msg)) => Err(WampdeError::BadInput(msg)),
+    let stats = NewtonEngine::new()
+        .solve(&sys, &mut z, &policy)
+        .map_err(|e| WampdeError::from_newton(e, 0.0))?;
+    let mut slices = Vec::with_capacity(n1);
+    let mut omegas = Vec::with_capacity(n1);
+    for m in 0..n1 {
+        slices.push(z[m * bw..m * bw + len].to_vec());
+        omegas.push(z[m * bw + len]);
     }
-}
-
-/// Scratch of the quasiperiodic system: each slice's `q`, `D·q` and `f`
-/// for the residual, and its per-sample `∂q/∂x` and `∂f/∂x` blocks for
-/// the Jacobian (slice `m` owns blocks `m·N0..(m+1)·N0`).
-struct QpWork {
-    qs: Vec<Vec<f64>>,
-    dqs: Vec<Vec<f64>>,
-    fs: Vec<Vec<f64>>,
-    cblocks: Vec<DMat>,
-    gblocks: Vec<DMat>,
-}
-
-impl QpWork {
-    /// Scratch for `n1` slices on the grid `colloc`.
-    fn new(colloc: &Colloc, n1: usize) -> RefCell<Self> {
-        let (n, len) = (colloc.n, colloc.len());
-        let blocks = || (0..n1 * colloc.n0).map(|_| DMat::zeros(n, n)).collect();
-        RefCell::new(QpWork {
-            qs: vec![vec![0.0; len]; n1],
-            dqs: vec![vec![0.0; len]; n1],
-            fs: vec![vec![0.0; len]; n1],
-            cblocks: blocks(),
-            gblocks: blocks(),
-        })
-    }
+    Ok(QuasiPeriodicSolution {
+        n,
+        n0: colloc.n0,
+        n1,
+        t2_period,
+        slices,
+        omegas,
+        iterations: stats.iterations,
+    })
 }
 
 /// The global quasiperiodic boundary-value problem over
@@ -360,9 +326,12 @@ struct QpSystem<'a, D: Dae + ?Sized> {
     c1: f64,
     c2: f64,
     theta: f64,
+    /// Each slice's forcing, sample-major (`n·N0`).
     b_slices: &'a [Vec<f64>],
     phase_row: &'a [f64],
-    work: RefCell<QpWork>,
+    /// One step's scratch per slice: its `q`, `D·q` and `g` at the
+    /// iterate, and its per-sample `∂q/∂x` and `∂f/∂x` blocks.
+    work: RefCell<Vec<StepWork>>,
 }
 
 impl<D: Dae + ?Sized> QpSystem<'_, D> {
@@ -387,34 +356,19 @@ impl<D: Dae + ?Sized> NewtonSystem for QpSystem<'_, D> {
     }
 
     fn residual(&self, z: &[f64], out: &mut [f64]) {
-        let (colloc, n1, bw, len) = (self.colloc, self.n1, self.bw(), self.colloc.len());
-        let QpWork { qs, dqs, fs, .. } = &mut *self.work.borrow_mut();
-        for m in 0..n1 {
+        let (n1, bw, len) = (self.n1, self.bw(), self.colloc.len());
+        let works = &mut *self.work.borrow_mut();
+        for (m, work) in works.iter_mut().enumerate() {
             let x = &z[m * bw..m * bw + len];
-            colloc.eval_q_all(self.dae, x, &mut qs[m]);
-            colloc.eval_f_all(self.dae, x, &mut fs[m]);
-            colloc.apply_diff(&qs[m], &mut dqs[m]);
+            work.eval(self.dae, self.colloc, x, z[m * bw + len], &self.b_slices[m]);
         }
         for m in 0..n1 {
-            let prev = (m + n1 - 1) % n1;
-            let prev2 = (m + n1 - 2) % n1;
-            let om = z[m * bw + len];
-            let om_prev = z[prev * bw + len];
-            for s in 0..colloc.n0 {
-                for (i, (bm, bp)) in self.b_slices[m]
-                    .iter()
-                    .zip(self.b_slices[prev].iter())
-                    .enumerate()
-                {
-                    let k = colloc.idx(s, i);
-                    let g_m = om * dqs[m][k] + fs[m][k] - bm;
-                    let g_p = om_prev * dqs[prev][k] + fs[prev][k] - bp;
-                    out[m * bw + k] =
-                        (self.c0 * qs[m][k] + self.c1 * qs[prev][k] + self.c2 * qs[prev2][k])
-                            / self.h
-                            + self.theta * g_m
-                            + (1.0 - self.theta) * g_p;
-                }
+            let (cur, prev) = (&works[m], &works[(m + n1 - 1) % n1]);
+            let prev2 = &works[(m + n1 - 2) % n1];
+            for (k, r) in out[m * bw..m * bw + len].iter_mut().enumerate() {
+                *r = (self.c0 * cur.q[k] + self.c1 * prev.q[k] + self.c2 * prev2.q[k]) / self.h
+                    + self.theta * cur.g[k]
+                    + (1.0 - self.theta) * prev.g[k];
             }
             let x = &z[m * bw..m * bw + len];
             out[m * bw + len] = self
@@ -438,45 +392,19 @@ impl<D: Dae + ?Sized> NewtonSystem for QpSystem<'_, D> {
     }
 
     fn jacobian_triplets(&self, z: &[f64], trip: &mut Triplets) -> bool {
-        let (colloc, n1, bw, len, n0) = (
-            self.colloc,
-            self.n1,
-            self.bw(),
-            self.colloc.len(),
-            self.colloc.n0,
-        );
-        // Per-slice Jacobian blocks and dq at the iterate (for the ω
-        // columns).
-        let QpWork {
-            qs,
-            dqs,
-            cblocks,
-            gblocks,
-            ..
-        } = &mut *self.work.borrow_mut();
-        for m in 0..n1 {
+        let (colloc, n1, bw, len) = (self.colloc, self.n1, self.bw(), self.colloc.len());
+        // Per-slice Jacobian blocks, and `D·q` at the iterate for the ω
+        // columns (kept from its residual).
+        let works = &mut *self.work.borrow_mut();
+        for (m, work) in works.iter_mut().enumerate() {
             let x = &z[m * bw..m * bw + len];
-            let blocks = m * n0..(m + 1) * n0;
-            circuitdae::jac_blocks_into(
-                self.dae,
-                x,
-                &mut cblocks[blocks.clone()],
-                &mut gblocks[blocks],
-            );
-            colloc.eval_q_all(self.dae, x, &mut qs[m]);
-            colloc.apply_diff(&qs[m], &mut dqs[m]);
+            circuitdae::jac_blocks_into(self.dae, x, &mut work.cblocks, &mut work.gblocks);
+            work.eval_at(self.dae, colloc, x, z[m * bw + len], &self.b_slices[m]);
         }
         // Slice `k`'s collocation block with `inv_h·C + θ(ω D⊗C + G)`.
         let block = |k: usize, inv_h: f64, theta: f64, omega: f64| {
-            let blocks = k * n0..(k + 1) * n0;
-            colloc.parts(
-                &cblocks[blocks.clone()],
-                &gblocks[blocks],
-                inv_h,
-                theta,
-                omega,
-                None,
-            )
+            let work = &works[k];
+            colloc.parts(&work.cblocks, &work.gblocks, inv_h, theta, omega, None)
         };
 
         for m in 0..n1 {
@@ -498,7 +426,7 @@ impl<D: Dae + ?Sized> NewtonSystem for QpSystem<'_, D> {
                 block(prev2, self.c2 / self.h, 0.0, 0.0).push_triplets(trip, row0, prev2 * bw);
             }
             // ω columns.
-            for (k, (dm, dp)) in dqs[m].iter().zip(dqs[prev].iter()).enumerate() {
+            for (k, (dm, dp)) in works[m].dq.iter().zip(&works[prev].dq).enumerate() {
                 let v = self.theta * dm;
                 if v != 0.0 {
                     trip.push(row0 + k, m * bw + len, v);
@@ -668,9 +596,10 @@ mod tests {
         }
         let b_slices: Vec<Vec<f64>> = (0..n1)
             .map(|m| {
-                (0..n)
+                let b: Vec<f64> = (0..n)
                     .map(|i| 1e-3 * (0.7 * (m * n + i) as f64).sin())
-                    .collect()
+                    .collect();
+                b.repeat(colloc.n0)
             })
             .collect();
         let phase_row = colloc.phase_row(base.phase_var, base.phase_harmonic);
@@ -706,7 +635,7 @@ mod tests {
                 theta,
                 b_slices: &b_slices,
                 phase_row: &phase_row,
-                work: QpWork::new(&colloc, n1),
+                work: RefCell::new((0..n1).map(|_| StepWork::new(&colloc)).collect()),
             };
             let mut dense = DMat::zeros(dim, dim);
             sys.jacobian(&z, &mut dense);

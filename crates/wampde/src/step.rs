@@ -1,5 +1,5 @@
 //! One implicit collocation step along `t2`, shared by the WaMPDE and
-//! MPDE envelopes.
+//! MPDE envelopes, harmonic balance and the quasiperiodic slices.
 //!
 //! Over the stacked samples `X` (plus ω when it is free) the step solves
 //!
@@ -10,6 +10,10 @@
 //! with `b` the forcing at the step's end, sample-major. The WaMPDE
 //! leaves ω free, pinned by the phase row (paper eq. (20)); fixing ω at
 //! the carrier `f1` ([`crate::OmegaMode::Frozen`]) gives the MPDE step.
+//! With `a0h = 0`, `θ = 1` and no history (`steady`) it is harmonic
+//! balance ([`crate::harmonic_balance`]). `StepWork::eval` is the one
+//! place `g` is computed: the quasiperiodic system keeps one `StepWork`
+//! per slice and adds only its cyclic stencil.
 
 use circuitdae::Dae;
 use hb::Colloc;
@@ -17,7 +21,7 @@ use linsolve::JacobianParts;
 use newtonkit::{NewtonEngine, NewtonError, NewtonPolicy, NewtonSystem};
 use numkit::DMat;
 use std::cell::RefCell;
-use timekit::Step;
+use timekit::{Step, StepCoeffs};
 
 /// How a step treats the local frequency.
 #[derive(Debug, Clone, Copy)]
@@ -36,16 +40,16 @@ pub enum Omega<'a> {
 /// the newest residual saw reuses its `q`, `D·q` and `g` instead of
 /// evaluating them again (see [`accepted_g`]).
 pub struct StepWork {
-    q: Vec<f64>,
-    dq: Vec<f64>,
+    pub(crate) q: Vec<f64>,
+    pub(crate) dq: Vec<f64>,
     f: Vec<f64>,
-    g: Vec<f64>,
+    pub(crate) g: Vec<f64>,
     /// The `X` the buffers hold `q`, `D·q` and `g` at…
     at_x: Vec<f64>,
     /// …and its ω, or `None` when they hold no point.
     at_omega: Option<f64>,
-    cblocks: Vec<DMat>,
-    gblocks: Vec<DMat>,
+    pub(crate) cblocks: Vec<DMat>,
+    pub(crate) gblocks: Vec<DMat>,
     /// The bordered Jacobian's `∂r/∂ω = θ·D·q` column.
     omega_col: Vec<f64>,
 }
@@ -77,7 +81,7 @@ impl StepWork {
 
     /// Evaluates `q`, `D·q`, `f` and `g = ω·D·q + f − b` at `(x, ω)` and
     /// remembers the point.
-    fn eval<D: Dae + ?Sized>(
+    pub(crate) fn eval<D: Dae + ?Sized>(
         &mut self,
         dae: &D,
         colloc: &Colloc,
@@ -109,7 +113,7 @@ impl StepWork {
     }
 
     /// [`StepWork::eval`] unless the buffers already hold `(x, ω)`.
-    fn eval_at<D: Dae + ?Sized>(
+    pub(crate) fn eval_at<D: Dae + ?Sized>(
         &mut self,
         dae: &D,
         colloc: &Colloc,
@@ -120,6 +124,22 @@ impl StepWork {
         if !self.holds(x, omega) {
             self.eval(dae, colloc, x, omega, b);
         }
+    }
+}
+
+/// The steady-state attempt: `a0h = 0`, `θ = 1` and the zero history
+/// `zeros`. With a zero `g_prev` too, its residual is `g` itself: the
+/// harmonic-balance system, and the MPDE's first point.
+pub(crate) fn steady(zeros: &[f64]) -> Step<'_> {
+    Step {
+        t_new: 0.0,
+        h: 0.0,
+        coeffs: StepCoeffs {
+            a0h: 0.0,
+            theta: 1.0,
+        },
+        qlin: zeros,
+        tol: None,
     }
 }
 
@@ -321,7 +341,6 @@ mod tests {
     use circuitdae::analytic::VanDerPol;
     use circuitdae::circuits;
     use shooting::{oscillator_steady_state, ShootingOptions};
-    use timekit::StepCoeffs;
 
     /// Checks `jacobian` and `jacobian_triplets` of every step variant
     /// (free and fixed ω, `a0h` zero and positive, θ ∈ {½, 1}) against

@@ -5,8 +5,8 @@
 //! Run with `cargo run --release --example van_der_pol`.
 
 use circuitdae::analytic::VanDerPol;
-use hb::{solve_autonomous, HbOptions};
 use shooting::{oscillator_steady_state, ShootingOptions};
+use wampde::harmonic_balance::{solve_autonomous, HbOptions};
 use wampde::{solve_envelope, T2StepControl, WampdeInit, WampdeOptions};
 
 fn main() {

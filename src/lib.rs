@@ -16,9 +16,9 @@
 //! | [`newtonkit`] | the shared damped-Newton engine (pattern-reusing refactorisation) |
 //! | [`transim`] | Newton, DC operating point, transient integration |
 //! | [`shooting`] | periodic steady state of free-running oscillators |
-//! | [`hb`] | harmonic balance + the collocation core |
+//! | [`hb`] | the spectral collocation core (`Colloc`) |
 //! | [`mpde`] | AM forcing and the `.mpde` adapter over wampde's envelope |
-//! | [`wampde`] | **the WaMPDE itself**: envelope (also the MPDE's) & quasiperiodic solvers |
+//! | [`wampde`] | **the WaMPDE itself**: one collocation step behind the envelope (also the MPDE's), harmonic balance and the quasiperiodic solver |
 //! | [`multitime`] | the paper's Section-3 signal examples (Figures 1–6) |
 //! | [`sigproc`] | instantaneous frequency, phase error, spectra |
 //! | [`wampde_bench`] | experiment drivers behind the `repro` binary, `wampde-cli` |
@@ -46,8 +46,10 @@
 //! println!("local frequency sweeps {:.2}–{:.2} MHz", lo / 1e6, hi / 1e6);
 //! ```
 //!
-//! See `examples/` for the full figure-by-figure reproductions and
-//! `EXPERIMENTS.md` for measured-vs-paper results.
+//! See `examples/` for the full figure-by-figure reproductions. The
+//! `repro` binary (`cargo run --release -p wampde_bench --bin repro`)
+//! regenerates the figures and prints each measured result next to the
+//! paper's.
 
 pub use circuitdae;
 pub use fourier;

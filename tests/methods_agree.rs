@@ -4,8 +4,8 @@
 
 use circuitdae::analytic::VanDerPol;
 use circuitdae::circuits::{self, MemsVcoConfig};
-use hb::{solve_autonomous, HbOptions};
 use shooting::{oscillator_steady_state, ShootingOptions};
+use wampde::harmonic_balance::{solve_autonomous, HbOptions};
 use wampde::{solve_envelope, T2Integrator, T2StepControl, WampdeInit, WampdeOptions};
 
 #[test]

@@ -19,6 +19,7 @@ use transim::{
     dc_operating_point, run_transient, Integrator, NewtonOptions, StepControl, TransientOptions,
     TransimError,
 };
+use wampde::harmonic_balance::{solve_autonomous, HbOptions};
 use wampde::{
     solve_envelope, solve_mpde, OmegaMode, T2Integrator, T2StepControl, WampdeError, WampdeInit,
     WampdeOptions,
@@ -221,20 +222,20 @@ fn hb_runs_on_the_shared_engine_with_reuse() {
     // dense and sparse alike.
     let dae = circuits::ring_loaded_vco(4);
     let orbit = oscillator_steady_state(&dae, &ShootingOptions::default()).unwrap();
-    let opts = hb::HbOptions {
+    let opts = HbOptions {
         harmonics: 6,
         ..Default::default()
     };
     let init = orbit.resample_uniform(2 * opts.harmonics + 1);
-    let dense = hb::solve_autonomous(&dae, &init, orbit.frequency(), &opts).unwrap();
-    let sparse_opts = hb::HbOptions {
+    let dense = solve_autonomous(&dae, &init, orbit.frequency(), &opts).unwrap();
+    let sparse_opts = HbOptions {
         newton: NewtonOptions {
             linear_solver: LinearSolverKind::Klu,
             ..Default::default()
         },
         ..opts
     };
-    let sparse = hb::solve_autonomous(&dae, &init, orbit.frequency(), &sparse_opts).unwrap();
+    let sparse = solve_autonomous(&dae, &init, orbit.frequency(), &sparse_opts).unwrap();
     let rel = (dense.freq_hz - sparse.freq_hz).abs() / dense.freq_hz;
     assert!(rel < 1e-9, "{} vs {}", dense.freq_hz, sparse.freq_hz);
     let rel_shoot = (dense.freq_hz - orbit.frequency()).abs() / orbit.frequency();
