@@ -63,8 +63,8 @@
 //! Inside that band, a correction solved against the kept matrix is
 //! multiplied by `2/(1 + r)`, DASSL's first-order fix for the stale
 //! leading coefficient. Systems that report no coefficients, and
-//! matrices handed over by [`NewtonEngine::keep_factor`], skip both the
-//! band and the scaling.
+//! matrices factored for such a system, skip both the band and the
+//! scaling.
 //!
 //! Iterations on a kept matrix converge only linearly, so one of them
 //! converges only when `update ≤ 1` **and** `ρ/(1−ρ)·update ≤ 1` (the
@@ -74,15 +74,6 @@
 //! matrix restarts once from its starting iterate as full Newton, so
 //! reuse never fails a solve full Newton converges;
 //! [`NewtonStats::iterations`] then counts both attempts.
-//!
-//! A caller that factors the next iteration matrix for its own use can
-//! hand the factor over: [`NewtonEngine::keep_factor`] factors a matrix
-//! into the engine's cache and keeps it as if a solve had just factored
-//! it, and [`NewtonEngine::solve_block_in_place`] solves a block of
-//! right-hand sides against it. Shooting's flow integration does this
-//! after every step: the step matrix `C/h + θG` it factors for the
-//! monodromy update becomes the next step's iteration matrix, so the
-//! flow pays one factorisation per step.
 //!
 //! # Example
 //!
@@ -423,74 +414,12 @@ impl NewtonEngine {
         self.stats
     }
 
-    /// Cumulative factorisation counters across the engine's lifetime,
-    /// [`NewtonEngine::keep_factor`]'s included.
+    /// Cumulative factorisation counters across the engine's lifetime.
     pub fn factor_stats(&self) -> FactorStats {
         self.cache
             .as_ref()
             .map(FactorCache::stats)
             .unwrap_or_default()
-    }
-
-    /// The factorisation cache in `slot`, switched to `kind`.
-    fn cache_in(slot: &mut Option<FactorCache>, kind: LinearSolverKind) -> &mut FactorCache {
-        match slot {
-            Some(c) => {
-                c.set_kind(kind);
-                c
-            }
-            slot => slot.insert(FactorCache::new(kind)),
-        }
-    }
-
-    /// Factors `matrix` on the `kind` backend and keeps the factor as the
-    /// iteration matrix of the next [`NewtonEngine::solve`] under
-    /// [`NewtonPolicy::reuse_jacobian`], exactly as if a solve had just
-    /// factored it. A caller that factors the next iteration matrix for
-    /// its own use anyway hands it over this way, and the next solve
-    /// starts on it instead of factoring its own. The factorisation
-    /// counts in [`NewtonEngine::factor_stats`], not in the next
-    /// solve's [`NewtonStats`].
-    ///
-    /// # Errors
-    ///
-    /// [`NewtonError::Singular`] when the factorisation fails; nothing
-    /// is kept then.
-    pub fn keep_factor(
-        &mut self,
-        matrix: &NewtonMatrix<'_>,
-        kind: LinearSolverKind,
-    ) -> Result<(), NewtonError> {
-        self.kept = None;
-        Self::cache_in(&mut self.cache, kind)
-            .factor(matrix)
-            .map_err(|e| NewtonError::Singular { cause: e.cause })?;
-        self.kept = Some(KeptMatrix {
-            dim: matrix.dim(),
-            kind,
-            coeffs: None,
-            stale: false,
-        });
-        Ok(())
-    }
-
-    /// Solves `J·X = B` in place against the engine's current factor
-    /// for an `n × m` row-major block of right-hand sides (see
-    /// [`linsolve::FactorCache::solve_block_in_place`]): after
-    /// [`NewtonEngine::keep_factor`], `J` is the matrix handed over.
-    ///
-    /// # Errors
-    ///
-    /// [`NewtonError::Singular`] when nothing is factored or the
-    /// backend fails.
-    pub fn solve_block_in_place(&self, rhs: &mut [f64], m: usize) -> Result<(), NewtonError> {
-        self.cache
-            .as_ref()
-            .ok_or_else(|| NewtonError::Singular {
-                cause: "no factorisation cached".into(),
-            })?
-            .solve_block_in_place(rhs, m)
-            .map_err(|e| NewtonError::Singular { cause: e.cause })
     }
 
     /// Solves `r(x) = 0` by damped Newton, updating `x` in place.
@@ -515,7 +444,10 @@ impl NewtonEngine {
         let n = sys.dim();
         assert_eq!(x.len(), n, "newton: x length mismatch");
 
-        let cache = Self::cache_in(&mut self.cache, policy.linear_solver);
+        let cache = self
+            .cache
+            .get_or_insert_with(|| FactorCache::new(policy.linear_solver));
+        cache.set_kind(policy.linear_solver);
         cache.set_reuse(policy.reuse_symbolic);
         cache.set_cyclic_shape(sys.cyclic_shape());
         let factor_base = cache.stats();
@@ -1348,12 +1280,10 @@ mod tests {
     fn kept_solve(sys: &LinStep) -> [f64; 2] {
         let mut j = DMat::zeros(2, 2);
         sys.jacobian(&[0.0; 2], &mut j);
-        let mut engine = NewtonEngine::new();
-        engine
-            .keep_factor(&NewtonMatrix::Dense(&j), LinearSolverKind::Dense)
-            .unwrap();
+        let mut cache = FactorCache::new(LinearSolverKind::Dense);
+        cache.factor(&NewtonMatrix::Dense(&j)).unwrap();
         let mut s = STEP_B;
-        engine.solve_block_in_place(&mut s, 1).unwrap();
+        cache.solve_in_place(&mut s).unwrap();
         s
     }
 
@@ -1441,14 +1371,9 @@ mod tests {
         assert_eq!((mode, counters[0]), (kept(), 0));
         assert_eq!(x1.map(f64::to_bits), kept_solve(&old).map(f64::to_bits));
 
-        // …and so does a reporting system on a matrix handed over by
-        // `keep_factor`, which records no coefficients.
-        let mut j = DMat::zeros(2, 2);
-        old.jacobian(&[0.0; 2], &mut j);
-        let mut engine = NewtonEngine::new();
-        engine
-            .keep_factor(&NewtonMatrix::Dense(&j), LinearSolverKind::Dense)
-            .unwrap();
+        // …and so does a reporting system on a matrix factored for a
+        // system that reports none.
+        let mut engine = engine_kept_for(&old);
         let (mode, x1, _, counters) = traced_from_zero(&mut engine, &lin_step(1.2, 1.0, true));
         assert_eq!((mode, counters[0]), (kept(), 0));
         assert_eq!(x1.map(f64::to_bits), kept_solve(&old).map(f64::to_bits));

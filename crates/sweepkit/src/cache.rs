@@ -70,7 +70,11 @@ use std::path::{Path, PathBuf};
 // fmt13: the cold oscillator start's loose warm-up ends once the phase
 // variable's oscillation has settled, so cold `.shooting`/`.wampde`
 // orbits whose warm-up settles move within the Newton tolerance.
-pub const CACHE_SALT: &str = concat!("sweepkit-", env!("CARGO_PKG_VERSION"), "-fmt13");
+// fmt14: shooting flows run on the transient's own kept-matrix Newton and
+// the monodromy is propagated only for the orbit Newton's Jacobians, so
+// `.shooting`/`.wampde` orbits move within the Newton tolerance and
+// `.shooting` points report fewer factorisations.
+pub const CACHE_SALT: &str = concat!("sweepkit-", env!("CARGO_PKG_VERSION"), "-fmt14");
 
 /// FNV-1a, 128-bit: tiny, dependency-free, and plenty for cache keys
 /// (collision odds are negligible below ~2^60 distinct jobs).
