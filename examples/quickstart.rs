@@ -16,7 +16,7 @@ fn main() {
     let dae = circuits::mems_vco(cfg);
 
     // Natural initial condition: the unforced oscillator's periodic
-    // steady state, found by shooting (period + orbit + monodromy).
+    // steady state, found by shooting (period + orbit).
     let unforced = circuits::mems_vco(MemsVcoConfig::constant(1.5));
     let orbit = oscillator_steady_state(&unforced, &ShootingOptions::default())
         .expect("unforced VCO oscillates");
