@@ -54,7 +54,7 @@
 //! the counter summary after the run. Neither changes a result bit —
 //! see `docs/OBSERVABILITY.md`.
 //!
-//! `--solver dense|klu|gmres|gmres-circulant` overrides the
+//! `--solver dense|klu|gmres` overrides the
 //! linear-solver backend for every analysis — beating both the
 //! deck-wide `.options` choice and
 //! any per-directive `solver=` key (the command line is the outermost

@@ -289,15 +289,15 @@ impl StepJacobian {
 }
 
 /// An owned quasiperiodic *cyclic* Jacobian over `n1` slow-time slices —
-/// the workload of the block-circulant GMRES preconditioner ablation.
+/// the workload of the block-cyclic direct solve's `repro` rows.
 ///
 /// Each slice carries one bordered collocation system (a small
 /// [`StepJacobian`]) on the d=0 block diagonal, scaled by a smooth
 /// envelope wobble so the blocks vary per slice exactly as the real
 /// quasiperiodic system's do; the BDF2 cyclic stencil couples slice `m`
-/// to slices `m−1` and `m−2` (mod `n1`) through the charge blocks. The
-/// matrix is therefore block circulant *to envelope accuracy* — the
-/// structure [`linsolve::BlockCirculantPrecond`] exploits.
+/// to slices `m−1` and `m−2` (mod `n1`) through the charge blocks: the
+/// block-cyclic banded structure the dense backend eliminates under
+/// [`CyclicJacobian::shape`].
 pub struct CyclicJacobian {
     trip: sparsekit::Triplets,
     n1: usize,
@@ -348,7 +348,7 @@ impl CyclicJacobian {
         self.n1 * self.bw
     }
 
-    /// The block-cyclic structure hint for the circulant backend.
+    /// The block-cyclic structure hint for the dense backend.
     pub fn shape(&self) -> linsolve::CyclicShape {
         linsolve::CyclicShape {
             blocks: self.n1,
@@ -366,29 +366,44 @@ impl CyclicJacobian {
         (0..self.dim()).map(|i| (0.17 * i as f64).sin()).collect()
     }
 
-    /// GMRES iterations to `rtol = 1e-8` with the block-circulant
-    /// preconditioner (`None` when GMRES fails to converge).
+    /// Factors and solves the system by block elimination (the dense
+    /// backend under [`CyclicJacobian::shape`]); returns the solution.
     ///
     /// # Panics
     ///
-    /// Panics when the matrix disagrees with its own declared shape.
-    pub fn gmres_circulant_iterations(&self) -> Option<usize> {
-        let a = self.trip.to_csr();
-        let p = linsolve::BlockCirculantPrecond::from_csr(&a, self.shape())
-            .expect("cyclic jacobian matches its declared shape");
-        let op = sparsekit::CsrOp::new(&a);
-        let opts = sparsekit::GmresOptions {
-            restart: 60,
-            max_iters: 1000,
-            rtol: 1e-8,
-            atol: 1e-300,
-        };
-        sparsekit::gmres(&op, &p, &self.rhs(), None, &opts)
-            .ok()
-            .map(|r| r.iterations)
+    /// Panics when the matrix does not factor.
+    pub fn solve_direct(&self) -> Vec<f64> {
+        let mut lu = linsolve::FactorCache::new(linsolve::LinearSolverKind::Dense);
+        lu.set_cyclic_shape(Some(self.shape()));
+        lu.factor(&linsolve::NewtonMatrix::Triplets(&self.trip))
+            .expect("cyclic jacobian factors");
+        let mut x = self.rhs();
+        lu.solve_in_place(&mut x).expect("cyclic jacobian solves");
+        x
     }
 
-    /// GMRES iterations to the same tolerance with the structure-blind
+    /// Relative residual `max_i |b − A·x|_i / (|A|·|x| + |b|)_i` of `x`
+    /// against [`Self::rhs`]: the componentwise backward error, which
+    /// neither grows with the matrix's wide row scaling (as
+    /// `‖b − A·x‖ / ‖b‖` does) nor hides in it (as a normwise error does).
+    pub fn relative_residual(&self, x: &[f64]) -> f64 {
+        let a = self.trip.to_csr();
+        let b = self.rhs();
+        (0..a.nrows())
+            .map(|i| {
+                let (cols, vals) = a.row(i);
+                let (ax, mag) = cols
+                    .iter()
+                    .zip(vals)
+                    .fold((0.0, b[i].abs()), |(s, m), (&j, &v)| {
+                        (s + v * x[j], m + (v * x[j]).abs())
+                    });
+                (b[i] - ax).abs() / mag
+            })
+            .fold(0.0, f64::max)
+    }
+
+    /// GMRES iterations to `rtol = 1e-8` with the structure-blind
     /// ILU(0) preconditioner (diagonal-regularised like the `gmres`
     /// backend; `None` when GMRES fails to converge within the cap).
     pub fn gmres_ilu0_iterations(&self) -> Option<usize> {

@@ -29,7 +29,7 @@
 //! .mpde     <f1> <tstop> [harmonics=<n>] [node=<k>] [amp=<v>] [depth=<v>] [fmod=<v>] [dt=<v>] [solver=<s>] [STEP KEYS]
 //! .wampde   <tstop> [harmonics=<n>] [phase_var=<k>] [steps=<n>] [dt=<v>] [solver=<s>] [STEP KEYS]
 //! .sweep    <param> <from> <to> <points> [log]
-//! .options  solver=dense|klu|gmres|gmres-circulant [gmres_tol=<v>] [gmres_restart=<n>]
+//! .options  solver=dense|klu|gmres [gmres_tol=<v>] [gmres_restart=<n>]
 //! ```
 //!
 //! The time-stepping analyses share one set of `STEP KEYS` plumbed into
@@ -41,15 +41,14 @@
 //!
 //! `.options` selects the linear-solver backend for *every* analysis in
 //! the deck (position-independent; a later `.options` line wins). The
-//! default is dense LU; `klu` (BTF + AMD ordered sparse LU),
-//! `gmres`, and `gmres-circulant` (block-circulant preconditioning for
-//! the quasiperiodic cyclic system) route each solver's inner
-//! factorisations through the shared `linsolve` layer's sparse backends.
+//! default is dense LU; `klu` (BTF + AMD ordered sparse LU) and `gmres`
+//! (ILU(0)-preconditioned) route each solver's inner factorisations
+//! through the shared `linsolve` layer's sparse backends.
 //! Every analysis directive additionally accepts its own `solver=<s>`
 //! key with the same values, which takes precedence over the deck-wide
 //! `.options` choice for that analysis alone (and is itself overridden
 //! by the `wampde-cli --solver` flag). The `gmres_tol`/`gmres_restart`
-//! knobs apply to both GMRES flavours.
+//! knobs tune `gmres`.
 //!
 //! `<param>` in `.sweep` is a device card name (`R1`) or a dotted field
 //! (`M1.control`); see [`Device::set_param`] for the field tables.
@@ -853,10 +852,7 @@ fn parse_directive(tokens: &[&str]) -> Result<Directive, String> {
                 ));
             };
             let mut kind = parse_solver_key(tok, ".options")?;
-            // Both GMRES flavours share the iteration knobs.
-            if let LinearSolverKind::GmresIlu0 { restart, rtol, .. }
-            | LinearSolverKind::GmresCirculant { restart, rtol, .. } = &mut kind
-            {
+            if let LinearSolverKind::GmresIlu0 { restart, rtol, .. } = &mut kind {
                 if let Some(tol) = gmres_tol {
                     if tol <= 0.0 {
                         return Err(".options: gmres_tol must be positive".into());
@@ -1372,29 +1368,30 @@ mod tests {
         // The KLU backend per-directive and deck-wide...
         let deck = parse_deck(&format!(
             "{VCO_CARDS}.tran 1m dt=2u solver=klu\n\
-             .shooting steps=128 solver=gmres-circulant\n\
+             .shooting steps=128\n\
              .options solver=klu\n\
              .wampde 6u harmonics=5\n"
         ))
         .unwrap();
-        assert_eq!(deck.analyses[0].solver(), LinearSolverKind::Klu);
-        assert!(matches!(
-            deck.analyses[1].solver(),
-            LinearSolverKind::GmresCirculant { .. }
-        ));
-        assert_eq!(deck.analyses[2].solver(), LinearSolverKind::Klu);
-        // ...and the GMRES knobs tune the circulant flavour too.
-        let deck = parse_deck(&format!(
-            "{VCO_CARDS}.options solver=gmres-circulant gmres_tol=1e-8 gmres_restart=30\n\
-             .shooting\n"
-        ))
-        .unwrap();
-        match deck.analyses[0].solver() {
-            LinearSolverKind::GmresCirculant { restart, rtol, .. } => {
-                assert_eq!(restart, 30);
-                assert!((rtol - 1e-8).abs() < 1e-20);
+        for analysis in &deck.analyses {
+            assert_eq!(analysis.solver(), LinearSolverKind::Klu);
+        }
+        // ...while the retired circulant backend is a line-numbered error
+        // that names `gmres`, per directive and deck-wide.
+        let lines = VCO_CARDS.lines().count();
+        for directive in [".shooting steps=128 solver", ".options solver"] {
+            let text = format!("{VCO_CARDS}{directive}=gmres-circulant\n");
+            match parse_deck(&text).unwrap_err() {
+                NetlistError::Parse { line, message } => {
+                    assert_eq!(line, lines + 1, "{directive}: {message}");
+                    assert!(
+                        message.contains("unknown solver 'gmres-circulant'")
+                            && message.contains("gmres)"),
+                        "{directive}: {message}"
+                    );
+                }
+                other => panic!("{directive}: unexpected error {other:?}"),
             }
-            other => panic!("unexpected solver {other:?}"),
         }
     }
 
@@ -1455,7 +1452,7 @@ mod tests {
             (
                 "R1 a 0 1k\nC1 a 0 1n\n.tran 1m solver=sparselu\n",
                 3,
-                ".tran: unknown solver 'sparselu' (dense, klu, gmres, gmres-circulant)",
+                ".tran: unknown solver 'sparselu' (dense, klu, gmres)",
             ),
         ];
         for (text, want_line, want_msg) in cases {

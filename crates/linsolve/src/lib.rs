@@ -55,10 +55,11 @@ use std::borrow::Cow;
 use std::fmt;
 
 pub mod budget;
-pub mod circulant;
+mod cyclic;
 
 pub use budget::{resolve_thread_count, CoreBudget, CoreBudgetGuard, CoreOccupation};
-pub use circulant::{BlockCirculantPrecond, CyclicShape};
+use cyclic::CyclicLu;
+pub use cyclic::CyclicShape;
 
 /// Solver-agnostic linear-solve failure (factorisation or back-solve).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,7 +87,9 @@ impl std::error::Error for LinSolveError {}
 /// Which linear solver factors a Jacobian.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum LinearSolverKind {
-    /// Dense LU — simplest, right for small circuits.
+    /// Dense LU — simplest, right for small circuits. Block elimination,
+    /// a dense LU per block, when the cache holds a [`CyclicShape`] (see
+    /// [`FactorCache::set_cyclic_shape`]).
     #[default]
     Dense,
     /// KLU-class sparse LU: BTF decomposition + per-block AMD ordering +
@@ -97,19 +100,6 @@ pub enum LinearSolverKind {
     /// Restarted GMRES with ILU(0), per the paper's note on iterative
     /// methods for large systems.
     GmresIlu0 {
-        /// Restart length.
-        restart: usize,
-        /// Iteration cap.
-        max_iters: usize,
-        /// Relative residual target.
-        rtol: f64,
-    },
-    /// Restarted GMRES with the FFT-diagonalised block-circulant
-    /// preconditioner ([`BlockCirculantPrecond`]) — structure-exploiting
-    /// for the quasiperiodic cyclic Jacobian. Falls back to ILU(0) when
-    /// no [`CyclicShape`] is available (see
-    /// [`FactorCache::set_cyclic_shape`]).
-    GmresCirculant {
         /// Restart length.
         restart: usize,
         /// Iteration cap.
@@ -131,29 +121,17 @@ impl LinearSolverKind {
         }
     }
 
-    /// The circulant-preconditioned GMRES backend at the same defaults
-    /// as [`LinearSolverKind::gmres_default`].
-    pub fn gmres_circulant_default() -> Self {
-        LinearSolverKind::GmresCirculant {
-            restart: 60,
-            max_iters: 1000,
-            rtol: 1e-10,
-        }
-    }
-
     /// Every name [`LinearSolverKind::parse`] accepts, in display order.
-    pub const NAMES: [&'static str; 4] = ["dense", "klu", "gmres", "gmres-circulant"];
+    pub const NAMES: [&'static str; 3] = ["dense", "klu", "gmres"];
 
-    /// Parses a backend name (`dense`, `klu`, `gmres`,
-    /// `gmres-circulant`), as used by the `.options solver=` deck
-    /// directive and `wampde-cli --solver`. The GMRES names select their
-    /// recommended defaults.
+    /// Parses a backend name (`dense`, `klu`, `gmres`), as used by the
+    /// `.options solver=` deck directive and `wampde-cli --solver`.
+    /// `gmres` selects its recommended defaults.
     pub fn parse(token: &str) -> Option<Self> {
         match token.to_ascii_lowercase().as_str() {
             "dense" => Some(LinearSolverKind::Dense),
             "klu" => Some(LinearSolverKind::Klu),
             "gmres" => Some(LinearSolverKind::gmres_default()),
-            "gmres-circulant" => Some(LinearSolverKind::gmres_circulant_default()),
             _ => None,
         }
     }
@@ -164,7 +142,6 @@ impl LinearSolverKind {
             LinearSolverKind::Dense => "dense",
             LinearSolverKind::Klu => "klu",
             LinearSolverKind::GmresIlu0 { .. } => "gmres",
-            LinearSolverKind::GmresCirculant { .. } => "gmres-circulant",
         }
     }
 
@@ -182,14 +159,6 @@ impl LinearSolverKind {
                 rtol,
             } => format!(
                 "gmres(restart={restart},max_iters={max_iters},rtol={:016x})",
-                rtol.to_bits()
-            ),
-            LinearSolverKind::GmresCirculant {
-                restart,
-                max_iters,
-                rtol,
-            } => format!(
-                "gmres-circulant(restart={restart},max_iters={max_iters},rtol={:016x})",
                 rtol.to_bits()
             ),
         }
@@ -481,48 +450,8 @@ enum Factored {
         /// Iteration parameters.
         opts: GmresOptions,
     },
-    /// Raw CSR operator + block-circulant preconditioner for GMRES on
-    /// cyclic (quasiperiodic) Jacobians. No equilibration: the per-mode
-    /// solves are exact dense factorisations.
-    GmresCyclic {
-        /// Assembled matrix, unscaled.
-        a: Csr,
-        /// The FFT-diagonalised preconditioner.
-        precond: BlockCirculantPrecond,
-        /// Iteration parameters.
-        opts: GmresOptions,
-    },
-}
-
-/// Builds the structure-exploiting GMRES pair for a cyclic Jacobian:
-/// the raw CSR operator preconditioned by [`BlockCirculantPrecond`].
-///
-/// Falls back to [`factor_gmres`] (ILU(0)) when `shape` is `None` or
-/// disagrees with the matrix dimension — the circulant backend then
-/// behaves exactly like plain `gmres` rather than failing.
-fn factor_gmres_cyclic(
-    trip: &Triplets,
-    shape: Option<CyclicShape>,
-    restart: usize,
-    max_iters: usize,
-    rtol: f64,
-) -> Result<Factored, LinSolveError> {
-    let a = trip.to_csr();
-    if let Some(s) = shape {
-        if let Some(precond) = BlockCirculantPrecond::from_csr(&a, s) {
-            return Ok(Factored::GmresCyclic {
-                a,
-                precond,
-                opts: GmresOptions {
-                    restart,
-                    max_iters,
-                    rtol,
-                    atol: 1e-300,
-                },
-            });
-        }
-    }
-    factor_gmres(trip, restart, max_iters, rtol)
+    /// Block elimination factors of a block-cyclic matrix.
+    Cyclic(CyclicLu),
 }
 
 /// Runs the KLU symbolic pipeline (BTF + per-block AMD) under the
@@ -638,7 +567,8 @@ impl Factored {
                 return lu.solve_block_in_place(rhs, m).map_err(LinSolveError::new)
             }
             Factored::Dense(lu) => lu.dim(),
-            Factored::Gmres { a, .. } | Factored::GmresCyclic { a, .. } => a.nrows(),
+            Factored::Cyclic(lu) => lu.dim(),
+            Factored::Gmres { a, .. } => a.nrows(),
         };
         if Some(rhs.len()) != n.checked_mul(m) {
             return Err(LinSolveError::new(format!(
@@ -682,12 +612,7 @@ impl Factored {
                 }
                 Ok(())
             }
-            Factored::GmresCyclic { a, precond, opts } => {
-                let op = CsrOp::new(a);
-                let result = gmres(&op, precond, rhs, None, opts).map_err(LinSolveError::new)?;
-                rhs.copy_from_slice(&result.x);
-                Ok(())
-            }
+            Factored::Cyclic(lu) => lu.solve_in_place(rhs),
         }
     }
 }
@@ -835,7 +760,8 @@ pub struct FactorStats {
 ///
 /// Dense LU refactors the cached factors' storage in place
 /// ([`DenseLu::refactor`]); GMRES+ILU(0) has no symbolic phase worth
-/// caching and factors fresh each call. Both count as fresh
+/// caching and factors fresh each call, as does the block elimination
+/// under a [`CyclicShape`]. All count as fresh
 /// factorisations in [`FactorStats::factorisations`].
 ///
 /// A failed factorisation clears the cache: [`FactorCache::solve_in_place`]
@@ -876,10 +802,12 @@ impl FactorCache {
         self.reuse = reuse;
     }
 
-    /// Declares the block-cyclic structure of incoming matrices, letting
-    /// the [`LinearSolverKind::GmresCirculant`] backend build its
-    /// structure-exploiting preconditioner. `None` (the default) makes
-    /// that backend fall back to ILU(0). Other backends ignore the hint.
+    /// Declares the block-cyclic structure of incoming matrices. With a
+    /// shape, the [`LinearSolverKind::Dense`] backend factors by block
+    /// elimination: a dense LU of each block on the diagonal, the
+    /// couplings kept sparse, and one dense LU of the wrap-around border
+    /// closing the cycle. `None` (the default) restores the one dense LU.
+    /// Other backends ignore the hint.
     pub fn set_cyclic_shape(&mut self, shape: Option<CyclicShape>) {
         self.cyclic = shape;
     }
@@ -933,14 +861,17 @@ impl FactorCache {
         sp: &obskit::Span,
     ) -> Result<(), LinSolveError> {
         let factored = match self.kind {
-            LinearSolverKind::Dense => {
-                let a = matrix.to_dense();
-                let lu = match self.factored.take() {
-                    Some(Factored::Dense(mut lu)) => lu.refactor(&a).map(|()| lu),
-                    _ => DenseLu::factor(&a),
-                };
-                Factored::Dense(lu.map_err(LinSolveError::new)?)
-            }
+            LinearSolverKind::Dense => match self.cyclic {
+                Some(shape) => Factored::Cyclic(CyclicLu::factor(&matrix.to_triplets(), shape)?),
+                None => {
+                    let a = matrix.to_dense();
+                    let lu = match self.factored.take() {
+                        Some(Factored::Dense(mut lu)) => lu.refactor(&a).map(|()| lu),
+                        _ => DenseLu::factor(&a),
+                    };
+                    Factored::Dense(lu.map_err(LinSolveError::new)?)
+                }
+            },
             LinearSolverKind::Klu => {
                 // The plan leaves `self` while its matrix is in use and
                 // comes back whatever the factor's outcome: it depends
@@ -959,11 +890,6 @@ impl FactorCache {
                 max_iters,
                 rtol,
             } => factor_gmres(&matrix.to_triplets(), restart, max_iters, rtol)?,
-            LinearSolverKind::GmresCirculant {
-                restart,
-                max_iters,
-                rtol,
-            } => factor_gmres_cyclic(&matrix.to_triplets(), self.cyclic, restart, max_iters, rtol)?,
         };
         self.factored = Some(factored);
         sp.attr("mode", "fresh");
@@ -1691,10 +1617,7 @@ mod tests {
             LinearSolverKind::parse("gmres"),
             Some(LinearSolverKind::GmresIlu0 { .. })
         ));
-        assert!(matches!(
-            LinearSolverKind::parse("gmres-circulant"),
-            Some(LinearSolverKind::GmresCirculant { .. })
-        ));
+        assert_eq!(LinearSolverKind::parse("gmres-circulant"), None);
         assert_eq!(LinearSolverKind::parse("bogus"), None);
         // The natural-order kernel is not a backend.
         assert_eq!(LinearSolverKind::parse("sparselu"), None);
@@ -1705,19 +1628,12 @@ mod tests {
         assert_eq!(LinearSolverKind::gmres_default().label(), "gmres");
         assert_eq!(LinearSolverKind::default().label(), "dense");
         assert_eq!(LinearSolverKind::Klu.label(), "klu");
-        assert_eq!(
-            LinearSolverKind::gmres_circulant_default().label(),
-            "gmres-circulant"
-        );
-        assert!(LinearSolverKind::gmres_circulant_default()
-            .fingerprint()
-            .starts_with("gmres-circulant("));
     }
 
     #[test]
-    fn factor_cache_circulant_uses_shape_and_falls_back() {
+    fn factor_cache_dense_eliminates_by_blocks_under_a_cyclic_shape() {
         // Block-cyclic system: 4 blocks of 2, diagonal + previous-block
-        // coupling — exactly the quasiperiodic stencil shape.
+        // coupling — the quasiperiodic stencil's shape.
         let (n1, bw) = (4, 2);
         let mut t = Triplets::new(n1 * bw, n1 * bw);
         for r in 0..n1 {
@@ -1730,25 +1646,24 @@ mod tests {
         let rhs: Vec<f64> = (0..n1 * bw).map(|i| (0.3 * i as f64).cos()).collect();
         let dense = solve_once(LinearSolverKind::Dense, &NewtonMatrix::Triplets(&t), &rhs);
 
-        let mut cache = FactorCache::new(LinearSolverKind::gmres_circulant_default());
-        cache.set_cyclic_shape(Some(CyclicShape {
+        let mut cache = FactorCache::new(LinearSolverKind::Dense);
+        let shape = CyclicShape {
             blocks: n1,
             block_dim: bw,
-        }));
+        };
+        cache.set_cyclic_shape(Some(shape));
+        assert_eq!(cache.cyclic_shape(), Some(shape));
         cache.factor(&NewtonMatrix::Triplets(&t)).unwrap();
+        assert!(matches!(cache.factored, Some(Factored::Cyclic(_))));
         let mut x = rhs.clone();
         cache.solve_in_place(&mut x).unwrap();
         for i in 0..rhs.len() {
-            assert!((x[i] - dense[i]).abs() < 1e-8, "cyclic mismatch at {i}");
+            assert!((x[i] - dense[i]).abs() < 1e-12, "cyclic mismatch at {i}");
         }
 
-        // Without a shape hint the backend still solves (ILU0 fallback).
+        // Without a shape the backend is the plain dense LU again.
         cache.set_cyclic_shape(None);
         cache.factor(&NewtonMatrix::Triplets(&t)).unwrap();
-        let mut y = rhs.clone();
-        cache.solve_in_place(&mut y).unwrap();
-        for i in 0..rhs.len() {
-            assert!((y[i] - dense[i]).abs() < 1e-8, "fallback mismatch at {i}");
-        }
+        assert!(matches!(cache.factored, Some(Factored::Dense(_))));
     }
 }

@@ -164,10 +164,11 @@ pub trait NewtonSystem {
 
     /// Block-cyclic structure of the Jacobian, if the system has one
     /// (the quasiperiodic cyclic system does). Forwarded to the
-    /// factorisation cache so the
-    /// [`linsolve::LinearSolverKind::GmresCirculant`] backend can build
-    /// its structure-exploiting preconditioner; `None` (the default)
-    /// makes that backend fall back to ILU(0).
+    /// factorisation cache, where it turns the
+    /// [`linsolve::LinearSolverKind::Dense`] backend into a block
+    /// elimination (see [`linsolve::FactorCache::set_cyclic_shape`]) fed by
+    /// [`NewtonSystem::jacobian_triplets`]. `None` (the default) keeps
+    /// the dense LU.
     fn cyclic_shape(&self) -> Option<CyclicShape> {
         None
     }
@@ -532,16 +533,18 @@ impl NewtonEngine {
                     let refresh = kept_scale.is_none();
                     let factor_mode = if refresh {
                         let factor_pre = cache.stats();
-                        // Factor the Jacobian: sparse backends prefer a
-                        // triplet-assembled stamp; dense (or systems without
-                        // sparse assembly) stamp the full matrix. The dense
-                        // buffer is allocated lazily so the sparse path of a
-                        // large system never touches the O(n²) matrix.
-                        let use_triplets = !matches!(policy.linear_solver, LinearSolverKind::Dense)
-                            && {
-                                self.trip.clear();
-                                sys.jacobian_triplets(x, &mut self.trip)
-                            };
+                        // Factor the Jacobian: sparse backends and the
+                        // cyclic block elimination prefer a triplet-assembled
+                        // stamp; dense (or systems without sparse assembly)
+                        // stamp the full matrix. The dense buffer is
+                        // allocated lazily so the sparse path of a large
+                        // system never touches the O(n²) matrix.
+                        let sparse = !matches!(policy.linear_solver, LinearSolverKind::Dense)
+                            || cache.cyclic_shape().is_some();
+                        let use_triplets = sparse && {
+                            self.trip.clear();
+                            sys.jacobian_triplets(x, &mut self.trip)
+                        };
                         let factored = if use_triplets {
                             cache.factor(&NewtonMatrix::Triplets(&self.trip))
                         } else {

@@ -9,14 +9,22 @@
 //! locking (`ω0 = ω2`) and period multiplication (`ω0 = ω2/k`) emerge as
 //! special cases of the converged `ω(t2)`.
 //!
-//! The Jacobian is block-cyclic-bidiagonal and is solved through the
-//! shared `linsolve` layer. A dense solve would be O((N1·n·N0)³), so the
-//! default `Dense` backend selection is promoted to GMRES with the
-//! block-circulant preconditioner here; explicit backends are honored
-//! as-is.
+//! The Jacobian is block-cyclic banded (slice `m` couples to `m−1`, and
+//! to `m−2` under BDF2) and is solved through the shared `linsolve`
+//! layer. The system declares its slice structure, so the default
+//! `Dense` backend factors it by block elimination (see
+//! [`linsolve::FactorCache::set_cyclic_shape`]): a dense LU per slice
+//! plus one of the wrap-around border, where one dense LU of the whole
+//! system would cost O((N1·n·N0)³). Explicit `klu` and `gmres` pass
+//! through as references.
+//!
+//! The trapezoidal stencil is rejected at an even `N1`: ω has no `t2`
+//! derivative, and the averaging stencil cancels an ω pattern that
+//! alternates from slice to slice, which leaves the Jacobian singular
+//! or nearly so.
 
 use crate::error::WampdeError;
-use crate::options::{LinearSolverKind, WampdeOptions};
+use crate::options::{T2Integrator, WampdeOptions};
 use crate::result::EnvelopeResult;
 use crate::step::StepWork;
 use circuitdae::Dae;
@@ -230,6 +238,12 @@ pub fn solve_quasiperiodic<D: Dae + ?Sized>(
             "each slice must have n·N0 = {len} entries"
         )));
     }
+    if opts.integrator == T2Integrator::Trapezoidal && n1.is_multiple_of(2) {
+        return Err(WampdeError::BadInput(format!(
+            "the trapezoidal t2 stencil needs an odd slice count, got {n1}: \
+             an even count leaves a slice-alternating ω pattern undetermined"
+        )));
+    }
     // `partial_cmp` keeps the NaN-rejecting behavior of `!(period > 0.0)`.
     if t2_period.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
         return Err(WampdeError::BadInput("t2 period must be positive".into()));
@@ -275,20 +289,11 @@ pub fn solve_quasiperiodic<D: Dae + ?Sized>(
         work: RefCell::new((0..n1).map(|_| StepWork::new(&colloc)).collect()),
     };
 
-    // The cyclic system is never dense-solved: `Dense` (the global
-    // default) selects GMRES with the block-circulant preconditioner,
-    // which this system's `cyclic_shape` exists for. On the forced MEMS
-    // VCO it takes the same Newton iterations as KLU, agrees to ~1e-10,
-    // and runs 40–900× faster: the wrap-around coupling fills any
-    // direct factor toward dense. Explicit backends pass through.
-    let kind = match opts.linear_solver {
-        LinearSolverKind::Dense => LinearSolverKind::gmres_circulant_default(),
-        explicit => explicit,
-    };
     // One global solve: every iteration factors (reuse is an envelope
-    // setting).
+    // setting). `Dense` is the block elimination: this system declares
+    // its `cyclic_shape`.
     let policy = NewtonPolicy {
-        linear_solver: kind,
+        linear_solver: opts.linear_solver,
         reuse_jacobian: false,
         ..opts.newton
     };
@@ -347,8 +352,8 @@ impl<D: Dae + ?Sized> NewtonSystem for QpSystem<'_, D> {
 
     fn cyclic_shape(&self) -> Option<linsolve::CyclicShape> {
         // n1 slices coupled cyclically by the t2 stencil, each carrying
-        // its collocation unknowns plus the local frequency — the shape
-        // the block-circulant GMRES preconditioner diagonalises.
+        // its collocation unknowns plus the local frequency — the blocks
+        // the dense backend eliminates slice by slice.
         Some(linsolve::CyclicShape {
             blocks: self.n1,
             block_dim: self.bw(),
@@ -381,8 +386,9 @@ impl<D: Dae + ?Sized> NewtonSystem for QpSystem<'_, D> {
     }
 
     fn jacobian(&self, z: &[f64], out: &mut DMat) {
-        // The cyclic solve always runs a sparse backend; the dense stamp
-        // exists for API completeness only.
+        // The engine assembles triplets whenever a system declares a
+        // cyclic shape, so every backend takes `jacobian_triplets`; the
+        // dense stamp exists for API completeness only.
         let mut trip = Triplets::new(self.dim(), self.dim());
         self.jacobian_triplets(z, &mut trip);
         out.fill_zero();
@@ -512,11 +518,11 @@ mod tests {
         (dae, init, base)
     }
 
-    /// Every backend lands on the same answer as the default
-    /// (circulant-preconditioned GMRES) — the default path exercises the
-    /// full `QpSystem::cyclic_shape()` → `FactorCache` →
-    /// `BlockCirculantPrecond` wiring on a real cyclic Jacobian, and KLU
-    /// is the direct-solver reference.
+    /// Every backend lands on the same answer as the default (the block
+    /// elimination) — the default path exercises the full
+    /// `QpSystem::cyclic_shape()` → `FactorCache` → block elimination
+    /// wiring on a real cyclic Jacobian, and KLU is the sparse direct
+    /// reference.
     #[test]
     fn explicit_backends_match_the_default() {
         let (dae, init, base) = constant_mems();
@@ -524,7 +530,6 @@ mod tests {
         for kind in [
             crate::LinearSolverKind::Klu,
             crate::LinearSolverKind::gmres_default(),
-            crate::LinearSolverKind::gmres_circulant_default(),
         ] {
             let opts = crate::WampdeOptions {
                 linear_solver: kind,
@@ -536,6 +541,29 @@ mod tests {
                 assert!((a - b).abs() / a < 1e-6, "{kind:?}: {a} vs {b}");
             }
         }
+    }
+
+    /// The trapezoidal stencil is refused at an even slice count, with a
+    /// message naming the parity, and solves at an odd one.
+    #[test]
+    fn trapezoidal_needs_an_odd_slice_count() {
+        let (dae, six, base) = constant_mems();
+        let opts = crate::WampdeOptions {
+            integrator: T2Integrator::Trapezoidal,
+            ..base
+        };
+        match solve_quasiperiodic(&dae, &six, 4.0e-5, &opts) {
+            Err(WampdeError::BadInput(msg)) => assert!(msg.contains("odd slice count"), "{msg}"),
+            other => panic!("6 trapezoidal slices: {other:?}"),
+        }
+        let seven = QpInit::from_constant(six.slices[0].clone(), six.omegas[0], 7);
+        let sol = solve_quasiperiodic(&dae, &seven, 4.0e-5, &opts).unwrap();
+        let f0 = six.omegas[0];
+        assert!(
+            (sol.omega0() - f0).abs() / f0 < 1e-3,
+            "{} vs {f0}",
+            sol.omega0()
+        );
     }
 
     /// FNV-1a over a stream of 64-bit words.
@@ -555,12 +583,13 @@ mod tests {
     }
 
     #[test]
-    fn klu_and_circulant_outputs_are_pinned_bit_for_bit() {
+    fn klu_and_default_outputs_are_pinned_bit_for_bit() {
         // A refactor of the cyclic system may not move a bit, on the
-        // direct (klu) solve or on the default circulant-preconditioned
-        // GMRES. Both were re-recorded when shooting's flows moved onto
-        // the transient's own kept-matrix Newton: the seed orbit moved
-        // within the orbit Newton's tolerance.
+        // sparse (klu) solve or on the default block elimination. The klu
+        // pin was re-recorded when shooting's flows moved onto the
+        // transient's own kept-matrix Newton (the seed orbit moved within
+        // the orbit Newton's tolerance); the default's was recorded when
+        // the block elimination replaced circulant-preconditioned GMRES.
         let (dae, init, base) = constant_mems();
         let mut got = Vec::new();
         for kind in [crate::LinearSolverKind::Klu, base.linear_solver] {
@@ -572,7 +601,7 @@ mod tests {
                 &solve_quasiperiodic(&dae, &init, 4.0e-5, &opts).unwrap(),
             ));
         }
-        let pinned: [u64; 2] = [0x67dc_c00f_4db5_c5bb, 0x7e29_6946_adaf_9c19];
+        let pinned: [u64; 2] = [0x67dc_c00f_4db5_c5bb, 0xbe9f_7548_eea1_ee6c];
         assert_eq!(got, pinned, "{got:#x?}");
     }
 

@@ -29,7 +29,8 @@ fn qp_solution_matches_settled_envelope() {
     let qp = solve_quasiperiodic(&dae, &qp_init, t2_period, &opts).unwrap();
 
     // The QP frequency trace must match the envelope's over its final
-    // period (same discretisation along t1, BE along t2 in both).
+    // period (same discretisation along t1 and the same t2 scheme in
+    // both; the worst deviation measures 6.5e-3 at 16 slices).
     let t_start = env.t2.last().unwrap() - t2_period;
     let mut worst: f64 = 0.0;
     for (m, &w_qp) in qp.omegas.iter().enumerate() {
@@ -37,7 +38,7 @@ fn qp_solution_matches_settled_envelope() {
         let w_env = env.omega_at(t);
         worst = worst.max((w_qp - w_env).abs() / w_env);
     }
-    assert!(worst < 0.05, "QP vs envelope frequency deviation {worst}");
+    assert!(worst < 0.01, "QP vs envelope frequency deviation {worst}");
 
     // Physical sanity: the QP frequency range brackets a ≈3× swing.
     let (lo, hi) = qp.frequency_range();
