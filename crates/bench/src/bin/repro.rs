@@ -217,7 +217,7 @@ fn table_timestep() {
             };
             let t0 = std::time::Instant::now();
             let env = wampde::run_wampde_spec(&dae, w).expect("wampde run converges");
-            (env, w.integrator.label(), t0.elapsed().as_nanos())
+            (env, w.step.integrator.label(), t0.elapsed().as_nanos())
         };
         let (env_a, integ, wall_a) = run(".wampde 40u harmonics=5 steps=256");
         // Equal-accuracy fixed baseline: the mean accepted step over the
@@ -291,13 +291,13 @@ fn table_timestep() {
             let circuitdae::AnalysisSpec::Tran(t) = spec else {
                 unreachable!("deck has only .tran directives")
             };
-            let mode = if t.dt > 0.0 { "fixed" } else { "adaptive" };
+            let mode = if t.step.dt > 0.0 { "fixed" } else { "adaptive" };
             let t0 = std::time::Instant::now();
             let res = transim::run_tran_spec(&dae, t).expect("transient converges");
             let wall = t0.elapsed().as_nanos();
             finals.push((
                 mode,
-                t.integrator.label(),
+                t.step.integrator.label(),
                 res.stats.steps,
                 res.stats.rejected,
                 wall,
@@ -338,7 +338,11 @@ fn table_timestep() {
             let circuitdae::AnalysisSpec::Mpde(m) = spec else {
                 unreachable!("deck has only .mpde directives")
             };
-            let mode = if m.rtol > 0.0 { "adaptive" } else { "fixed" };
+            let mode = if m.step.rtol > 0.0 {
+                "adaptive"
+            } else {
+                "fixed"
+            };
             let t0 = std::time::Instant::now();
             let res = mpde::run_mpde_spec(&dae, m).expect("mpde run converges");
             let wall = t0.elapsed().as_nanos();
@@ -350,7 +354,7 @@ fn table_timestep() {
                 .fold(0.0_f64, f64::max);
             finals.push((
                 mode,
-                m.integrator.label(),
+                m.step.integrator.label(),
                 res.stats.steps,
                 res.stats.rejected,
                 wall,
@@ -501,8 +505,8 @@ fn table_newton() {
                 0.0,
                 t.t_stop,
                 &transim::TransientOptions {
-                    integrator: t.integrator,
-                    step: transim::StepControl::Fixed(t.dt),
+                    integrator: t.step.integrator,
+                    step: t.step.policy(),
                     newton,
                 },
             )

@@ -162,11 +162,13 @@ pub fn apply_deck_overrides(
         if let Some(kind) = solver {
             a.set_solver(kind);
         }
-        if let Some(scheme) = integrator {
-            a.set_integrator(scheme);
-        }
-        if let Some(r) = rtol {
-            a.set_rtol(r);
+        if let Some(step) = a.step_mut() {
+            if let Some(scheme) = integrator {
+                step.integrator = scheme;
+            }
+            if let Some(r) = rtol {
+                step.rtol = r;
+            }
         }
     }
 }
@@ -490,10 +492,9 @@ mod tests {
             Some(circuitdae::Scheme::BackwardEuler),
             Some(3e-5),
         );
-        assert_eq!(
-            deck.analyses[0].integrator(),
-            Some(circuitdae::Scheme::BackwardEuler)
-        );
+        let step = deck.analyses[0].step().unwrap();
+        assert_eq!(step.integrator, circuitdae::Scheme::BackwardEuler);
+        assert_eq!(step.rtol, 3e-5);
     }
 
     #[test]

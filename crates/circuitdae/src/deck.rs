@@ -15,6 +15,9 @@
 //! .sweep M1.control 1.2 1.8 4
 //! ```
 //!
+//! `[STEP KEYS]` in the directive synopses below are the fields of
+//! [`StepKeys`], which `.tran`, `.mpde` and `.wampde` share.
+//!
 //! This module holds only *data* (specs are plain numbers); the adapter
 //! functions that map a spec onto a solver live in the solver crates
 //! (`transim::run_tran_spec`, `shooting::run_shooting_spec`,
@@ -24,18 +27,21 @@
 use crate::circuit::{Circuit, CircuitDae};
 use crate::netlist::NetlistError;
 use linsolve::LinearSolverKind;
-use timekit::Scheme;
+use timekit::{Scheme, StepPolicy};
 
-/// `.tran <tstop> [dt=<v>] [integrator=<s>] [rtol=<v>] [atol=<v>]
-/// [dt_min=<v>] [dt_max=<v>]` — transient integration from the DC
-/// operating point.
+/// The step keys shared by the time-stepping directives (`.tran`,
+/// `.mpde`, `.wampde`): `dt=`, `rtol=`, `atol=`, `dt_min=`, `dt_max=`
+/// and `integrator=`. Each directive seeds its own defaults; `.tran` and
+/// `.wampde` map the keys onto a step policy with [`StepKeys::policy`],
+/// `.mpde` by its own rule (`mpde::spec_problem`).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TranSpec {
-    /// End time (s).
-    pub t_stop: f64,
-    /// Fixed step (s); `0.0` selects LTE-adaptive stepping.
+pub struct StepKeys {
+    /// Step (s). `.tran`/`.wampde`: a positive value pins a fixed step,
+    /// `0.0` selects LTE-adaptive stepping. `.mpde`: the fixed step, or
+    /// the first step in adaptive mode; `0.0` = auto.
     pub dt: f64,
-    /// Relative tolerance of the adaptive controller.
+    /// Relative tolerance of the adaptive controller. For `.mpde` a
+    /// positive value switches on adaptive stepping (`0.0` = fixed).
     pub rtol: f64,
     /// Absolute tolerance of the adaptive controller.
     pub atol: f64,
@@ -45,6 +51,65 @@ pub struct TranSpec {
     pub dt_max: f64,
     /// Integration scheme (`be`, `trap`, `bdf2`).
     pub integrator: Scheme,
+}
+
+impl StepKeys {
+    /// Auto step and step bounds at the given tolerances and scheme.
+    fn new(rtol: f64, atol: f64, integrator: Scheme) -> Self {
+        StepKeys {
+            dt: 0.0,
+            rtol,
+            atol,
+            dt_min: 0.0,
+            dt_max: 0.0,
+            integrator,
+        }
+    }
+
+    /// The `.tran`/`.wampde` step policy: a positive `dt` pins a fixed
+    /// step; otherwise stepping is LTE-adaptive at `rtol`/`atol` within
+    /// `dt_min`/`dt_max`, from an automatic first step.
+    pub fn policy(&self) -> StepPolicy {
+        if self.dt > 0.0 {
+            StepPolicy::Fixed(self.dt)
+        } else {
+            StepPolicy::Adaptive {
+                rtol: self.rtol,
+                atol: self.atol,
+                dt_init: 0.0,
+                dt_min: self.dt_min,
+                dt_max: self.dt_max,
+            }
+        }
+    }
+
+    /// The step-key segment of [`AnalysisSpec::fingerprint`].
+    pub(crate) fn fingerprint(&self) -> String {
+        format!(
+            "dt={} rtol={} atol={} dt_min={} dt_max={} integrator={}",
+            hex(self.dt),
+            hex(self.rtol),
+            hex(self.atol),
+            hex(self.dt_min),
+            hex(self.dt_max),
+            self.integrator.label(),
+        )
+    }
+}
+
+/// A float as the hex of its IEEE-754 bit pattern.
+fn hex(v: f64) -> String {
+    format!("{:016x}", v.to_bits())
+}
+
+/// `.tran <tstop> [solver=<s>] [STEP KEYS]` — transient integration from
+/// the DC operating point.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TranSpec {
+    /// End time (s).
+    pub t_stop: f64,
+    /// Step keys.
+    pub step: StepKeys,
     /// Linear-solver backend (from the deck's `.options solver=` line).
     pub solver: LinearSolverKind,
 }
@@ -55,12 +120,7 @@ impl TranSpec {
     pub fn new(t_stop: f64) -> Self {
         TranSpec {
             t_stop,
-            dt: 0.0,
-            rtol: 1e-6,
-            atol: 1e-12,
-            dt_min: 0.0,
-            dt_max: 0.0,
-            integrator: Scheme::Trapezoidal,
+            step: StepKeys::new(1e-6, 1e-12, Scheme::Trapezoidal),
             solver: LinearSolverKind::default(),
         }
     }
@@ -79,8 +139,7 @@ pub struct ShootingSpec {
 }
 
 /// `.mpde <f1> <tstop> [harmonics=<n>] [node=<k>] [amp=<v>] [depth=<v>]
-/// [fmod=<v>] [dt=<v>] [integrator=<s>] [rtol=<v>] [atol=<v>]
-/// [dt_min=<v>] [dt_max=<v>]` — unwarped MPDE envelope with an
+/// [fmod=<v>] [solver=<s>] [STEP KEYS]` — unwarped MPDE envelope with an
 /// AM-modulated carrier forcing into one KCL row. Fixed-step by default
 /// (`dt`, auto `tstop/50`); `rtol=` switches on LTE-adaptive `t2`
 /// stepping.
@@ -100,18 +159,8 @@ pub struct MpdeSpec {
     pub mod_depth: f64,
     /// Envelope modulation frequency (Hz).
     pub mod_freq_hz: f64,
-    /// Fixed `t2` step (or `dt_init` in adaptive mode); `0.0` = auto.
-    pub dt: f64,
-    /// Adaptive relative tolerance; `0.0` keeps fixed-step mode.
-    pub rtol: f64,
-    /// Adaptive absolute tolerance.
-    pub atol: f64,
-    /// Minimum adaptive step (`0.0` = auto).
-    pub dt_min: f64,
-    /// Maximum adaptive step (`0.0` = auto).
-    pub dt_max: f64,
-    /// Integration scheme along `t2` (`be`, `trap`, `bdf2`).
-    pub integrator: Scheme,
+    /// Step keys along `t2`.
+    pub step: StepKeys,
     /// Linear-solver backend (from the deck's `.options solver=` line).
     pub solver: LinearSolverKind,
 }
@@ -129,22 +178,17 @@ impl MpdeSpec {
             amplitude: 1e-3,
             mod_depth: 0.5,
             mod_freq_hz: f1_hz / 100.0,
-            dt: 0.0,
-            rtol: 0.0, // fixed-step mode unless rtol is set
-            atol: 1e-9,
-            dt_min: 0.0,
-            dt_max: 0.0,
-            integrator: Scheme::BackwardEuler,
+            // fixed-step mode unless rtol is set
+            step: StepKeys::new(0.0, 1e-9, Scheme::BackwardEuler),
             solver: LinearSolverKind::default(),
         }
     }
 }
 
 /// `.wampde <tstop> [harmonics=<n>] [phase_var=<k>] [steps=<n>]
-/// [dt=<v>] [integrator=<s>] [rtol=<v>] [atol=<v>] [dt_min=<v>]
-/// [dt_max=<v>]` — warped MPDE envelope, initialised from the shooting
-/// steady state of the circuit with its waveforms frozen at `t = 0`.
-/// LTE-adaptive along `t2` by default; `dt=` pins a fixed step.
+/// [solver=<s>] [STEP KEYS]` — warped MPDE envelope, initialised from the
+/// shooting steady state of the circuit with its waveforms frozen at
+/// `t = 0`. LTE-adaptive along `t2` by default; `dt=` pins a fixed step.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WampdeSpec {
     /// Envelope end time (s).
@@ -155,18 +199,8 @@ pub struct WampdeSpec {
     pub phase_var: usize,
     /// Shooting steps per period for the initial orbit.
     pub shooting_steps: usize,
-    /// Fixed `t2` step; `0.0` selects LTE-adaptive stepping.
-    pub dt: f64,
-    /// Adaptive relative tolerance.
-    pub rtol: f64,
-    /// Adaptive absolute tolerance.
-    pub atol: f64,
-    /// Minimum adaptive step (`0.0` = auto).
-    pub dt_min: f64,
-    /// Maximum adaptive step (`0.0` = auto).
-    pub dt_max: f64,
-    /// Integration scheme along `t2` (`be`, `trap`, `bdf2`).
-    pub integrator: Scheme,
+    /// Step keys along `t2`.
+    pub step: StepKeys,
     /// Linear-solver backend (from the deck's `.options solver=` line).
     pub solver: LinearSolverKind,
 }
@@ -181,12 +215,7 @@ impl WampdeSpec {
             harmonics: 8,
             phase_var: 0,
             shooting_steps: 512,
-            dt: 0.0, // adaptive unless a fixed step is pinned
-            rtol: 2e-4,
-            atol: 1e-9,
-            dt_min: 0.0,
-            dt_max: 0.0,
-            integrator: Scheme::Bdf2,
+            step: StepKeys::new(2e-4, 1e-9, Scheme::Bdf2),
             solver: LinearSolverKind::default(),
         }
     }
@@ -237,39 +266,25 @@ impl AnalysisSpec {
         }
     }
 
-    /// The time-integration scheme this analysis will step with
-    /// (`None` for `.shooting`, which has no slow-time axis).
-    pub fn integrator(&self) -> Option<Scheme> {
+    /// The step keys this analysis runs with (`None` for `.shooting`,
+    /// which has no slow-time axis).
+    pub fn step(&self) -> Option<&StepKeys> {
         match self {
-            AnalysisSpec::Tran(s) => Some(s.integrator),
+            AnalysisSpec::Tran(s) => Some(&s.step),
             AnalysisSpec::Shooting(_) => None,
-            AnalysisSpec::Mpde(s) => Some(s.integrator),
-            AnalysisSpec::Wampde(s) => Some(s.integrator),
+            AnalysisSpec::Mpde(s) => Some(&s.step),
+            AnalysisSpec::Wampde(s) => Some(&s.step),
         }
     }
 
-    /// Overrides the integration scheme (used by the `wampde-cli
-    /// --integrator` flag). A no-op for `.shooting`.
-    pub fn set_integrator(&mut self, scheme: Scheme) {
+    /// The step keys, for overrides (the `wampde-cli --integrator` and
+    /// `--rtol` flags); `None` for `.shooting`.
+    pub fn step_mut(&mut self) -> Option<&mut StepKeys> {
         match self {
-            AnalysisSpec::Tran(s) => s.integrator = scheme,
-            AnalysisSpec::Shooting(_) => {}
-            AnalysisSpec::Mpde(s) => s.integrator = scheme,
-            AnalysisSpec::Wampde(s) => s.integrator = scheme,
-        }
-    }
-
-    /// Overrides the adaptive relative tolerance (used by the
-    /// `wampde-cli --rtol` flag). For `.tran`/`.wampde` it takes effect
-    /// in adaptive mode; for `.mpde` a positive value also switches the
-    /// envelope from fixed-step to adaptive mode. A no-op for
-    /// `.shooting`.
-    pub fn set_rtol(&mut self, rtol: f64) {
-        match self {
-            AnalysisSpec::Tran(s) => s.rtol = rtol,
-            AnalysisSpec::Shooting(_) => {}
-            AnalysisSpec::Mpde(s) => s.rtol = rtol,
-            AnalysisSpec::Wampde(s) => s.rtol = rtol,
+            AnalysisSpec::Tran(s) => Some(&mut s.step),
+            AnalysisSpec::Shooting(_) => None,
+            AnalysisSpec::Mpde(s) => Some(&mut s.step),
+            AnalysisSpec::Wampde(s) => Some(&mut s.step),
         }
     }
 
@@ -280,18 +295,11 @@ impl AnalysisSpec {
     /// their IEEE-754 bit pattern, so two specs fingerprint equal iff
     /// they run identically.
     pub fn fingerprint(&self) -> String {
-        let b = |v: f64| format!("{:016x}", v.to_bits());
         match self {
             AnalysisSpec::Tran(s) => format!(
-                "tran t_stop={} dt={} rtol={} atol={} dt_min={} dt_max={} \
-                 integrator={} solver={}",
-                b(s.t_stop),
-                b(s.dt),
-                b(s.rtol),
-                b(s.atol),
-                b(s.dt_min),
-                b(s.dt_max),
-                s.integrator.label(),
+                "tran t_stop={} {} solver={}",
+                hex(s.t_stop),
+                s.step.fingerprint(),
                 s.solver.fingerprint(),
             ),
             AnalysisSpec::Shooting(s) => format!(
@@ -301,37 +309,24 @@ impl AnalysisSpec {
                 s.solver.fingerprint(),
             ),
             AnalysisSpec::Mpde(s) => format!(
-                "mpde f1={} t_stop={} harmonics={} node={} amp={} depth={} \
-                 fmod={} dt={} rtol={} atol={} dt_min={} dt_max={} \
-                 integrator={} solver={}",
-                b(s.f1_hz),
-                b(s.t_stop),
+                "mpde f1={} t_stop={} harmonics={} node={} amp={} depth={} fmod={} {} solver={}",
+                hex(s.f1_hz),
+                hex(s.t_stop),
                 s.harmonics,
                 s.node,
-                b(s.amplitude),
-                b(s.mod_depth),
-                b(s.mod_freq_hz),
-                b(s.dt),
-                b(s.rtol),
-                b(s.atol),
-                b(s.dt_min),
-                b(s.dt_max),
-                s.integrator.label(),
+                hex(s.amplitude),
+                hex(s.mod_depth),
+                hex(s.mod_freq_hz),
+                s.step.fingerprint(),
                 s.solver.fingerprint(),
             ),
             AnalysisSpec::Wampde(s) => format!(
-                "wampde t_stop={} harmonics={} phase_var={} steps={} dt={} \
-                 rtol={} atol={} dt_min={} dt_max={} integrator={} solver={}",
-                b(s.t_stop),
+                "wampde t_stop={} harmonics={} phase_var={} steps={} {} solver={}",
+                hex(s.t_stop),
                 s.harmonics,
                 s.phase_var,
                 s.shooting_steps,
-                b(s.dt),
-                b(s.rtol),
-                b(s.atol),
-                b(s.dt_min),
-                b(s.dt_max),
-                s.integrator.label(),
+                s.step.fingerprint(),
                 s.solver.fingerprint(),
             ),
         }
@@ -507,13 +502,13 @@ mod tests {
 
         // Every option perturbation must change the fingerprint.
         let mut c = TranSpec::new(1e-3);
-        c.rtol = 2e-6;
+        c.step.rtol = 2e-6;
         assert_ne!(a.fingerprint(), AnalysisSpec::Tran(c).fingerprint());
         let mut d = TranSpec::new(1e-3);
         d.solver = LinearSolverKind::Klu;
         assert_ne!(a.fingerprint(), AnalysisSpec::Tran(d).fingerprint());
         let mut e = TranSpec::new(1e-3);
-        e.integrator = Scheme::BackwardEuler;
+        e.step.integrator = Scheme::BackwardEuler;
         assert_ne!(a.fingerprint(), AnalysisSpec::Tran(e).fingerprint());
 
         // GMRES parameters are part of the solver fingerprint.
@@ -528,6 +523,43 @@ mod tests {
         assert_ne!(
             AnalysisSpec::Tran(f).fingerprint(),
             AnalysisSpec::Tran(g).fingerprint()
+        );
+    }
+
+    /// The sweep service's cache keys are these bytes: a change to them
+    /// silently invalidates every cached result, so they are pinned with
+    /// every step key off its directive's default.
+    #[test]
+    fn step_key_fingerprints_are_pinned() {
+        let deck = crate::parse_deck(
+            "R1 a 0 1k\nC1 a 0 1n\n\
+             .tran 1m dt=2u rtol=1e-4 atol=1e-10 dt_min=1n dt_max=10u integrator=bdf2 \
+             solver=klu\n\
+             .mpde 1meg 2m harmonics=4 dt=5u rtol=2e-4 atol=1e-8 dt_min=2n dt_max=20u \
+             integrator=trap\n\
+             .wampde 6u harmonics=5 steps=256 dt=20n rtol=1e-3 atol=1e-7 dt_min=3n \
+             dt_max=30u integrator=be\n",
+        )
+        .unwrap();
+        let got: Vec<String> = deck
+            .analyses
+            .iter()
+            .map(AnalysisSpec::fingerprint)
+            .collect();
+        assert_eq!(
+            got,
+            [
+                "tran t_stop=3f50624dd2f1a9fc dt=3ec0c6f7a0b5ed8d rtol=3f1a36e2eb1c432d \
+                 atol=3ddb7cdfd9d7bdbb dt_min=3e112e0be826d695 dt_max=3ee4f8b588e368f0 \
+                 integrator=bdf2 solver=klu",
+                "mpde f1=412e848000000000 t_stop=3f60624dd2f1a9fc harmonics=4 node=0 \
+                 amp=3f50624dd2f1a9fc depth=3fe0000000000000 fmod=40c3880000000000 \
+                 dt=3ed4f8b588e368f0 rtol=3f2a36e2eb1c432d atol=3e45798ee2308c3a \
+                 dt_min=3e212e0be826d695 dt_max=3ef4f8b588e368f0 integrator=trap solver=dense",
+                "wampde t_stop=3ed92a737110e454 harmonics=5 phase_var=0 steps=256 \
+                 dt=3e55798ee2308c3a rtol=3f50624dd2f1a9fc atol=3e7ad7f29abcaf48 \
+                 dt_min=3e29c511dc3a41e0 dt_max=3eff75104d551d68 integrator=be solver=dense",
+            ]
         );
     }
 

@@ -44,7 +44,9 @@ pub mod waveform;
 
 pub use circuit::{Circuit, CircuitDae, CircuitError, Node};
 pub use dae::{check_jacobians, dae_residual, jac_blocks, jac_blocks_into, Dae, Pattern};
-pub use deck::{AnalysisSpec, Deck, MpdeSpec, ShootingSpec, SweepSpec, TranSpec, WampdeSpec};
+pub use deck::{
+    AnalysisSpec, Deck, MpdeSpec, ShootingSpec, StepKeys, SweepSpec, TranSpec, WampdeSpec,
+};
 // Deck specs carry the backend choice, so re-export it for deck-driven
 // callers (the CLI, sweepkit) that never touch `linsolve` directly.
 pub use device::{Device, MemsParams};

@@ -24,17 +24,18 @@
 //! analysis cards), producing a typed [`Deck`]:
 //!
 //! ```text
-//! .tran     <tstop> [dt=<v>] [solver=<s>] [STEP KEYS]
+//! .tran     <tstop> [solver=<s>] [STEP KEYS]
 //! .shooting [steps=<n>] [phase_var=<k>] [solver=<s>]
-//! .mpde     <f1> <tstop> [harmonics=<n>] [node=<k>] [amp=<v>] [depth=<v>] [fmod=<v>] [dt=<v>] [solver=<s>] [STEP KEYS]
-//! .wampde   <tstop> [harmonics=<n>] [phase_var=<k>] [steps=<n>] [dt=<v>] [solver=<s>] [STEP KEYS]
+//! .mpde     <f1> <tstop> [harmonics=<n>] [node=<k>] [amp=<v>] [depth=<v>] [fmod=<v>] [solver=<s>] [STEP KEYS]
+//! .wampde   <tstop> [harmonics=<n>] [phase_var=<k>] [steps=<n>] [solver=<s>] [STEP KEYS]
 //! .sweep    <param> <from> <to> <points> [log]
 //! .options  solver=dense|klu|gmres [gmres_tol=<v>] [gmres_restart=<n>]
 //! ```
 //!
-//! The time-stepping analyses share one set of `STEP KEYS` plumbed into
-//! the `timekit` controller: `integrator=be|trap|bdf2`, `rtol=<v>`,
-//! `atol=<v>`, `dt_min=<v>`, `dt_max=<v>`. For `.tran` and `.wampde`,
+//! The time-stepping analyses share one set of `STEP KEYS`
+//! ([`StepKeys`]) plumbed into the `timekit` controller: `dt=<v>`,
+//! `integrator=be|trap|bdf2`, `rtol=<v>`, `atol=<v>`, `dt_min=<v>`,
+//! `dt_max=<v>`. For `.tran` and `.wampde`,
 //! `dt=` pins a fixed step and omitting it selects LTE-adaptive
 //! stepping; `.mpde` is fixed-step by default (auto `tstop/50`) and a
 //! `rtol=` key switches it to adaptive.
@@ -56,7 +57,9 @@
 //! clear error instead of silently dropped analyses.
 
 use crate::circuit::{Circuit, CircuitDae, Node};
-use crate::deck::{AnalysisSpec, Deck, MpdeSpec, ShootingSpec, SweepSpec, TranSpec, WampdeSpec};
+use crate::deck::{
+    AnalysisSpec, Deck, MpdeSpec, ShootingSpec, StepKeys, SweepSpec, TranSpec, WampdeSpec,
+};
 use crate::device::{Device, MemsParams};
 use crate::waveform::Waveform;
 use linsolve::LinearSolverKind;
@@ -507,28 +510,19 @@ fn parse_usize(v: &str, what: &str) -> Result<usize, String> {
         .map_err(|_| format!("cannot parse {what} '{v}' as an integer"))
 }
 
-/// The step-control keys shared by the `.tran`/`.mpde`/`.wampde`
-/// directives, with per-directive defaults seeded by the caller. Each
-/// key is validated here so every directive rejects a bad value with
-/// the same message (plus its own line number).
-struct StepKeys<'a> {
-    dt: &'a mut f64,
-    rtol: &'a mut f64,
-    atol: &'a mut f64,
-    dt_min: &'a mut f64,
-    dt_max: &'a mut f64,
-    integrator: &'a mut Scheme,
-}
-
-impl StepKeys<'_> {
+/// Parsing of the step keys shared by the `.tran`/`.mpde`/`.wampde`
+/// directives, over per-directive defaults. Each key is validated here
+/// so every directive rejects a bad value with the same message (plus
+/// its own line number).
+impl StepKeys {
     /// Cross-field validation after all keys are applied, so a
     /// contradictory pair fails at parse time with the directive's line
     /// number instead of at run time without one.
     fn finish(&self) -> Result<(), String> {
-        if *self.dt_min > 0.0 && *self.dt_max > 0.0 && *self.dt_min > *self.dt_max {
+        if self.dt_min > 0.0 && self.dt_max > 0.0 && self.dt_min > self.dt_max {
             return Err(format!(
                 "dt_min {:e} exceeds dt_max {:e}",
-                *self.dt_min, *self.dt_max
+                self.dt_min, self.dt_max
             ));
         }
         Ok(())
@@ -552,13 +546,13 @@ impl StepKeys<'_> {
             }
         };
         match k {
-            "dt" => *self.dt = positive(parse_value(v)?, "dt")?,
-            "rtol" => *self.rtol = positive(parse_value(v)?, "rtol")?,
-            "atol" => *self.atol = positive(parse_value(v)?, "atol")?,
-            "dt_min" => *self.dt_min = nonnegative(parse_value(v)?, "dt_min")?,
-            "dt_max" => *self.dt_max = nonnegative(parse_value(v)?, "dt_max")?,
+            "dt" => self.dt = positive(parse_value(v)?, "dt")?,
+            "rtol" => self.rtol = positive(parse_value(v)?, "rtol")?,
+            "atol" => self.atol = positive(parse_value(v)?, "atol")?,
+            "dt_min" => self.dt_min = nonnegative(parse_value(v)?, "dt_min")?,
+            "dt_max" => self.dt_max = nonnegative(parse_value(v)?, "dt_max")?,
             "integrator" => {
-                *self.integrator = Scheme::parse(v)
+                self.integrator = Scheme::parse(v)
                     .ok_or_else(|| format!("unknown integrator '{v}' (be, trap, bdf2)"))?;
             }
             _ => return Ok(false),
@@ -583,17 +577,7 @@ fn parse_directive(tokens: &[&str]) -> Result<Directive, String> {
             let mut spec = TranSpec::new(parse_value(t_stop)?);
             let mut solver_explicit = false;
             for (k, v) in opts {
-                let consumed = StepKeys {
-                    dt: &mut spec.dt,
-                    rtol: &mut spec.rtol,
-                    atol: &mut spec.atol,
-                    dt_min: &mut spec.dt_min,
-                    dt_max: &mut spec.dt_max,
-                    integrator: &mut spec.integrator,
-                }
-                .apply(k, v)
-                .map_err(|e| format!(".tran: {e}"))?;
-                if consumed {
+                if spec.step.apply(k, v).map_err(|e| format!(".tran: {e}"))? {
                     continue;
                 }
                 if k == "solver" {
@@ -606,16 +590,7 @@ fn parse_directive(tokens: &[&str]) -> Result<Directive, String> {
                     ));
                 }
             }
-            StepKeys {
-                dt: &mut spec.dt,
-                rtol: &mut spec.rtol,
-                atol: &mut spec.atol,
-                dt_min: &mut spec.dt_min,
-                dt_max: &mut spec.dt_max,
-                integrator: &mut spec.integrator,
-            }
-            .finish()
-            .map_err(|e| format!(".tran: {e}"))?;
+            spec.step.finish().map_err(|e| format!(".tran: {e}"))?;
             if spec.t_stop <= 0.0 {
                 return Err(".tran: tstop must be positive".into());
             }
@@ -670,17 +645,7 @@ fn parse_directive(tokens: &[&str]) -> Result<Directive, String> {
             let mut spec = MpdeSpec::new(f1_hz, parse_value(t_stop)?);
             let mut solver_explicit = false;
             for (k, v) in opts {
-                let consumed = StepKeys {
-                    dt: &mut spec.dt,
-                    rtol: &mut spec.rtol,
-                    atol: &mut spec.atol,
-                    dt_min: &mut spec.dt_min,
-                    dt_max: &mut spec.dt_max,
-                    integrator: &mut spec.integrator,
-                }
-                .apply(k, v)
-                .map_err(|e| format!(".mpde: {e}"))?;
-                if consumed {
+                if spec.step.apply(k, v).map_err(|e| format!(".mpde: {e}"))? {
                     continue;
                 }
                 match k {
@@ -701,16 +666,7 @@ fn parse_directive(tokens: &[&str]) -> Result<Directive, String> {
                     }
                 }
             }
-            StepKeys {
-                dt: &mut spec.dt,
-                rtol: &mut spec.rtol,
-                atol: &mut spec.atol,
-                dt_min: &mut spec.dt_min,
-                dt_max: &mut spec.dt_max,
-                integrator: &mut spec.integrator,
-            }
-            .finish()
-            .map_err(|e| format!(".mpde: {e}"))?;
+            spec.step.finish().map_err(|e| format!(".mpde: {e}"))?;
             if spec.t_stop <= 0.0 {
                 return Err(".mpde: tstop must be positive".into());
             }
@@ -736,17 +692,7 @@ fn parse_directive(tokens: &[&str]) -> Result<Directive, String> {
             let mut spec = WampdeSpec::new(parse_value(t_stop)?);
             let mut solver_explicit = false;
             for (k, v) in opts {
-                let consumed = StepKeys {
-                    dt: &mut spec.dt,
-                    rtol: &mut spec.rtol,
-                    atol: &mut spec.atol,
-                    dt_min: &mut spec.dt_min,
-                    dt_max: &mut spec.dt_max,
-                    integrator: &mut spec.integrator,
-                }
-                .apply(k, v)
-                .map_err(|e| format!(".wampde: {e}"))?;
-                if consumed {
+                if spec.step.apply(k, v).map_err(|e| format!(".wampde: {e}"))? {
                     continue;
                 }
                 match k {
@@ -765,16 +711,7 @@ fn parse_directive(tokens: &[&str]) -> Result<Directive, String> {
                     }
                 }
             }
-            StepKeys {
-                dt: &mut spec.dt,
-                rtol: &mut spec.rtol,
-                atol: &mut spec.atol,
-                dt_min: &mut spec.dt_min,
-                dt_max: &mut spec.dt_max,
-                integrator: &mut spec.integrator,
-            }
-            .finish()
-            .map_err(|e| format!(".wampde: {e}"))?;
+            spec.step.finish().map_err(|e| format!(".wampde: {e}"))?;
             if spec.t_stop <= 0.0 {
                 return Err(".wampde: tstop must be positive".into());
             }
@@ -1221,48 +1158,35 @@ mod tests {
              .mpde 1meg 2m rtol=2e-4 dt=5u\n"
         ))
         .unwrap();
-        match &deck.analyses[0] {
-            AnalysisSpec::Tran(t) => {
-                assert_eq!(t.integrator, Scheme::Bdf2);
-                assert!((t.dt - 2e-6).abs() < 1e-18);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match &deck.analyses[1] {
-            AnalysisSpec::Tran(t) => {
-                assert_eq!(t.integrator, Scheme::BackwardEuler);
-                assert_eq!(t.dt, 0.0); // adaptive
-                assert!((t.rtol - 1e-4).abs() < 1e-18);
-                assert!((t.atol - 1e-10).abs() < 1e-22);
-                assert!((t.dt_min - 1e-9).abs() < 1e-21);
-                assert!((t.dt_max - 1e-5).abs() < 1e-17);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match &deck.analyses[2] {
-            AnalysisSpec::Wampde(w) => {
-                assert_eq!(w.integrator, Scheme::Trapezoidal);
-                assert!((w.dt - 20e-9).abs() < 1e-21);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match &deck.analyses[3] {
-            AnalysisSpec::Mpde(m) => {
-                assert_eq!(m.integrator, Scheme::BackwardEuler);
-                assert!((m.rtol - 2e-4).abs() < 1e-18, "rtol enables adaptive");
-                assert!((m.dt - 5e-6).abs() < 1e-18);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // Integrator getter/setters used by the CLI overrides.
+        let names: Vec<_> = deck.analyses.iter().map(AnalysisSpec::name).collect();
+        assert_eq!(names, ["tran", "tran", "wampde", "mpde"]);
+        let step = |i: usize| *deck.analyses[i].step().unwrap();
+        let t = step(0);
+        assert_eq!(t.integrator, Scheme::Bdf2);
+        assert!((t.dt - 2e-6).abs() < 1e-18);
+        let t = step(1);
+        assert_eq!(t.integrator, Scheme::BackwardEuler);
+        assert_eq!(t.dt, 0.0); // adaptive
+        assert!((t.rtol - 1e-4).abs() < 1e-18);
+        assert!((t.atol - 1e-10).abs() < 1e-22);
+        assert!((t.dt_min - 1e-9).abs() < 1e-21);
+        assert!((t.dt_max - 1e-5).abs() < 1e-17);
+        let w = step(2);
+        assert_eq!(w.integrator, Scheme::Trapezoidal);
+        assert!((w.dt - 20e-9).abs() < 1e-21);
+        let m = step(3);
+        assert_eq!(m.integrator, Scheme::BackwardEuler);
+        assert!((m.rtol - 2e-4).abs() < 1e-18, "rtol enables adaptive");
+        assert!((m.dt - 5e-6).abs() < 1e-18);
+        // The step keys the CLI overrides write through.
         let mut deck = deck;
-        assert_eq!(deck.analyses[0].integrator(), Some(Scheme::Bdf2));
-        deck.analyses[0].set_integrator(Scheme::Trapezoidal);
-        deck.analyses[0].set_rtol(3e-5);
+        let t = deck.analyses[0].step_mut().unwrap();
+        t.integrator = Scheme::Trapezoidal;
+        t.rtol = 3e-5;
         match &deck.analyses[0] {
             AnalysisSpec::Tran(t) => {
-                assert_eq!(t.integrator, Scheme::Trapezoidal);
-                assert!((t.rtol - 3e-5).abs() < 1e-19);
+                assert_eq!(t.step.integrator, Scheme::Trapezoidal);
+                assert!((t.step.rtol - 3e-5).abs() < 1e-19);
             }
             other => panic!("unexpected {other:?}"),
         }

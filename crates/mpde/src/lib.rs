@@ -95,22 +95,22 @@ pub fn spec_problem(spec: &circuitdae::MpdeSpec) -> (AmForcing, WampdeOptions) {
         mod_depth: spec.mod_depth,
         mod_freq_hz: spec.mod_freq_hz,
     };
-    let step = if spec.rtol > 0.0 {
+    let step = if spec.step.rtol > 0.0 {
         T2StepControl::Adaptive {
-            rtol: spec.rtol,
-            atol: spec.atol,
-            dt_init: spec.dt,
-            dt_min: spec.dt_min,
-            dt_max: spec.dt_max,
+            rtol: spec.step.rtol,
+            atol: spec.step.atol,
+            dt_init: spec.step.dt,
+            dt_min: spec.step.dt_min,
+            dt_max: spec.step.dt_max,
         }
-    } else if spec.dt > 0.0 {
-        T2StepControl::Fixed(spec.dt)
+    } else if spec.step.dt > 0.0 {
+        T2StepControl::Fixed(spec.step.dt)
     } else {
         T2StepControl::Fixed(spec.t_stop / 50.0)
     };
     let opts = WampdeOptions {
         harmonics: spec.harmonics,
-        integrator: spec.integrator,
+        integrator: spec.step.integrator,
         step,
         newton: NewtonOptions::default(),
         omega_mode: OmegaMode::Frozen(spec.f1_hz),

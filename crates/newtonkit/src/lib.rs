@@ -13,7 +13,7 @@
 //!   for solvers with structured unknowns (collocation blocks plus a
 //!   frequency border, shooting's `(x0, T)` pair).
 //! * [`NewtonPolicy`] — the configuration: iteration budget, abs/rel
-//!   step-norm tolerances (or a relative residual tolerance), the
+//!   step-norm tolerances (or a residual tolerance), the
 //!   [`Damping`] strategy (`full`, SPICE-style halving `line-search`, or
 //!   `trust-region`), the linear-solver backend, and the symbolic-reuse
 //!   ablation knob.
@@ -34,15 +34,19 @@
 //!
 //! * **Step-norm** (the default, `residual_tol: None`): converged when
 //!   the damped update satisfies
-//!   [`NewtonSystem::update_norm`]`(λ·Δx, x, abstol, reltol) ≤ 1` — a
-//!   weighted RMS that systems override for block scaling. An adaptive
-//!   WaMPDE step overrides it with DASSL's test in the step controller's
+//!   [`NewtonSystem::update_norm`]`(λ·Δx, x, abstol, reltol) ≤ 1`. The
+//!   default norm is the per-component weighted RMS. The collocation
+//!   systems (`wampde`'s step and quasiperiodic systems) share one block
+//!   norm instead, `wampde::step::block_update_norm`: every sample is
+//!   weighed by the largest sample magnitude, each ω by its own. An
+//!   adaptive envelope step takes DASSL's test in the step controller's
 //!   error weights (`timekit::Tolerance::newton_norm`), ignoring
 //!   `abstol`/`reltol`; the loop itself is the same.
-//! * **Relative residual** (`residual_tol: Some(tol)`): converged when
-//!   `‖r‖₂ / `[`NewtonSystem::residual_scale`]` < tol`, checked *before*
-//!   factoring (shooting's law, where each residual costs a full flow
-//!   integration and the Jacobian rides along with it).
+//! * **Residual** (`residual_tol: Some(tol)`): converged when
+//!   `‖r‖₂ < tol`, checked *before* factoring. Shooting uses it, where
+//!   each residual costs a full flow integration and the Jacobian rides
+//!   along with it; it makes the law relative by passing its tolerance
+//!   times its state scale.
 //!
 //! # Jacobian reuse
 //!
@@ -148,12 +152,6 @@ pub trait NewtonSystem {
         wrms_norm(dx_scaled, x, abstol, reltol)
     }
 
-    /// Scale dividing `‖r‖₂` in the relative-residual convergence law
-    /// (ignored under the step-norm law). Default 1 (absolute residual).
-    fn residual_scale(&self) -> f64 {
-        1.0
-    }
-
     /// Largest admissible damping factor for a proposed step
     /// ([`Damping::TrustRegion`] only): the engine starts from
     /// `min(1, damp_limit)`. Shooting caps the state move at a fraction
@@ -245,9 +243,8 @@ pub struct NewtonPolicy {
     pub reltol: f64,
     /// Damping strategy.
     pub damping: Damping,
-    /// `Some(tol)` switches to the relative-residual convergence law:
-    /// converged when `‖r‖₂ / residual_scale < tol`, checked before
-    /// each factorisation.
+    /// `Some(tol)` switches to the residual convergence law: converged
+    /// when `‖r‖₂ < tol`, checked before each factorisation.
     pub residual_tol: Option<f64>,
     /// Linear-solver backend for the per-iteration factorisation.
     pub linear_solver: LinearSolverKind,
@@ -482,7 +479,6 @@ impl NewtonEngine {
         sys.residual(x, &mut self.r);
         stats.residual_evals += 1;
         let mut rnorm = norm2(&self.r);
-        let scale = sys.residual_scale();
         let coeffs = sys.matrix_coeffs();
         // Refactorisations of a kept matrix by cause: its coefficients
         // left the band, or its last iteration damped or contracted slowly.
@@ -498,10 +494,10 @@ impl NewtonEngine {
                 // current matrix: the base of the contraction rate.
                 let mut prev_update: Option<f64> = None;
                 for iter in 1..=policy.max_iter {
-                    // Relative-residual law: check before paying for a
+                    // Residual law: check before paying for a
                     // factorisation (shooting's flow already ran).
                     if let Some(tol) = policy.residual_tol {
-                        if rnorm.is_finite() && rnorm / scale < tol {
+                        if rnorm.is_finite() && rnorm < tol {
                             break 'solve Ok(());
                         }
                     }
@@ -953,7 +949,7 @@ mod tests {
 
     #[test]
     fn residual_law_converges_without_factoring_at_the_root() {
-        // Starting exactly at the root with the relative-residual law:
+        // Starting exactly at the root with the residual law:
         // no factorisation, no step.
         let mut x = vec![2.0];
         let policy = NewtonPolicy {

@@ -429,6 +429,8 @@ struct CycleSystem<'a, D: Dae + ?Sized> {
     n: usize,
     k: usize,
     b0: Vec<f64>,
+    /// The state scale `max(‖x0_guess‖₂, 1)` that the residual tolerance
+    /// and the collapse test are relative to.
     scale: f64,
     steps: usize,
     integrator: Integrator,
@@ -550,10 +552,6 @@ impl<D: Dae + ?Sized> NewtonSystem for CycleSystem<'_, D> {
         true
     }
 
-    fn residual_scale(&self) -> f64 {
-        self.scale
-    }
-
     fn damp_limit(&self, _z: &[f64], dx: &[f64]) -> f64 {
         let orbit_amp = self
             .flow
@@ -664,7 +662,7 @@ fn metered_orbit<D: Dae + ?Sized>(
     z.push(period_guess);
     let policy = NewtonPolicy {
         max_iter: opts.max_iter,
-        residual_tol: Some(opts.tol),
+        residual_tol: Some(opts.tol * sys.scale),
         damping: Damping::TrustRegion {
             min_lambda: 1.0 / 1024.0,
         },

@@ -2,7 +2,7 @@
 
 use crate::dcop::{dc_operating_point, dc_operating_point_from};
 use crate::error::TransimError;
-use crate::integrate::{run_transient, StepControl, TransientOptions, TransientResult};
+use crate::integrate::{run_transient, TransientOptions, TransientResult};
 use crate::newton::NewtonOptions;
 use circuitdae::{Dae, TranSpec};
 
@@ -48,25 +48,14 @@ pub fn run_tran_spec_warm<D: Dae + ?Sized>(
         Some(guess) => dc_operating_point_from(dae, guess, &newton)?,
         None => dc_operating_point(dae, &newton)?,
     };
-    let step = if spec.dt > 0.0 {
-        StepControl::Fixed(spec.dt)
-    } else {
-        StepControl::Adaptive {
-            rtol: spec.rtol,
-            atol: spec.atol,
-            dt_init: 0.0,
-            dt_min: spec.dt_min,
-            dt_max: spec.dt_max,
-        }
-    };
     let res = run_transient(
         dae,
         &x0,
         0.0,
         spec.t_stop,
         &TransientOptions {
-            integrator: spec.integrator,
-            step,
+            integrator: spec.step.integrator,
+            step: spec.step.policy(),
             newton,
         },
     )?;
@@ -103,10 +92,8 @@ mod tests {
              C1 a 0 1u\n",
         )
         .unwrap();
-        let spec = TranSpec {
-            dt: 1e-5,
-            ..TranSpec::new(1e-3)
-        };
+        let mut spec = TranSpec::new(1e-3);
+        spec.step.dt = 1e-5;
         let res = run_tran_spec(&dae, &spec).unwrap();
         assert_eq!(res.stats.steps, 100);
     }
@@ -124,10 +111,13 @@ mod tests {
              C2 b 0 1u\n",
         )
         .unwrap();
-        let mk = |solver| TranSpec {
-            dt: 1e-5,
-            solver,
-            ..TranSpec::new(1e-3)
+        let mk = |solver| {
+            let mut spec = TranSpec {
+                solver,
+                ..TranSpec::new(1e-3)
+            };
+            spec.step.dt = 1e-5;
+            spec
         };
         let dense = run_tran_spec(&dae, &mk(Default::default())).unwrap();
         let sparse = run_tran_spec(&dae, &mk(circuitdae::LinearSolverKind::Klu)).unwrap();

@@ -3,7 +3,7 @@
 use crate::envelope::solve_envelope;
 use crate::error::WampdeError;
 use crate::init::WampdeInit;
-use crate::options::{T2StepControl, WampdeOptions};
+use crate::options::WampdeOptions;
 use crate::result::EnvelopeResult;
 use circuitdae::{CircuitDae, Dae, WampdeSpec};
 use shooting::{
@@ -62,25 +62,12 @@ pub fn run_wampde_spec_warm(
     };
     let (orbit, init_stats) = oscillator_steady_state_with_stats(&unforced, &shoot_opts, warm)
         .map_err(|e| WampdeError::BadInput(format!("shooting initialisation failed: {e}")))?;
-    // The spec's step keys select fixed (`dt=`) or LTE-adaptive `t2`
-    // stepping; the scheme rides along from `integrator=`.
-    let step = if spec.dt > 0.0 {
-        T2StepControl::Fixed(spec.dt)
-    } else {
-        T2StepControl::Adaptive {
-            rtol: spec.rtol,
-            atol: spec.atol,
-            dt_init: 0.0,
-            dt_min: spec.dt_min,
-            dt_max: spec.dt_max,
-        }
-    };
     let opts = WampdeOptions {
         harmonics: spec.harmonics,
         phase_var: spec.phase_var,
         linear_solver: spec.solver,
-        integrator: spec.integrator,
-        step,
+        integrator: spec.step.integrator,
+        step: spec.step.policy(),
         ..Default::default()
     };
     let init = WampdeInit::from_orbit(&orbit, &opts);
@@ -117,13 +104,9 @@ mod tests {
         // built from `WampdeOptions::default()`.
         let spec = WampdeSpec::new(1.0e-6);
         let opts = WampdeOptions::default();
-        let T2StepControl::Adaptive { rtol, atol, .. } = opts.step else {
-            panic!("the default t2 step is adaptive: {:?}", opts.step);
-        };
-        assert_eq!((spec.rtol, spec.atol), (rtol, atol));
-        assert_eq!(spec.dt, 0.0);
+        assert_eq!(spec.step.policy(), opts.step);
         assert_eq!(spec.harmonics, opts.harmonics);
-        assert_eq!(spec.integrator, opts.integrator);
+        assert_eq!(spec.step.integrator, opts.integrator);
         assert_eq!(spec.phase_var, opts.phase_var);
         assert_eq!(spec.solver, opts.linear_solver);
     }

@@ -26,7 +26,7 @@
 use crate::error::WampdeError;
 use crate::options::{T2Integrator, WampdeOptions};
 use crate::result::EnvelopeResult;
-use crate::step::StepWork;
+use crate::step::{block_update_norm, StepWork};
 use circuitdae::Dae;
 use hb::Colloc;
 use newtonkit::{NewtonEngine, NewtonPolicy, NewtonSystem};
@@ -452,26 +452,10 @@ impl<D: Dae + ?Sized> NewtonSystem for QpSystem<'_, D> {
         true
     }
 
-    /// Block-scaled update norm: samples weighted by the global sample
-    /// magnitude, each ω by its own (see `step::block_update_norm`).
+    /// Block-scaled update norm over every slice: samples weighted by the
+    /// global sample magnitude, each ω by its own.
     fn update_norm(&self, dx_scaled: &[f64], z: &[f64], abstol: f64, reltol: f64) -> f64 {
-        let (n1, bw, len) = (self.n1, self.bw(), self.colloc.len());
-        let x_scale = (0..n1)
-            .flat_map(|m| z[m * bw..m * bw + len].iter())
-            .fold(0.0_f64, |mx, v| mx.max(v.abs()))
-            .max(1e-300);
-        let wx = abstol + reltol * x_scale;
-        let mut acc = 0.0;
-        for m in 0..n1 {
-            for k in 0..len {
-                let e = dx_scaled[m * bw + k] / wx;
-                acc += e * e;
-            }
-            let womega = abstol + reltol * z[m * bw + len].abs().max(1e-300);
-            let e = dx_scaled[m * bw + len] / womega;
-            acc += e * e;
-        }
-        (acc / self.dim() as f64).sqrt()
+        block_update_norm(dx_scaled, z, self.colloc.len(), true, abstol, reltol)
     }
 }
 

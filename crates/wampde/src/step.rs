@@ -182,27 +182,40 @@ pub fn accepted_g<D: Dae + ?Sized>(
     q.copy_from_slice(&work.q);
 }
 
-/// Weighted update norm with *block* scaling: collocation samples are
-/// weighted by the block's maximum magnitude (a per-entry weight would
-/// demand machine-exact solves at zero crossings), the frequency unknown
-/// by its own magnitude.
-fn block_update_norm(dz: &[f64], x: &[f64], omega: Option<f64>, abstol: f64, reltol: f64) -> f64 {
-    let len = x.len();
-    let x_scale = x.iter().fold(0.0_f64, |m, v| m.max(v.abs())).max(1e-300);
+/// Weighted update norm with *block* scaling over `z`, a run of blocks
+/// of `len` collocation samples each followed by its ω when `omega` is
+/// set: every sample is weighted by the largest sample magnitude of any
+/// block (a per-entry weight would demand machine-exact solves at zero
+/// crossings), each ω by its own magnitude.
+pub(crate) fn block_update_norm(
+    dz: &[f64],
+    z: &[f64],
+    len: usize,
+    omega: bool,
+    abstol: f64,
+    reltol: f64,
+) -> f64 {
+    let bw = len + usize::from(omega);
+    debug_assert_eq!(z.len() % bw, 0, "block_update_norm: ragged blocks");
+    let x_scale = z
+        .chunks(bw)
+        .flat_map(|blk| &blk[..len])
+        .fold(0.0_f64, |m, v| m.max(v.abs()))
+        .max(1e-300);
     let wx = abstol + reltol * x_scale;
     let mut acc = 0.0;
-    for &d in &dz[..len] {
-        let e = d / wx;
-        acc += e * e;
+    for (dblk, blk) in dz.chunks(bw).zip(z.chunks(bw)) {
+        for &d in &dblk[..len] {
+            let e = d / wx;
+            acc += e * e;
+        }
+        if omega {
+            let womega = abstol + reltol * blk[len].abs().max(1e-300);
+            let e = dblk[len] / womega;
+            acc += e * e;
+        }
     }
-    let mut count = len;
-    if let Some(om) = omega {
-        let womega = abstol + reltol * om.abs().max(1e-300);
-        let e = dz[len] / womega;
-        acc += e * e;
-        count += 1;
-    }
-    (acc / count as f64).sqrt()
+    (acc / z.len() as f64).sqrt()
 }
 
 /// One step as a shared-engine [`NewtonSystem`] over `z = [X (, ω)]`.
@@ -329,9 +342,8 @@ impl<D: Dae + ?Sized> NewtonSystem for CollocStep<'_, D> {
         if let Some(tol) = self.step.tol {
             return tol.newton_norm(dx_scaled, z);
         }
-        let len = self.colloc.len();
-        let omega = matches!(self.omega, Omega::Free(_)).then(|| z[len]);
-        block_update_norm(dx_scaled, &z[..len], omega, abstol, reltol)
+        let omega = matches!(self.omega, Omega::Free(_));
+        block_update_norm(dx_scaled, z, self.colloc.len(), omega, abstol, reltol)
     }
 }
 
