@@ -398,8 +398,8 @@ fn table_timestep() {
 ///   performs, asserts the reuse path is faster *and* bitwise-identical,
 ///   and records the speedup;
 /// * **per-solver rows** — deck-driven runs (using the per-directive
-///   `solver=klu` key) of transim/mpde/wampde with symbolic reuse on and
-///   off: Newton iterations, factorisations, reuse counts, wall.
+///   `solver=klu` key) of transim/mpde/wampde: Newton iterations,
+///   factorisations, symbolic reuse counts, wall.
 ///
 /// Emits `target/repro/BENCH_newton.json`.
 fn table_newton() {
@@ -457,24 +457,20 @@ fn table_newton() {
         csc.nrows()
     ));
 
-    // --- Per-solver rows: reuse on vs off. ---
-    println!("  solver   reuse  iterations  factorisations  reused   wall (ms)");
-    let mut solver_row = |solver: &str,
-                          reuse: bool,
-                          iterations: usize,
-                          factorisations: usize,
-                          reused: usize,
-                          wall_ns: u128| {
-        println!(
-            "  {solver:<8} {reuse:<6} {iterations:>10} {factorisations:>15} {reused:>7} {:>11.2}",
-            wall_ns as f64 / 1e6
-        );
-        records.push(format!(
-            "    {{\"row\": \"solver\", \"solver\": \"{solver}\", \"reuse\": {reuse}, \
-             \"iterations\": {iterations}, \"factorisations\": {factorisations}, \
-             \"symbolic_reuses\": {reused}, \"wall_ns\": {wall_ns}}}"
-        ));
-    };
+    // --- Per-solver rows: Newton counters under symbolic reuse. ---
+    println!("  solver   iterations  factorisations  reused   wall (ms)");
+    let mut solver_row =
+        |solver: &str, iterations: usize, factorisations: usize, reused: usize, wall_ns: u128| {
+            println!(
+                "  {solver:<8} {iterations:>10} {factorisations:>15} {reused:>7} {:>11.2}",
+                wall_ns as f64 / 1e6
+            );
+            records.push(format!(
+                "    {{\"row\": \"solver\", \"solver\": \"{solver}\", \
+                 \"iterations\": {iterations}, \"factorisations\": {factorisations}, \
+                 \"symbolic_reuses\": {reused}, \"wall_ns\": {wall_ns}}}"
+            ));
+        };
 
     // transim: deck-driven (per-directive `solver=klu` key) pulse
     // transient on the ladder.
@@ -491,45 +487,37 @@ fn table_newton() {
             wampde::LinearSolverKind::Klu,
             "per-directive solver= key must reach the spec"
         );
-        for reuse in [true, false] {
-            let newton = transim::NewtonOptions {
-                linear_solver: t.solver,
-                reuse_symbolic: reuse,
-                ..Default::default()
-            };
-            let x0 = transim::dc_operating_point(&dae, &newton).expect("dc");
-            let t0 = std::time::Instant::now();
-            let res = transim::run_transient(
-                &dae,
-                &x0,
-                0.0,
-                t.t_stop,
-                &transim::TransientOptions {
-                    integrator: t.step.integrator,
-                    step: t.step.policy(),
-                    newton,
-                },
-            )
-            .expect("transient converges");
-            let wall = t0.elapsed().as_nanos();
-            if reuse {
-                assert_eq!(
-                    res.stats.symbolic_reuses,
-                    res.stats.factorisations - 1,
-                    "constant pattern: one symbolic analysis per run"
-                );
-            } else {
-                assert_eq!(res.stats.symbolic_reuses, 0);
-            }
-            solver_row(
-                "transim",
-                reuse,
-                res.stats.newton_iters,
-                res.stats.factorisations,
-                res.stats.symbolic_reuses,
-                wall,
-            );
-        }
+        let newton = newtonkit::NewtonPolicy {
+            linear_solver: t.solver,
+            ..Default::default()
+        };
+        let x0 = transim::dc_operating_point(&dae, &newton).expect("dc");
+        let t0 = std::time::Instant::now();
+        let res = transim::run_transient(
+            &dae,
+            &x0,
+            0.0,
+            t.t_stop,
+            &transim::TransientOptions {
+                integrator: t.step.integrator,
+                step: t.step.policy(),
+                newton,
+            },
+        )
+        .expect("transient converges");
+        let wall = t0.elapsed().as_nanos();
+        assert_eq!(
+            res.stats.symbolic_reuses,
+            res.stats.factorisations - 1,
+            "constant pattern: one symbolic analysis per run"
+        );
+        solver_row(
+            "transim",
+            res.stats.newton_iters,
+            res.stats.factorisations,
+            res.stats.symbolic_reuses,
+            wall,
+        );
     }
 
     // mpde: AM envelope on the RC low-pass (deck-driven spec, solver=
@@ -545,33 +533,19 @@ fn table_newton() {
         let circuitdae::AnalysisSpec::Mpde(m) = &deck.analyses[0] else {
             unreachable!("deck has one .mpde directive")
         };
-        for reuse in [true, false] {
-            let spec = *m;
-            let t0 = std::time::Instant::now();
-            // Route through the adapter for the reuse-on row (the
-            // default policy), and through the API with the adapter's
-            // own problem and the ablation knob for the off row.
-            let res = if reuse {
-                mpde::run_mpde_spec(&dae, &spec).expect("mpde converges")
-            } else {
-                let (forcing, mut opts) = mpde::spec_problem(&spec);
-                opts.newton.reuse_symbolic = false;
-                wampde::solve_mpde(&dae, &forcing, spec.t_stop, &opts, None)
-                    .expect("mpde converges")
-            };
-            let wall = t0.elapsed().as_nanos();
-            solver_row(
-                "mpde",
-                reuse,
-                res.stats.newton_iters,
-                res.stats.factorisations,
-                res.stats.symbolic_reuses,
-                wall,
-            );
-        }
+        let t0 = std::time::Instant::now();
+        let res = mpde::run_mpde_spec(&dae, m).expect("mpde converges");
+        let wall = t0.elapsed().as_nanos();
+        solver_row(
+            "mpde",
+            res.stats.newton_iters,
+            res.stats.factorisations,
+            res.stats.symbolic_reuses,
+            wall,
+        );
     }
 
-    // wampde: envelope of the ring-loaded VCO (orbit shot once, shared).
+    // wampde: envelope of the ring-loaded VCO.
     {
         let dae = circuitdae::circuits::ring_loaded_vco(8);
         let orbit = shooting::oscillator_steady_state(
@@ -583,48 +557,40 @@ fn table_newton() {
             },
         )
         .expect("ring VCO oscillates");
-        for reuse in [true, false] {
-            let opts = wampde::WampdeOptions {
-                harmonics: 5,
-                step: wampde::T2StepControl::Fixed(2.0e-7),
-                linear_solver: wampde::LinearSolverKind::Klu,
-                // Every iteration factors, so the rows compare symbolic
-                // reuse alone (Jacobian reuse would skip factorisations).
-                newton: transim::NewtonOptions {
-                    reuse_symbolic: reuse,
-                    reuse_jacobian: false,
-                    ..Default::default()
-                },
+        let opts = wampde::WampdeOptions {
+            harmonics: 5,
+            step: wampde::T2StepControl::Fixed(2.0e-7),
+            linear_solver: wampde::LinearSolverKind::Klu,
+            // Every iteration factors, so the row counts symbolic reuse
+            // alone (Jacobian reuse would skip factorisations).
+            newton: newtonkit::NewtonPolicy {
+                reuse_jacobian: false,
                 ..Default::default()
-            };
-            let init = wampde::WampdeInit::from_orbit(&orbit, &opts);
-            let t0 = std::time::Instant::now();
-            let env = wampde::solve_envelope(&dae, &init, 4.0e-6, &opts).expect("envelope");
-            let wall = t0.elapsed().as_nanos();
-            if reuse {
-                assert!(
-                    env.stats.symbolic_reuses > 0,
-                    "envelope must reuse symbolic analysis: {:?}",
-                    env.stats
-                );
-            } else {
-                assert_eq!(env.stats.symbolic_reuses, 0);
-            }
-            solver_row(
-                "wampde",
-                reuse,
-                env.stats.newton_iters,
-                env.stats.factorisations,
-                env.stats.symbolic_reuses,
-                wall,
-            );
-        }
+            },
+            ..Default::default()
+        };
+        let init = wampde::WampdeInit::from_orbit(&orbit, &opts);
+        let t0 = std::time::Instant::now();
+        let env = wampde::solve_envelope(&dae, &init, 4.0e-6, &opts).expect("envelope");
+        let wall = t0.elapsed().as_nanos();
+        assert!(
+            env.stats.symbolic_reuses > 0,
+            "envelope must reuse symbolic analysis: {:?}",
+            env.stats
+        );
+        solver_row(
+            "wampde",
+            env.stats.newton_iters,
+            env.stats.factorisations,
+            env.stats.symbolic_reuses,
+            wall,
+        );
     }
 
     let json = format!(
         "{{\n  \"bench\": \"newton\",\n  \"workload\": \"pattern-reusing symbolic \
          KLU refactorisation (newtonkit + SparseLu::refactor): kernel fresh-vs-reuse on \
-         ring_loaded_vco(128), per-solver Newton counters with reuse on/off\",\n  \
+         ring_loaded_vco(128), per-solver Newton counters\",\n  \
          \"results\": [\n{}\n  ]\n}}\n",
         records.join(",\n")
     );
@@ -984,9 +950,8 @@ fn table_obs() {
 /// sparse-only 1000-stage ladder rung — checks backend agreement, then
 /// times the block-elimination direct solve of the quasiperiodic
 /// *cyclic* system (`cyclic_direct` rows, relative residual asserted at
-/// most 1e-10, structure-blind ILU(0) GMRES iterations beside it for
-/// contrast). Asserts the KLU headline claim (ordered sparse LU beats
-/// dense AND GMRES at 128 stages) and emits
+/// most 1e-10). Asserts the KLU headline claim (ordered sparse LU beats
+/// dense at 128 stages) and emits
 /// `target/repro/BENCH_linsolve.json`. The 1000-stage
 /// KLU row is also split into its triplet assembly and its factor and
 /// solve (`klu_1000_phases`), and assembly must cost less than the
@@ -999,7 +964,6 @@ fn table_linsolve() {
     let solvers = [
         ("dense", wampde::LinearSolverKind::Dense),
         ("klu", wampde::LinearSolverKind::Klu),
-        ("gmres", wampde::LinearSolverKind::gmres_default()),
     ];
     println!("  stages    dim   backend     wall (ns/solve)");
     let mut records: Vec<String> = Vec::new();
@@ -1007,11 +971,8 @@ fn table_linsolve() {
     for stages in [4usize, 32, 128, 1000] {
         let jac = StepJacobian::build(stages, 5);
         // The 1000-stage rung only runs the backend that stays feasible
-        // at dim 11k: dense is O(dim³), and GMRES+ILU(0) stagnates short
-        // of its 1e-10 target (residual ~8e-6 after 1000 iterations).
-        // Both collapses are already measured on the 128-stage rung —
-        // they are exactly what the ordered kernel exists to fix. The
-        // reference switches to KLU.
+        // at dim 11k: dense is O(dim³), a collapse already measured on
+        // the 128-stage rung. The reference switches to KLU.
         let big = stages >= 1000;
         let reference = if big {
             jac.factor_solve(wampde::LinearSolverKind::Klu)
@@ -1094,15 +1055,14 @@ fn table_linsolve() {
             ));
         }
         if stages == 128 {
-            // The tentpole claim: the ordered, equilibrated sparse
-            // kernel beats both the dense LU and the iterative backend
-            // on the dim-1431 production Jacobian.
+            // The headline claim: the ordered, equilibrated sparse
+            // kernel beats the dense LU on the dim-1431 production
+            // Jacobian.
             let klu = wall_ns["klu"];
             assert!(
-                klu < wall_ns["dense"] && klu < wall_ns["gmres"],
-                "klu ({klu} ns) must beat dense ({} ns) and gmres ({} ns) at 128 stages",
-                wall_ns["dense"],
-                wall_ns["gmres"]
+                klu < wall_ns["dense"],
+                "klu ({klu} ns) must beat dense ({} ns) at 128 stages",
+                wall_ns["dense"]
             );
         }
     }
@@ -1151,9 +1111,9 @@ fn table_linsolve() {
 
     // The quasiperiodic cyclic system, solved directly by block
     // elimination: best-of-5 factor+solve wall time and its relative
-    // residual, with ILU(0) GMRES iterations for contrast.
+    // residual.
     println!("  --- cyclic system: block-elimination direct solve ---");
-    println!("      n1    dim   factor+solve (us)   rel. residual   ilu0 iters");
+    println!("      n1    dim   factor+solve (us)   rel. residual");
     for n1 in [16usize, 32, 64, 128] {
         let cyc = CyclicJacobian::build(n1);
         let mut best = f64::INFINITY;
@@ -1168,17 +1128,10 @@ fn table_linsolve() {
             residual <= 1e-10,
             "cyclic direct solve at n1 = {n1}: relative residual {residual:e}"
         );
-        let ilu = cyc
-            .gmres_ilu0_iterations()
-            .map_or("null".into(), |n| n.to_string());
-        println!(
-            "  {n1:>6} {:>6} {best:>19.1} {residual:>15.2e} {ilu:>12}",
-            cyc.dim()
-        );
+        println!("  {n1:>6} {:>6} {best:>19.1} {residual:>15.2e}", cyc.dim());
         records.push(format!(
             "    {{\"cyclic_direct\": true, \"n1\": {n1}, \"dim\": {}, \
-             \"factor_solve_us\": {best:.1}, \"rel_residual\": {residual:.3e}, \
-             \"ilu0_iters\": {ilu}}}",
+             \"factor_solve_us\": {best:.1}, \"rel_residual\": {residual:.3e}}}",
             cyc.dim()
         ));
     }

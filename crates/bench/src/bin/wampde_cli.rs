@@ -54,7 +54,7 @@
 //! the counter summary after the run. Neither changes a result bit —
 //! see `docs/OBSERVABILITY.md`.
 //!
-//! `--solver dense|klu|gmres` overrides the
+//! `--solver dense|klu` overrides the
 //! linear-solver backend for every analysis — beating both the
 //! deck-wide `.options` choice and
 //! any per-directive `solver=` key (the command line is the outermost
@@ -125,17 +125,11 @@ fn parse_args(argv: &[String]) -> Args {
         match argv[i].as_str() {
             "--solver" => {
                 i += 1;
-                solver = Some(
-                    argv.get(i)
-                        .and_then(|v| LinearSolverKind::parse(v))
-                        .unwrap_or_else(|| {
-                            eprintln!(
-                                "--solver requires one of: {}",
-                                LinearSolverKind::NAMES.join(", ")
-                            );
-                            std::process::exit(2);
-                        }),
-                );
+                let value = argv.get(i).map_or("", String::as_str);
+                solver = Some(wampde_bench::parse_solver_flag(value).unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    std::process::exit(2);
+                }));
             }
             "--integrator" => {
                 i += 1;

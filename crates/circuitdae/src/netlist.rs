@@ -29,7 +29,7 @@
 //! .mpde     <f1> <tstop> [harmonics=<n>] [node=<k>] [amp=<v>] [depth=<v>] [fmod=<v>] [solver=<s>] [STEP KEYS]
 //! .wampde   <tstop> [harmonics=<n>] [phase_var=<k>] [steps=<n>] [solver=<s>] [STEP KEYS]
 //! .sweep    <param> <from> <to> <points> [log]
-//! .options  solver=dense|klu|gmres [gmres_tol=<v>] [gmres_restart=<n>]
+//! .options  solver=dense|klu
 //! ```
 //!
 //! The time-stepping analyses share one set of `STEP KEYS`
@@ -42,14 +42,13 @@
 //!
 //! `.options` selects the linear-solver backend for *every* analysis in
 //! the deck (position-independent; a later `.options` line wins). The
-//! default is dense LU; `klu` (BTF + AMD ordered sparse LU) and `gmres`
-//! (ILU(0)-preconditioned) route each solver's inner factorisations
-//! through the shared `linsolve` layer's sparse backends.
+//! default is dense LU; `klu` (BTF + AMD ordered sparse LU) routes each
+//! solver's inner factorisations through the shared `linsolve` layer's
+//! sparse backend. `solver=` is the only `.options` key.
 //! Every analysis directive additionally accepts its own `solver=<s>`
 //! key with the same values, which takes precedence over the deck-wide
 //! `.options` choice for that analysis alone (and is itself overridden
-//! by the `wampde-cli --solver` flag). The `gmres_tol`/`gmres_restart`
-//! knobs tune `gmres`.
+//! by the `wampde-cli --solver` flag).
 //!
 //! `<param>` in `.sweep` is a device card name (`R1`) or a dotted field
 //! (`M1.control`); see [`Device::set_param`] for the field tables.
@@ -759,53 +758,24 @@ fn parse_directive(tokens: &[&str]) -> Result<Directive, String> {
         }
         ".options" => {
             let (pos, opts) = split_args(args)?;
+            let names = LinearSolverKind::NAMES.join("|");
             if !pos.is_empty() {
-                return Err(format!(
-                    "usage: .options solver={} [gmres_tol=<v>] [gmres_restart=<n>]",
-                    LinearSolverKind::NAMES.join("|")
-                ));
+                return Err(format!("usage: .options solver={names}"));
             }
             let mut solver_tok: Option<&str> = None;
-            let mut gmres_tol: Option<f64> = None;
-            let mut gmres_restart: Option<usize> = None;
             for (k, v) in opts {
-                match k {
-                    "solver" => solver_tok = Some(v),
-                    "gmres_tol" => gmres_tol = Some(parse_value(v)?),
-                    "gmres_restart" => {
-                        gmres_restart = Some(parse_usize(v, "gmres_restart")?);
-                    }
-                    other => {
-                        return Err(format!(
-                            ".options: unknown option '{other}' (solver, gmres_tol, gmres_restart)"
-                        ))
-                    }
+                if k != "solver" {
+                    return Err(format!(
+                        ".options: unknown option '{k}' (the only key is solver, one of {})",
+                        LinearSolverKind::NAMES.join(", ")
+                    ));
                 }
+                solver_tok = Some(v);
             }
             let Some(tok) = solver_tok else {
-                return Err(format!(
-                    ".options requires solver=<{}>",
-                    LinearSolverKind::NAMES.join("|")
-                ));
+                return Err(format!(".options requires solver=<{names}>"));
             };
-            let mut kind = parse_solver_key(tok, ".options")?;
-            if let LinearSolverKind::GmresIlu0 { restart, rtol, .. } = &mut kind {
-                if let Some(tol) = gmres_tol {
-                    if tol <= 0.0 {
-                        return Err(".options: gmres_tol must be positive".into());
-                    }
-                    *rtol = tol;
-                }
-                if let Some(r) = gmres_restart {
-                    if r == 0 {
-                        return Err(".options: gmres_restart must be at least 1".into());
-                    }
-                    *restart = r;
-                }
-            } else if gmres_tol.is_some() || gmres_restart.is_some() {
-                return Err(".options: gmres_tol/gmres_restart require a gmres solver".into());
-            }
-            Ok(Directive::Options(kind))
+            Ok(Directive::Options(parse_solver_key(tok, ".options")?))
         }
         other => Err(format!(
             "unknown directive '{other}' (.tran, .shooting, .mpde, .wampde, .sweep, .options)"
@@ -1113,21 +1083,7 @@ mod tests {
                 3,
                 "unknown solver 'qr'",
             ),
-            (
-                "R1 a 0 1k\n.options gmres_tol=1e-9\nC1 a 0 1n\n",
-                2,
-                "requires solver=",
-            ),
-            (
-                "R1 a 0 1k\nC1 a 0 1n\n.options solver=dense gmres_tol=1e-9\n",
-                3,
-                "require a gmres solver",
-            ),
-            (
-                "R1 a 0 1k\nC1 a 0 1n\n.options solver=gmres gmres_restart=0\n",
-                3,
-                "at least 1",
-            ),
+            ("R1 a 0 1k\n.options\nC1 a 0 1n\n", 2, "requires solver="),
             (
                 "R1 a 0 1k\nC1 a 0 1n\n.options dense\n",
                 3,
@@ -1248,24 +1204,13 @@ mod tests {
         // analyses and still configures both.
         let deck = parse_deck(&format!(
             "{VCO_CARDS}.shooting steps=128\n\
-             .options solver=gmres gmres_tol=1e-8 gmres_restart=40\n\
+             .options solver=klu\n\
              .wampde 1u harmonics=4\n"
         ))
         .unwrap();
         assert_eq!(deck.analyses.len(), 2);
         for a in &deck.analyses {
-            match a.solver() {
-                LinearSolverKind::GmresIlu0 {
-                    restart,
-                    max_iters,
-                    rtol,
-                } => {
-                    assert_eq!(restart, 40);
-                    assert!(max_iters > 0);
-                    assert!((rtol - 1e-8).abs() < 1e-20);
-                }
-                other => panic!("unexpected solver {other:?}"),
-            }
+            assert_eq!(a.solver(), LinearSolverKind::Klu);
         }
     }
 
@@ -1273,22 +1218,19 @@ mod tests {
     fn per_directive_solver_key_parses_on_every_analysis() {
         let deck = parse_deck(&format!(
             "{VCO_CARDS}.tran 1m dt=2u solver=klu\n\
-             .shooting steps=128 solver=gmres\n\
+             .shooting steps=128 solver=dense\n\
              .mpde 1meg 2m solver=klu\n\
              .wampde 6u harmonics=5 solver=dense\n"
         ))
         .unwrap();
         assert_eq!(deck.analyses[0].solver(), LinearSolverKind::Klu);
-        assert!(matches!(
-            deck.analyses[1].solver(),
-            LinearSolverKind::GmresIlu0 { .. }
-        ));
+        assert_eq!(deck.analyses[1].solver(), LinearSolverKind::Dense);
         assert_eq!(deck.analyses[2].solver(), LinearSolverKind::Klu);
         assert_eq!(deck.analyses[3].solver(), LinearSolverKind::Dense);
     }
 
     #[test]
-    fn klu_and_circulant_solver_keys_parse_everywhere() {
+    fn klu_parses_everywhere_and_retired_solver_names_fail() {
         // The KLU backend per-directive and deck-wide...
         let deck = parse_deck(&format!(
             "{VCO_CARDS}.tran 1m dt=2u solver=klu\n\
@@ -1300,17 +1242,36 @@ mod tests {
         for analysis in &deck.analyses {
             assert_eq!(analysis.solver(), LinearSolverKind::Klu);
         }
-        // ...while the retired circulant backend is a line-numbered error
-        // that names `gmres`, per directive and deck-wide.
+        // ...while the retired backends and their `.options` keys are
+        // line-numbered errors that name the backends there are, per
+        // directive and deck-wide.
         let lines = VCO_CARDS.lines().count();
-        for directive in [".shooting steps=128 solver", ".options solver"] {
-            let text = format!("{VCO_CARDS}{directive}=gmres-circulant\n");
+        for (directive, want) in [
+            (
+                ".shooting steps=128 solver=gmres-circulant",
+                "unknown solver 'gmres-circulant'",
+            ),
+            (
+                ".options solver=gmres-circulant",
+                "unknown solver 'gmres-circulant'",
+            ),
+            (".shooting steps=128 solver=gmres", "unknown solver 'gmres'"),
+            (".options solver=gmres", "unknown solver 'gmres'"),
+            (
+                ".options solver=klu gmres_tol=1e-9",
+                "unknown option 'gmres_tol'",
+            ),
+            (
+                ".options solver=klu gmres_restart=40",
+                "unknown option 'gmres_restart'",
+            ),
+        ] {
+            let text = format!("{VCO_CARDS}{directive}\n");
             match parse_deck(&text).unwrap_err() {
                 NetlistError::Parse { line, message } => {
                     assert_eq!(line, lines + 1, "{directive}: {message}");
                     assert!(
-                        message.contains("unknown solver 'gmres-circulant'")
-                            && message.contains("gmres)"),
+                        message.contains(want) && message.contains("dense, klu)"),
                         "{directive}: {message}"
                     );
                 }
@@ -1324,28 +1285,22 @@ mod tests {
         // `.options` after the directive must not clobber the explicit
         // per-analysis key...
         let deck = parse_deck(&format!(
-            "{VCO_CARDS}.wampde 6u harmonics=5 solver=klu\n\
+            "{VCO_CARDS}.wampde 6u harmonics=5 solver=dense\n\
              .shooting steps=128\n\
-             .options solver=gmres\n"
+             .options solver=klu\n"
         ))
         .unwrap();
-        assert_eq!(deck.analyses[0].solver(), LinearSolverKind::Klu);
-        assert!(matches!(
-            deck.analyses[1].solver(),
-            LinearSolverKind::GmresIlu0 { .. }
-        ));
+        assert_eq!(deck.analyses[0].solver(), LinearSolverKind::Dense);
+        assert_eq!(deck.analyses[1].solver(), LinearSolverKind::Klu);
         // ...nor when it comes first.
         let deck = parse_deck(&format!(
-            "{VCO_CARDS}.options solver=gmres\n\
+            "{VCO_CARDS}.options solver=klu\n\
              .wampde 6u harmonics=5 solver=dense\n\
              .shooting steps=128\n"
         ))
         .unwrap();
         assert_eq!(deck.analyses[0].solver(), LinearSolverKind::Dense);
-        assert!(matches!(
-            deck.analyses[1].solver(),
-            LinearSolverKind::GmresIlu0 { .. }
-        ));
+        assert_eq!(deck.analyses[1].solver(), LinearSolverKind::Klu);
     }
 
     #[test]
@@ -1376,7 +1331,7 @@ mod tests {
             (
                 "R1 a 0 1k\nC1 a 0 1n\n.tran 1m solver=sparselu\n",
                 3,
-                ".tran: unknown solver 'sparselu' (dense, klu, gmres)",
+                ".tran: unknown solver 'sparselu' (dense, klu)",
             ),
         ];
         for (text, want_line, want_msg) in cases {
@@ -1399,7 +1354,7 @@ mod tests {
         let deck = parse_deck(&format!("{VCO_CARDS}.shooting\n")).unwrap();
         assert_eq!(deck.analyses[0].solver(), LinearSolverKind::Dense);
         let deck = parse_deck(&format!(
-            "{VCO_CARDS}.options solver=gmres\n\
+            "{VCO_CARDS}.options solver=dense\n\
              .shooting\n\
              .options solver=klu\n"
         ))

@@ -4,9 +4,9 @@
 //! harmonic balance, MPDE, WaMPDE) faces the same inner problem: factor a
 //! Jacobian, then back-substitute one or more right-hand sides. This crate
 //! owns that step behind one backend switch, [`LinearSolverKind`], and one
-//! factor entry point, [`FactorCache::factor`], so the paper's "iterative
-//! linear techniques enable large systems" route (GMRES+ILU(0)) is
-//! available to *all* of them, not just the WaMPDE.
+//! factor entry point, [`FactorCache::factor`]. There are two backends:
+//! dense LU (block elimination under a [`CyclicShape`]) and a KLU-class
+//! sparse LU, the large-system solver every crate can select.
 //!
 //! A [`NewtonMatrix`] is a dense matrix or a triplet-assembled sparse
 //! matrix; the cache converts it to the form the backend needs. The
@@ -19,14 +19,10 @@
 //! into its own error enum (`TransimError::SingularJacobian`,
 //! `WampdeError::LinearSolve`, ...).
 //!
-//! For GMRES, structurally zero diagonal entries (bordered corners, phase
-//! rows) are regularised *in the ILU(0) preconditioner only*; the true
-//! operator is never modified.
-//!
 //! # Example
 //!
 //! Factor a triplet-assembled matrix with the backend of your choice and
-//! back-substitute — the same two calls work for every backend:
+//! back-substitute — the same two calls work for both backends:
 //!
 //! ```
 //! use linsolve::{FactorCache, LinearSolverKind, NewtonMatrix};
@@ -48,9 +44,7 @@
 //! ```
 
 use numkit::{DMat, DenseLu};
-use sparsekit::{
-    gmres, AssemblyPlan, Csc, Csr, CsrOp, GmresOptions, Ilu0, OrderingPlan, SparseLu, Triplets,
-};
+use sparsekit::{AssemblyPlan, Csc, OrderingPlan, SparseLu, Triplets};
 use std::borrow::Cow;
 use std::fmt;
 
@@ -85,7 +79,7 @@ impl fmt::Display for LinSolveError {
 impl std::error::Error for LinSolveError {}
 
 /// Which linear solver factors a Jacobian.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LinearSolverKind {
     /// Dense LU — simplest, right for small circuits. Block elimination,
     /// a dense LU per block, when the cache holds a [`CyclicShape`] (see
@@ -97,70 +91,28 @@ pub enum LinearSolverKind {
     /// Palamadai Natarajan, ACM TOMS 2010) — the right direct solver for
     /// large circuit Jacobians.
     Klu,
-    /// Restarted GMRES with ILU(0), per the paper's note on iterative
-    /// methods for large systems.
-    GmresIlu0 {
-        /// Restart length.
-        restart: usize,
-        /// Iteration cap.
-        max_iters: usize,
-        /// Relative residual target.
-        rtol: f64,
-    },
 }
 
 impl LinearSolverKind {
-    /// The GMRES backend at its recommended defaults (restart 60, 1000
-    /// iterations, relative residual 1e-10 — tight enough that sparse and
-    /// dense solver paths agree to solver tolerances).
-    pub fn gmres_default() -> Self {
-        LinearSolverKind::GmresIlu0 {
-            restart: 60,
-            max_iters: 1000,
-            rtol: 1e-10,
-        }
-    }
-
     /// Every name [`LinearSolverKind::parse`] accepts, in display order.
-    pub const NAMES: [&'static str; 3] = ["dense", "klu", "gmres"];
+    pub const NAMES: [&'static str; 2] = ["dense", "klu"];
 
-    /// Parses a backend name (`dense`, `klu`, `gmres`), as used by the
+    /// Parses a backend name (`dense`, `klu`), as used by the
     /// `.options solver=` deck directive and `wampde-cli --solver`.
-    /// `gmres` selects its recommended defaults.
     pub fn parse(token: &str) -> Option<Self> {
         match token.to_ascii_lowercase().as_str() {
             "dense" => Some(LinearSolverKind::Dense),
             "klu" => Some(LinearSolverKind::Klu),
-            "gmres" => Some(LinearSolverKind::gmres_default()),
             _ => None,
         }
     }
 
-    /// Short backend name for labels and artifact records.
+    /// Short backend name for labels, artifact records and the sweep
+    /// service's content-hashed cache keys.
     pub fn label(&self) -> &'static str {
         match self {
             LinearSolverKind::Dense => "dense",
             LinearSolverKind::Klu => "klu",
-            LinearSolverKind::GmresIlu0 { .. } => "gmres",
-        }
-    }
-
-    /// Exhaustive, bit-exact serialisation of the backend choice, used
-    /// by the sweep service's content-hashed cache keys. Numeric fields
-    /// are rendered as the hex of their IEEE-754 bit pattern, so two
-    /// kinds fingerprint equal iff they solve identically.
-    pub fn fingerprint(&self) -> String {
-        match self {
-            LinearSolverKind::Dense => "dense".into(),
-            LinearSolverKind::Klu => "klu".into(),
-            LinearSolverKind::GmresIlu0 {
-                restart,
-                max_iters,
-                rtol,
-            } => format!(
-                "gmres(restart={restart},max_iters={max_iters},rtol={:016x})",
-                rtol.to_bits()
-            ),
         }
     }
 }
@@ -429,27 +381,13 @@ impl NewtonMatrix<'_> {
     }
 }
 
-/// A factored (or preconditioned) Jacobian ready for repeated solves.
+/// A factored Jacobian ready for repeated solves.
 #[derive(Debug)]
 enum Factored {
     /// Dense LU factors.
     Dense(DenseLu),
     /// KLU-ordered sparse LU factors.
     Sparse(SparseLu),
-    /// Equilibrated CSR operator + ILU(0) preconditioner for GMRES.
-    Gmres {
-        /// Assembled matrix after row/column equilibration
-        /// (`A' = R·A·C`; zero diagonals untouched).
-        a: Csr,
-        /// Row scales `R` applied to the right-hand side.
-        row_scale: Vec<f64>,
-        /// Column scales `C` applied to the computed solution.
-        col_scale: Vec<f64>,
-        /// ILU(0) of the diagonal-regularised equilibrated matrix.
-        precond: Ilu0,
-        /// Iteration parameters.
-        opts: GmresOptions,
-    },
     /// Block elimination factors of a block-cyclic matrix.
     Cyclic(CyclicLu),
 }
@@ -473,94 +411,9 @@ fn factor_klu(csc: &sparsekit::Csc) -> Result<SparseLu, LinSolveError> {
     Ok(lu)
 }
 
-/// Builds the GMRES operator + preconditioner pair from triplets.
-///
-/// Circuit-style Jacobians mix entries spanning many decades (pF charges
-/// next to O(1) phase rows), which wrecks ILU(0) pivots, so the matrix is
-/// first max-norm equilibrated: `A' = R·A·C` with `R`/`C` scaling every
-/// row then column to unit max magnitude. GMRES solves
-/// `A'·y = R·b`, and the solution is recovered as `x = C·y`.
-///
-/// Rows whose diagonal is structurally missing or exactly zero (bordered
-/// corners, phase rows) additionally get a unit diagonal in the
-/// *preconditioner* matrix only; the true operator is never modified.
-fn factor_gmres(
-    trip: &Triplets,
-    restart: usize,
-    max_iters: usize,
-    rtol: f64,
-) -> Result<Factored, LinSolveError> {
-    let mut a = trip.to_csr();
-    let n = a.nrows();
-
-    // Max-norm row scales, then column scales of the row-scaled matrix.
-    let mut row_scale = vec![1.0_f64; n];
-    for (i, rs) in row_scale.iter_mut().enumerate() {
-        let (_, vals) = a.row(i);
-        let m = vals.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-        if m > 0.0 {
-            *rs = 1.0 / m;
-        }
-    }
-    let mut col_max = vec![0.0_f64; n.max(a.ncols())];
-    for (i, rs) in row_scale.iter().enumerate() {
-        let (cols, vals) = a.row(i);
-        for (&c, &v) in cols.iter().zip(vals.iter()) {
-            col_max[c] = col_max[c].max((v * rs).abs());
-        }
-    }
-    let col_scale: Vec<f64> = col_max
-        .iter()
-        .map(|&m| if m > 0.0 { 1.0 / m } else { 1.0 })
-        .collect();
-    {
-        let indptr = a.indptr().to_vec();
-        let indices = a.indices().to_vec();
-        let data = a.data_mut();
-        for i in 0..n {
-            for k in indptr[i]..indptr[i + 1] {
-                data[k] *= row_scale[i] * col_scale[indices[k]];
-            }
-        }
-    }
-
-    let zero_diag: Vec<usize> = (0..n).filter(|&i| a.get(i, i) == 0.0).collect();
-    let precond_csr = if zero_diag.is_empty() {
-        a.clone()
-    } else {
-        // Rebuild from the *scaled* entries so the unit regularisation is
-        // commensurate with the equilibrated rows.
-        let mut reg = Triplets::with_capacity(n, a.ncols(), a.nnz() + zero_diag.len());
-        for i in 0..n {
-            let (cols, vals) = a.row(i);
-            for (&c, &v) in cols.iter().zip(vals.iter()) {
-                reg.push(i, c, v);
-            }
-        }
-        for &i in &zero_diag {
-            reg.push(i, i, 1.0);
-        }
-        reg.to_csr()
-    };
-    let precond =
-        Ilu0::factor(&precond_csr).map_err(|e| LinSolveError::new(format!("ilu0: {e}")))?;
-    Ok(Factored::Gmres {
-        a,
-        row_scale,
-        col_scale,
-        precond,
-        opts: GmresOptions {
-            restart,
-            max_iters,
-            rtol,
-            atol: 1e-300,
-        },
-    })
-}
-
 impl Factored {
     /// Solves an `n × m` row-major block of right-hand sides: klu in one
-    /// block kernel, the other backends column by column.
+    /// block kernel, dense LU and block elimination column by column.
     fn solve_block_in_place(&self, rhs: &mut [f64], m: usize) -> Result<(), LinSolveError> {
         let n = match self {
             Factored::Sparse(lu) => {
@@ -568,7 +421,6 @@ impl Factored {
             }
             Factored::Dense(lu) => lu.dim(),
             Factored::Cyclic(lu) => lu.dim(),
-            Factored::Gmres { a, .. } => a.nrows(),
         };
         if Some(rhs.len()) != n.checked_mul(m) {
             return Err(LinSolveError::new(format!(
@@ -593,25 +445,6 @@ impl Factored {
         match self {
             Factored::Dense(lu) => lu.solve_in_place(rhs).map_err(LinSolveError::new),
             Factored::Sparse(lu) => lu.solve_in_place(rhs).map_err(LinSolveError::new),
-            Factored::Gmres {
-                a,
-                row_scale,
-                col_scale,
-                precond,
-                opts,
-            } => {
-                let b: Vec<f64> = rhs
-                    .iter()
-                    .zip(row_scale.iter())
-                    .map(|(v, s)| v * s)
-                    .collect();
-                let op = CsrOp::new(a);
-                let result = gmres(&op, precond, &b, None, opts).map_err(LinSolveError::new)?;
-                for (slot, (y, s)) in rhs.iter_mut().zip(result.x.iter().zip(col_scale.iter())) {
-                    *slot = y * s;
-                }
-                Ok(())
-            }
             Factored::Cyclic(lu) => lu.solve_in_place(rhs),
         }
     }
@@ -759,9 +592,8 @@ pub struct FactorStats {
 /// incoming coordinates stay the same.
 ///
 /// Dense LU refactors the cached factors' storage in place
-/// ([`DenseLu::refactor`]); GMRES+ILU(0) has no symbolic phase worth
-/// caching and factors fresh each call, as does the block elimination
-/// under a [`CyclicShape`]. All count as fresh
+/// ([`DenseLu::refactor`]); the block elimination under a
+/// [`CyclicShape`] factors fresh each call. All count as fresh
 /// factorisations in [`FactorStats::factorisations`].
 ///
 /// A failed factorisation clears the cache: [`FactorCache::solve_in_place`]
@@ -770,7 +602,6 @@ pub struct FactorStats {
 #[derive(Debug)]
 pub struct FactorCache {
     kind: LinearSolverKind,
-    reuse: bool,
     factored: Option<Factored>,
     cyclic: Option<CyclicShape>,
     shared: Option<SharedSymbolic>,
@@ -781,14 +612,13 @@ pub struct FactorCache {
 }
 
 impl FactorCache {
-    /// A cache factoring through `kind`, with symbolic reuse enabled.
+    /// A cache factoring through `kind`.
     ///
     /// Adopts the thread's ambient [`SharedSymbolic`] pool when one is
     /// installed (see [`SharedSymbolic::install`]).
     pub fn new(kind: LinearSolverKind) -> Self {
         FactorCache {
             kind,
-            reuse: true,
             factored: None,
             cyclic: None,
             shared: SharedSymbolic::ambient(),
@@ -797,17 +627,12 @@ impl FactorCache {
         }
     }
 
-    /// Enables/disables symbolic reuse (ablation knob; on by default).
-    pub fn set_reuse(&mut self, reuse: bool) {
-        self.reuse = reuse;
-    }
-
     /// Declares the block-cyclic structure of incoming matrices. With a
     /// shape, the [`LinearSolverKind::Dense`] backend factors by block
     /// elimination: a dense LU of each block on the diagonal, the
     /// couplings kept sparse, and one dense LU of the wrap-around border
     /// closing the cycle. `None` (the default) restores the one dense LU.
-    /// Other backends ignore the hint.
+    /// The klu backend ignores the hint.
     pub fn set_cyclic_shape(&mut self, shape: Option<CyclicShape>) {
         self.cyclic = shape;
     }
@@ -885,11 +710,6 @@ impl FactorCache {
                     None => return Ok(()),
                 }
             }
-            LinearSolverKind::GmresIlu0 {
-                restart,
-                max_iters,
-                rtol,
-            } => factor_gmres(&matrix.to_triplets(), restart, max_iters, rtol)?,
         };
         self.factored = Some(factored);
         sp.attr("mode", "fresh");
@@ -910,10 +730,8 @@ impl FactorCache {
             return Ok(None);
         }
         let lu = factor_klu(csc)?;
-        if self.reuse {
-            if let Some(shared) = &self.shared {
-                shared.publish(csc, &lu);
-            }
+        if let Some(shared) = &self.shared {
+            shared.publish(csc, &lu);
         }
         Ok(Some(Factored::Sparse(lu)))
     }
@@ -925,9 +743,6 @@ impl FactorCache {
     /// a pure skip of the symbolic phase. Returns the span mode
     /// (`reused`/`shared`), or `None` when a fresh factor is needed.
     fn refactor(&mut self, csc: &sparsekit::Csc) -> Option<&'static str> {
-        if !self.reuse {
-            return None;
-        }
         if let Some(Factored::Sparse(lu)) = &mut self.factored {
             if lu.refactor(csc).is_ok() {
                 self.stats.symbolic_reuses += 1;
@@ -954,7 +769,7 @@ impl FactorCache {
     /// # Errors
     ///
     /// [`LinSolveError`] when nothing has been factored yet or the
-    /// backend fails (e.g. GMRES stagnates).
+    /// back-substitution fails.
     pub fn solve_in_place(&self, rhs: &mut [f64]) -> Result<(), LinSolveError> {
         let _sp = obskit::span("solve");
         match &self.factored {
@@ -1082,10 +897,8 @@ mod tests {
         let matrix = NewtonMatrix::Triplets(&trip);
         let dense = solve_once(LinearSolverKind::Dense, &matrix, &rhs);
         let klu = solve_once(LinearSolverKind::Klu, &matrix, &rhs);
-        let gm = solve_once(LinearSolverKind::gmres_default(), &matrix, &rhs);
         for i in 0..rhs.len() {
             assert!((dense[i] - klu[i]).abs() < 1e-9, "klu mismatch at {i}");
-            assert!((dense[i] - gm[i]).abs() < 1e-7, "gmres mismatch at {i}");
         }
     }
 
@@ -1107,12 +920,8 @@ mod tests {
         let matrix = NewtonMatrix::Triplets(&trip);
         let dense = solve_once(LinearSolverKind::Dense, &matrix, &rhs);
         let klu = solve_once(LinearSolverKind::Klu, &matrix, &rhs);
-        // The bordered corner is structurally zero: the GMRES path must
-        // regularise the preconditioner diagonal on its own.
-        let gm = solve_once(LinearSolverKind::gmres_default(), &matrix, &rhs);
         for i in 0..rhs.len() {
             assert!((dense[i] - klu[i]).abs() < 1e-9, "klu mismatch at {i}");
-            assert!((dense[i] - gm[i]).abs() < 1e-6, "gmres mismatch at {i}");
         }
     }
 
@@ -1264,35 +1073,12 @@ mod tests {
             }
         }
         for matrix in [NewtonMatrix::Triplets(&t), NewtonMatrix::Dense(&m)] {
-            for kind in [
-                LinearSolverKind::Dense,
-                LinearSolverKind::Klu,
-                LinearSolverKind::gmres_default(),
-            ] {
+            for kind in [LinearSolverKind::Dense, LinearSolverKind::Klu] {
                 let x = solve_once(kind, &matrix, &rhs);
                 for i in 0..4 {
                     assert!((x[i] - dense[i]).abs() < 1e-8, "{}: {i}", kind.label());
                 }
             }
-        }
-    }
-
-    #[test]
-    fn gmres_regularises_zero_diagonal() {
-        // Saddle-point-like matrix with an exactly zero corner diagonal.
-        let mut t = Triplets::new(3, 3);
-        t.push(0, 0, 2.0);
-        t.push(1, 1, 3.0);
-        t.push(0, 2, 1.0);
-        t.push(2, 0, 1.0);
-        t.push(1, 2, 0.5);
-        t.push(2, 1, 0.5);
-        let rhs = vec![1.0, 2.0, 3.0];
-        let matrix = NewtonMatrix::Triplets(&t);
-        let dense = solve_once(LinearSolverKind::Dense, &matrix, &rhs);
-        let gm = solve_once(LinearSolverKind::gmres_default(), &matrix, &rhs);
-        for i in 0..3 {
-            assert!((dense[i] - gm[i]).abs() < 1e-8, "{dense:?} vs {gm:?}");
         }
     }
 
@@ -1440,7 +1226,7 @@ mod tests {
     }
 
     /// A block solve has, column by column, the bits of single solves
-    /// on every backend; a block of the wrong size is an error.
+    /// on both backends; a block of the wrong size is an error.
     #[test]
     fn block_solve_matches_column_solves_on_every_backend() {
         let t = shifted(0.5);
@@ -1454,11 +1240,7 @@ mod tests {
                 }
             })
             .collect();
-        for kind in [
-            LinearSolverKind::Dense,
-            LinearSolverKind::Klu,
-            LinearSolverKind::gmres_default(),
-        ] {
+        for kind in [LinearSolverKind::Dense, LinearSolverKind::Klu] {
             let mut cache = FactorCache::new(kind);
             cache.factor(&NewtonMatrix::Triplets(&t)).unwrap();
             let mut x = block.clone();
@@ -1558,29 +1340,15 @@ mod tests {
     }
 
     #[test]
-    fn factor_cache_reuse_can_be_disabled() {
-        let mut cache = FactorCache::new(LinearSolverKind::Klu);
-        cache.set_reuse(false);
-        let t = diag2();
-        cache.factor(&NewtonMatrix::Triplets(&t)).unwrap();
-        cache.factor(&NewtonMatrix::Triplets(&t)).unwrap();
-        assert_eq!(cache.stats().symbolic_reuses, 0);
-        assert_eq!(cache.stats().factorisations, 2);
-    }
-
-    #[test]
-    fn factor_cache_dense_and_gmres_paths() {
+    fn factor_cache_dense_path() {
         let m = DMat::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]]);
-        for kind in [LinearSolverKind::Dense, LinearSolverKind::gmres_default()] {
-            let mut cache = FactorCache::new(kind);
-            assert!(cache.solve_in_place(&mut [1.0, 1.0]).is_err(), "unfactored");
-            cache.factor(&NewtonMatrix::Dense(&m)).unwrap();
-            let mut x = vec![5.0, 4.0];
-            cache.solve_in_place(&mut x).unwrap();
-            assert!((x[0] - 1.0).abs() < 1e-8, "{}", kind.label());
-            assert!((x[1] - 1.0).abs() < 1e-8, "{}", kind.label());
-            assert_eq!(cache.stats().symbolic_reuses, 0);
-        }
+        let mut cache = FactorCache::new(LinearSolverKind::Dense);
+        assert!(cache.solve_in_place(&mut [1.0, 1.0]).is_err(), "unfactored");
+        cache.factor(&NewtonMatrix::Dense(&m)).unwrap();
+        let mut x = vec![5.0, 4.0];
+        cache.solve_in_place(&mut x).unwrap();
+        assert!((x[0] - 1.0).abs() < 1e-8 && (x[1] - 1.0).abs() < 1e-8);
+        assert_eq!(cache.stats().symbolic_reuses, 0);
     }
 
     #[test]
@@ -1613,10 +1381,8 @@ mod tests {
             Some(LinearSolverKind::Dense)
         );
         assert_eq!(LinearSolverKind::parse("KLU"), Some(LinearSolverKind::Klu));
-        assert!(matches!(
-            LinearSolverKind::parse("gmres"),
-            Some(LinearSolverKind::GmresIlu0 { .. })
-        ));
+        // Retired backends are not names.
+        assert_eq!(LinearSolverKind::parse("gmres"), None);
         assert_eq!(LinearSolverKind::parse("gmres-circulant"), None);
         assert_eq!(LinearSolverKind::parse("bogus"), None);
         // The natural-order kernel is not a backend.
@@ -1625,7 +1391,6 @@ mod tests {
         for name in LinearSolverKind::NAMES {
             assert_eq!(LinearSolverKind::parse(name).map(|k| k.label()), Some(name));
         }
-        assert_eq!(LinearSolverKind::gmres_default().label(), "gmres");
         assert_eq!(LinearSolverKind::default().label(), "dense");
         assert_eq!(LinearSolverKind::Klu.label(), "klu");
     }

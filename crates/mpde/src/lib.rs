@@ -55,7 +55,7 @@
 //! ```
 
 use circuitdae::Dae;
-use transim::NewtonOptions;
+use newtonkit::NewtonPolicy;
 use wampde::{
     BivariateForcing, EnvelopeResult, OmegaMode, T2StepControl, WampdeError, WampdeOptions,
 };
@@ -86,7 +86,7 @@ impl BivariateForcing for AmForcing {
 /// row, and its envelope options. The step keys pick fixed-step mode (the
 /// default, `dt=`, automatically `t_stop/50`) or — when `rtol` is
 /// positive — LTE-adaptive stepping with `dt` as the initial step. Newton
-/// is full Newton to the default tolerances (`NewtonOptions::default()`,
+/// is full Newton to the default tolerances (`NewtonPolicy::default()`,
 /// not `WampdeOptions`' modified Newton), ω is frozen at the carrier.
 pub fn spec_problem(spec: &circuitdae::MpdeSpec) -> (AmForcing, WampdeOptions) {
     let forcing = AmForcing {
@@ -112,7 +112,7 @@ pub fn spec_problem(spec: &circuitdae::MpdeSpec) -> (AmForcing, WampdeOptions) {
         harmonics: spec.harmonics,
         integrator: spec.step.integrator,
         step,
-        newton: NewtonOptions::default(),
+        newton: NewtonPolicy::default(),
         omega_mode: OmegaMode::Frozen(spec.f1_hz),
         linear_solver: spec.solver,
         ..Default::default()
@@ -172,7 +172,7 @@ mod tests {
             harmonics,
             integrator: T2Integrator::BackwardEuler,
             step: T2StepControl::Fixed(dt2),
-            newton: NewtonOptions::default(),
+            newton: NewtonPolicy::default(),
             omega_mode: OmegaMode::Frozen(f1),
             ..Default::default()
         }
@@ -328,7 +328,7 @@ mod tests {
     }
 
     #[test]
-    fn sparse_backends_match_dense_envelope() {
+    fn klu_matches_dense_envelope() {
         let dae = rc(1e3, 1e-9);
         let forcing = AmForcing {
             node: 0,
@@ -338,17 +338,15 @@ mod tests {
         };
         let base = mpde_opts(1.0e6, 4, 5.0e-5);
         let dense = solve_mpde(&dae, &forcing, 5.0e-4, &base, None).unwrap();
-        for kind in [LinearSolverKind::Klu, LinearSolverKind::gmres_default()] {
-            let opts = WampdeOptions {
-                linear_solver: kind,
-                ..base
-            };
-            let sol = solve_mpde(&dae, &forcing, 5.0e-4, &opts, None).unwrap();
-            assert_eq!(dense.t2.len(), sol.t2.len());
-            for (a, b) in dense.states.iter().zip(sol.states.iter()) {
-                for (x, y) in a.iter().zip(b.iter()) {
-                    assert!((x - y).abs() < 1e-9, "{}: {x} vs {y}", kind.label());
-                }
+        let opts = WampdeOptions {
+            linear_solver: LinearSolverKind::Klu,
+            ..base
+        };
+        let sol = solve_mpde(&dae, &forcing, 5.0e-4, &opts, None).unwrap();
+        assert_eq!(dense.t2.len(), sol.t2.len());
+        for (a, b) in dense.states.iter().zip(sol.states.iter()) {
+            for (x, y) in a.iter().zip(b.iter()) {
+                assert!((x - y).abs() < 1e-9, "{x} vs {y}");
             }
         }
     }

@@ -15,8 +15,8 @@
 //! * [`NewtonPolicy`] — the configuration: iteration budget, abs/rel
 //!   step-norm tolerances (or a residual tolerance), the
 //!   [`Damping`] strategy (`full`, SPICE-style halving `line-search`, or
-//!   `trust-region`), the linear-solver backend, and the symbolic-reuse
-//!   ablation knob.
+//!   `trust-region`), the linear-solver backend, and the kept-matrix
+//!   (modified Newton) switch.
 //! * [`NewtonEngine`] — the loop. Holding one engine across time steps
 //!   (or gmin-continuation stages, or shooting restarts) carries the
 //!   [`linsolve::FactorCache`] along, so on the KLU backend every
@@ -225,14 +225,10 @@ impl Default for Damping {
 
 /// Configuration of one Newton solve.
 ///
-/// **Breaking note (defaults unification):** this policy replaces the
-/// four hand-rolled loops' option structs. The unified defaults are the
-/// historical `transim::NewtonOptions` values — `max_iter = 50`,
-/// `abstol = 1e-12`, `reltol = 1e-9`, halving line search down to
-/// `λ = 1/64` — which the MPDE and WaMPDE loops already shared; the old
-/// `min_damping` field is now [`Damping::LineSearch::min_lambda`].
-/// Shooting keeps its own budget (40) and relative-residual law through
-/// `ShootingOptions`, mapped onto [`NewtonPolicy::residual_tol`].
+/// The defaults are `max_iter = 50`, `abstol = 1e-12`, `reltol = 1e-9`
+/// and a halving line search down to `λ = 1/64`. Shooting keeps its own
+/// budget (40) and relative-residual law through `ShootingOptions`,
+/// mapped onto [`NewtonPolicy::residual_tol`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NewtonPolicy {
     /// Maximum Newton iterations.
@@ -248,9 +244,6 @@ pub struct NewtonPolicy {
     pub residual_tol: Option<f64>,
     /// Linear-solver backend for the per-iteration factorisation.
     pub linear_solver: LinearSolverKind,
-    /// Reuse cached symbolic analysis across KLU factorisations
-    /// (on by default; the ablation knob for `repro --table newton`).
-    pub reuse_symbolic: bool,
     /// Modified Newton: keep the factored iteration matrix across
     /// iterations and across [`NewtonEngine::solve`] calls instead of
     /// assembling and factoring one per iteration (off by default; see
@@ -267,7 +260,6 @@ impl Default for NewtonPolicy {
             damping: Damping::default(),
             residual_tol: None,
             linear_solver: LinearSolverKind::default(),
-            reuse_symbolic: true,
             reuse_jacobian: false,
         }
     }
@@ -446,7 +438,6 @@ impl NewtonEngine {
             .cache
             .get_or_insert_with(|| FactorCache::new(policy.linear_solver));
         cache.set_kind(policy.linear_solver);
-        cache.set_reuse(policy.reuse_symbolic);
         cache.set_cyclic_shape(sys.cyclic_shape());
         let factor_base = cache.stats();
         let nspan = obskit::span("newton");
@@ -824,17 +815,15 @@ mod tests {
     }
 
     #[test]
-    fn sparse_backends_reach_the_same_root() {
-        for kind in [LinearSolverKind::Klu, LinearSolverKind::gmres_default()] {
-            let mut x = vec![2.0, 0.5];
-            let policy = NewtonPolicy {
-                linear_solver: kind,
-                ..Default::default()
-            };
-            newton_solve(&TwoDim, &mut x, &policy).unwrap();
-            assert!((x[0] - 1.0).abs() < 1e-9, "{}", kind.label());
-            assert!((x[1] - 1.0).abs() < 1e-9, "{}", kind.label());
-        }
+    fn klu_reaches_the_same_root() {
+        let mut x = vec![2.0, 0.5];
+        let policy = NewtonPolicy {
+            linear_solver: LinearSolverKind::Klu,
+            ..Default::default()
+        };
+        newton_solve(&TwoDim, &mut x, &policy).unwrap();
+        assert!((x[0] - 1.0).abs() < 1e-9);
+        assert!((x[1] - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1098,38 +1087,6 @@ mod tests {
         let rep = engine.solve(&sys, &mut x, &policy).unwrap();
         assert_eq!(rep.symbolic_reuses, rep.factorisations, "{rep:?}");
         assert!(engine.factor_stats().symbolic_reuses >= rep.factorisations);
-    }
-
-    #[test]
-    fn reuse_can_be_disabled() {
-        let policy = NewtonPolicy {
-            linear_solver: LinearSolverKind::Klu,
-            reuse_symbolic: false,
-            ..Default::default()
-        };
-        let mut x = vec![2.0, 0.5];
-        struct SparseTwo;
-        impl NewtonSystem for SparseTwo {
-            fn dim(&self) -> usize {
-                2
-            }
-            fn residual(&self, x: &[f64], out: &mut [f64]) {
-                TwoDim.residual(x, out);
-            }
-            fn jacobian(&self, x: &[f64], out: &mut DMat) {
-                TwoDim.jacobian(x, out);
-            }
-            fn jacobian_triplets(&self, x: &[f64], out: &mut Triplets) -> bool {
-                out.push(0, 0, 2.0 * x[0]);
-                out.push(0, 1, 2.0 * x[1]);
-                out.push(1, 0, 1.0);
-                out.push(1, 1, -1.0);
-                true
-            }
-        }
-        let rep = newton_solve(&SparseTwo, &mut x, &policy).unwrap();
-        assert_eq!(rep.symbolic_reuses, 0, "{rep:?}");
-        assert!(rep.factorisations > 1);
     }
 
     #[test]

@@ -40,8 +40,7 @@ use std::cell::RefCell;
 use std::fmt;
 use std::ops::ControlFlow;
 use transim::{
-    run_transient, run_transient_with, Integrator, NewtonOptions, StepControl, TransientOptions,
-    TransientResult,
+    run_transient, run_transient_with, Integrator, StepControl, TransientOptions, TransientResult,
 };
 
 /// Errors from the shooting solver.
@@ -323,7 +322,7 @@ fn flow<D: Dae + ?Sized>(
     let opts = TransientOptions {
         integrator,
         step: StepControl::Fixed(period / steps as f64),
-        newton: NewtonOptions {
+        newton: NewtonPolicy {
             linear_solver: solver,
             reuse_jacobian: true,
             ..Default::default()
@@ -965,7 +964,7 @@ pub fn oscillator_steady_state_with_stats<D: Dae + ?Sized>(
         "shooting",
         &[("phase", obskit::AttrValue::Str("steady-state"))],
     );
-    let dc = transim::dc_operating_point(dae, &NewtonOptions::default())?;
+    let dc = transim::dc_operating_point(dae, &NewtonPolicy::default())?;
     let (orbit, warmup) = cold_start(dae, opts, &dc, LOOSE_START, &mut stats).or_else(|_| {
         obskit::counter_add("shooting.cold_fallbacks", 1);
         cold_start(dae, opts, &dc, TIGHT_START, &mut stats)
@@ -1039,7 +1038,7 @@ fn cold_start<D: Dae + ?Sized>(
                 dt_min: 0.0,
                 dt_max: horizon_guess / 200.0,
             },
-            newton: NewtonOptions {
+            newton: NewtonPolicy {
                 linear_solver: opts.linear_solver,
                 ..Default::default()
             },
@@ -1336,7 +1335,7 @@ mod tests {
             let (loose, loose_stats) =
                 oscillator_steady_state_with_stats(dae, &opts, None).unwrap();
             assert_eq!(rec.counter("shooting.cold_fallbacks"), 0, "case {i}");
-            let dc = transim::dc_operating_point(dae, &NewtonOptions::default()).unwrap();
+            let dc = transim::dc_operating_point(dae, &NewtonPolicy::default()).unwrap();
             let mut tight_stats = obskit::RunStats::default();
             let (tight, _) = cold_start(dae, &opts, &dc, TIGHT_START, &mut tight_stats).unwrap();
             let rel = (loose.period - tight.period).abs() / tight.period;
@@ -1797,7 +1796,7 @@ mod tests {
         for (dae, x0, period, steps, solver) in flow_cases() {
             let kept = flow(&*dae, &x0, period, steps, Integrator::Trapezoidal, solver).unwrap();
             // The reference: every step solved by full Newton.
-            let newton = NewtonOptions {
+            let newton = NewtonPolicy {
                 linear_solver: solver,
                 ..Default::default()
             };

@@ -5,8 +5,8 @@ use crate::csc::Csc;
 /// A compressed-sparse-row matrix.
 ///
 /// Rows are stored contiguously with strictly increasing column indices —
-/// the natural layout for matvec and for row-wise factorisations
-/// like ILU(0).
+/// the natural layout for matvec and for row-wise sweeps such as the
+/// block elimination's coupling products.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Csr {
     nrows: usize,
@@ -94,12 +94,6 @@ impl Csr {
     #[inline]
     pub fn data(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Mutable stored values (pattern-preserving updates).
-    #[inline]
-    pub fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
     }
 
     /// Column indices and values of row `i`.

@@ -16,11 +16,8 @@
 //! * the KLU-style symbolic pipeline — [`amd()`] approximate-minimum-degree
 //!   ordering, [`btf()`] block-triangular form (maximum transversal +
 //!   Tarjan SCC condensation), and the composed [`OrderingPlan`] driving
-//!   [`SparseLu::factor_ordered`]'s equilibrated, matched-pivot path;
-//! * [`gmres()`] — restarted GMRES with pluggable preconditioning
-//!   ([`Ilu0`], [`JacobiPrecond`], or none) over a matrix-free
-//!   [`LinOp`] abstraction, per the paper's note that "iterative linear
-//!   techniques \[Saa96\] enable large systems to be handled efficiently".
+//!   [`SparseLu::factor_ordered`]'s equilibrated, matched-pivot path,
+//!   the large-system direct solver behind `linsolve`'s `klu` backend.
 //!
 //! # Example
 //!
@@ -45,11 +42,8 @@ pub mod btf;
 pub mod csc;
 pub mod csr;
 pub mod error;
-pub mod gmres;
-pub mod ilu0;
 pub mod klu;
 pub mod lu;
-pub mod op;
 pub mod triplets;
 
 pub use amd::amd;
@@ -57,9 +51,6 @@ pub use btf::{btf, max_transversal, BtfForm};
 pub use csc::Csc;
 pub use csr::Csr;
 pub use error::SparseError;
-pub use gmres::{gmres, GmresOptions, GmresResult};
-pub use ilu0::Ilu0;
 pub use klu::OrderingPlan;
 pub use lu::{ColumnOrdering, SparseLu};
-pub use op::{CsrOp, IdentityPrecond, JacobiPrecond, LinOp, Precond};
 pub use triplets::{AssemblyPlan, Triplets};

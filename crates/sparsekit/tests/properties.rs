@@ -1,10 +1,7 @@
 //! Property-based tests for the sparse kernels.
 
 use proptest::prelude::*;
-use sparsekit::{
-    gmres, AssemblyPlan, ColumnOrdering, Csc, Csr, CsrOp, GmresOptions, IdentityPrecond, Ilu0,
-    SparseLu, Triplets,
-};
+use sparsekit::{AssemblyPlan, ColumnOrdering, Csc, Csr, SparseLu, Triplets};
 
 /// Builds a random diagonally dominant matrix from a seed vector.
 fn random_dd(n: usize, per_row: usize, seed: &[f64]) -> Triplets {
@@ -242,46 +239,5 @@ proptest! {
                 prop_assert!((p - q).abs() < 1e-7, "ordering {ordering:?}");
             }
         }
-    }
-
-    /// GMRES+ILU0 matches the direct sparse solve.
-    #[test]
-    fn gmres_matches_direct(
-        n in 2usize..30,
-        seed in prop::collection::vec(-1.0f64..1.0, 120),
-        rhs in prop::collection::vec(-3.0f64..3.0, 30),
-    ) {
-        let t = random_dd(n, 2, &seed);
-        let a_csr = t.to_csr();
-        let b: Vec<f64> = (0..n).map(|i| rhs[i % rhs.len()]).collect();
-        let direct = SparseLu::factor(&t.to_csc()).unwrap().solve(&b).unwrap();
-        let pre = Ilu0::factor(&a_csr).unwrap();
-        let it = gmres(
-            &CsrOp::new(&a_csr),
-            &pre,
-            &b,
-            None,
-            &GmresOptions { rtol: 1e-12, ..Default::default() },
-        )
-        .unwrap();
-        for (p, q) in it.x.iter().zip(direct.iter()) {
-            prop_assert!((p - q).abs() < 1e-6);
-        }
-    }
-
-    /// GMRES without preconditioning still reaches its residual target.
-    #[test]
-    fn gmres_residual_contract(
-        n in 2usize..25,
-        seed in prop::collection::vec(-1.0f64..1.0, 100),
-    ) {
-        let t = random_dd(n, 2, &seed);
-        let a = t.to_csr();
-        let b = vec![1.0; n];
-        let r = gmres(&CsrOp::new(&a), &IdentityPrecond, &b, None, &GmresOptions::default()).unwrap();
-        let back = a.matvec(&r.x);
-        let res: f64 = back.iter().zip(b.iter()).map(|(p, q)| (p - q) * (p - q)).sum::<f64>().sqrt();
-        let bnorm: f64 = b.iter().map(|v| v * v).sum::<f64>().sqrt();
-        prop_assert!(res <= 1e-8 * bnorm.max(1.0));
     }
 }

@@ -1,9 +1,9 @@
 //! DC operating-point analysis with gmin continuation.
 
 use crate::error::TransimError;
-use crate::newton::{map_newton_err, NewtonOptions, NonlinearSystem};
+use crate::newton::map_newton_err;
 use circuitdae::Dae;
-use newtonkit::NewtonEngine;
+use newtonkit::{NewtonEngine, NewtonPolicy, NewtonSystem};
 use numkit::DMat;
 
 /// Wraps a DAE as the static system `f(x) + gmin·x − b(0) = 0`.
@@ -13,7 +13,7 @@ struct DcSystem<'a, D: Dae + ?Sized> {
     b0: Vec<f64>,
 }
 
-impl<D: Dae + ?Sized> NonlinearSystem for DcSystem<'_, D> {
+impl<D: Dae + ?Sized> NewtonSystem for DcSystem<'_, D> {
     fn dim(&self) -> usize {
         self.dae.dim()
     }
@@ -54,7 +54,7 @@ impl<D: Dae + ?Sized> NonlinearSystem for DcSystem<'_, D> {
 /// Propagates the final stage's Newton failure.
 pub fn dc_operating_point<D: Dae + ?Sized>(
     dae: &D,
-    opts: &NewtonOptions,
+    opts: &NewtonPolicy,
 ) -> Result<Vec<f64>, TransimError> {
     dc_operating_point_from(dae, &vec![0.0; dae.dim()], opts)
 }
@@ -72,7 +72,7 @@ pub fn dc_operating_point<D: Dae + ?Sized>(
 pub fn dc_operating_point_from<D: Dae + ?Sized>(
     dae: &D,
     guess: &[f64],
-    opts: &NewtonOptions,
+    opts: &NewtonPolicy,
 ) -> Result<Vec<f64>, TransimError> {
     let n = dae.dim();
     if guess.len() != n {
@@ -133,7 +133,7 @@ mod tests {
         ckt.add(Device::resistor(a, b, 1e3));
         ckt.add(Device::resistor(b, Circuit::GND, 1e3));
         let dae = ckt.build().unwrap();
-        let x = dc_operating_point(&dae, &NewtonOptions::default()).unwrap();
+        let x = dc_operating_point(&dae, &NewtonPolicy::default()).unwrap();
         assert!((x[0] - 10.0).abs() < 1e-6);
         assert!((x[1] - 5.0).abs() < 1e-6);
     }
@@ -141,7 +141,7 @@ mod tests {
     #[test]
     fn lc_vco_equilibrium_is_origin() {
         let dae = circuits::lc_vco();
-        let x = dc_operating_point(&dae, &NewtonOptions::default()).unwrap();
+        let x = dc_operating_point(&dae, &NewtonPolicy::default()).unwrap();
         // The (unstable) DC equilibrium of the oscillator is v=0, iL=0.
         assert!(x.iter().all(|v| v.abs() < 1e-6), "{x:?}");
     }
@@ -150,7 +150,7 @@ mod tests {
     fn mems_vco_dc_plate_position() {
         let cfg = circuits::MemsVcoConfig::constant(1.5);
         let dae = circuits::mems_vco(cfg);
-        let x = dc_operating_point(&dae, &NewtonOptions::default()).unwrap();
+        let x = dc_operating_point(&dae, &NewtonPolicy::default()).unwrap();
         let p = circuits::mems_vco_params(cfg);
         let want_y = p.static_displacement(1.5);
         assert!((x[circuits::idx::MEMS_Y] - want_y).abs() < 1e-6, "{x:?}");
@@ -165,7 +165,7 @@ mod tests {
         ckt.add(Device::current_source(Circuit::GND, a, Waveform::Dc(1e-3)));
         ckt.add(Device::tanh_conductor(a, Circuit::GND, -2e-3, 0.5, 1e-3));
         let dae = ckt.build().unwrap();
-        let x = dc_operating_point(&dae, &NewtonOptions::default()).unwrap();
+        let x = dc_operating_point(&dae, &NewtonPolicy::default()).unwrap();
         // Residual check.
         let mut f = vec![0.0];
         dae.eval_f(&x, &mut f);

@@ -3,8 +3,8 @@
 use crate::dcop::{dc_operating_point, dc_operating_point_from};
 use crate::error::TransimError;
 use crate::integrate::{run_transient, TransientOptions, TransientResult};
-use crate::newton::NewtonOptions;
 use circuitdae::{Dae, TranSpec};
+use newtonkit::NewtonPolicy;
 
 /// Runs a `.tran` directive: DC operating point, then transient
 /// integration to `t_stop` with the spec's scheme (fixed `dt` when the
@@ -40,7 +40,7 @@ pub fn run_tran_spec_warm<D: Dae + ?Sized>(
 ) -> Result<(TransientResult, Vec<f64>), TransimError> {
     // The deck's `.options solver=` choice rides on the spec and is
     // honored by both the DC solve and every step's Newton iteration.
-    let newton = NewtonOptions {
+    let newton = NewtonPolicy {
         linear_solver: spec.solver,
         ..Default::default()
     };

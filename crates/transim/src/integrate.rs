@@ -13,9 +13,9 @@
 //! Newton, and the accepted-point records.
 
 use crate::error::TransimError;
-use crate::newton::{map_newton_err, NewtonOptions, NonlinearSystem};
+use crate::newton::map_newton_err;
 use circuitdae::Dae;
-use newtonkit::NewtonEngine;
+use newtonkit::{NewtonEngine, NewtonPolicy, NewtonSystem};
 use numkit::DMat;
 use sparsekit::Triplets;
 use std::cell::RefCell;
@@ -46,7 +46,7 @@ pub struct TransientOptions {
     /// Step policy.
     pub step: StepControl,
     /// Inner Newton options.
-    pub newton: NewtonOptions,
+    pub newton: NewtonPolicy,
 }
 
 /// Counters reported alongside a transient run.
@@ -139,7 +139,7 @@ impl StepScratch {
     }
 }
 
-impl<D: Dae + ?Sized> NonlinearSystem for StepSystem<'_, D> {
+impl<D: Dae + ?Sized> NewtonSystem for StepSystem<'_, D> {
     fn dim(&self) -> usize {
         self.dae.dim()
     }
@@ -283,7 +283,7 @@ where
 /// circuit-DAE step solve and the accepted-point records.
 struct Transient<'a, D: Dae + ?Sized, F> {
     dae: &'a D,
-    newton_opts: &'a NewtonOptions,
+    newton_opts: &'a NewtonPolicy,
     on_accept: F,
     newton: NewtonEngine,
     times: Vec<f64>,
@@ -624,7 +624,7 @@ mod tests {
         let fixed = |h: f64, kind: linsolve::LinearSolverKind| TransientOptions {
             integrator: Integrator::Trapezoidal,
             step: StepControl::Fixed(h),
-            newton: crate::NewtonOptions {
+            newton: newtonkit::NewtonPolicy {
                 linear_solver: kind,
                 ..Default::default()
             },
@@ -671,7 +671,7 @@ mod tests {
                 dt_min: 0.0,
                 dt_max: 3.0,
             },
-            newton: crate::NewtonOptions {
+            newton: newtonkit::NewtonPolicy {
                 max_iter: 3,
                 ..Default::default()
             },
@@ -690,7 +690,7 @@ mod tests {
         // run, tagged with that step's end time — never NaN.
         let opts = TransientOptions {
             step: StepControl::Fixed(0.5),
-            newton: crate::NewtonOptions {
+            newton: newtonkit::NewtonPolicy {
                 max_iter: 1,
                 ..Default::default()
             },

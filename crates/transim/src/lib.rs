@@ -2,8 +2,8 @@
 //!
 //! This crate is the "conventional methods" substrate of the reproduction:
 //!
-//! * [`newton`] — damped Newton–Raphson, re-exported from the shared
-//!   `newtonkit` engine (with pattern-reusing sparse refactorisation);
+//! * [`newton`] — damped Newton–Raphson on the shared `newtonkit`
+//!   engine (with pattern-reusing sparse refactorisation);
 //! * [`dcop`] — DC operating point with gmin continuation;
 //! * [`integrate`] — transient integration of
 //!   `d/dt q(x) + f(x) = b(t)` with Backward Euler, Trapezoidal and BDF2
@@ -43,4 +43,4 @@ pub use integrate::{
     run_fixed_per_cycle, run_transient, run_transient_with, Integrator, StepControl,
     TransientOptions, TransientResult,
 };
-pub use newton::{newton_solve, Damping, NewtonOptions, NewtonReport, NonlinearSystem};
+pub use newton::newton_solve;

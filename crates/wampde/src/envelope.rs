@@ -545,9 +545,9 @@ mod tests {
     }
 
     #[test]
-    fn all_backends_agree_on_lc_vco_envelope() {
-        // The paper's basic LC VCO: dense, KLU, and GMRES+ILU(0)
-        // envelopes must agree on ω(t2) to tight tolerance.
+    fn both_backends_agree_on_lc_vco_envelope() {
+        // The paper's basic LC VCO: dense and KLU envelopes must agree
+        // on ω(t2) to tight tolerance.
         let dae = circuits::lc_vco();
         let orbit = oscillator_steady_state(&dae, &ShootingOptions::default()).unwrap();
         let base = WampdeOptions {
@@ -557,16 +557,14 @@ mod tests {
         };
         let init = WampdeInit::from_orbit(&orbit, &base);
         let dense = solve_envelope(&dae, &init, 1.0e-5, &base).unwrap();
-        for kind in [LinearSolverKind::Klu, LinearSolverKind::gmres_default()] {
-            let opts = WampdeOptions {
-                linear_solver: kind,
-                ..base
-            };
-            let other = solve_envelope(&dae, &init, 1.0e-5, &opts).unwrap();
-            assert_eq!(dense.omega_hz.len(), other.omega_hz.len());
-            for (a, b) in dense.omega_hz.iter().zip(other.omega_hz.iter()) {
-                assert!((a - b).abs() / a < 1e-9, "{}: {a} vs {b}", kind.label());
-            }
+        let opts = WampdeOptions {
+            linear_solver: LinearSolverKind::Klu,
+            ..base
+        };
+        let klu = solve_envelope(&dae, &init, 1.0e-5, &opts).unwrap();
+        assert_eq!(dense.omega_hz.len(), klu.omega_hz.len());
+        for (a, b) in dense.omega_hz.iter().zip(klu.omega_hz.iter()) {
+            assert!((a - b).abs() / a < 1e-9, "{a} vs {b}");
         }
     }
 

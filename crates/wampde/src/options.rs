@@ -1,6 +1,6 @@
 //! Configuration of the WaMPDE solvers.
 
-use transim::{Damping, NewtonOptions};
+use newtonkit::{Damping, NewtonPolicy};
 
 /// Implicit scheme used along the slow (unwarped) time axis `t2` — a
 /// re-export of the shared [`timekit::Scheme`] table (the same engine
@@ -14,20 +14,18 @@ use transim::{Damping, NewtonOptions};
 /// why [`WampdeOptions::default`] selects BDF2 rather than the scheme
 /// table's own transient-oriented default.
 ///
-/// **Breaking note:** because the type is now shared,
 /// `T2Integrator::default()` follows the table's transient convention
-/// (Trapezoidal), *not* the historical wampde default (BDF2). Build
-/// envelope options through [`WampdeOptions::default`] — which pins
-/// BDF2 — rather than from `T2Integrator::default()` directly.
+/// (Trapezoidal), not the envelope's BDF2. Build envelope options
+/// through [`WampdeOptions::default`], which pins BDF2, rather than from
+/// `T2Integrator::default()` directly.
 pub use timekit::Scheme as T2Integrator;
 
 /// Slow-time step policy — a re-export of the shared
 /// [`timekit::StepPolicy`]: `Fixed(dt)` or predictor–corrector LTE
 /// control with the canonical `0.0 = auto` bound resolution.
 ///
-/// **Breaking note:** `T2StepControl::default()` now follows the
-/// shared transient convention (`rtol = 1e-6`, `atol = 1e-12`), *not*
-/// the historical wampde default. [`WampdeOptions::default`] pins the
+/// `T2StepControl::default()` follows the shared transient convention
+/// (`rtol = 1e-6`, `atol = 1e-12`). [`WampdeOptions::default`] pins the
 /// envelope-accuracy tolerances (`rtol = 2e-4`, `atol = 1e-9`, relative
 /// to each variable's amplitude over the period) — build
 /// options through it, or with [`timekit::StepPolicy::adaptive`].
@@ -75,7 +73,7 @@ pub struct WampdeOptions {
     /// the step instead: converged when the update is at most
     /// [`timekit::NEWTON_TOL`] in the step controller's error weights
     /// ([`timekit::Tolerance::newton_norm`]).
-    pub newton: NewtonOptions,
+    pub newton: NewtonPolicy,
     /// Phase-condition variable `k` (an unknown that actually oscillates —
     /// typically the tank voltage).
     pub phase_var: usize,
@@ -103,10 +101,10 @@ impl Default for WampdeOptions {
             // corrector starts at the predictor, so it runs undamped, as
             // DASSL's does: a diverging iteration on a kept matrix
             // refactors, and a failed solve is retried smaller.
-            newton: NewtonOptions {
+            newton: NewtonPolicy {
                 reuse_jacobian: true,
                 damping: Damping::Full,
-                ..NewtonOptions::default()
+                ..NewtonPolicy::default()
             },
             phase_var: 0,
             phase_harmonic: 1,

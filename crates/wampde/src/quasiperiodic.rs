@@ -15,8 +15,8 @@
 //! `Dense` backend factors it by block elimination (see
 //! [`linsolve::FactorCache::set_cyclic_shape`]): a dense LU per slice
 //! plus one of the wrap-around border, where one dense LU of the whole
-//! system would cost O((N1·n·N0)³). Explicit `klu` and `gmres` pass
-//! through as references.
+//! system would cost O((N1·n·N0)³). An explicit `klu` passes through as
+//! the reference.
 //!
 //! The trapezoidal stencil is rejected at an even `N1`: ω has no `t2`
 //! derivative, and the averaging stencil cancels an ω pattern that
@@ -502,28 +502,23 @@ mod tests {
         (dae, init, base)
     }
 
-    /// Every backend lands on the same answer as the default (the block
+    /// KLU lands on the same answer as the default (the block
     /// elimination) — the default path exercises the full
     /// `QpSystem::cyclic_shape()` → `FactorCache` → block elimination
     /// wiring on a real cyclic Jacobian, and KLU is the sparse direct
     /// reference.
     #[test]
-    fn explicit_backends_match_the_default() {
+    fn klu_matches_the_default() {
         let (dae, init, base) = constant_mems();
         let default = solve_quasiperiodic(&dae, &init, 4.0e-5, &base).unwrap();
-        for kind in [
-            crate::LinearSolverKind::Klu,
-            crate::LinearSolverKind::gmres_default(),
-        ] {
-            let opts = crate::WampdeOptions {
-                linear_solver: kind,
-                ..base
-            };
-            let got = solve_quasiperiodic(&dae, &init, 4.0e-5, &opts).unwrap();
-            assert_eq!(got.iterations, default.iterations, "{kind:?}");
-            for (a, b) in default.omegas.iter().zip(got.omegas.iter()) {
-                assert!((a - b).abs() / a < 1e-6, "{kind:?}: {a} vs {b}");
-            }
+        let opts = crate::WampdeOptions {
+            linear_solver: crate::LinearSolverKind::Klu,
+            ..base
+        };
+        let got = solve_quasiperiodic(&dae, &init, 4.0e-5, &opts).unwrap();
+        assert_eq!(got.iterations, default.iterations);
+        for (a, b) in default.omegas.iter().zip(got.omegas.iter()) {
+            assert!((a - b).abs() / a < 1e-6, "{a} vs {b}");
         }
     }
 

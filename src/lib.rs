@@ -10,7 +10,7 @@
 //! | Crate | Role |
 //! |---|---|
 //! | [`numkit`] | dense linear algebra, complex arithmetic, interpolation |
-//! | [`sparsekit`] | sparse matrices, sparse LU, GMRES + ILU(0) |
+//! | [`sparsekit`] | sparse matrices, KLU-class sparse LU (BTF + AMD ordering) |
 //! | [`fourier`] | FFTs, Fourier series, spectral differentiation |
 //! | [`circuitdae`] | the DAE trait, MNA circuit builder, the paper's VCOs |
 //! | [`newtonkit`] | the shared damped-Newton engine (pattern-reusing refactorisation) |

@@ -1,11 +1,9 @@
 //! Acceptance tests of the shared `newtonkit` Newton layer: every
 //! solver's Newton iteration now runs on one engine, so
 //!
-//! * converged solutions agree across linear-solver backends on
-//!   `ring_loaded_vco` (and the pattern-reusing sparse refactorisation
-//!   changes *nothing* — reuse-on and reuse-off runs are bitwise
-//!   identical, because numeric refactorisation replays the exact
-//!   floating-point sequence of a fresh factorisation);
+//! * converged solutions agree across the dense and klu backends on
+//!   `ring_loaded_vco` (that klu's numeric refactorisation is bitwise a
+//!   fresh factorisation is asserted by `tests/proptests.rs`);
 //! * an exhausted iteration budget surfaces the *same* canonical
 //!   diagnostic (the configured budget in the error, the engine's
 //!   "did not converge after N iterations" wording) from every solver;
@@ -14,11 +12,9 @@
 use circuitdae::circuits;
 use linsolve::LinearSolverKind;
 use mpde::AmForcing;
+use newtonkit::NewtonPolicy;
 use shooting::{oscillator_steady_state, ShootingOptions};
-use transim::{
-    dc_operating_point, run_transient, Integrator, NewtonOptions, StepControl, TransientOptions,
-    TransimError,
-};
+use transim::{dc_operating_point, TransimError};
 use wampde::harmonic_balance::{solve_autonomous, HbOptions};
 use wampde::{
     solve_envelope, solve_mpde, OmegaMode, T2Integrator, T2StepControl, WampdeError, WampdeInit,
@@ -28,51 +24,15 @@ use wampde::{
 #[test]
 fn dc_backends_agree_on_ring_vco() {
     let dae = circuits::ring_loaded_vco(6);
-    let dense = dc_operating_point(&dae, &NewtonOptions::default()).unwrap();
-    for kind in [LinearSolverKind::Klu, LinearSolverKind::gmres_default()] {
-        let opts = NewtonOptions {
-            linear_solver: kind,
-            ..Default::default()
-        };
-        let x = dc_operating_point(&dae, &opts).unwrap();
-        for (a, b) in dense.iter().zip(x.iter()) {
-            assert!((a - b).abs() < 1e-9, "{}: {a} vs {b}", kind.label());
-        }
-    }
-}
-
-#[test]
-fn symbolic_reuse_is_bitwise_invisible_on_ring_vco_transient() {
-    // Same fixed-step sparse-LU transient with reuse on and off: the
-    // refactorisation path must reproduce fresh factors bit for bit, so
-    // the trajectories are *identical*, not merely close.
-    let dae = circuits::ring_loaded_vco(6);
-    let dc = dc_operating_point(&dae, &NewtonOptions::default()).unwrap();
-    let mut x0 = dc;
-    x0[0] += 0.5; // kick the tank
-    let run = |reuse: bool| {
-        let opts = TransientOptions {
-            integrator: Integrator::Trapezoidal,
-            step: StepControl::Fixed(2.0e-8),
-            newton: NewtonOptions {
-                linear_solver: LinearSolverKind::Klu,
-                reuse_symbolic: reuse,
-                ..Default::default()
-            },
-        };
-        run_transient(&dae, &x0, 0.0, 2.0e-6, &opts).unwrap()
+    let dense = dc_operating_point(&dae, &NewtonPolicy::default()).unwrap();
+    let opts = NewtonPolicy {
+        linear_solver: LinearSolverKind::Klu,
+        ..Default::default()
     };
-    let with = run(true);
-    let without = run(false);
-    assert_eq!(with.times, without.times);
-    for (a, b) in with.states.iter().zip(without.states.iter()) {
-        assert_eq!(a, b, "bitwise-identical trajectories expected");
+    let x = dc_operating_point(&dae, &opts).unwrap();
+    for (a, b) in dense.iter().zip(x.iter()) {
+        assert!((a - b).abs() < 1e-9, "{a} vs {b}");
     }
-    // The counters tell the two runs apart: one symbolic analysis for
-    // the whole run vs none reused at all.
-    assert_eq!(with.stats.factorisations, without.stats.factorisations);
-    assert_eq!(with.stats.symbolic_reuses, with.stats.factorisations - 1);
-    assert_eq!(without.stats.symbolic_reuses, 0);
 }
 
 #[test]
@@ -125,7 +85,7 @@ fn exhausted_budgets_surface_identical_diagnostics() {
     // tolerance: each must report the *configured* budget in its error,
     // through the same engine wording.
     let budget = 1;
-    let tight = NewtonOptions {
+    let tight = NewtonPolicy {
         max_iter: budget,
         abstol: 1e-300,
         reltol: 1e-300,
@@ -218,8 +178,8 @@ fn exhausted_budgets_surface_identical_diagnostics() {
 #[test]
 fn hb_runs_on_the_shared_engine_with_reuse() {
     // Autonomous HB on the ring VCO: the bordered collocation solve
-    // reaches the shooting frequency through the re-exported engine,
-    // dense and sparse alike.
+    // reaches the shooting frequency through the shared engine, dense
+    // and sparse alike.
     let dae = circuits::ring_loaded_vco(4);
     let orbit = oscillator_steady_state(&dae, &ShootingOptions::default()).unwrap();
     let opts = HbOptions {
@@ -229,7 +189,7 @@ fn hb_runs_on_the_shared_engine_with_reuse() {
     let init = orbit.resample_uniform(2 * opts.harmonics + 1);
     let dense = solve_autonomous(&dae, &init, orbit.frequency(), &opts).unwrap();
     let sparse_opts = HbOptions {
-        newton: NewtonOptions {
+        newton: NewtonPolicy {
             linear_solver: LinearSolverKind::Klu,
             ..Default::default()
         },

@@ -1,6 +1,6 @@
 //! Acceptance test of the sparse linear-solver layer through the deck
-//! subsystem: the committed `ring_scaling.ckt` deck selects the GMRES
-//! backend via `.options solver=gmres`, and its results must agree with
+//! subsystem: the committed `ring_scaling.ckt` deck selects the KLU
+//! backend via `.options solver=klu`, and its results must agree with
 //! the same deck forced onto dense LU.
 
 use circuitdae::{parse_deck, Dae, LinearSolverKind};
@@ -17,7 +17,7 @@ const DECK_1000_PATH: &str = concat!(
 );
 
 #[test]
-fn ring_scaling_deck_gmres_matches_dense() {
+fn ring_scaling_deck_klu_matches_dense() {
     let text = std::fs::read_to_string(DECK_PATH).expect("committed deck exists");
     let deck = parse_deck(&text).unwrap();
 
@@ -25,19 +25,13 @@ fn ring_scaling_deck_gmres_matches_dense() {
     // nodes, and the inductor branch current.
     assert_eq!(deck.base_circuit().unwrap().dim(), 18);
 
-    // The committed deck selects GMRES for every analysis.
+    // The committed deck selects KLU for every analysis.
     assert_eq!(deck.analyses.len(), 2);
     for a in &deck.analyses {
-        match a.solver() {
-            LinearSolverKind::GmresIlu0 { restart, rtol, .. } => {
-                assert_eq!(restart, 60);
-                assert!((rtol - 1e-10).abs() < 1e-22);
-            }
-            other => panic!("deck must select gmres, got {other:?}"),
-        }
+        assert_eq!(a.solver(), LinearSolverKind::Klu);
     }
 
-    let gmres = run_deck(&deck, 2).unwrap();
+    let klu = run_deck(&deck, 2).unwrap();
 
     // Same deck, every analysis forced onto dense LU.
     let mut dense_deck = parse_deck(&text).unwrap();
@@ -47,7 +41,7 @@ fn ring_scaling_deck_gmres_matches_dense() {
     let dense = run_deck(&dense_deck, 2).unwrap();
 
     // Both grids ran: 2 points x 2 analyses.
-    assert_eq!(gmres.runs.len(), 4);
+    assert_eq!(klu.runs.len(), 4);
     assert_eq!(dense.runs.len(), 4);
 
     // Backend agreement per grid point. The shooting frequency is a
@@ -56,14 +50,14 @@ fn ring_scaling_deck_gmres_matches_dense() {
     // differences can steer slightly different step sequences through the
     // initial transient — so compare the *settled* local frequency (last
     // envelope row), not extrema over differently-sampled transients.
-    for (g, d) in gmres.runs.iter().zip(dense.runs.iter()) {
+    for (g, d) in klu.runs.iter().zip(dense.runs.iter()) {
         assert_eq!(g.point, d.point);
         assert_eq!(g.analysis, d.analysis);
         if let (Some(a), Some(b)) = (g.result.metric("freq_hz"), d.result.metric("freq_hz")) {
             let rel = (a - b).abs() / b;
             assert!(
                 rel < 1e-6,
-                "point {} shooting freq: gmres {a} vs dense {b} (rel {rel:e})",
+                "point {} shooting freq: klu {a} vs dense {b} (rel {rel:e})",
                 g.point
             );
             // The oscillator sits near 0.75 MHz (light loading).
@@ -81,7 +75,7 @@ fn ring_scaling_deck_gmres_matches_dense() {
             // tests).
             assert!(
                 rel < 5e-3,
-                "point {} settled omega: gmres {a} vs dense {b} (rel {rel:e})",
+                "point {} settled omega: klu {a} vs dense {b} (rel {rel:e})",
                 g.point
             );
             // And both backends sit near the shooting frequency.

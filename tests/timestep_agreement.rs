@@ -302,7 +302,7 @@ fn envelope_outputs_are_pinned_bit_for_bit() {
         harmonics: 4,
         integrator: T2Integrator::Trapezoidal,
         step: T2StepControl::Fixed(2.5e-5),
-        newton: transim::NewtonOptions::default(),
+        newton: newtonkit::NewtonPolicy::default(),
         omega_mode: OmegaMode::Frozen(1.0e6),
         ..base
     };
