@@ -618,13 +618,15 @@ fn table_newton() {
 /// pure solver work. Asserts the batched run is at least 1.5× faster,
 /// that the mean Newton iteration count per warm-started point is
 /// strictly below the cold-start mean and at most 2.5, that warm points
-/// average at most 160 factorisations, and that every point's
-/// oscillation frequency agrees to 1e-6.
+/// average at most 30 factorisations, and that every point's
+/// oscillation frequency agrees to 1e-6. Prints the monodromy passes
+/// per warm point, counted in one more, traced, batched run.
 /// Emits `target/repro/BENCH_sweep.json`.
 fn table_sweep() {
+    use std::sync::Arc;
     use sweepkit::{run_deck_with, ResultCache, SweepConfig};
     const BATCHED_ITERS_CEILING: f64 = 2.5;
-    const BATCHED_FACTORS_CEILING: f64 = 160.0;
+    const BATCHED_FACTORS_CEILING: f64 = 30.0;
     println!("=== table `sweep`: cold vs warm-cache sweep on vco_sweep ===");
     let deck_text = include_str!("../../../../examples/decks/vco_sweep.ckt");
     let deck = circuitdae::parse_deck(deck_text).expect("vco_sweep deck parses");
@@ -701,6 +703,31 @@ fn table_sweep() {
     };
     let (indep, indep_ns) = run_mode(false);
     let (batched, batched_ns) = run_mode(true);
+    // Monodromy passes of the warm points: every `monodromy` span lies
+    // under the `job` span of its chain position, and position 0 is the
+    // cold anchor. A traced run computes the untraced run's bytes.
+    let rec = Arc::new(obskit::CollectingRecorder::new());
+    {
+        let _g = obskit::install(rec.clone() as Arc<dyn obskit::Recorder>);
+        run_mode(true);
+    }
+    let spans = rec.spans();
+    let by_id: std::collections::HashMap<_, _> = spans.iter().map(|s| (s.id, s)).collect();
+    let warm_job = |span: &obskit::SpanRecord| {
+        let mut up = span.parent;
+        while let Some(id) = up {
+            let s = by_id[&id];
+            if s.name == "job" {
+                return !s.attrs.contains(&("point", obskit::AttrValue::U64(0)));
+            }
+            up = s.parent;
+        }
+        false
+    };
+    let warm_passes = spans
+        .iter()
+        .filter(|s| s.name == "monodromy" && warm_job(s))
+        .count();
     let metric = |run: &sweepkit::SweepRun, name: &str| -> Vec<f64> {
         run.outcome
             .runs
@@ -730,11 +757,14 @@ fn table_sweep() {
     let cold_mean = mean(&metric(&indep, "newton_iters")[1..]);
     let warm_mean = mean(&metric(&batched, "newton_iters")[1..]);
     let warm_factors = mean(&metric(&batched, "factorisations")[1..]);
+    let warm_points = batched.outcome.runs.len().saturating_sub(1).max(1);
+    let warm_passes = warm_passes as f64 / warm_points as f64;
     let batched_speedup = indep_ns as f64 / batched_ns as f64;
     println!(
         "  {} point(s) batched: independent {:.0} ms, chained {:.0} ms -> {batched_speedup:.1}x \
          (newton iters/point {cold_mean:.0} -> {warm_mean:.1}, \
-         factorisations/warm point {warm_factors:.1})",
+         factorisations/warm point {warm_factors:.1}, \
+         monodromy passes/warm point {warm_passes:.2})",
         indep.stats.jobs_total,
         indep_ns as f64 / 1e6,
         batched_ns as f64 / 1e6
@@ -753,10 +783,12 @@ fn table_sweep() {
         "warm-started points must average at most {BATCHED_ITERS_CEILING} Newton \
          iterations ({warm_mean:.2})"
     );
-    // Each flow of a warm point's orbit Newton factors one step matrix
-    // per step (64 here) plus its first step's: 145.9 factorisations per
-    // warm point when first measured, against about four per flow step
-    // with full Newton. The count does not depend on the machine.
+    // A warm point's flows ride the neighbour's orbit and then each
+    // other on kept step matrices, and its first Newton step borders the
+    // neighbour's monodromy instead of running a pass (64 factorisations
+    // here): 19.8 factorisations per warm point when first measured,
+    // against 82.7 with flows on the history predictor and a pass for
+    // every Jacobian. The count does not depend on the machine.
     assert!(
         warm_factors <= BATCHED_FACTORS_CEILING,
         "warm-started points must average at most {BATCHED_FACTORS_CEILING} \
@@ -782,7 +814,8 @@ fn table_sweep() {
          \"mean_newton_iters\": {cold_mean:.3}}},\n    {{\"mode\": \"batched\", \
          \"wall_ns\": {batched_ns}, \"executed\": {}, \
          \"mean_newton_iters\": {warm_mean:.3}, \
-         \"mean_factorisations\": {warm_factors:.3}}}\n  ],\n  \
+         \"mean_factorisations\": {warm_factors:.3}, \
+         \"mean_monodromy_passes\": {warm_passes:.3}}}\n  ],\n  \
          \"speedup\": {speedup:.3},\n  \"batched_speedup\": {batched_speedup:.3}\n}}\n",
         cold.stats.jobs_total,
         cold.stats.executed,

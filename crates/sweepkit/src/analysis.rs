@@ -47,7 +47,10 @@ impl ScenarioResult {
 pub enum WarmState {
     /// Converged DC operating point (`tran` chains).
     DcOp(Vec<f64>),
-    /// Converged unforced periodic orbit (`shooting` / `wampde` chains).
+    /// Converged unforced periodic orbit (`shooting` / `wampde` chains):
+    /// its `(x0, T)` and lineage seed the next position's orbit Newton,
+    /// its samples that Newton's first flow, and the monodromy its own
+    /// Newton last used that Newton's first step.
     Orbit(shooting::ShootingWarmStart),
     /// Converged `t2 = 0` collocation state (`mpde` chains).
     Colloc(Vec<f64>),

@@ -74,7 +74,12 @@ use std::path::{Path, PathBuf};
 // the monodromy is propagated only for the orbit Newton's Jacobians, so
 // `.shooting`/`.wampde` orbits move within the Newton tolerance and
 // `.shooting` points report fewer factorisations.
-pub const CACHE_SALT: &str = concat!("sweepkit-", env!("CARGO_PKG_VERSION"), "-fmt14");
+// fmt15: every shooting flow after an orbit Newton's first is seeded
+// along the flow before it, and a warm chain position's first flow rides
+// the neighbour's samples and its first step the neighbour's monodromy,
+// so `.shooting`/`.wampde` orbits move within the Newton tolerance and
+// warm `.shooting` points report fewer factorisations.
+pub const CACHE_SALT: &str = concat!("sweepkit-", env!("CARGO_PKG_VERSION"), "-fmt15");
 
 /// FNV-1a, 128-bit: tiny, dependency-free, and plenty for cache keys
 /// (collision odds are negligible below ~2^60 distinct jobs).

@@ -20,7 +20,7 @@ use numkit::DMat;
 use sparsekit::Triplets;
 use std::cell::RefCell;
 use std::ops::ControlFlow;
-use timekit::{HistoryPoint, Step};
+use timekit::{HistoryPoint, Step, StepController};
 
 /// Implicit integration scheme (the shared `timekit` scheme table).
 ///
@@ -220,6 +220,71 @@ where
     D: Dae + ?Sized,
     F: FnMut(&[f64]) -> Result<ControlFlow<()>, TransimError>,
 {
+    integrate(dae, x0, t0, t_end, opts, on_accept, None)
+}
+
+/// [`run_transient`] on a fixed step, seeding every step's Newton solve
+/// along `reference`, a trajectory on the run's own step grid
+/// (`reference[k]` is its state at the run's `k`-th point, `x0`'s first).
+/// Step `k`'s seed is `reference[k]` plus the extrapolation in `k` of
+/// the last accepted deviations `x_j − reference[j]` (cubic through
+/// four, down to constant through `x0`'s alone) in place of the history
+/// predictor. A run that stays close to its reference, such as a
+/// shooting flow along the previous flow's orbit, starts each step's
+/// Newton within its tolerance.
+///
+/// The reference is borrowed and the deviations live in four buffers
+/// kept for the whole run. A reference that does not fit, one of
+/// another length than the run's points, another width than the
+/// system's, or with a non-finite entry, is ignored: the run is then
+/// exactly [`run_transient`].
+///
+/// # Errors
+///
+/// [`TransimError::BadInput`] for an adaptive step policy, otherwise as
+/// [`run_transient`].
+pub fn run_transient_seeded<D: Dae + ?Sized>(
+    dae: &D,
+    x0: &[f64],
+    t0: f64,
+    t_end: f64,
+    opts: &TransientOptions,
+    reference: &[Vec<f64>],
+) -> Result<TransientResult, TransimError> {
+    if !matches!(opts.step, StepControl::Fixed(_)) {
+        return Err(TransimError::BadInput(
+            "a seeded transient needs a fixed step".into(),
+        ));
+    }
+    let on_accept = |_: &[f64]| Ok(ControlFlow::Continue(()));
+    integrate(dae, x0, t0, t_end, opts, on_accept, Some(reference))
+}
+
+/// Whether `reference` fits a run of `steps` steps of a `dim`-state
+/// system: `steps + 1` states (the start included) of `dim` finite
+/// entries each.
+pub fn reference_fits(reference: &[Vec<f64>], dim: usize, steps: usize) -> bool {
+    reference.len() == steps + 1
+        && reference
+            .iter()
+            .all(|x| x.len() == dim && x.iter().all(|v| v.is_finite()))
+}
+
+/// The one run behind [`run_transient_with`] and
+/// [`run_transient_seeded`]: `reference`, when it fits, seeds the steps.
+fn integrate<D, F>(
+    dae: &D,
+    x0: &[f64],
+    t0: f64,
+    t_end: f64,
+    opts: &TransientOptions,
+    on_accept: F,
+    reference: Option<&[Vec<f64>]>,
+) -> Result<TransientResult, TransimError>
+where
+    D: Dae + ?Sized,
+    F: FnMut(&[f64]) -> Result<ControlFlow<()>, TransimError>,
+{
     let n = dae.dim();
     if x0.len() != n {
         return Err(TransimError::BadInput(format!(
@@ -236,6 +301,12 @@ where
         .step
         .resolve(t_end - t0, opts.integrator.order())
         .map_err(TransimError::BadInput)?;
+    let seeding = reference
+        .filter(|r| {
+            let steps = fixed_steps(&ctl, t0, t_end, r.len());
+            steps.is_some_and(|steps| reference_fits(r, n, steps))
+        })
+        .map(|r| Seeding::new(r, x0));
 
     let mut q0 = vec![0.0; n];
     dae.eval_q(x0, &mut q0);
@@ -259,6 +330,7 @@ where
         g_prev: vec![0.0; n],
         g_prev_stale: true,
         bbuf: vec![0.0; n],
+        seeding,
     };
     let start = HistoryPoint {
         t: t0,
@@ -279,6 +351,81 @@ where
     })
 }
 
+/// The number of steps a fixed-step `ctl` takes over `[t0, t_end]`, as
+/// the `timekit` step loop proposes them, or `None` once it exceeds
+/// `limit`.
+fn fixed_steps(ctl: &StepController, t0: f64, t_end: f64, limit: usize) -> Option<usize> {
+    let span = t_end - t0;
+    let (mut t, mut steps) = (t0, 0);
+    while t < t_end - 1e-15 * span {
+        if steps == limit {
+            return None;
+        }
+        t += ctl.propose(t, t_end);
+        steps += 1;
+    }
+    Some(steps)
+}
+
+/// The extrapolation weights of a seeded run's deviations, newest
+/// first, by how many are held: constant through one, linear through
+/// two, quadratic through three, cubic through four.
+const DEVIATION_WEIGHTS: [&[f64]; 4] = [
+    &[1.0],
+    &[2.0, -1.0],
+    &[3.0, -3.0, 1.0],
+    &[4.0, -6.0, 4.0, -1.0],
+];
+
+/// A seeded run's reference and the deviations from it of its last (up
+/// to) four accepted points, in a ring.
+struct Seeding<'r> {
+    reference: &'r [Vec<f64>],
+    deviations: [Vec<f64>; 4],
+    /// Deviations recorded so far.
+    held: usize,
+    /// The ring slot of the newest deviation.
+    newest: usize,
+}
+
+impl<'r> Seeding<'r> {
+    /// A ring holding the start's deviation `x0 − reference[0]`.
+    fn new(reference: &'r [Vec<f64>], x0: &[f64]) -> Self {
+        let mut seeding = Seeding {
+            reference,
+            deviations: std::array::from_fn(|_| vec![0.0; x0.len()]),
+            held: 0,
+            newest: 0,
+        };
+        seeding.record(0, x0);
+        seeding
+    }
+
+    /// Records the deviation of the accepted point `x`, the run's `k`-th.
+    fn record(&mut self, k: usize, x: &[f64]) {
+        self.newest = (self.newest + 1) % self.deviations.len();
+        let d = &mut self.deviations[self.newest];
+        for ((d, v), r) in d.iter_mut().zip(x).zip(&self.reference[k]) {
+            *d = v - r;
+        }
+        self.held += 1;
+    }
+
+    /// Writes the seed of the run's `k`-th point into `z`: the
+    /// reference there plus the held deviations extrapolated to it.
+    fn seed(&self, k: usize, z: &mut [f64]) {
+        let depth = self.deviations.len();
+        let weights = DEVIATION_WEIGHTS[self.held.min(depth) - 1];
+        z.copy_from_slice(&self.reference[k]);
+        for (age, &w) in weights.iter().enumerate() {
+            let d = &self.deviations[(self.newest + depth - age) % depth];
+            for (z, d) in z.iter_mut().zip(d) {
+                *z += w * d;
+            }
+        }
+    }
+}
+
 /// The transient's hooks for the shared `timekit` step loop: the
 /// circuit-DAE step solve and the accepted-point records.
 struct Transient<'a, D: Dae + ?Sized, F> {
@@ -297,6 +444,8 @@ struct Transient<'a, D: Dae + ?Sized, F> {
     g_prev: Vec<f64>,
     g_prev_stale: bool,
     bbuf: Vec<f64>,
+    /// The reference a seeded run's steps start from.
+    seeding: Option<Seeding<'a>>,
 }
 
 impl<D, F> timekit::StepSystem for Transient<'_, D, F>
@@ -337,6 +486,9 @@ where
             *r -= theta * b;
         }
 
+        if let Some(seeding) = &self.seeding {
+            seeding.seed(self.states.len(), x);
+        }
         let sys = StepSystem {
             dae: self.dae,
             a0h: step.coeffs.a0h,
@@ -357,6 +509,9 @@ where
         q: &mut [f64],
     ) -> Result<ControlFlow<()>, TransimError> {
         self.dae.eval_q(x, q);
+        if let Some(seeding) = &mut self.seeding {
+            seeding.record(self.states.len(), x);
+        }
         self.times.push(step.t_new);
         self.states.push(x.to_vec());
         self.g_prev_stale = true;
@@ -654,6 +809,70 @@ mod tests {
             0x0e54_0219_7ab1_3106,
         ];
         assert_eq!(got, pinned, "{got:#x?}");
+    }
+
+    #[test]
+    fn a_seeded_run_along_its_own_trajectory_starts_each_step_converged() {
+        // Seeded along the plain run's states, every step's Newton starts
+        // within its tolerance: at most the kept matrix's floor of two
+        // iterations per step, and the same states within the Newton
+        // tolerance.
+        let vdp = VanDerPol::unforced(1.0);
+        let opts = TransientOptions {
+            step: StepControl::Fixed(7.0 / 64.0),
+            newton: newtonkit::NewtonPolicy {
+                reuse_jacobian: true,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let plain = run_transient(&vdp, &[2.0, 0.0], 0.0, 7.0, &opts).unwrap();
+        let seeded =
+            run_transient_seeded(&vdp, &[2.0, 0.0], 0.0, 7.0, &opts, &plain.states).unwrap();
+        assert_eq!(seeded.times, plain.times);
+        assert!(seeded.stats.newton_iters <= 2 * seeded.stats.steps);
+        assert!(seeded.stats.newton_iters < plain.stats.newton_iters);
+        // The two runs' per-step differences, each within a step's Newton
+        // tolerance, add up along the run.
+        let gap = seeded
+            .states
+            .iter()
+            .flatten()
+            .zip(plain.states.iter().flatten())
+            .fold(0.0_f64, |m, (x, y)| m.max((x - y).abs()));
+        let newton = opts.newton;
+        // One step's tolerance `reltol·|x| + abstol` at the amplitude 2.
+        let per_step = newton.reltol * 2.0 + newton.abstol;
+        assert!(gap <= seeded.stats.steps as f64 * per_step, "gap {gap:e}");
+    }
+
+    #[test]
+    fn a_reference_that_does_not_fit_is_ignored() {
+        // A short reference, a wide one and one with a NaN are not used:
+        // the run is the plain run bit for bit. An adaptive step cannot
+        // be seeded at all.
+        let vdp = VanDerPol::unforced(1.0);
+        let opts = TransientOptions {
+            step: StepControl::Fixed(7.0 / 64.0),
+            ..Default::default()
+        };
+        let plain = run_transient(&vdp, &[2.0, 0.0], 0.0, 7.0, &opts).unwrap();
+        let mut nan = plain.states.clone();
+        nan[17][1] = f64::NAN;
+        let wide: Vec<Vec<f64>> = plain.states.iter().map(|x| vec![x[0], x[1], 0.0]).collect();
+        let short = &plain.states[..plain.states.len() - 1];
+        for (i, reference) in [&nan[..], &wide, short].into_iter().enumerate() {
+            let seeded = run_transient_seeded(&vdp, &[2.0, 0.0], 0.0, 7.0, &opts, reference);
+            assert_eq!(digest(&seeded.unwrap()), digest(&plain), "case {i}");
+        }
+        let adaptive = TransientOptions {
+            step: StepControl::adaptive(1e-4, 1e-12),
+            ..opts
+        };
+        assert!(matches!(
+            run_transient_seeded(&vdp, &[2.0, 0.0], 0.0, 7.0, &adaptive, &plain.states),
+            Err(TransimError::BadInput(_))
+        ));
     }
 
     #[test]

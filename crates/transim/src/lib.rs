@@ -40,7 +40,7 @@ pub use dcop::{dc_operating_point, dc_operating_point_from};
 pub use deck::{run_tran_spec, run_tran_spec_warm};
 pub use error::TransimError;
 pub use integrate::{
-    run_fixed_per_cycle, run_transient, run_transient_with, Integrator, StepControl,
-    TransientOptions, TransientResult,
+    reference_fits, run_fixed_per_cycle, run_transient, run_transient_seeded, run_transient_with,
+    Integrator, StepControl, TransientOptions, TransientResult,
 };
 pub use newton::newton_solve;

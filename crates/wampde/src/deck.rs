@@ -139,6 +139,8 @@ mod tests {
             x0: vec![f64::NAN; dae.dim()],
             period: cold.period,
             lineage: Vec::new(),
+            samples: Vec::new(),
+            monodromy: None,
         };
         let (env, orbit, init) = run_wampde_spec_warm(&dae, &spec, Some(&seed)).unwrap();
         assert_eq!(orbit.period.to_bits(), cold.period.to_bits());

@@ -451,7 +451,9 @@ mod tests {
         // runs (b = 0) kept their bits. The autonomous digests [2] and
         // [3] were re-recorded when shooting's flows moved onto the
         // transient's own kept-matrix Newton: their seed orbit moved
-        // within the orbit Newton's tolerance.
+        // within the orbit Newton's tolerance. They were re-recorded
+        // again when every flow after the orbit Newton's first was seeded
+        // along the flow before it, for the same reason.
         let with = |kind| HbOptions {
             harmonics: 5,
             newton: NewtonPolicy {
@@ -493,8 +495,8 @@ mod tests {
         let pinned: [u64; 4] = [
             0x3a68_6652_06c3_6ca4,
             0x8489_0f9b_73fe_49da,
-            0xd1b9_093e_886d_a41a,
-            0x5072_47c3_d008_d1bb,
+            0xcc10_202a_b264_3236,
+            0x127c_d3f6_59d8_307f,
         ];
         assert_eq!(got, pinned, "{got:#x?}");
     }
