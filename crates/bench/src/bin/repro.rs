@@ -618,7 +618,8 @@ fn table_newton() {
 /// pure solver work. Asserts the batched run is at least 1.5× faster,
 /// that the mean Newton iteration count per warm-started point is
 /// strictly below the cold-start mean and at most 2.5, that warm points
-/// average at most 30 factorisations, and that every point's
+/// average at most 30 factorisations, that the independent run's cold
+/// points average at most 450 factorisations, and that every point's
 /// oscillation frequency agrees to 1e-6. Prints the monodromy passes
 /// per warm point, counted in one more, traced, batched run.
 /// Emits `target/repro/BENCH_sweep.json`.
@@ -627,6 +628,7 @@ fn table_sweep() {
     use sweepkit::{run_deck_with, ResultCache, SweepConfig};
     const BATCHED_ITERS_CEILING: f64 = 2.5;
     const BATCHED_FACTORS_CEILING: f64 = 30.0;
+    const COLD_FACTORS_CEILING: f64 = 450.0;
     println!("=== table `sweep`: cold vs warm-cache sweep on vco_sweep ===");
     let deck_text = include_str!("../../../../examples/decks/vco_sweep.ckt");
     let deck = circuitdae::parse_deck(deck_text).expect("vco_sweep deck parses");
@@ -757,12 +759,14 @@ fn table_sweep() {
     let cold_mean = mean(&metric(&indep, "newton_iters")[1..]);
     let warm_mean = mean(&metric(&batched, "newton_iters")[1..]);
     let warm_factors = mean(&metric(&batched, "factorisations")[1..]);
+    let cold_factors = mean(&metric(&indep, "factorisations"));
     let warm_points = batched.outcome.runs.len().saturating_sub(1).max(1);
     let warm_passes = warm_passes as f64 / warm_points as f64;
     let batched_speedup = indep_ns as f64 / batched_ns as f64;
     println!(
         "  {} point(s) batched: independent {:.0} ms, chained {:.0} ms -> {batched_speedup:.1}x \
          (newton iters/point {cold_mean:.0} -> {warm_mean:.1}, \
+         factorisations/cold point {cold_factors:.1}, \
          factorisations/warm point {warm_factors:.1}, \
          monodromy passes/warm point {warm_passes:.2})",
         indep.stats.jobs_total,
@@ -794,6 +798,15 @@ fn table_sweep() {
         "warm-started points must average at most {BATCHED_FACTORS_CEILING} \
          factorisations ({warm_factors:.1})"
     );
+    // A cold point's warm-up and settle steps converge on kept matrices
+    // at 0.33 of their own error weights: 392.4 factorisations per cold
+    // point when first measured, against 5,207 with full Newton at 1e-9
+    // on every step. The count does not depend on the machine.
+    assert!(
+        cold_factors <= COLD_FACTORS_CEILING,
+        "cold points must average at most {COLD_FACTORS_CEILING} factorisations \
+         ({cold_factors:.1})"
+    );
     // The acceptance bar of the batched executor: skipping the DC +
     // kick + settle pipeline on 31 of 32 points dwarfs 1.5x, which is a
     // conservative floor even on loaded CI machines.
@@ -811,7 +824,8 @@ fn table_sweep() {
          \"executed\": {}, \"cache_hits\": {}}},\n    {{\"mode\": \"warm\", \
          \"wall_ns\": {warm_ns}, \"executed\": {}, \"cache_hits\": {}}},\n    \
          {{\"mode\": \"independent\", \"wall_ns\": {indep_ns}, \"executed\": {}, \
-         \"mean_newton_iters\": {cold_mean:.3}}},\n    {{\"mode\": \"batched\", \
+         \"mean_newton_iters\": {cold_mean:.3}, \
+         \"mean_factorisations\": {cold_factors:.3}}},\n    {{\"mode\": \"batched\", \
          \"wall_ns\": {batched_ns}, \"executed\": {}, \
          \"mean_newton_iters\": {warm_mean:.3}, \
          \"mean_factorisations\": {warm_factors:.3}, \

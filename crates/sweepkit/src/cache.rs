@@ -79,7 +79,13 @@ use std::path::{Path, PathBuf};
 // the neighbour's samples and its first step the neighbour's monodromy,
 // so `.shooting`/`.wampde` orbits move within the Newton tolerance and
 // warm `.shooting` points report fewer factorisations.
-pub const CACHE_SALT: &str = concat!("sweepkit-", env!("CARGO_PKG_VERSION"), "-fmt15");
+// fmt16: the cold oscillator start's warm-up and settle steps converge on
+// a kept matrix at 0.33 of their own error weights, its DC point uses
+// the deck's linear solver, and the bordered orbit Jacobian is factored
+// by dense LU on every backend, so `.shooting`/`.wampde` orbits move
+// within the Newton tolerance and cold `.shooting` points report far
+// fewer factorisations.
+pub const CACHE_SALT: &str = concat!("sweepkit-", env!("CARGO_PKG_VERSION"), "-fmt16");
 
 /// FNV-1a, 128-bit: tiny, dependency-free, and plenty for cache keys
 /// (collision odds are negligible below ~2^60 distinct jobs).

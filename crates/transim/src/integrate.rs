@@ -173,6 +173,14 @@ impl<D: Dae + ?Sized> NewtonSystem for StepSystem<'_, D> {
         out.append_scaled(&scratch, self.theta);
         true
     }
+
+    /// The step matrix is `a0h·C + θ·G`: under
+    /// [`NewtonPolicy::reuse_jacobian`] a kept factor is judged by DASSL's
+    /// rules on these coefficients, so an adaptive step whose `a0h`
+    /// leaves the band refactors and one inside it scales its correction.
+    fn matrix_coeffs(&self) -> Option<(f64, f64)> {
+        Some((self.a0h, self.theta))
+    }
 }
 
 /// Integrates `d/dt q(x) + f(x) = b(t)` from `x0` over `[t0, t_end]`.
@@ -844,6 +852,60 @@ mod tests {
         // One step's tolerance `reltol·|x| + abstol` at the amplitude 2.
         let per_step = newton.reltol * 2.0 + newton.abstol;
         assert!(gap <= seeded.stats.steps as f64 * per_step, "gap {gap:e}");
+    }
+
+    #[test]
+    fn a_kept_matrix_at_the_lte_level_refreshes_when_a0h_leaves_the_band() {
+        use std::sync::Arc;
+        // DASSL's way on an adaptive transient: a kept step matrix, the
+        // Newton test at 0.33 of the step controller's own weights. As the
+        // controller moves the step, `a0h` leaves the kept matrix's band
+        // and the matrix is refactored. The end state agrees with the
+        // full-Newton run at its 1e-9 within one step's error tolerance,
+        // for a fraction of the factorisations.
+        let vdp = VanDerPol::unforced(1.0);
+        let (rtol, atol, span) = (1e-3, 1e-12, 7.0);
+        let step = StepControl::Adaptive {
+            rtol,
+            atol,
+            dt_init: span / 2000.0,
+            dt_min: 0.0,
+            dt_max: span / 200.0,
+        };
+        let full = TransientOptions {
+            step,
+            ..Default::default()
+        };
+        let kept = TransientOptions {
+            newton: newtonkit::NewtonPolicy {
+                reuse_jacobian: true,
+                reltol: crate::NEWTON_TOL * rtol,
+                abstol: crate::NEWTON_TOL * atol,
+                ..Default::default()
+            },
+            ..full
+        };
+        let x0 = [2.0, 0.0];
+        let reference = run_transient(&vdp, &x0, 0.0, span, &full).unwrap();
+        let rec = Arc::new(obskit::CollectingRecorder::new());
+        let res = {
+            let _g = obskit::install(rec.clone() as Arc<dyn obskit::Recorder>);
+            run_transient(&vdp, &x0, 0.0, span, &kept).unwrap()
+        };
+        assert!(rec.counter("newton.band_refreshes") >= 1);
+        let (fresh, reused) = (reference.stats.factorisations, res.stats.factorisations);
+        assert!(5 * reused <= fresh, "{reused} vs {fresh} factorisations");
+        let scale = reference
+            .states
+            .iter()
+            .flatten()
+            .fold(0.0_f64, |m, v| m.max(v.abs()));
+        let gap = res
+            .last()
+            .iter()
+            .zip(reference.last())
+            .fold(0.0_f64, |m, (x, y)| m.max((x - y).abs()));
+        assert!(gap <= rtol * scale + atol, "end-state gap {gap:e}");
     }
 
     #[test]

@@ -44,3 +44,4 @@ pub use integrate::{
     Integrator, StepControl, TransientOptions, TransientResult,
 };
 pub use newton::newton_solve;
+pub use timekit::NEWTON_TOL;
